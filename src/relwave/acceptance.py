@@ -299,14 +299,9 @@ def crit_10b_phase_field():
     """Field packet phase rides the classical action: bounded offset, matching slope."""
     cfg = _field_cfg(0.3, 10.0)
     basis = field_mode_basis(cfg, 71.0, 40.0)
-    hbar = cfg.params.hbar
-
-    def ev(t, x):
-        psi_p, _ = basis.modes(t)
-        return complex(np.sum(basis.weights * psi_p * np.exp(1j * basis.p * x / hbar)))
-
     ts = np.linspace(0.0, 40.0, 161)
-    trace = phase_trace(ev, lambda t: field_trajectory(t, cfg.motion).x,
+    trace = phase_trace(lambda t, x: basis.eval_psi_dpsi(t, np.array([x]))[0][0],
+                        lambda t: field_trajectory(t, cfg.motion).x,
                         lambda t: action_field(t, cfg.motion), ts)
     off = trace.offset
     mask = ts >= 20.0

@@ -7,12 +7,14 @@ pair of parabolic cylinder functions
     f+(s) = D_{-1/2 - i M^2/2F}((i+1) s / sqrt(F)),
     f-(s) = D_{-1/2 + i M^2/2F}((i-1) s / sqrt(F)),      s = p + F t.
 
-The initial Gaussian is imposed by the least-norm projection onto the pair:
+``mode_pair`` is the one place that evaluates them.  The initial Gaussian is
+imposed by the least-norm projection onto the pair (``mode_coeffs``):
 c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
 g(p) = |f+(p)|^2 + |f-(p)|^2 entering that scaling is not constant in p (it
 falls off like 1/E(p)), which is why the explicit division is required for
-initial-state fidelity.
+initial-state fidelity.  The packet is the momentum sum of the modes,
+``quadrature.superpose``, as for the free packets.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from functools import lru_cache
 import numpy as np
 
 from .analysis import WaveSlice
+from .free_packets import _WINDOW_FACTOR, _node_spacing, _quantize, gauss_spectrum
 from .kinematics import FieldMotion, PhysParams
-from .quadrature import momentum_grid
-from .specfun import PcfOrder, pcf_d, pcf_d_dz
+from .quadrature import momentum_grid, superpose
+from .specfun import PcfOrder, pcf_d
 
 __all__ = [
     "FieldPacketConfig",
     "ModeCoefficients",
+    "mode_pair",
     "mode_coeffs",
     "mode_psi",
     "psi_field",
@@ -38,9 +42,6 @@ __all__ = [
     "FieldModeBasis",
     "field_mode_basis",
 ]
-
-_WINDOW_FACTOR = 12.0  # Gaussian spectrum half-width multiplier for truncation
-_OVERSAMPLE = 3.0
 
 
 @dataclass(frozen=True)
@@ -90,80 +91,34 @@ class ModeCoefficients:
     c_minus: np.ndarray
 
 
-class FieldModeBasis:
-    """Mode pair and projection coefficients on a fixed momentum grid."""
+def _orders_and_rays(cfg: FieldPacketConfig):
+    """Orders nu+- and rays r+- of the mode pair f+-(s) = D_nu+-(r+- s)."""
+    nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
+    root = np.sqrt(abs(cfg.force))
+    return nu_plus.nu, nu_minus.nu, (1.0 + 1.0j) / root, (1.0j - 1.0) / root
 
-    def __init__(self, cfg: FieldPacketConfig, p_window: float, dp: float):
-        pp = cfg.params
-        nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
-        self.cfg = cfg
-        self.nu_plus = nu_plus.nu
-        self.nu_minus = nu_minus.nu
-        self.ray_plus = (1.0 + 1.0j) / np.sqrt(abs(cfg.force))
-        self.ray_minus = (1.0j - 1.0) / np.sqrt(abs(cfg.force))
-        n = max(int(2 * p_window / dp) | 1, 401)
-        self.p, self.weights = momentum_grid(cfg.p0, p_window, n)
-        self.dp = self.p[1] - self.p[0]
 
-        hbar = pp.hbar
-        spectrum = (np.sqrt(cfg.sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
-            * np.exp(-0.5 * (cfg.sigma0 / hbar) ** 2 * (self.p - cfg.p0) ** 2
-                     - 1j * self.p * cfg.x0 / hbar)
-        fp, fm = self.pair(0.0)
-        # combine at unit scale: |D| reaches e^{pi M^2/8F}-ish magnitudes, so
-        # |f|^2 would overflow for weak forces even though c+- f+- is O(1)
-        scale = np.maximum(np.abs(fp), np.abs(fm))
-        fpn, fmn = fp / scale, fm / scale
-        g = np.abs(fpn) ** 2 + np.abs(fmn) ** 2
-        c_plus = spectrum * np.conj(fpn) / (g * scale)
-        c_minus = spectrum * np.conj(fmn) / (g * scale)
-        # unit L2 norm at t = 0: int |Psi|^2 dx = 2 pi hbar int |psi_p(0)|^2 dp
-        norm2 = 2.0 * np.pi * hbar * float(np.sum(self.weights * np.abs(spectrum) ** 2))
-        scale = 1.0 / np.sqrt(norm2)
-        self.coeffs = ModeCoefficients(p=self.p, c_plus=c_plus * scale,
-                                       c_minus=c_minus * scale)
-        self.ray_weight = g
+def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
+    """f+(s), f-(s) at s = p + F t; with ``derivatives`` also d/dt f+-.
 
-    def pair(self, t: float):
-        s = self.p + self.cfg.force * t
-        fp = pcf_d(self.nu_plus, self.ray_plus * s)
-        fm = pcf_d(self.nu_minus, self.ray_minus * s)
+    D' comes from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu on the
+    D_nu already computed, so each ray costs two D evaluations, not three.
+    """
+    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
+    zp, zm = ray_plus * s, ray_minus * s
+    fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
+    if not derivatives:
         return fp, fm
-
-    def pair_with_derivatives(self, t: float):
-        s = self.p + self.cfg.force * t
-        zp = self.ray_plus * s
-        zm = self.ray_minus * s
-        fp = pcf_d(self.nu_plus, zp)
-        fm = pcf_d(self.nu_minus, zm)
-        dfp = pcf_d_dz(self.nu_plus, zp) * self.ray_plus * self.cfg.force
-        dfm = pcf_d_dz(self.nu_minus, zm) * self.ray_minus * self.cfg.force
-        return fp, fm, dfp, dfm
-
-    def modes(self, t: float):
-        """psi_p(t) and d/dt psi_p(t) on the grid."""
-        fp, fm, dfp, dfm = self.pair_with_derivatives(t)
-        c = self.coeffs
-        return c.c_plus * fp + c.c_minus * fm, c.c_plus * dfp + c.c_minus * dfm
+    dfp = (nu_plus * pcf_d(nu_plus - 1.0, zp) - 0.5 * zp * fp) * ray_plus * cfg.force
+    dfm = (nu_minus * pcf_d(nu_minus - 1.0, zm) - 0.5 * zm * fm) * ray_minus * cfg.force
+    return fp, fm, dfp, dfm
 
 
-@lru_cache(maxsize=16)
-def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> FieldModeBasis:
-    pp = cfg.params
-    hbar = pp.hbar
-    window = _WINDOW_FACTOR * hbar / cfg.sigma0
-    freq = (x_extent + pp.c * abs(t_max)) / hbar + 10.0
-    dp = min(2.0 * np.pi / (_OVERSAMPLE * freq), hbar / (4.0 * cfg.sigma0))
-    return FieldModeBasis(cfg, window, dp)
-
-
-def _quantize(value: float, step: float) -> float:
-    return step * float(np.ceil(max(value, step) / step))
-
-
-def _basis_for(cfg: FieldPacketConfig, xs: np.ndarray, t: float) -> FieldModeBasis:
-    extent = _quantize(float(np.max(np.abs(xs))) + 1.0, 10.0)
-    return field_mode_basis(cfg, extent, _quantize(abs(t), 10.0))
+def _modes(coeffs: ModeCoefficients, cfg: FieldPacketConfig, t: float):
+    """psi_p(t) and d/dt psi_p(t) on the momenta of ``coeffs``."""
+    fp, fm, dfp, dfm = mode_pair(cfg, coeffs.p + cfg.force * t, derivatives=True)
+    return (coeffs.c_plus * fp + coeffs.c_minus * fm,
+            coeffs.c_plus * dfp + coeffs.c_minus * dfm)
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
@@ -174,15 +129,10 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
     transverse momenta are absorbed into the one-dimensional representation.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    hbar = cfg.params.hbar
-    nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
-    ray_p = (1.0 + 1.0j) / np.sqrt(abs(cfg.force))
-    ray_m = (1.0j - 1.0) / np.sqrt(abs(cfg.force))
-    spectrum = (np.sqrt(cfg.sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
-        * np.exp(-0.5 * (cfg.sigma0 / hbar) ** 2 * (p - cfg.p0) ** 2
-                 - 1j * p * cfg.x0 / hbar)
-    fp = pcf_d(nu_plus.nu, ray_p * p)
-    fm = pcf_d(nu_minus.nu, ray_m * p)
+    spectrum = gauss_spectrum(p, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)
+    fp, fm = mode_pair(cfg, p)
+    # combine at unit scale: |D| reaches e^{pi M^2/8F}-ish magnitudes, so
+    # |f|^2 would overflow for weak forces even though c+- f+- is O(1)
     scale = np.maximum(np.abs(fp), np.abs(fm))
     fpn, fmn = fp / scale, fm / scale
     g = np.abs(fpn) ** 2 + np.abs(fmn) ** 2
@@ -190,54 +140,65 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
                             c_minus=spectrum * np.conj(fmn) / (g * scale))
 
 
+class FieldModeBasis:
+    """Mode pair and projection coefficients on a fixed momentum grid."""
+
+    def __init__(self, cfg: FieldPacketConfig, p_window: float, dp: float):
+        self.cfg = cfg
+        self.nu_plus, self.nu_minus, self.ray_plus, self.ray_minus = _orders_and_rays(cfg)
+        n = max(int(2 * p_window / dp) | 1, 401)
+        self.p, self.weights = momentum_grid(cfg.p0, p_window, n)
+        raw = mode_coeffs(self.p, cfg)
+        # unit L2 norm at t = 0: int |Psi|^2 dx = 2 pi hbar int |psi_p(0)|^2 dp
+        spectrum = gauss_spectrum(self.p, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)
+        norm2 = 2.0 * np.pi * cfg.params.hbar * float(np.sum(self.weights * np.abs(spectrum) ** 2))
+        scale = 1.0 / np.sqrt(norm2)
+        self.coeffs = ModeCoefficients(p=self.p, c_plus=raw.c_plus * scale,
+                                       c_minus=raw.c_minus * scale)
+
+    def pair(self, t: float):
+        return mode_pair(self.cfg, self.p + self.cfg.force * t)
+
+    def modes(self, t: float):
+        """psi_p(t) and d/dt psi_p(t) on the grid."""
+        return _modes(self.coeffs, self.cfg, t)
+
+    def eval_psi_dpsi(self, t: float, xs: np.ndarray):
+        """psi(t, xs) and d/dt psi(t, xs), the momentum sum of the modes."""
+        psi_p, dpsi_p = self.modes(t)
+        return superpose(self.p, self.weights * psi_p, self.weights * dpsi_p,
+                         xs, self.cfg.params.hbar)
+
+
+@lru_cache(maxsize=16)
+def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> FieldModeBasis:
+    window = _WINDOW_FACTOR * cfg.params.hbar / cfg.sigma0
+    dp = _node_spacing(cfg.params, x_extent, t_max, cfg.params.hbar / cfg.sigma0)
+    return FieldModeBasis(cfg, window, dp)
+
+
+def _basis_for(cfg: FieldPacketConfig, xs: np.ndarray, t: float) -> FieldModeBasis:
+    extent = _quantize(float(np.max(np.abs(xs))) + 1.0, 10.0)
+    return field_mode_basis(cfg, extent, _quantize(abs(t), 10.0))
+
+
 def mode_ray_weight(p, cfg: FieldPacketConfig):
     """g(p) = |f+(p)|^2 + |f-(p)|^2 along the projection ray (diagnostic)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
-    fp = pcf_d(nu_plus.nu, (1.0 + 1.0j) / np.sqrt(abs(cfg.force)) * p)
-    fm = pcf_d(nu_minus.nu, (1.0j - 1.0) / np.sqrt(abs(cfg.force)) * p)
+    fp, fm = mode_pair(cfg, np.atleast_1d(np.asarray(p, dtype=float)))
     return np.abs(fp) ** 2 + np.abs(fm) ** 2
 
 
 def mode_psi(t: float, p, cfg: FieldPacketConfig):
     """Single-mode value and exact time derivative (psi_p, d/dt psi_p)."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    coeffs = mode_coeffs(p, cfg)
-    nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
-    ray_p = (1.0 + 1.0j) / np.sqrt(abs(cfg.force))
-    ray_m = (1.0j - 1.0) / np.sqrt(abs(cfg.force))
-    s = p + cfg.force * t
-    zp, zm = ray_p * s, ray_m * s
-    fp = pcf_d(nu_plus.nu, zp)
-    fm = pcf_d(nu_minus.nu, zm)
-    dfp = pcf_d_dz(nu_plus.nu, zp) * ray_p * cfg.force
-    dfm = pcf_d_dz(nu_minus.nu, zm) * ray_m * cfg.force
-    psi_p = coeffs.c_plus * fp + coeffs.c_minus * fm
-    dpsi_p = coeffs.c_plus * dfp + coeffs.c_minus * dfm
-    return psi_p, dpsi_p
+    return _modes(mode_coeffs(p, cfg), cfg, t)
 
 
 def psi_field(t: float, x, cfg: FieldPacketConfig):
     """psi(t, x) and d/dt psi(t, x) by quadrature over the mode grid."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    basis = _basis_for(cfg, xs, t)
-    psi, dpsi = _superpose(basis, t, xs)
+    psi, dpsi = _basis_for(cfg, xs, t).eval_psi_dpsi(t, xs)
     if np.ndim(x) == 0:
         return psi[0], dpsi[0]
-    return psi, dpsi
-
-
-def _superpose(basis: FieldModeBasis, t: float, xs: np.ndarray):
-    psi_p, dpsi_p = basis.modes(t)
-    hbar = basis.cfg.params.hbar
-    wp = basis.weights * psi_p
-    wd = basis.weights * dpsi_p
-    psi = np.empty(len(xs), dtype=complex)
-    dpsi = np.empty(len(xs), dtype=complex)
-    for i0 in range(0, len(xs), 512):
-        block = np.exp(1j * np.outer(xs[i0:i0 + 512], basis.p) / hbar)
-        psi[i0:i0 + 512] = block @ wp
-        dpsi[i0:i0 + 512] = block @ wd
     return psi, dpsi
 
 
@@ -246,5 +207,5 @@ def field_slice(t: float, xs: np.ndarray, cfg: FieldPacketConfig,
     xs = np.asarray(xs, dtype=float)
     if basis is None:
         basis = _basis_for(cfg, xs, t)
-    psi, dpsi = _superpose(basis, t, xs)
+    psi, dpsi = basis.eval_psi_dpsi(t, xs)
     return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)

@@ -2,10 +2,15 @@
 
 Two families: the closed-form packet of a particle in uniform motion (flat
 momentum spectrum over decaying modes, summing to a Bessel-K1 expression),
-and the packet that is exactly Gaussian at t = 0, propagated spectrally with
-plane-wave modes.  Both expose psi and its exact time derivative; d/dt is
-always taken spectrally (each mode weighted by -i E(p)/hbar), never by
+and the packet that is exactly Gaussian at t = 0.  Both are plane-wave
+packets exp(i(p x - E t)/hbar) summed by ``quadrature.superpose``; only
+their spectra differ.  Both expose psi and its exact time derivative; d/dt
+is always taken spectrally (each mode weighted by -i E(p)/hbar), never by
 finite differences.
+
+This module also holds what the uniform-field packets share with the free
+ones: the initial Gaussian spectrum, the momentum-grid resolution constants
+and node spacing, and the extent rounding of the cached builders.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .analysis import WaveSlice
 from .kinematics import FreeMotion, PhysParams
-from .quadrature import momentum_grid
+from .quadrature import momentum_grid, superpose
 from .specfun import bessel_k1
 
 __all__ = [
@@ -33,10 +38,12 @@ __all__ = [
     "gauss_slice",
     "closed_spectral",
     "gauss_spectral",
+    "gauss_spectrum",
 ]
 
 _TAIL_EPS = 1e-12      # spectrum magnitude at the truncation edge
 _OVERSAMPLE = 3.0      # nodes per Nyquist interval of the fastest phase
+_WINDOW_FACTOR = 12.0  # Gaussian spectrum half-width multiplier for truncation
 
 
 def _quantize(value: float, step: float) -> float:
@@ -93,47 +100,35 @@ class GaussianPacketConfig:
         return cls(sigma0=sigma0, p0=float(p0), x0=x0, params=params)
 
 
+def gauss_spectrum(p, sigma0: float, p0: float, x0: float, params: PhysParams):
+    """Momentum amplitude of the Gaussian of half-width sigma0, momentum p0
+    and centre x0, normalized so that 2 pi hbar int |.|^2 dp = 1."""
+    hbar = params.hbar
+    return (np.sqrt(sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
+        * np.exp(-0.5 * (sigma0 / hbar) ** 2 * (p - p0) ** 2 - 1j * p * x0 / hbar)
+
+
 @dataclass(frozen=True)
 class SpectralPacket:
-    """Wavepacket as weighted momentum modes, evaluable at any (t, x).
+    """Plane-wave packet exp(i(p x - E t)/hbar) over weighted momentum
+    modes, evaluable at any (t, x).
 
-    ``kind`` selects the mode family: "closed-ansatz" modes carry the
-    exp(-(vartheta + i t) W(p)/hbar) damping and travel with the packet
-    (phase p (x - x0 - v0 t)); "plane-wave" modes are exp(i(p x - E t)/hbar).
     ``spectrum`` holds the weight function evaluated on the nodes, ``norm``
     the overall normalization constant.
     """
 
-    kind: str
     p: np.ndarray
     weights: np.ndarray
     spectrum: np.ndarray
     norm: float
     params: PhysParams
-    v0: float = 0.0
-    x0: float = 0.0
-    vartheta: float = 0.0
 
     def eval_psi_dpsi(self, t: float, xs: np.ndarray):
-        """psi(t, xs) and d/dt psi(t, xs); chunked over xs."""
+        """psi(t, xs) and d/dt psi(t, xs)."""
         hbar = self.params.hbar
         e = energy(self.p, self.params)
-        if self.kind == "closed-ansatz":
-            w = e - self.p * self.v0
-            gt = self.norm * self.spectrum * self.weights \
-                * np.exp(-(self.vartheta + 1j * t) * w / hbar)
-            x_eff = np.asarray(xs, dtype=float) - self.x0 - self.v0 * t
-        else:
-            gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t / hbar)
-            x_eff = np.asarray(xs, dtype=float)
-        psi = np.empty(len(x_eff), dtype=complex)
-        dpsi = np.empty(len(x_eff), dtype=complex)
-        dfac = -1j * e / hbar
-        for i0 in range(0, len(x_eff), 512):
-            block = np.exp(1j * np.outer(x_eff[i0:i0 + 512], self.p) / hbar)
-            psi[i0:i0 + 512] = block @ gt
-            dpsi[i0:i0 + 512] = block @ (gt * dfac)
-        return psi, dpsi
+        gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t / hbar)
+        return superpose(self.p, gt, gt * (-1j * e / hbar), xs, hbar)
 
     def norm_at_zero(self, xs: np.ndarray) -> float:
         psi, _ = self.eval_psi_dpsi(0.0, xs)
@@ -148,7 +143,12 @@ def _node_spacing(params: PhysParams, x_extent: float, t_max: float,
 
 @lru_cache(maxsize=64)
 def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> SpectralPacket:
-    """Flat-spectrum packet over closed-ansatz modes (the quadrature route)."""
+    """The closed packet as a plane-wave sum (the quadrature route).
+
+    Its modes exp(-(vartheta + i t) W/hbar + i p (x - x0 - v0 t)/hbar) are
+    plane waves times the spectrum exp(-vartheta W/hbar - i p x0/hbar): the
+    p v0 t terms cancel, and d/dt is -i E/hbar in both forms.
+    """
     pp = cfg.params
     m = cfg.motion
     hbar, c = pp.hbar, pp.c
@@ -162,10 +162,9 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
     half = 0.5 * (p_hi - p_lo)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
-    norm = closed_norm_constant(cfg)
-    return SpectralPacket(kind="closed-ansatz", p=nodes, weights=weights,
-                          spectrum=np.ones_like(nodes), norm=norm, params=pp,
-                          v0=m.v0, x0=m.x0, vartheta=cfg.vartheta)
+    spectrum = np.exp(-cfg.vartheta * w_of_p(nodes, m) / hbar - 1j * nodes * m.x0 / hbar)
+    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
+                          norm=closed_norm_constant(cfg), params=pp)
 
 
 @lru_cache(maxsize=64)
@@ -174,21 +173,19 @@ def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> 
     pp = cfg.params
     hbar = pp.hbar
     sigma_p = hbar / cfg.sigma0
-    half = max(12.0 * sigma_p, 12.0 * pp.m * pp.c)
+    half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR * pp.m * pp.c)
     dp = _node_spacing(pp, x_extent, t_max, sigma_p)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(cfg.p0, half, max(n, 401))
-    spectrum = (np.sqrt(cfg.sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
-        * np.exp(-0.5 * (cfg.sigma0 / hbar) ** 2 * (nodes - cfg.p0) ** 2
-                 - 1j * nodes * cfg.x0 / hbar)
-    packet = SpectralPacket(kind="plane-wave", p=nodes, weights=weights,
-                            spectrum=spectrum, norm=1.0, params=pp)
+    spectrum = gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0, pp)
+    packet = SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
+                            norm=1.0, params=pp)
     # trim the numerical norm to one (analytically it already is)
     span = max(10.0 * cfg.sigma0, 10.0 * pp.compton_reduced)
     xs = np.linspace(cfg.x0 - span, cfg.x0 + span, 4001)
     norm = packet.norm_at_zero(xs)
-    return SpectralPacket(kind="plane-wave", p=nodes, weights=weights,
-                          spectrum=spectrum, norm=1.0 / np.sqrt(norm), params=pp)
+    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
+                          norm=1.0 / np.sqrt(norm), params=pp)
 
 
 def closed_norm_constant(cfg: ClosedPacketConfig) -> float:
@@ -211,14 +208,13 @@ def _closed_form_psi(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     xr = np.asarray(xs, dtype=float) - m.x0
     branch_arg = (xr - 1j * m.v0 * vt) ** 2 - c**2 * (t - 1j * vt) ** 2
     f_arg = np.sqrt(branch_arg + 0j)
-    psi = pref * (vt + 1j * t) * c / f_arg * bessel_k1(pp.m * c * f_arg / hbar)
-    return psi, branch_arg
+    return pref * (vt + 1j * t) * c / f_arg * bessel_k1(pp.m * c * f_arg / hbar)
 
 
 def psi_closed(t: float, x, cfg: ClosedPacketConfig):
     """Closed-form psi and spectral d/dt psi at (t, x); x scalar or array."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    psi, _ = _closed_form_psi(t, xs, cfg)
+    psi = _closed_form_psi(t, xs, cfg)
     pk = closed_spectral(cfg, _quantize(float(np.max(np.abs(xs - cfg.motion.x0))) + 1.0, 10.0),
                          _quantize(abs(t), 5.0))
     _, dpsi = pk.eval_psi_dpsi(t, xs)
@@ -228,32 +224,22 @@ def psi_closed(t: float, x, cfg: ClosedPacketConfig):
 
 
 def closed_slice(t: float, xs: np.ndarray, cfg: ClosedPacketConfig) -> WaveSlice:
-    """Sampled closed packet on a grid, with branch-continuity checking.
+    """Sampled closed packet on a grid: closed-form psi, spectral d/dt psi.
 
-    The principal square root keeps Re F > 0 for all (t, x) when |v0| < c
-    and vartheta > 0, so the flag is not expected to fire; if an amplitude
-    discontinuity is detected the slice is recomputed spectrally.
+    The principal square root in the closed form never meets its cut.  With
+    x measured from x0, its argument a = (x - i v0 vartheta)^2
+    - c^2 (t - i vartheta)^2 has Im a = 2 vartheta (c^2 t - v0 x).  Where
+    Im a = 0, Re a = c^2 t^2 (c^2/v0^2 - 1) + vartheta^2 (c^2 - v0^2) > 0
+    (Re a = x^2 + c^2 vartheta^2 > 0 when v0 = 0), so a stays off the
+    closed negative real axis whenever |v0| < c and vartheta > 0, which the
+    configs enforce.
     """
     xs = np.asarray(xs, dtype=float)
-    psi, branch_arg = _closed_form_psi(t, xs, cfg)
+    psi = _closed_form_psi(t, xs, cfg)
     pk = closed_spectral(cfg, _quantize(float(np.max(np.abs(xs - cfg.motion.x0))) + 1.0, 10.0),
                          _quantize(abs(t), 5.0))
-    # a genuine branch problem needs the square-root argument to cross the
-    # negative real axis between neighbours, together with a visible |psi|
-    # discontinuity; for |v0| < c and vartheta > 0 this cannot happen
-    im = np.imag(branch_arg)
-    re = np.real(branch_arg)
-    crossing = (np.sign(im[:-1]) != np.sign(im[1:])) \
-        & ((re[:-1] < 0.0) | (re[1:] < 0.0))
-    jumps = np.abs(np.diff(psi))
-    scale = float(np.max(np.abs(psi)))
-    flags: tuple[str, ...] = ()
-    if scale > 0 and np.any(crossing & (jumps > 0.5 * scale)):
-        flags = ("branch-ambiguity: closed form replaced by quadrature",)
-        psi, dpsi = pk.eval_psi_dpsi(t, xs)
-    else:
-        _, dpsi = pk.eval_psi_dpsi(t, xs)
-    return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi, flags=flags)
+    _, dpsi = pk.eval_psi_dpsi(t, xs)
+    return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)
 
 
 def spectrum_closed(p, cfg: ClosedPacketConfig):

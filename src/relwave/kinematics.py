@@ -2,7 +2,8 @@
 
 Free motion, hyperbolic motion in a uniform electric field, Lorentz factors,
 proper time, and the classical actions the wavepacket phases are compared
-against.  Natural units m = c = hbar = q = 1 are the default.
+against; both actions are closed forms.  Natural units m = c = hbar = q = 1
+are the default.
 """
 
 from __future__ import annotations
@@ -10,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .quadrature import QuadratureSpec, integrate_complex
 
 __all__ = [
     "PhysParams",
@@ -150,29 +148,21 @@ def action_free(t: float, motion: FreeMotion) -> float:
     return lagrangian_free(motion) * t
 
 
-def action_field(t: float, motion: FieldMotion, rel_tol: float = 1e-10) -> float:
-    """Classical action under a uniform force, by quadrature.
+def action_field(t: float, motion: FieldMotion) -> float:
+    """Classical action under a uniform force, in closed form.
 
     S(t) = -m c^2 int_0^t (1 + a^2 s (s+t0)) / sqrt(1 + a^2 (s+t0)^2) ds.
+    With u = a (s + t0) the integrand is sqrt(1+u^2) - a t0 u / sqrt(1+u^2),
+    so S = -m c^2/a [(u sqrt(1+u^2) + asinh u)/2 - a t0 sqrt(1+u^2)]
+    between s = 0 and s = t.
     """
-    if t == 0.0:
-        return 0.0
     a = motion.alpha
     t0 = motion.t0
-    p = motion.params
 
-    def integrand(s):
+    def primitive(s):
         u = a * (s + t0)
-        return (1.0 + a * a * s * (s + t0)) / np.sqrt(1.0 + u * u)
+        root = math.sqrt(1.0 + u * u)
+        return 0.5 * (u * root + math.asinh(u)) - a * t0 * root
 
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    spec = QuadratureSpec(lower=lo, upper=hi, node_count=129,
-                          refinement="doubling", rel_tol=rel_tol,
-                          max_node_count=1 << 19)
-    res = integrate_complex(integrand, spec)
-    if not res.converged:
-        raise ArithmeticError(
-            f"action_field quadrature did not converge (error {res.error:.2e})"
-        )
-    sign = 1.0 if t > 0 else -1.0
-    return -p.m * p.c**2 * sign * res.value.real
+    p = motion.params
+    return p.m * p.c**2 / a * (primitive(0.0) - primitive(t))

@@ -1,89 +1,26 @@
-"""Deterministic quadrature for complex-valued integrands.
+"""Momentum grids and the one momentum sum of the package.
 
-Single integration authority for the package: composite trapezoid after an
-optional change of variable, with explicit truncation of infinite domains
-and optional node-doubling refinement.  Summation uses numpy's pairwise
-reduction on arrays in a fixed order, so repeated runs are bit-identical.
+Every wavepacket is a momentum spectrum times modes, summed over p: plane
+waves for the free packets, parabolic-cylinder modes for the packet in a
+uniform field.  ``superpose`` is that sum, a composite trapezoid rule on a
+``momentum_grid``.  It runs over fixed blocks of x in a fixed order, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "QuadratureError",
-    "NonFiniteIntegrandError",
-    "QuadratureSpec",
-    "QuadResult",
-    "integrate_complex",
     "momentum_grid",
+    "superpose",
     "trapezoid_weights",
 ]
-
-_SUBSTITUTIONS = ("identity", "sinh", "rescale")
-_REFINEMENTS = ("none", "doubling")
 
 
 class QuadratureError(Exception):
     pass
-
-
-class NonFiniteIntegrandError(QuadratureError):
-    """Raised when the integrand returns a non-finite value at a node."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Description of one quadrature rule.
-
-    ``lower``/``upper`` may be ``-inf``/``+inf``; infinite endpoints require a
-    non-identity substitution (``sinh``) together with ``mapped_halfwidth``,
-    the explicit truncation half-width in the mapped coordinate.  The caller
-    owns the tail bound justifying the truncation.  ``rescale`` maps a finite
-    interval to [-1, 1] before applying the trapezoid rule.
-    """
-
-    lower: float
-    upper: float
-    node_count: int = 129
-    substitution: str = "identity"
-    mapped_halfwidth: float | None = None
-    refinement: str = "none"
-    abs_tol: float = 0.0
-    rel_tol: float = 1e-12
-    max_node_count: int = 1 << 21
-
-    def __post_init__(self):
-        if self.node_count < 2:
-            raise QuadratureError(f"node_count must be >= 2, got {self.node_count}")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise QuadratureError("tolerances must be non-negative")
-        if self.substitution not in _SUBSTITUTIONS:
-            raise QuadratureError(f"unknown substitution {self.substitution!r}")
-        if self.refinement not in _REFINEMENTS:
-            raise QuadratureError(f"unknown refinement {self.refinement!r}")
-        infinite = np.isinf(self.lower) or np.isinf(self.upper)
-        if infinite and self.substitution == "identity" and self.mapped_halfwidth is None:
-            raise QuadratureError(
-                "infinite domain requires a substitution or an explicit "
-                "mapped_halfwidth truncation"
-            )
-        if infinite and self.substitution == "sinh" and self.mapped_halfwidth is None:
-            raise QuadratureError("sinh substitution requires mapped_halfwidth")
-        if not infinite and self.lower >= self.upper:
-            raise QuadratureError("need lower < upper")
-        if self.max_node_count < self.node_count:
-            raise QuadratureError("max_node_count < node_count")
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: complex
-    error: float
-    converged: bool
-    nodes_used: int
 
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -93,71 +30,6 @@ def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
-
-
-def _mapped_nodes(spec: QuadratureSpec, n: int):
-    """Return (nodes in original coordinate, weights incl. Jacobian)."""
-    if spec.substitution == "sinh":
-        # x = sinh(u); covers (-inf, inf) or [0, inf) truncated at u = +-T
-        t = spec.mapped_halfwidth
-        lo = 0.0 if spec.lower == 0.0 else -t
-        u = np.linspace(lo, t, n)
-        x = np.sinh(u)
-        jac = np.cosh(u)
-        w = trapezoid_weights(u) * jac
-        return x, w
-    if spec.substitution == "rescale":
-        u = np.linspace(-1.0, 1.0, n)
-        half = 0.5 * (spec.upper - spec.lower)
-        x = spec.lower + (u + 1.0) * half
-        w = trapezoid_weights(u) * half
-        return x, w
-    # identity; infinite endpoints are truncated at +-mapped_halfwidth
-    lo, hi = spec.lower, spec.upper
-    if np.isinf(lo):
-        lo = -spec.mapped_halfwidth
-    if np.isinf(hi):
-        hi = spec.mapped_halfwidth
-    x = np.linspace(lo, hi, n)
-    return x, trapezoid_weights(x)
-
-
-def _evaluate(f, spec: QuadratureSpec, n: int) -> complex:
-    x, w = _mapped_nodes(spec, n)
-    y = np.asarray(f(x), dtype=complex)
-    if y.shape != x.shape:
-        raise QuadratureError("integrand must be vectorized: f(x) shaped like x")
-    bad = ~np.isfinite(y)
-    if np.any(bad):
-        raise NonFiniteIntegrandError(
-            f"integrand non-finite at x={x[bad][0]!r} (value {y[bad][0]!r})"
-        )
-    return complex(np.sum(w * y))
-
-
-def integrate_complex(f, spec: QuadratureSpec) -> QuadResult:
-    """Integrate a vectorized complex integrand under the given spec.
-
-    With ``refinement='doubling'`` the node count is doubled (2n-1) until the
-    difference between the last two levels meets abs_tol/rel_tol or the node
-    cap is reached; the result then carries ``converged=False`` rather than
-    being silently accepted.
-    """
-    n = spec.node_count
-    value = _evaluate(f, spec, n)
-    if spec.refinement == "none":
-        return QuadResult(value, 0.0, True, n)
-    prev = value
-    while True:
-        n = 2 * n - 1
-        if n > spec.max_node_count:
-            err = abs(value - prev)
-            return QuadResult(value, err, False, (n + 1) // 2)
-        prev = value
-        value = _evaluate(f, spec, n)
-        err = abs(value - prev)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return QuadResult(value, err, True, n)
 
 
 def momentum_grid(p_center: float, half_width: float, node_count: int):
@@ -171,3 +43,24 @@ def momentum_grid(p_center: float, half_width: float, node_count: int):
         raise QuadratureError("node_count must be >= 2")
     nodes = np.linspace(p_center - half_width, p_center + half_width, node_count)
     return nodes, trapezoid_weights(nodes)
+
+
+def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray,
+              xs: np.ndarray, hbar: float):
+    """psi(x) = sum_p amp_p exp(i p x / hbar) on ``xs``, and the same sum of
+    ``damp`` (the mode time derivatives), which gives d/dt psi.
+
+    ``amp`` and ``damp`` already carry the quadrature weights.  The dense
+    Nx x Np sum runs over blocks of 512 rows of x.  Each row is summed by
+    ``einsum``, not by a BLAS product, whose kernel (and rounding) changes
+    with the number of rows: this way the value at x does not depend on
+    which other points are evaluated with it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    psi = np.empty(len(xs), dtype=complex)
+    dpsi = np.empty(len(xs), dtype=complex)
+    for i0 in range(0, len(xs), 512):
+        block = np.exp(1j * np.outer(xs[i0:i0 + 512], p) / hbar)
+        psi[i0:i0 + 512] = np.einsum("ij,j->i", block, amp)
+        dpsi[i0:i0 + 512] = np.einsum("ij,j->i", block, damp)
+    return psi, dpsi

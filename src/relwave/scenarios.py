@@ -29,9 +29,10 @@ from . import __version__
 from .analysis import (WaveSlice, charge_density, gauss_similarity_psi,
                        gauss_similarity_rho, phase_trace)
 from .field_packets import FieldPacketConfig, field_mode_basis, field_slice
-from .free_packets import (ClosedPacketConfig, GaussianPacketConfig,
+from .free_packets import (_OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR,
+                           ClosedPacketConfig, GaussianPacketConfig,
                            closed_slice, gauss_slice, gauss_spectral,
-                           spectrum_closed, psi_closed)
+                           gauss_spectrum, spectrum_closed, psi_closed)
 from .kinematics import (FreeMotion, action_field, action_free,
                          field_trajectory, free_trajectory)
 
@@ -228,8 +229,7 @@ def _gen_spectrum(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
             rows.extend(_spec_rows(t, ps, vals, scn.normalization))
     elif scn.family == "gauss-free":
         cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"])
-        vals = np.exp(-cfg.sigma0**2 * (ps - cfg.p0) ** 2) \
-            * (cfg.sigma0 / (2.0 * np.pi**1.5))
+        vals = np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)) ** 2
         for t in scn.t_list:
             rows.extend(_spec_rows(t, ps, vals, scn.normalization))
     else:
@@ -279,13 +279,8 @@ def _gen_phase(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
         cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
                                            case["force"], x0=case.get("x0"))
         basis = field_mode_basis(cfg, scn.x_max + 1.0, t_max)
-        hbar = cfg.params.hbar
-
-        def ev(t, x):
-            psi_p, _ = basis.modes(t)
-            return complex(np.sum(basis.weights * psi_p * np.exp(1j * basis.p * x / hbar)))
-
-        trace = phase_trace(ev, lambda t: field_trajectory(t, cfg.motion).x,
+        trace = phase_trace(lambda t, x: basis.eval_psi_dpsi(t, np.array([x]))[0][0],
+                            lambda t: field_trajectory(t, cfg.motion).x,
                             lambda t: action_field(t, cfg.motion), ts)
     rows = list(zip(trace.ts, trace.phi, trace.s_cl_over_hbar, trace.offset))
     return "t,phi,s_cl_over_hbar,offset", rows
@@ -313,9 +308,9 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
         scenario=asdict(scenario),
         tool_version=__version__,
         quadrature_settings={
-            "oversample": 3.0,
-            "tail_eps": 1e-12,
-            "momentum_window_factor": 12.0,
+            "oversample": _OVERSAMPLE,
+            "tail_eps": _TAIL_EPS,
+            "momentum_window_factor": _WINDOW_FACTOR,
         },
     )
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)

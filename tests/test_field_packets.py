@@ -6,7 +6,7 @@ from relwave.field_packets import (FieldPacketConfig, field_mode_basis,
                                    field_slice, mode_coeffs, mode_psi,
                                    mode_ray_weight, psi_field)
 from relwave.kinematics import field_trajectory
-from relwave.specfun import pcf_d
+from relwave.specfun import pcf_d, pcf_d_dz
 
 F = 0.1
 
@@ -140,3 +140,20 @@ def test_psi_field_scalar_api():
     assert np.ndim(psi) == 0
     # density positive near the packet center for the wide packet
     assert np.real(1j * np.conj(psi) * dpsi) > 0.0
+
+
+def test_modes_match_the_pcf_d_dz_route():
+    # modes take D' from the ladder relation on the D_nu already computed;
+    # pcf_d_dz evaluates D_nu again, with the same arithmetic
+    cfg = _cfg(0.3, 1.0)
+    basis = field_mode_basis(cfg, 30.0, 10.0)
+    c = basis.coeffs
+    for t in (-4.0, 0.0, 7.5):
+        s = basis.p + F * t
+        zp, zm = basis.ray_plus * s, basis.ray_minus * s
+        fp, fm = pcf_d(basis.nu_plus, zp), pcf_d(basis.nu_minus, zm)
+        dfp = pcf_d_dz(basis.nu_plus, zp) * basis.ray_plus * F
+        dfm = pcf_d_dz(basis.nu_minus, zm) * basis.ray_minus * F
+        psi_p, dpsi_p = basis.modes(t)
+        assert np.array_equal(psi_p, c.c_plus * fp + c.c_minus * fm)
+        assert np.array_equal(dpsi_p, c.c_plus * dfp + c.c_minus * dfm)

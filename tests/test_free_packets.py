@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relwave.analysis import charge_density, expectation_x, momentum_spectrum
 from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
                                   closed_slice, closed_spectral, gauss_slice,
                                   gauss_spectral, psi_closed, psi_gauss_free,
-                                  spectrum_closed, w_of_p)
+                                  energy, spectrum_closed, w_of_p)
 from relwave.kinematics import FreeMotion
 
 MOTION_QUARTER = FreeMotion(v0=0.25)
@@ -180,3 +182,47 @@ def test_group_center_slope_across_widths():
         xs = np.linspace(-16.0, 19.0, 1401)
         sl = closed_slice(10.0, xs, cfg)
         assert abs(expectation_x(xs, np.abs(sl.psi) ** 2) - 2.5) < 1e-3
+
+
+@pytest.mark.parametrize("vartheta,v0,x0", [(0.1, 0.25, 0.5), (2.0, 0.9, -1.5),
+                                            (100.0, 0.6, 3.0)])
+def test_closed_packet_folds_onto_plane_waves(vartheta, v0, x0):
+    # the closed-ansatz modes exp(-(vartheta + i t) W/hbar + i p (x - x0 -
+    # v0 t)/hbar), summed as before the fold into plane waves
+    cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=v0, x0=x0))
+    pk = closed_spectral(cfg, 20.0, 20.0)
+    e = energy(pk.p, pk.params)
+    for t in (0.0, 7.0, 20.0):
+        xs = x0 + v0 * t + np.linspace(-10.0, 10.0, 81)
+        gt = pk.norm * pk.weights * np.exp(-(vartheta + 1j * t) * w_of_p(pk.p, cfg.motion))
+        block = np.exp(1j * np.outer(xs - x0 - v0 * t, pk.p))
+        psi_ref, dpsi_ref = block @ gt, block @ (gt * -1j * e)
+        psi, dpsi = pk.eval_psi_dpsi(t, xs)
+        assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
+        assert np.max(np.abs(dpsi - dpsi_ref)) <= 1e-12 * np.max(np.abs(dpsi_ref))
+
+
+def _branch_arg(t, x, v0, vartheta):
+    # square-root argument of the closed form (m = c = hbar = 1, x0 = 0)
+    return (x - 1j * v0 * vartheta) ** 2 - (t - 1j * vartheta) ** 2
+
+
+_VELOCITY = st.floats(-0.999, 0.999)
+_VARTHETA = st.floats(0.05, 1000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-50.0, 50.0), x=st.floats(-100.0, 100.0), v0=_VELOCITY,
+       vartheta=_VARTHETA)
+def test_closed_form_branch_argument_avoids_the_cut(t, x, v0, vartheta):
+    a = _branch_arg(t, x, v0, vartheta)
+    assert a.imag != 0.0 or a.real > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(-50.0, 50.0), v0=_VELOCITY.filter(lambda v: abs(v) > 0.05),
+       vartheta=_VARTHETA)
+def test_closed_form_branch_argument_positive_where_real(t, v0, vartheta):
+    # Im a = 0 on x = c^2 t / v0, where Re a is bounded away from zero
+    a = _branch_arg(t, t / v0, v0, vartheta)
+    assert a.real >= 0.5 * vartheta**2 * (1.0 - v0**2)

@@ -117,3 +117,20 @@ def test_action_field_derivative_matches_integrand():
 def test_field_motion_validation():
     with pytest.raises(ValueError):
         FieldMotion(force=0.0)
+
+
+@pytest.mark.parametrize("force", [0.1, 1.0, -0.3])
+@pytest.mark.parametrize("p0", [0.0, 3.0, math.sqrt(99.0), -2.0])
+def test_action_field_closed_form_matches_trapezoid(force, p0):
+    # the closed form replaced a quadrature of the integrand; the integrand
+    # changes sign for some (force, p0), so the error is taken relative to
+    # int |L| ds
+    motion = FieldMotion(force=force, p0=p0)
+    a, t0 = motion.alpha, motion.t0
+    for t in (-12.0, -3.7, 0.5, 17.0, 200.0):
+        s = np.linspace(0.0, t, 200001)
+        u = a * (s + t0)
+        lagrangian = -(1.0 + a * a * s * (s + t0)) / np.sqrt(1.0 + u * u)
+        ref = np.trapezoid(lagrangian, s)
+        scale = abs(np.trapezoid(np.abs(lagrangian), s))
+        assert abs(action_field(t, motion) - ref) <= 1e-9 * scale

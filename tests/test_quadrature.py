@@ -1,69 +1,71 @@
 import numpy as np
 import pytest
 
-from relwave.quadrature import (NonFiniteIntegrandError, QuadratureError,
-                                QuadratureSpec, integrate_complex,
-                                momentum_grid, trapezoid_weights)
+from relwave.quadrature import (QuadratureError, momentum_grid, superpose,
+                                trapezoid_weights)
 
 SQRT_PI = np.sqrt(np.pi)
 
 
-def gauss_spec(**kw):
-    base = dict(lower=-np.inf, upper=np.inf, node_count=65, substitution="sinh",
-                mapped_halfwidth=3.0, refinement="doubling", rel_tol=1e-13)
-    base.update(kw)
-    return QuadratureSpec(**base)
+def gauss_sum(x, node_count=257, half_width=6.5, shift=0.0):
+    """sum_p w exp(-(p - shift)^2) exp(i p x), and the same sum of twice the
+    amplitude, on a momentum grid about 0."""
+    p, w = momentum_grid(0.0, half_width, node_count)
+    amp = w * np.exp(-(p - shift) ** 2)
+    return superpose(p, amp, 2.0 * amp, np.atleast_1d(x), 1.0)
 
 
 def test_gaussian_integral():
-    res = integrate_complex(lambda x: np.exp(-x * x), gauss_spec())
-    assert res.converged
-    assert abs(res.value - SQRT_PI) < 1e-12
+    # Fourier transform of exp(-p^2): sqrt(pi) exp(-x^2/4)
+    xs = np.linspace(-6.0, 6.0, 49)
+    psi, dpsi = gauss_sum(xs)
+    assert np.max(np.abs(psi - SQRT_PI * np.exp(-xs**2 / 4.0))) < 1e-12
+    assert np.array_equal(dpsi, 2.0 * psi)
 
 
 def test_bessel_k1_integrand():
-    # e^{-cosh k} cosh k over [0, inf): truncation justified by
-    # e^{-cosh(5.3)} cosh(5.3) < 1e-40
-    spec = QuadratureSpec(lower=0.0, upper=5.3, node_count=65,
-                          refinement="doubling", rel_tol=1e-12)
-    res = integrate_complex(lambda k: np.exp(-np.cosh(k)) * np.cosh(k), spec)
-    assert abs(res.value - 0.6019072301972346) < 1e-9
+    # at x = 0 the sum is the trapezoid rule: int_0^5.3 e^{-cosh k} cosh k dk
+    # = K1(1) up to e^{-cosh(5.3)} cosh(5.3) < 1e-40
+    k, w = momentum_grid(2.65, 2.65, 1025)
+    amp = w * np.exp(-np.cosh(k)) * np.cosh(k)
+    psi, _ = superpose(k, amp, amp, np.array([0.0]), 1.0)
+    assert abs(psi[0] - 0.6019072301972346) < 1e-9
 
 
 def test_oscillatory_shifted_gaussian():
-    res = integrate_complex(lambda x: np.exp(-x * x + 10j * x),
-                            gauss_spec(mapped_halfwidth=3.2, node_count=129))
+    psi, _ = gauss_sum(10.0, node_count=513)
     expected = SQRT_PI * np.exp(-25.0)
-    assert abs(res.value - expected) < 1e-12 * SQRT_PI
+    assert abs(psi[0] - expected) < 1e-12 * SQRT_PI
 
 
 def test_linearity():
     rng = np.random.default_rng(11)
-    spec = gauss_spec(refinement="none", node_count=513)
-    f = lambda x: np.exp(-x * x) * np.cos(x)
-    g = lambda x: np.exp(-0.5 * x * x + 2j * x)
+    p, w = momentum_grid(0.0, 6.5, 513)
+    f = w * np.exp(-p * p) * np.cos(p)
+    g = w * np.exp(-0.5 * p * p + 2j * p)
+    xs = np.linspace(-5.0, 5.0, 21)
     for _ in range(5):
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        combined = integrate_complex(lambda x: a * f(x) + b * g(x), spec).value
-        split = a * integrate_complex(f, spec).value + b * integrate_complex(g, spec).value
-        assert abs(combined - split) <= 1e-12 * max(abs(combined), abs(split), 1.0)
+        combined, _ = superpose(p, a * f + b * g, f, xs, 1.0)
+        split = a * superpose(p, f, f, xs, 1.0)[0] + b * superpose(p, g, g, xs, 1.0)[0]
+        scale = max(np.max(np.abs(combined)), 1.0)
+        assert np.max(np.abs(combined - split)) <= 1e-12 * scale
 
 
 def test_reversal():
-    spec = gauss_spec(refinement="none", node_count=513)
-    f = lambda x: np.exp(-(x - 0.7) ** 2) * (1.0 + 0.3j * x)
-    direct = integrate_complex(f, spec).value
-    reflected = integrate_complex(lambda x: f(-x), spec).value
-    assert abs(direct - reflected) <= 1e-12 * abs(direct)
+    # amplitude reflected in p gives the packet reflected in x
+    p, w = momentum_grid(0.0, 6.5, 513)
+    amp = w * np.exp(-(p - 0.7) ** 2) * (1.0 + 0.3j * p)
+    xs = np.linspace(-4.0, 4.0, 17)
+    direct, _ = superpose(p, amp, amp, xs, 1.0)
+    reflected, _ = superpose(p, amp[::-1], amp[::-1], -xs, 1.0)
+    assert np.max(np.abs(direct - reflected)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_doubling_converges_geometrically():
-    exact = SQRT_PI
-    errors = []
-    for n in (9, 17, 33, 65):
-        spec = gauss_spec(node_count=n, refinement="none")
-        errors.append(abs(integrate_complex(lambda x: np.exp(-x * x), spec).value - exact))
+    errors = [abs(gauss_sum(0.0, node_count=n, half_width=6.0)[0][0] - SQRT_PI)
+              for n in (9, 17, 33, 65)]
     # geometric (in fact super-geometric) decay until round-off
     for a, b in zip(errors[:-1], errors[1:]):
         if a < 1e-14:
@@ -71,43 +73,25 @@ def test_doubling_converges_geometrically():
         assert b < 0.5 * a
 
 
-def test_non_finite_integrand_names_node():
-    spec = QuadratureSpec(lower=0.0, upper=1.0, node_count=11)
-
-    def singular(x):
-        with np.errstate(divide="ignore"):
-            return 1.0 / (x - x[len(x) // 2] + 0.0)
-
-    with pytest.raises(NonFiniteIntegrandError, match="x="):
-        integrate_complex(singular, spec)
-
-
-def test_refinement_cap_flags_not_converged():
-    spec = QuadratureSpec(lower=0.0, upper=1.0, node_count=5,
-                          refinement="doubling", rel_tol=0.0, abs_tol=0.0,
-                          max_node_count=17)
-    res = integrate_complex(lambda x: np.sqrt(np.abs(x)), spec)
-    assert not res.converged
-    assert res.error > 0
-
-
-def test_spec_validation():
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(lower=0.0, upper=1.0, node_count=1)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(lower=0.0, upper=1.0, rel_tol=-1.0)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(lower=-np.inf, upper=np.inf)  # needs truncation info
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(lower=1.0, upper=0.0)
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(lower=0.0, upper=1.0, substitution="magic")
-
-
 def test_determinism():
-    spec = gauss_spec()
-    f = lambda x: np.exp(-x * x + 3j * x)
-    assert integrate_complex(f, spec).value == integrate_complex(f, spec).value
+    xs = np.linspace(-6.0, 6.0, 1201)
+    first = gauss_sum(xs, shift=0.4)
+    second = gauss_sum(xs, shift=0.4)
+    assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+
+
+def test_value_at_a_point_does_not_depend_on_the_other_points():
+    # a single point, a short grid and a grid spanning several 512-row
+    # blocks give the same bits at a shared x
+    p, w = momentum_grid(0.3, 8.0, 2001)
+    amp = w * np.exp(-0.5 * (p - 0.3) ** 2 + 2j * p)
+    dmp = -1j * np.sqrt(1.0 + p * p) * amp
+    xs = np.linspace(-30.0, 30.0, 1201)
+    psi, dpsi = superpose(p, amp, dmp, xs, 1.0)
+    for i in (0, 7, 511, 512, 700, 1200):
+        for sub in (xs[i:i + 1], xs[i:i + 3]):
+            one, done = superpose(p, amp, dmp, sub, 1.0)
+            assert one[0] == psi[i] and done[0] == dpsi[i]
 
 
 def test_momentum_grid_symmetry():

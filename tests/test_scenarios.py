@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relwave import free_packets
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
                                list_scenarios, load_config, resolve_scenario,
@@ -68,6 +69,11 @@ def test_run_writes_outputs_and_manifest(tmp_path):
     man = json.loads((tmp_path / "tiny_manifest.json").read_text())
     assert man["tool_version"]
     assert man["scenario"]["name"] == "tiny"
+    assert man["quadrature_settings"] == {
+        "oversample": free_packets._OVERSAMPLE,
+        "tail_eps": free_packets._TAIL_EPS,
+        "momentum_window_factor": free_packets._WINDOW_FACTOR,
+    }
 
 
 def test_run_deterministic(tmp_path):
