@@ -2,11 +2,12 @@
 
 Two families: the closed-form packet of a particle in uniform motion (flat
 momentum spectrum over decaying modes, summing to a Bessel-K1 expression),
-and the packet that is exactly Gaussian at t = 0.  Both are plane-wave
-packets exp(i(p x - E t)/hbar) summed by ``quadrature.superpose``; only
-their spectra differ.  Both expose psi and its exact time derivative; d/dt
-is always taken spectrally (each mode weighted by -i E(p)/hbar), never by
-finite differences.
+and the packet that is exactly Gaussian at t = 0.  The closed packet's psi
+and d/dt psi are both closed forms (d/dt by differentiating the K1
+expression); ``closed_spectral`` keeps its plane-wave sum as the reference
+route.  The Gaussian packet is a plane-wave sum exp(i(p x - E t)/hbar) by
+``quadrature.superpose``, with d/dt taken spectrally (each mode weighted by
+-i E(p)/hbar); neither family uses finite differences.
 
 This module also holds what the uniform-field packets share with the free
 ones: the initial Gaussian spectrum, the momentum-grid resolution constants
@@ -23,7 +24,7 @@ import numpy as np
 from .analysis import WaveSlice
 from .kinematics import FreeMotion, PhysParams
 from .quadrature import momentum_grid, superpose
-from .specfun import bessel_k1
+from .specfun import bessel_k0, bessel_k1
 
 __all__ = [
     "ClosedPacketConfig",
@@ -188,43 +189,59 @@ def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> 
                           norm=1.0 / np.sqrt(norm), params=pp)
 
 
+def _norm_arg(cfg: ClosedPacketConfig) -> float:
+    """z_n = 2 m c^2 vartheta / (hbar gamma0), the K1 argument of |N|^2."""
+    pp = cfg.params
+    return 2.0 * pp.m * pp.c**2 * cfg.vartheta / (pp.hbar * cfg.motion.gamma0)
+
+
 def closed_norm_constant(cfg: ClosedPacketConfig) -> float:
     """Normalization N of the flat-spectrum superposition, from
-    |N|^2 = 1 / (4 pi hbar m c gamma0 K1(2 m c^2 vartheta / (hbar gamma0)))."""
+    |N|^2 = 1 / (4 pi hbar m c gamma0 K1(z_n)), with K1 exponent-scaled:
+    finite while z_n / 2 < 709."""
     pp = cfg.params
-    g0 = cfg.motion.gamma0
-    k1 = bessel_k1(2.0 * pp.m * pp.c**2 * cfg.vartheta / (pp.hbar * g0))
-    return float(1.0 / np.sqrt(4.0 * np.pi * pp.hbar * pp.m * pp.c * g0 * k1.real))
+    zn = _norm_arg(cfg)
+    k1e = bessel_k1(zn, scaled=True).real
+    return float(np.exp(0.5 * zn)
+                 / np.sqrt(4.0 * np.pi * pp.hbar * pp.m * pp.c * cfg.motion.gamma0 * k1e))
 
 
-def _closed_form_psi(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
+def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
+    """psi = N' (vartheta + i t) c K1(z) / f with z = m c f / hbar and
+    f = sqrt((x - x0 - i v0 vartheta)^2 - c^2 (t - i vartheta)^2), and its
+    t-derivative from dK1/dz = -K0 - K1/z and df/dt = -c^2 (t - i vartheta)/f.
+
+    The exponents of K1(z) and of the 1/sqrt(K1(z_n)) in N' are combined,
+    exp(z_n/2 - z), which is of order one where the packet is.
+    """
     pp = cfg.params
     m = cfg.motion
     hbar, c = pp.hbar, pp.c
-    vt = cfg.vartheta
-    g0 = m.gamma0
-    k1_norm = bessel_k1(2.0 * pp.m * c**2 * vt / (hbar * g0)).real
-    pref = np.sqrt(pp.m * c / (hbar * np.pi * g0 * k1_norm))
+    mc = pp.m * c / hbar
+    zn = _norm_arg(cfg)
+    pref = c * np.sqrt(mc / (np.pi * m.gamma0 * bessel_k1(zn, scaled=True).real))
+    tau = t - 1j * cfg.vartheta
     xr = np.asarray(xs, dtype=float) - m.x0
-    branch_arg = (xr - 1j * m.v0 * vt) ** 2 - c**2 * (t - 1j * vt) ** 2
-    f_arg = np.sqrt(branch_arg + 0j)
-    return pref * (vt + 1j * t) * c / f_arg * bessel_k1(pp.m * c * f_arg / hbar)
+    f = np.sqrt((xr - 1j * m.v0 * cfg.vartheta) ** 2 - (c * tau) ** 2 + 0j)
+    z = mc * f
+    k0, k1 = bessel_k0(z, scaled=True), bessel_k1(z, scaled=True)
+    g = 1j * pref * np.exp(0.5 * zn - z) / f
+    psi = g * tau * k1
+    dpsi = g * (k1 + (c * tau) ** 2 / f * (2.0 * k1 / f + mc * k0))
+    return psi, dpsi
 
 
 def psi_closed(t: float, x, cfg: ClosedPacketConfig):
-    """Closed-form psi and spectral d/dt psi at (t, x); x scalar or array."""
+    """Closed-form psi and d/dt psi at (t, x); x scalar or array."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = _closed_form_psi(t, xs, cfg)
-    pk = closed_spectral(cfg, _quantize(float(np.max(np.abs(xs - cfg.motion.x0))) + 1.0, 10.0),
-                         _quantize(abs(t), 5.0))
-    _, dpsi = pk.eval_psi_dpsi(t, xs)
+    psi, dpsi = _closed_form(t, xs, cfg)
     if np.ndim(x) == 0:
         return psi[0], dpsi[0]
     return psi, dpsi
 
 
 def closed_slice(t: float, xs: np.ndarray, cfg: ClosedPacketConfig) -> WaveSlice:
-    """Sampled closed packet on a grid: closed-form psi, spectral d/dt psi.
+    """Sampled closed packet on a grid: psi and d/dt psi in closed form.
 
     The principal square root in the closed form never meets its cut.  With
     x measured from x0, its argument a = (x - i v0 vartheta)^2
@@ -235,23 +252,23 @@ def closed_slice(t: float, xs: np.ndarray, cfg: ClosedPacketConfig) -> WaveSlice
     configs enforce.
     """
     xs = np.asarray(xs, dtype=float)
-    psi = _closed_form_psi(t, xs, cfg)
-    pk = closed_spectral(cfg, _quantize(float(np.max(np.abs(xs - cfg.motion.x0))) + 1.0, 10.0),
-                         _quantize(abs(t), 5.0))
-    _, dpsi = pk.eval_psi_dpsi(t, xs)
+    psi, dpsi = _closed_form(t, xs, cfg)
     return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)
 
 
 def spectrum_closed(p, cfg: ClosedPacketConfig):
     """Momentum distribution 2 pi hbar |N|^2 exp(-2 vartheta W(p)/hbar).
 
-    Time independent; normalized so it integrates to one over p.
+    Time independent; normalized so it integrates to one over p.  Computed
+    as exp(-2 vartheta (W - W(p0))/hbar) over the exponent-scaled K1 of
+    |N|^2 (z_n = 2 vartheta W(p0)/hbar), so it neither under- nor overflows.
     """
     pp = cfg.params
-    g0 = cfg.motion.gamma0
-    k1 = bessel_k1(2.0 * pp.m * pp.c**2 * cfg.vartheta / (pp.hbar * g0)).real
+    zn = _norm_arg(cfg)
+    k1e = bessel_k1(zn, scaled=True).real
     w = w_of_p(p, cfg.motion)
-    return np.exp(-2.0 * cfg.vartheta * w / pp.hbar) / (2.0 * pp.m * pp.c * g0 * k1)
+    return np.exp(zn - 2.0 * cfg.vartheta * w / pp.hbar) \
+        / (2.0 * pp.m * pp.c * cfg.motion.gamma0 * k1e)
 
 
 def psi_gauss_free(t: float, x, cfg: GaussianPacketConfig):

@@ -3,13 +3,21 @@
 Every wavepacket is a momentum spectrum times modes, summed over p: plane
 waves for the free packets, parabolic-cylinder modes for the packet in a
 uniform field.  ``superpose`` is that sum, a composite trapezoid rule on a
-``momentum_grid``.  It runs over fixed blocks of x in a fixed order, so
-repeated runs are bit-identical.
+``momentum_grid``.  The input picks one of two routes:
+
+* uniform x and p grids (every ``linspace`` grid): a chirp-z transform
+  (Bluestein's algorithm; Rabiner, Schafer & Rader 1969), one FFT
+  convolution whose chirp phases are reduced exactly modulo 2 pi;
+* any other x (single points, non-uniform grids): the dense Nx x Np sum,
+  row by row, over blocks of x sized to a byte budget.
+
+Both are deterministic: repeated runs give the same bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 __all__ = [
     "QuadratureError",
@@ -17,6 +25,16 @@ __all__ = [
     "superpose",
     "trapezoid_weights",
 ]
+
+# bytes of each Nx x Np temporary of the dense sum
+_DENSE_BLOCK_BYTES = 16 << 20
+
+# 2 pi = _C1 + _C2 + _C3 (Cody-Waite): _C1 and _C2 hold 21 bits each, so
+# n * _C1 and n * _C2 are exact for integers n < 2^32; _C3 adds the rest of
+# float(2 pi) and the 2.449e-16 by which float(2 pi) falls short of 2 pi
+_C1 = np.ldexp(np.floor(np.ldexp(2.0 * np.pi, 18)), -18)
+_C2 = np.ldexp(np.floor(np.ldexp(2.0 * np.pi - _C1, 39)), -39)
+_C3 = (2.0 * np.pi - _C1 - _C2) + 2.4492935982947064e-16
 
 
 class QuadratureError(Exception):
@@ -45,22 +63,81 @@ def momentum_grid(p_center: float, half_width: float, node_count: int):
     return nodes, trapezoid_weights(nodes)
 
 
+def _step(v: np.ndarray) -> float | None:
+    """The spacing of ``v`` if it is a uniform grid to a few ulps, else None."""
+    if len(v) < 2:
+        return None
+    d = (v[-1] - v[0]) / (len(v) - 1)
+    dev = np.max(np.abs(v - (v[0] + np.arange(len(v)) * d)))
+    if d == 0.0 or dev > 8.0 * np.finfo(float).eps * max(abs(v[0]), abs(v[-1])):
+        return None
+    return float(d)
+
+
+def _chirp(half_theta: float, n: int) -> np.ndarray:
+    """exp(i half_theta m^2) for m = 0 .. n-1, the phase reduced exactly.
+
+    half_theta is split so that its high part times the integer m^2 is an
+    exact product; that product is reduced modulo 2 pi by Cody-Waite, and
+    the low part's product, small and correctly rounded, is added after.
+    """
+    m2 = np.arange(n, dtype=float) ** 2
+    bits = 53 - int(n - 1).bit_length() * 2
+    scale = bits - int(np.frexp(half_theta)[1])
+    hi = float(np.ldexp(np.rint(np.ldexp(half_theta, scale)), -scale))
+    lo = half_theta - hi
+    phase = hi * m2
+    k = np.rint(phase / (2.0 * np.pi))
+    r = ((phase - k * _C1) - k * _C2) - k * _C3 + lo * m2
+    return np.exp(1j * r)
+
+
+def _superpose_czt(p: np.ndarray, dp: float, amps: np.ndarray, xs: np.ndarray,
+                   dx: float, hbar: float) -> np.ndarray:
+    """sum_j a_j exp(i p_j x_k / hbar) for each row a of ``amps`` on uniform
+    grids, by Bluestein: p_j x_k = p_j x_0 + p_0 (x_k - x_0) + theta j k with
+    theta = dp dx / hbar, and j k = (j^2 + k^2 - (k - j)^2) / 2."""
+    n_p, n_x = len(p), len(xs)
+    w = _chirp(0.5 * dp * dx / hbar, max(n_p, n_x))
+    size = next_fast_len(n_p + n_x - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_x] = np.conj(w[:n_x])
+    kernel[size - n_p + 1:] = np.conj(w[n_p - 1:0:-1])
+    u = amps * np.exp(1j * p * xs[0] / hbar) * w[:n_p]
+    conv = ifft(fft(u, size, axis=-1) * fft(kernel), axis=-1)[:, :n_x]
+    post = np.exp(1j * p[0] * (xs - xs[0]) / hbar) * w[:n_x]
+    return conv * post
+
+
+def _dense_rows(n_p: int) -> int:
+    """Rows of x per block of the dense sum, so that each complex Nx x Np
+    temporary stays within _DENSE_BLOCK_BYTES."""
+    return max(1, _DENSE_BLOCK_BYTES // (16 * n_p))
+
+
 def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray,
               xs: np.ndarray, hbar: float):
     """psi(x) = sum_p amp_p exp(i p x / hbar) on ``xs``, and the same sum of
     ``damp`` (the mode time derivatives), which gives d/dt psi.
 
-    ``amp`` and ``damp`` already carry the quadrature weights.  The dense
-    Nx x Np sum runs over blocks of 512 rows of x.  Each row is summed by
-    ``einsum``, not by a BLAS product, whose kernel (and rounding) changes
-    with the number of rows: this way the value at x does not depend on
-    which other points are evaluated with it.
+    ``amp`` and ``damp`` already carry the quadrature weights.  When ``xs``
+    and ``p`` are both uniform grids the two sums are one chirp-z transform
+    (the kernel's FFT is shared).  Otherwise the dense sum runs over blocks
+    of x, each row summed by ``einsum``, not by a BLAS product, whose kernel
+    (and rounding) changes with the number of rows: on this route the value
+    at x does not depend on which other points are evaluated with it.
     """
+    p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    dp, dx = _step(p), _step(xs)
+    if dp is not None and dx is not None:
+        psi, dpsi = _superpose_czt(p, dp, np.stack([amp, damp]), xs, dx, hbar)
+        return psi, dpsi
     psi = np.empty(len(xs), dtype=complex)
     dpsi = np.empty(len(xs), dtype=complex)
-    for i0 in range(0, len(xs), 512):
-        block = np.exp(1j * np.outer(xs[i0:i0 + 512], p) / hbar)
-        psi[i0:i0 + 512] = np.einsum("ij,j->i", block, amp)
-        dpsi[i0:i0 + 512] = np.einsum("ij,j->i", block, damp)
+    rows = _dense_rows(len(p))
+    for i0 in range(0, len(xs), rows):
+        block = np.exp(1j * np.outer(xs[i0:i0 + rows], p) / hbar)
+        psi[i0:i0 + rows] = np.einsum("ij,j->i", block, amp)
+        dpsi[i0:i0 + rows] = np.einsum("ij,j->i", block, damp)
     return psi, dpsi

@@ -212,12 +212,6 @@ def _gen_metrics(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
     return "t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", rows
 
 
-def _gen_widths(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
-    header, rows = _gen_metrics(scn, case, xs, flags)
-    slim = [(r[0], r[4], r[2]) for r in rows]
-    return "t,sigma_rho,sigma_psi", slim
-
-
 def _gen_spectrum(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
     ps = np.linspace(scn.p_min, scn.p_max, scn.p_count)
     rows = []
@@ -289,10 +283,30 @@ def _gen_phase(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
 _GENERATORS = {
     "density": _gen_density,
     "metrics": _gen_metrics,
-    "widths": _gen_widths,
     "spectrum": _gen_spectrum,
     "phase": _gen_phase,
 }
+
+
+def _case_outputs(scn: Scenario, case: dict, xs: np.ndarray):
+    """(kind, header, rows, flags) for each output of one case.  The widths
+    rows are columns of the metrics rows, so each slice is built and each
+    fit run once."""
+    done: dict = {}
+
+    def gen(kind):
+        if kind not in done:
+            if kind == "widths":
+                _, rows, flags = gen("metrics")
+                done[kind] = ("t,sigma_rho,sigma_psi",
+                              [(r[0], r[4], r[2]) for r in rows], flags)
+            else:
+                flags: list = []
+                header, rows = _GENERATORS[kind](scn, case, xs, flags)
+                done[kind] = (header, rows, flags)
+        return done[kind]
+
+    return [(kind, *gen(kind)) for kind in scn.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +328,22 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
         },
     )
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
-    jobs = [(case, kind) for case in scenario.cases for kind in scenario.outputs]
 
-    def _one(job):
-        case, kind = job
-        flags: list = []
-        header, rows = _GENERATORS[kind](scenario, dict(case), xs, flags)
-        return case, kind, header, rows, flags
+    def _one(case):
+        return _case_outputs(scenario, dict(case), xs)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_one, jobs))
+            results = list(pool.map(_one, scenario.cases))
     else:
-        results = [_one(j) for j in jobs]
+        results = [_one(case) for case in scenario.cases]
 
-    for case, kind, header, rows, flags in results:
-        fname = f"{scenario.name}_{kind}_{_case_label(scenario.family, dict(case))}.csv"
-        digest = _write_csv(out / fname, header, rows)
-        manifest.outputs[fname] = digest
-        manifest.flags.extend(f"{fname}: {f}" for f in flags)
+    for case, outputs in zip(scenario.cases, results):
+        for kind, header, rows, flags in outputs:
+            fname = f"{scenario.name}_{kind}_{_case_label(scenario.family, dict(case))}.csv"
+            digest = _write_csv(out / fname, header, rows)
+            manifest.outputs[fname] = digest
+            manifest.flags.extend(f"{fname}: {f}" for f in flags)
 
     manifest.wall_time_s = time.time() - started
     (out / f"{scenario.name}_manifest.json").write_text(manifest.to_json())

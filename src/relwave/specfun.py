@@ -1,12 +1,9 @@
 """Complex special functions: modified Bessel K0/K1 and parabolic cylinder D_nu.
 
-K1 is computed by quadrature of its integral definition
-``K1(z) = int_0^inf exp(-z cosh k) cosh k dk``, written after the sinh
-substitution as ``int_0^inf exp(-z sqrt(1+s^2)) ds`` and evaluated along the
-rotated ray ``s -> s exp(-i arg(z)/2)``.  The rotation bounds the total
-oscillation of the integrand by ~40 radians for every admissible z, so a
-fixed exp-sinh node map converges geometrically over the whole domain
-Re z > 0.
+K0 and K1 come from ``scipy.special.kve``, the exponent-scaled AMOS routine
+exp(z) K_n(z), evaluated on 1-d arrays.  The scaled form is public
+(``scaled=True``) so that callers can carry exponents in log space: K1 of
+the closed packet's normalization underflows for vartheta of a few hundred.
 
 D_nu(z) stitches four regimes:
 
@@ -29,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
+from scipy.special import kve, rgamma
 
 __all__ = [
     "SpecFunDomainError",
@@ -82,57 +79,33 @@ class PcfOrder:
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel functions by quadrature of the defining integral
+# modified Bessel functions (AMOS, through scipy)
 # ---------------------------------------------------------------------------
 
-# exp-sinh map: s = exp(pi/2 sinh(tau)).  The window covers s from ~1e-11 up
-# to ~1e5, enough for the envelope exp(-0.7|z| s) at |z| >= 1e-3.
-_TAU_LO, _TAU_HI = -3.7, 3.1
-
-
-def _k_kernel(z, order: int, level: int):
+def _bessel_k(z, order: int, scaled: bool):
     z = np.asarray(z, dtype=complex)
-    rot = np.exp(-0.5j * np.angle(z))
-    n = (1 << level) + 1
-    tau = np.linspace(_TAU_LO, _TAU_HI, n)
-    s = np.exp(0.5 * np.pi * np.sinh(tau))
-    ds = s * (0.5 * np.pi) * np.cosh(tau) * (tau[1] - tau[0])
-    k = rot[..., None] * s
-    root = np.sqrt(1.0 + k * k)
-    integrand = np.exp(-z[..., None] * root)
-    if order == 0:
-        integrand = integrand / root
-    return np.sum(integrand * ds, axis=-1) * rot
-
-
-def _bessel_k(z, order: int, rel_tol: float):
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
+    # evaluated on 1-d arrays only: numpy takes another complex-multiply loop
+    # for 0-d operands, so a scalar call would round differently
     zf = np.atleast_1d(z)
     if np.any(np.real(zf) <= 0.0):
         bad = zf[np.real(zf) <= 0.0][0]
-        raise SpecFunDomainError(f"K_{order} integral requires Re z > 0, got {bad!r}")
-    prev = _k_kernel(zf, order, 8)
-    for level in (9, 10, 11, 12):
-        cur = _k_kernel(zf, order, level)
-        err = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
-        if np.all(err <= rel_tol):
-            return cur[0] if scalar else cur.reshape(z.shape)
-        prev = cur
-    raise SpecFunAccuracyError(
-        f"K_{order} quadrature did not converge to rel_tol={rel_tol:g} "
-        f"(worst residual {float(np.max(err)):.2e})"
-    )
+        raise SpecFunDomainError(f"K_{order} requires Re z > 0, got {bad!r}")
+    val = kve(order, zf)
+    if not scaled:
+        val = val * np.exp(-zf)
+    return val[0] if z.ndim == 0 else val.reshape(z.shape)
 
 
-def bessel_k1(z, rel_tol: float = 1e-12):
-    """Modified Bessel K1 for complex z with Re z > 0 (scalar or array)."""
-    return _bessel_k(z, 1, rel_tol)
+def bessel_k1(z, scaled: bool = False):
+    """Modified Bessel K1 for complex z with Re z > 0 (scalar or array);
+    with ``scaled``, exp(z) K1(z), which neither underflows nor overflows."""
+    return _bessel_k(z, 1, scaled)
 
 
-def bessel_k0(z, rel_tol: float = 1e-12):
-    """Modified Bessel K0 for complex z with Re z > 0 (scalar or array)."""
-    return _bessel_k(z, 0, rel_tol)
+def bessel_k0(z, scaled: bool = False):
+    """Modified Bessel K0 for complex z with Re z > 0 (scalar or array);
+    with ``scaled``, exp(z) K0(z)."""
+    return _bessel_k(z, 0, scaled)
 
 
 # ---------------------------------------------------------------------------

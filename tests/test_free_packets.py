@@ -153,26 +153,43 @@ def test_spectral_packet_unit_norm():
 
 
 def test_spectral_time_derivative_against_closed_form():
-    # independent route: differentiate the K1 expression analytically,
-    # using dK1/dz = -K0 - K1/z
-    from relwave.specfun import bessel_k0, bessel_k1
-
-    cfg = ClosedPacketConfig(vartheta=2.0, motion=MOTION_QUARTER)
-    m, vt = cfg.motion, cfg.vartheta
+    # the analytic d/dt psi of closed_slice (the K1 expression differentiated)
+    # against the plane-wave sum of closed_spectral, each mode weighted by
+    # -i E/hbar
     t = 7.0
-    xs = np.linspace(-12.0, 17.0, 401)
-    sl = closed_slice(t, xs, cfg)
+    for vt in (0.1, 2.0, 100.0):
+        for v0 in (0.0, 0.25, 0.9):
+            cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=v0, x0=0.5))
+            xs = 0.5 + v0 * t + np.linspace(-12.0, 12.0, 401)
+            sl = closed_slice(t, xs, cfg)
+            ref_psi, ref = closed_spectral(cfg, 30.0, 10.0).eval_psi_dpsi(t, xs)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(sl.dpsi_dt - ref)) < 1e-8 * scale, (vt, v0)
+            assert np.max(np.abs(sl.psi - ref_psi)) < 1e-8 * np.max(np.abs(ref_psi))
 
-    k1n = bessel_k1(2.0 * vt / m.gamma0).real
-    pref = np.sqrt(1.0 / (np.pi * m.gamma0 * k1n))
-    f = np.sqrt((xs - 1j * m.v0 * vt) ** 2 - (t - 1j * vt) ** 2 + 0j)
-    df_dt = -(t - 1j * vt) / f
-    k0, k1 = bessel_k0(f), bessel_k1(f)
-    dk1 = -(k0 + k1 / f)
-    dpsi_ref = pref * (1j / f * k1
-                       - (vt + 1j * t) * df_dt / f**2 * k1
-                       + (vt + 1j * t) / f * dk1 * df_dt)
-    assert np.max(np.abs(sl.dpsi_dt - dpsi_ref)) < 1e-8 * np.max(np.abs(dpsi_ref))
+
+def test_closed_slice_at_v0_0999_builds_no_spectral_packet():
+    cfg = ClosedPacketConfig(vartheta=1.0, motion=FreeMotion(v0=0.999))
+    misses = closed_spectral.cache_info().misses
+    sl = closed_slice(5.0, np.linspace(-30.0, 40.0, 2001), cfg)
+    assert closed_spectral.cache_info().misses == misses
+    assert np.all(np.isfinite(sl.psi)) and np.all(np.isfinite(sl.dpsi_dt))
+    psi, dpsi = psi_closed(5.0, 4.995, cfg)
+    assert np.isfinite(psi) and np.isfinite(dpsi)
+    assert closed_spectral.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("vartheta", [400.0, 1000.0])
+def test_wide_closed_packet_stays_finite_and_normalized(vartheta):
+    # K1 of the normalization underflows here; the exponents are combined
+    cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=0.0))
+    sl = closed_slice(0.0, np.linspace(-300.0, 300.0, 6001), cfg)
+    assert np.all(np.isfinite(sl.psi)) and np.all(np.isfinite(sl.dpsi_dt))
+    assert abs(sl.norm() - 1.0) < 1e-5
+    p = np.linspace(-1.0, 1.0, 20001)
+    spec = spectrum_closed(p, cfg)
+    assert np.all(np.isfinite(spec))
+    assert abs(np.trapezoid(spec, p) - 1.0) < 1e-9
 
 
 def test_group_center_slope_across_widths():

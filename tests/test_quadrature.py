@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from relwave.quadrature import (QuadratureError, momentum_grid, superpose,
-                                trapezoid_weights)
+from relwave.quadrature import (_DENSE_BLOCK_BYTES, QuadratureError, _dense_rows,
+                                momentum_grid, superpose, trapezoid_weights)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -80,18 +80,82 @@ def test_determinism():
     assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
 
 
-def test_value_at_a_point_does_not_depend_on_the_other_points():
-    # a single point, a short grid and a grid spanning several 512-row
+def test_dense_value_at_a_point_does_not_depend_on_the_other_points():
+    # on the dense route (single points, non-uniform grids) a single point,
+    # a short non-uniform grid and a non-uniform grid spanning several
     # blocks give the same bits at a shared x
     p, w = momentum_grid(0.3, 8.0, 2001)
     amp = w * np.exp(-0.5 * (p - 0.3) ** 2 + 2j * p)
     dmp = -1j * np.sqrt(1.0 + p * p) * amp
-    xs = np.linspace(-30.0, 30.0, 1201)
+    xs = np.linspace(-30.0, 30.0, 1201) ** 3 / 900.0
+    assert 1201 > 2 * _dense_rows(len(p))
     psi, dpsi = superpose(p, amp, dmp, xs, 1.0)
     for i in (0, 7, 511, 512, 700, 1200):
-        for sub in (xs[i:i + 1], xs[i:i + 3]):
+        for sub in (xs[i:i + 1], xs[i] + np.array([0.0, 0.5, 3.0])):
             one, done = superpose(p, amp, dmp, sub, 1.0)
             assert one[0] == psi[i] and done[0] == dpsi[i]
+    # a uniform grid takes the chirp-z route: equal to the dense sum within
+    # the oracle bound, not bit for bit
+    grid = np.linspace(-30.0, 30.0, 1201)
+    psi_u, _ = superpose(p, amp, dmp, grid, 1.0)
+    for i in (0, 7, 700, 1200):
+        one, _ = superpose(p, amp, dmp, grid[i:i + 1], 1.0)
+        assert abs(psi_u[i] - one[0]) <= 1e-11 * np.sum(np.abs(amp))
+
+
+def _dense_sum(p, a, xs, hbar):
+    """The oracle: sum_j a_j exp(i p_j x / hbar), one x at a time."""
+    return np.array([np.sum(a * np.exp(1j * p * x / hbar)) for x in xs])
+
+
+def _oracle_amplitudes():
+    """(name, p, amp, damp) of the closed packets, the gamma0 = 10 Gaussian
+    and a uniform-field basis at t = 7."""
+    from relwave.field_packets import FieldPacketConfig, field_mode_basis
+    from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
+                                      closed_spectral, energy, gauss_spectral)
+    from relwave.kinematics import FreeMotion
+
+    t = 7.0
+    packets = [(f"closed vartheta={vt} v0={v0}",
+                closed_spectral(ClosedPacketConfig(vartheta=vt,
+                                                   motion=FreeMotion(v0=v0, x0=0.5)),
+                                20.0, 20.0))
+               for vt in (0.1, 2.0, 100.0) for v0 in (0.0, 0.9)]
+    packets.append(("gauss gamma0=10",
+                    gauss_spectral(GaussianPacketConfig.from_gamma(0.3, 10.0), 20.0, 20.0)))
+    out = []
+    for name, pk in packets:
+        e = energy(pk.p, pk.params)
+        amp = pk.norm * pk.spectrum * pk.weights * np.exp(-1j * e * t)
+        out.append((name, pk.p, amp, -1j * e * amp))
+    basis = field_mode_basis(FieldPacketConfig.from_gamma(0.3, 10.0, 0.1), 30.0, 10.0)
+    psi_p, dpsi_p = basis.modes(t)
+    out.append(("field sigma0=0.3 gamma0=10", basis.p, basis.weights * psi_p,
+                basis.weights * dpsi_p))
+    return out
+
+
+def test_chirp_z_matches_the_dense_sum():
+    for name, p, amp, damp in _oracle_amplitudes():
+        for n in (2, 3, 81, 2001):
+            for offset in (0.0, 1000.0):
+                for hbar in (1.0, 0.37):
+                    xs = offset + np.linspace(-15.0, 25.0, n)
+                    psi, dpsi = superpose(p, amp, damp, xs, hbar)
+                    at = np.unique(np.linspace(0, n - 1, min(n, 41)).astype(int))
+                    for got, a in ((psi, amp), (dpsi, damp)):
+                        err = np.max(np.abs(got[at] - _dense_sum(p, a, xs[at], hbar)))
+                        assert err <= 1e-11 * np.sum(np.abs(a)), \
+                            f"{name}, n={n}, offset={offset}, hbar={hbar}: {err:.2e}"
+
+
+def test_dense_blocks_stay_within_the_byte_budget():
+    # each complex temporary of a block is rows x Np x 16 bytes
+    for n_p in (2, 2001, 100_000):
+        rows = _dense_rows(n_p)
+        assert rows >= 1 and rows * n_p * 16 <= _DENSE_BLOCK_BYTES
+    assert _dense_rows(100_000) == 10
 
 
 def test_momentum_grid_symmetry():

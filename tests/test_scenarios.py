@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relwave import free_packets
+from relwave import free_packets, scenarios
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
                                list_scenarios, load_config, resolve_scenario,
@@ -88,6 +89,31 @@ def test_run_threads_match_serial(tmp_path):
     m1 = run(TINY, out_dir=tmp_path / "s", threads=1)
     m2 = run(TINY, out_dir=tmp_path / "p", threads=2)
     assert m1.outputs == m2.outputs
+
+
+def test_widths_reuse_the_metrics_slices(tmp_path, monkeypatch):
+    # a 2-time run with outputs metrics, widths builds each slice once, and
+    # its widths are the sigma columns of its metrics, byte for byte
+    calls = []
+    slice_for = scenarios._slice_for
+    monkeypatch.setattr(scenarios, "_slice_for",
+                        lambda *args: calls.append(args[2]) or slice_for(*args))
+    scn = dataclasses.replace(TINY, name="w", outputs=("metrics", "widths"))
+    run(scn, out_dir=tmp_path)
+    assert calls == [0.0, 2.0]
+    metrics, widths = ([ln.split(",") for ln in
+                        (tmp_path / f"w_{kind}_sigma3_gamma1.csv").read_text().splitlines()[1:]]
+                       for kind in ("metrics", "widths"))
+    assert widths == [[m[0], m[4], m[2]] for m in metrics]
+
+
+def test_run_threads_match_serial_across_cases(tmp_path):
+    scn = dataclasses.replace(TINY, name="c", outputs=("metrics", "widths", "density"),
+                              cases=({"sigma0": 3.0, "gamma0": 1.0},
+                                     {"sigma0": 2.0, "gamma0": 1.5}))
+    m1 = run(scn, out_dir=tmp_path / "s", threads=1)
+    m2 = run(scn, out_dir=tmp_path / "p", threads=2)
+    assert len(m1.outputs) == 6 and m1.outputs == m2.outputs
 
 
 def test_unit_charge_normalization(tmp_path):

@@ -64,6 +64,30 @@ def test_k1_vectorized_matches_scalar():
         assert vec[i] == bessel_k1(complex(z))
 
 
+def test_k0_k1_against_mpmath():
+    # 100 points over |z| in [1e-3, 50], |arg z| < 0.499 pi
+    import mpmath
+
+    rng = np.random.default_rng(17)
+    zs = 10 ** rng.uniform(-3.0, np.log10(50.0), 100) \
+        * np.exp(1j * rng.uniform(-0.499 * np.pi, 0.499 * np.pi, 100))
+    with mpmath.workdps(30):
+        for order, fn in ((0, bessel_k0), (1, bessel_k1)):
+            got = fn(zs)
+            for z, val in zip(zs, got):
+                ref = complex(mpmath.besselk(order, mpmath.mpc(z.real, z.imag)))
+                assert abs(val - ref) <= 1e-13 * abs(ref), f"K{order}({z})"
+
+
+def test_k1_scaled_carries_the_exponent():
+    # exp(z) K1(z) stays finite where K1 underflows
+    assert bessel_k1(800.0) == 0.0
+    scaled = bessel_k1(800.0, scaled=True)
+    assert abs(scaled * np.sqrt(2.0 * 800.0 / np.pi) - 1.0) < 1e-3
+    z = np.array([0.7 + 0.2j, 30.0 - 4.0j])
+    assert np.allclose(bessel_k1(z, scaled=True) * np.exp(-z), bessel_k1(z), rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # parabolic cylinder function
 # ---------------------------------------------------------------------------
