@@ -300,7 +300,7 @@ def crit_10b_phase_field():
     cfg = _field_cfg(0.3, 10.0)
     basis = field_mode_basis(cfg, 71.0, 40.0)
     ts = np.linspace(0.0, 40.0, 161)
-    trace = phase_trace(lambda t, x: basis.eval_psi_dpsi(t, np.array([x]))[0][0],
+    trace = phase_trace(lambda t, x: basis.eval_psi(t, np.array([x]))[0],
                         lambda t: field_trajectory(t, cfg.motion).x,
                         lambda t: action_field(t, cfg.motion), ts)
     off = trace.offset

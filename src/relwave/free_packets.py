@@ -148,7 +148,11 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
 
     Its modes exp(-(vartheta + i t) W/hbar + i p (x - x0 - v0 t)/hbar) are
     plane waves times the spectrum exp(-vartheta W/hbar - i p x0/hbar): the
-    p v0 t terms cancel, and d/dt is -i E/hbar in both forms.
+    p v0 t terms cancel, and d/dt is -i E/hbar in both forms.  The
+    normalization |N|^2 = 1 / (4 pi hbar m c gamma0 K1(z_n)) is split as
+    for the closed form: exp(z_n/2) joins the spectrum's exponent, which is
+    <= 0 since z_n/2 = vartheta W(p0)/hbar and W >= W(p0), and ``norm`` keeps
+    the exponent-scaled K1, so wide packets (vartheta of 1000) stay finite.
     """
     pp = cfg.params
     m = cfg.motion
@@ -163,9 +167,13 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
     half = 0.5 * (p_hi - p_lo)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
-    spectrum = np.exp(-cfg.vartheta * w_of_p(nodes, m) / hbar - 1j * nodes * m.x0 / hbar)
+    zn = _norm_arg(cfg)
+    spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) / hbar
+                      - 1j * nodes * m.x0 / hbar)
+    k1e = bessel_k1(zn, scaled=True).real
+    norm = float(1.0 / np.sqrt(4.0 * np.pi * hbar * pp.m * c * m.gamma0 * k1e))
     return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
-                          norm=closed_norm_constant(cfg), params=pp)
+                          norm=norm, params=pp)
 
 
 @lru_cache(maxsize=64)
@@ -193,17 +201,6 @@ def _norm_arg(cfg: ClosedPacketConfig) -> float:
     """z_n = 2 m c^2 vartheta / (hbar gamma0), the K1 argument of |N|^2."""
     pp = cfg.params
     return 2.0 * pp.m * pp.c**2 * cfg.vartheta / (pp.hbar * cfg.motion.gamma0)
-
-
-def closed_norm_constant(cfg: ClosedPacketConfig) -> float:
-    """Normalization N of the flat-spectrum superposition, from
-    |N|^2 = 1 / (4 pi hbar m c gamma0 K1(z_n)), with K1 exponent-scaled:
-    finite while z_n / 2 < 709."""
-    pp = cfg.params
-    zn = _norm_arg(cfg)
-    k1e = bessel_k1(zn, scaled=True).real
-    return float(np.exp(0.5 * zn)
-                 / np.sqrt(4.0 * np.pi * pp.hbar * pp.m * pp.c * cfg.motion.gamma0 * k1e))
 
 
 def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):

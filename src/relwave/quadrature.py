@@ -115,10 +115,11 @@ def _dense_rows(n_p: int) -> int:
     return max(1, _DENSE_BLOCK_BYTES // (16 * n_p))
 
 
-def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray,
+def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
               xs: np.ndarray, hbar: float):
     """psi(x) = sum_p amp_p exp(i p x / hbar) on ``xs``, and the same sum of
-    ``damp`` (the mode time derivatives), which gives d/dt psi.
+    ``damp`` (the mode time derivatives), which gives d/dt psi; with
+    ``damp`` None only psi is summed and d/dt psi comes back as None.
 
     ``amp`` and ``damp`` already carry the quadrature weights.  When ``xs``
     and ``p`` are both uniform grids the two sums are one chirp-z transform
@@ -129,15 +130,15 @@ def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray,
     """
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    amps = [amp] if damp is None else [amp, damp]
     dp, dx = _step(p), _step(xs)
     if dp is not None and dx is not None:
-        psi, dpsi = _superpose_czt(p, dp, np.stack([amp, damp]), xs, dx, hbar)
-        return psi, dpsi
-    psi = np.empty(len(xs), dtype=complex)
-    dpsi = np.empty(len(xs), dtype=complex)
-    rows = _dense_rows(len(p))
-    for i0 in range(0, len(xs), rows):
-        block = np.exp(1j * np.outer(xs[i0:i0 + rows], p) / hbar)
-        psi[i0:i0 + rows] = np.einsum("ij,j->i", block, amp)
-        dpsi[i0:i0 + rows] = np.einsum("ij,j->i", block, damp)
-    return psi, dpsi
+        out = _superpose_czt(p, dp, np.stack(amps), xs, dx, hbar)
+    else:
+        out = np.empty((len(amps), len(xs)), dtype=complex)
+        rows = _dense_rows(len(p))
+        for i0 in range(0, len(xs), rows):
+            block = np.exp(1j * np.outer(xs[i0:i0 + rows], p) / hbar)
+            for row, a in zip(out, amps):
+                row[i0:i0 + rows] = np.einsum("ij,j->i", block, a)
+    return out[0], (None if damp is None else out[1])

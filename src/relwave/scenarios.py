@@ -121,13 +121,11 @@ class RunManifest:
         )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_csv(path: Path, header: str, rows) -> str:
+    """Every value as %.17g (round-trip exact), one format string per row."""
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
     lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(fmt % tuple(row) for row in rows)
     text = "\n".join(lines) + "\n"
     path.write_text(text)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -233,10 +231,10 @@ def _gen_spectrum(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
                                  float(np.max(np.abs(scn.t_list))))
         peak0 = None
         for t in scn.t_list:
-            psi_p, _ = basis.modes(t)
+            psi_p = basis.modes(t, derivatives=False)
             vals = np.interp(ps, basis.p, np.abs(psi_p) ** 2, left=0.0, right=0.0)
             if peak0 is None:
-                psi_p0, _ = basis.modes(0.0)
+                psi_p0 = basis.modes(0.0, derivatives=False)
                 peak0 = float(np.max(np.abs(psi_p0) ** 2))
             if scn.normalization == "peak-normalized":
                 rows.extend(zip([t] * len(ps), ps, vals / peak0))
@@ -273,7 +271,7 @@ def _gen_phase(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
         cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
                                            case["force"], x0=case.get("x0"))
         basis = field_mode_basis(cfg, scn.x_max + 1.0, t_max)
-        trace = phase_trace(lambda t, x: basis.eval_psi_dpsi(t, np.array([x]))[0][0],
+        trace = phase_trace(lambda t, x: basis.eval_psi(t, np.array([x]))[0],
                             lambda t: field_trajectory(t, cfg.motion).x,
                             lambda t: action_field(t, cfg.motion), ts)
     rows = list(zip(trace.ts, trace.phi, trace.s_cl_over_hbar, trace.offset))

@@ -14,7 +14,14 @@ D_nu(z) stitches four regimes:
                    there would amplify seed error by the dominant/recessive
                    ratio),
 
-with |arg z| > pi/2 folded into the right half-plane first.  Accuracy is
+with |arg z| > pi/2 folded into the right half-plane first.
+
+Both series stop point by point (DLMF 12.4, 12.9): each point leaves its
+sum at its own 1e-18 stop (or, in the divergent Poincare series, before its
+first growing term), so its value does not depend on the other points of
+the call.  The march does not depend on its targets: the Taylor coefficients
+at its checkpoints are computed once per ray (order, angle, direction) and
+cached, and each call only evaluates its targets' polynomials.  Accuracy is
 tuned for the diagonal rays (+-1 +- i) s used by the uniform-field modes
 (observed ~1e-11 there) and degrades gracefully off them; configurations
 whose subdominant solution falls below double-precision conditioning raise
@@ -24,6 +31,7 @@ SpecFunAccuracyError instead of returning a silently wrong value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import kve, rgamma
@@ -113,13 +121,23 @@ def bessel_k0(z, scaled: bool = False):
 # ---------------------------------------------------------------------------
 
 def _kummer_m(a: complex, b: complex, x: np.ndarray, max_terms: int = 700) -> np.ndarray:
-    term = np.ones_like(x)
+    """Kummer's M(a, b, x) on a 1-d array.  Each point leaves the sum once
+    its term falls below 1e-18 of its total; the arrays shrink with it."""
     total = np.ones_like(x)
+    live = np.arange(x.size)
+    term = np.ones_like(x)
+    tot = np.ones_like(x)
     for k in range(max_terms):
-        term = term * ((a + k) / (b + k)) * x / (k + 1.0)
-        total = total + term
-        if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
+        if not live.size:
             break
+        term = term * ((a + k) / (b + k)) * x[live] / (k + 1.0)
+        tot = tot + term
+        done = np.abs(term) < 1e-18 * (np.abs(tot) + 1e-300)
+        if done.any():
+            total[live[done]] = tot[done]
+            keep = ~done
+            live, term, tot = live[keep], term[keep], tot[keep]
+    total[live] = tot
     return total
 
 
@@ -131,46 +149,67 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
 
 
 def _asymptotic(nu: complex, z: np.ndarray, max_terms: int = 60):
-    """One-piece Poincare expansion; returns (value, per-point truncation ratio)."""
-    inv2z2 = 1.0 / (2.0 * z * z)
-    term = np.ones_like(z)
+    """One-piece Poincare expansion on a 1-d array; returns (value,
+    per-point truncation ratio: last term kept over the sum).
+
+    Each point leaves the sum once its term falls below 1e-18 of its total,
+    or before its first growing term (the series diverges from there on).
+    """
     total = np.ones_like(z)
     last_live = np.ones(z.shape)
-    dead = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    inv = 1.0 / (2.0 * z * z)
+    term = np.ones_like(z)
+    mag = np.ones(z.shape)
+    tot = np.ones_like(z)
     for s in range(max_terms):
-        new_term = term * (-(-nu + 2 * s) * (-nu + 2 * s + 1) / (s + 1.0)) * inv2z2
-        dead = dead | (np.abs(new_term) > np.abs(term))
-        term = np.where(dead, 0.0, new_term)
-        last_live = np.where(dead, last_live, np.abs(term))
-        total = total + term
-        if np.all(dead | (np.abs(term) < 1e-18 * np.abs(total))):
+        if not live.size:
             break
+        new_term = term * (-(-nu + 2 * s) * (-nu + 2 * s + 1) / (s + 1.0)) * inv
+        new_mag = np.abs(new_term)
+        # a growing term is not added: its point leaves with the sum it has
+        grown = new_mag > mag
+        tot = np.where(grown, tot, tot + new_term)
+        mag = np.where(grown, mag, new_mag)
+        leave = grown | (mag < 1e-18 * np.abs(tot))
+        if leave.any():
+            total[live[leave]] = tot[leave]
+            last_live[live[leave]] = mag[leave]
+            keep = ~leave
+            live, new_term, mag, inv, tot = (live[keep], new_term[keep], mag[keep],
+                                             inv[keep], tot[keep])
+        term = new_term
+    total[live] = tot
+    last_live[live] = mag
     trunc = last_live / np.maximum(np.abs(total), 1e-300)
     return np.exp(-0.25 * z * z) * z ** nu * total, trunc
 
 
-def _march_ray(nu: complex, theta: float, radii: np.ndarray, r_from: float,
-               seed_d: complex, seed_dp: complex) -> np.ndarray:
-    """Taylor-march Weber's equation D'' = (z^2/4 - nu - 1/2) D radially.
+@lru_cache(maxsize=128)
+def _march_checkpoints(nu: complex, theta: float, outward: bool):
+    """Checkpoint radii and Taylor coefficients of D_nu along one ray.
 
-    Checkpoints advance in steps of _MARCH_STEP carrying (D, D'); targets
-    inside each step are evaluated from the step's Taylor polynomial.
+    Weber's equation D'' = (z^2/4 - nu - 1/2) D is marched across the band
+    in steps of _MARCH_STEP, carrying (D, D'): outward from the Maclaurin
+    seed at _R_SERIES, or inward from the band-integral seed at _R_ASYMP.
+    Row k holds the _MARCH_ORDER + 2 Taylor coefficients about the k-th
+    checkpoint.  Nothing here depends on the targets, so a ray is marched
+    once per process and the read-only arrays are shared by every call.
     """
     direction = np.exp(1j * theta)
-    radii = np.asarray(radii, dtype=float)
-    sign = 1.0 if (radii.size == 0 or radii[-1] >= r_from) else -1.0
-    out = np.empty(len(radii), dtype=complex)
-    d, dp = seed_d, seed_dp
-    r_cur = r_from
+    sign, r_cur, seed = ((1.0, _R_SERIES, _maclaurin) if outward
+                         else (-1.0, _R_ASYMP, _band_integral))
+    z0 = np.array([r_cur * direction])
+    d = seed(nu, z0)[0]
+    dp = nu * seed(nu - 1.0, z0)[0] - 0.5 * z0[0] * d
     n_ord = _MARCH_ORDER
-    a = np.empty(n_ord + 2, dtype=complex)
-    remaining = np.arange(len(radii))
-    guard = 0
-    while remaining.size:
-        guard += 1
-        if guard > 200:  # pragma: no cover - structural safety net
-            raise SpecFunAccuracyError("pcf march failed to advance")
+    count = int(round((_R_ASYMP - _R_SERIES) / _MARCH_STEP)) + 1
+    radii = np.empty(count)
+    coef = np.empty((count, n_ord + 2), dtype=complex)
+    h = sign * _MARCH_STEP * direction
+    for k in range(count):
         z0 = r_cur * direction
+        a = coef[k]
         a[0] = d
         a[1] = dp
         q0 = 0.25 * z0 * z0 - nu - 0.5
@@ -181,16 +220,7 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray, r_from: float,
             if n >= 2:
                 s = s + 0.25 * a[n - 2]
             a[n + 2] = s / ((n + 2.0) * (n + 1.0))
-        dist = np.abs(radii[remaining] - r_cur)
-        here = remaining[dist <= _MARCH_STEP + 1e-12]
-        if here.size:
-            h_t = (radii[here] - r_cur) * direction
-            val = np.zeros(len(here), dtype=complex)
-            for n in range(n_ord + 1, -1, -1):
-                val = val * h_t + a[n]
-            out[here] = val
-            remaining = remaining[dist > _MARCH_STEP + 1e-12]
-        h = sign * _MARCH_STEP * direction
+        radii[k] = r_cur
         val = 0.0 + 0.0j
         der = 0.0 + 0.0j
         for n in range(n_ord + 1, 0, -1):
@@ -199,23 +229,28 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray, r_from: float,
         val = val * h + a[0]
         d, dp = val, der
         r_cur += sign * _MARCH_STEP
-    return out
+    radii.flags.writeable = False
+    coef.flags.writeable = False
+    return radii, coef
 
 
-def _seed(nu: complex, theta: float, r: float, use_asymptotic: bool,
-          by_integral: bool = False):
-    z0 = np.array([r * np.exp(1j * theta)])
-    if by_integral:
-        d0 = _band_integral(nu, z0)[0]
-        dm1 = _band_integral(nu - 1.0, z0)[0]
-    elif use_asymptotic:
-        d0 = _asymptotic(nu, z0)[0][0]
-        dm1 = _asymptotic(nu - 1.0, z0)[0][0]
-    else:
-        d0 = _maclaurin(nu, z0)[0]
-        dm1 = _maclaurin(nu - 1.0, z0)[0]
-    dp0 = nu * dm1 - 0.5 * z0[0] * d0
-    return d0, dp0
+def _march_ray(nu: complex, theta: float, radii: np.ndarray, outward: bool) -> np.ndarray:
+    """D_nu at radii along the ray arg z = theta inside the band: each target
+    is the Taylor polynomial of the first checkpoint of the march (in
+    marching order) within one step of it."""
+    r_k, coef = _march_checkpoints(nu, theta, outward)
+    direction = np.exp(1j * theta)
+    radii = np.asarray(radii, dtype=float)
+    near = np.abs(radii[:, None] - r_k[None, :]) <= _MARCH_STEP + 1e-12
+    if not np.all(near.any(axis=1)):  # pragma: no cover - structural safety net
+        raise SpecFunAccuracyError("pcf march target outside the band")
+    k = np.argmax(near, axis=1)
+    a = coef[k]
+    h_t = (radii - r_k[k]) * direction
+    val = np.zeros(len(radii), dtype=complex)
+    for n in range(_MARCH_ORDER + 1, -1, -1):
+        val = val * h_t + a[:, n]
+    return val
 
 
 def _band_integral(nu: complex, z: np.ndarray, level: int | None = None,
@@ -274,12 +309,13 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
         zb = z[band]
         vals = np.empty_like(zb)
         angles = np.angle(zb)
+        # one group per ray: the band points in order of angle, split where
+        # the angle moves; g indexes zb and vals
         order = np.argsort(angles, kind="stable")
-        zo, ao = zb[order], angles[order]
-        breaks = np.where(np.abs(np.diff(ao)) > 1e-12)[0] + 1
-        for g in np.split(np.arange(len(zo)), breaks):
-            theta = ao[g[0]]
-            radii = np.abs(zo[g])
+        breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
+        for g in np.split(order, breaks):
+            theta = angles[g[0]]
+            radii = np.abs(zb[g])
             if theta * nu.imag > 1e-12:
                 # D_nu is exponentially subdominant on this ray; marching
                 # would amplify seed error by the dominant/recessive ratio,
@@ -290,24 +326,13 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
                         f"D_nu for nu={nu} at |z|~{radii[0]:.3g} on the "
                         "subdominant ray exceeds double-precision conditioning"
                     )
-                vals[g] = _band_integral(nu, zo[g])
+                vals[g] = _band_integral(nu, zb[g])
                 continue
             # march away from the locally dominant solution: outward where
-            # e^{-z^2/4} grows (Re z^2 < 0), inward from the asymptotic seed
-            # where it decays.
-            outward = np.cos(2.0 * theta) <= 0.25
-            if outward:
-                idx = np.argsort(radii)
-                d0, dp0 = _seed(nu, theta, _R_SERIES, use_asymptotic=False)
-                got = _march_ray(nu, theta, radii[idx], _R_SERIES, d0, dp0)
-            else:
-                idx = np.argsort(-radii)
-                d0, dp0 = _seed(nu, theta, _R_ASYMP, use_asymptotic=False,
-                                by_integral=True)
-                got = _march_ray(nu, theta, radii[idx], _R_ASYMP, d0, dp0)
-            tmp = np.empty_like(got)
-            tmp[idx] = got
-            vals[g] = tmp
+            # e^{-z^2/4} grows (Re z^2 < 0), inward from the band-integral
+            # seed where it decays.
+            outward = bool(np.cos(2.0 * theta) <= 0.25)
+            vals[g] = _march_ray(nu, theta, radii, outward)
         res[band] = vals
     return res
 

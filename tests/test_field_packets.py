@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relwave import field_packets, scenarios
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, field_mode_basis,
                                    field_slice, mode_coeffs, mode_psi,
@@ -157,3 +158,39 @@ def test_modes_match_the_pcf_d_dz_route():
         psi_p, dpsi_p = basis.modes(t)
         assert np.array_equal(psi_p, c.c_plus * fp + c.c_minus * fm)
         assert np.array_equal(dpsi_p, c.c_plus * dfp + c.c_minus * dfm)
+
+
+def test_psi_only_evaluation_is_the_same_bits():
+    cfg = _cfg(0.3, 10.0)
+    basis = field_mode_basis(cfg, 40.0, 20.0)
+    for t in (0.0, 3.25, 17.5):
+        assert np.array_equal(basis.modes(t, derivatives=False), basis.modes(t)[0])
+        x = field_trajectory(t, cfg.motion).x
+        for xs in (np.array([x]), np.array([x - 0.7])):
+            assert np.array_equal(basis.eval_psi(t, xs), basis.eval_psi_dpsi(t, xs)[0])
+
+
+def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
+    # the phase trace keeps psi only, so each evaluation takes f+ and f-
+    # and not the D_{nu-1} of their time derivatives
+    calls = []
+    pcf = field_packets.pcf_d
+    monkeypatch.setattr(field_packets, "pcf_d",
+                        lambda nu, z: calls.append(nu) or pcf(nu, z))
+    per_eval = []
+    trace = scenarios.phase_trace
+
+    def counting_trace(evaluator, *args, **kwargs):
+        def ev(t, x):
+            before = len(calls)
+            val = evaluator(t, x)
+            per_eval.append(len(calls) - before)
+            return val
+        return trace(ev, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "phase_trace", counting_trace)
+    scn = scenarios.Scenario(name="ph", family="uniform-field",
+                             cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
+                             t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
+    scenarios._gen_phase(scn, scn.cases[0], np.linspace(-30.0, 30.0, 101), [])
+    assert len(per_eval) >= 9 and set(per_eval) == {2}

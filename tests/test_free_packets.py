@@ -202,21 +202,40 @@ def test_group_center_slope_across_widths():
 
 
 @pytest.mark.parametrize("vartheta,v0,x0", [(0.1, 0.25, 0.5), (2.0, 0.9, -1.5),
-                                            (100.0, 0.6, 3.0)])
+                                            (100.0, 0.6, 3.0), (1000.0, 0.3, 2.0)])
 def test_closed_packet_folds_onto_plane_waves(vartheta, v0, x0):
     # the closed-ansatz modes exp(-(vartheta + i t) W/hbar + i p (x - x0 -
-    # v0 t)/hbar), summed as before the fold into plane waves
+    # v0 t)/hbar), summed as before the fold into plane waves; exp(z_n/2)
+    # of the normalization (z_n = 2 vartheta/gamma0 here) rides in the
+    # exponent, as in closed_spectral
     cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=v0, x0=x0))
     pk = closed_spectral(cfg, 20.0, 20.0)
     e = energy(pk.p, pk.params)
+    half_zn = vartheta / cfg.motion.gamma0
     for t in (0.0, 7.0, 20.0):
         xs = x0 + v0 * t + np.linspace(-10.0, 10.0, 81)
-        gt = pk.norm * pk.weights * np.exp(-(vartheta + 1j * t) * w_of_p(pk.p, cfg.motion))
+        gt = pk.norm * pk.weights * np.exp(half_zn - (vartheta + 1j * t)
+                                           * w_of_p(pk.p, cfg.motion))
         block = np.exp(1j * np.outer(xs - x0 - v0 * t, pk.p))
         psi_ref, dpsi_ref = block @ gt, block @ (gt * -1j * e)
         psi, dpsi = pk.eval_psi_dpsi(t, xs)
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
         assert np.max(np.abs(dpsi - dpsi_ref)) <= 1e-12 * np.max(np.abs(dpsi_ref))
+
+
+def test_closed_spectral_finite_past_the_k1_overflow():
+    # z_n/2 = 1000 > 709: exp(z_n/2) alone overflows, folded into the
+    # spectrum's exponent it does not
+    cfg = ClosedPacketConfig(vartheta=1000.0, motion=FreeMotion(v0=0.3, x0=2.0))
+    pk = closed_spectral(cfg, 30.0, 10.0)
+    assert np.isfinite(pk.norm) and np.all(np.isfinite(pk.spectrum))
+    for t in (0.0, 7.0):
+        xs = 2.0 + 0.3 * t + np.linspace(-12.0, 12.0, 401)
+        psi, dpsi = pk.eval_psi_dpsi(t, xs)
+        assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
+        sl = closed_slice(t, xs, cfg)
+        assert np.max(np.abs(sl.psi - psi)) < 1e-8 * np.max(np.abs(psi))
+        assert np.max(np.abs(sl.dpsi_dt - dpsi)) < 1e-8 * np.max(np.abs(dpsi))
 
 
 def _branch_arg(t, x, v0, vartheta):

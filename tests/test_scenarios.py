@@ -191,3 +191,16 @@ def test_fig7_lowerleft_spectra_peak_normalized(tmp_path):
     rows = np.loadtxt(tmp_path / fname, delimiter=",", skiprows=1)
     at_t0 = rows[rows[:, 0] == 0.0]
     assert abs(at_t0[:, 2].max() - 1.0) < 1e-12
+
+
+def test_csv_rows_match_the_per_value_format(tmp_path):
+    # one %-format per row writes the bytes that f"{v:.17g}" per value did
+    rows = [(-0.0, 5e-324, 1e308), (3.0, np.float64(2.0), -7),
+            (np.float64(-0.0), 0.1, np.float64(1.0 / 3.0)),
+            (np.float64(5e-324), np.float64(-1e308), 1e16),
+            (2.5, np.float64(123456789.0), float(2**60))]
+    path = tmp_path / "rows.csv"
+    scenarios._write_csv(path, "a,b,c", rows)
+    expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                   for row in rows)
+    assert path.read_text() == expected

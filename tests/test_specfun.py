@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from relwave import specfun
 from relwave.acceptance import k1_series_reference
+from relwave.field_packets import FieldPacketConfig, field_mode_basis
 from relwave.specfun import (PcfOrder, SpecFunAccuracyError, SpecFunDomainError,
                              bessel_k0, bessel_k1, pcf_d, pcf_d_dz)
 
@@ -182,3 +184,169 @@ def test_subdominant_conditioning_raises_not_lies():
     # far beyond double-precision conditioning the evaluation must refuse
     with pytest.raises(SpecFunAccuracyError):
         pcf_d(-0.5 + 20.0j, 5.0 * np.exp(1j * 1.0))
+
+
+# ---------------------------------------------------------------------------
+# D_nu kernels against the route they replaced
+# ---------------------------------------------------------------------------
+# The reference route: the series ran every point of a batch to the slowest
+# point's term count, and every call marched its rays again from the seed.
+# Copied unchanged, apart from the seed and target ordering that the caller
+# of _march_ray did (_ref_march below).
+
+def _ref_kummer_m(a, b, x, max_terms=700):
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(max_terms):
+        term = term * ((a + k) / (b + k)) * x / (k + 1.0)
+        total = total + term
+        if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
+            break
+    return total
+
+
+def _ref_asymptotic(nu, z, max_terms=60):
+    inv2z2 = 1.0 / (2.0 * z * z)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    last_live = np.ones(z.shape)
+    dead = np.zeros(z.shape, dtype=bool)
+    for s in range(max_terms):
+        new_term = term * (-(-nu + 2 * s) * (-nu + 2 * s + 1) / (s + 1.0)) * inv2z2
+        dead = dead | (np.abs(new_term) > np.abs(term))
+        term = np.where(dead, 0.0, new_term)
+        last_live = np.where(dead, last_live, np.abs(term))
+        total = total + term
+        if np.all(dead | (np.abs(term) < 1e-18 * np.abs(total))):
+            break
+    trunc = last_live / np.maximum(np.abs(total), 1e-300)
+    return np.exp(-0.25 * z * z) * z ** nu * total, trunc
+
+
+def _ref_march_ray(nu, theta, radii, r_from, seed_d, seed_dp):
+    direction = np.exp(1j * theta)
+    radii = np.asarray(radii, dtype=float)
+    sign = 1.0 if (radii.size == 0 or radii[-1] >= r_from) else -1.0
+    out = np.empty(len(radii), dtype=complex)
+    d, dp = seed_d, seed_dp
+    r_cur = r_from
+    n_ord = specfun._MARCH_ORDER
+    a = np.empty(n_ord + 2, dtype=complex)
+    remaining = np.arange(len(radii))
+    while remaining.size:
+        z0 = r_cur * direction
+        a[0] = d
+        a[1] = dp
+        q0 = 0.25 * z0 * z0 - nu - 0.5
+        for n in range(n_ord):
+            s = q0 * a[n]
+            if n >= 1:
+                s = s + 0.5 * z0 * a[n - 1]
+            if n >= 2:
+                s = s + 0.25 * a[n - 2]
+            a[n + 2] = s / ((n + 2.0) * (n + 1.0))
+        dist = np.abs(radii[remaining] - r_cur)
+        here = remaining[dist <= specfun._MARCH_STEP + 1e-12]
+        if here.size:
+            h_t = (radii[here] - r_cur) * direction
+            val = np.zeros(len(here), dtype=complex)
+            for n in range(n_ord + 1, -1, -1):
+                val = val * h_t + a[n]
+            out[here] = val
+            remaining = remaining[dist > specfun._MARCH_STEP + 1e-12]
+        h = sign * specfun._MARCH_STEP * direction
+        val = 0.0 + 0.0j
+        der = 0.0 + 0.0j
+        for n in range(n_ord + 1, 0, -1):
+            val = val * h + a[n]
+            der = der * h + n * a[n]
+        val = val * h + a[0]
+        d, dp = val, der
+        r_cur += sign * specfun._MARCH_STEP
+    return out
+
+
+def _ref_march(nu, theta, radii, outward):
+    # outward from the Maclaurin seed at _R_SERIES, targets ascending;
+    # inward from the band-integral seed at _R_ASYMP, targets descending
+    r_from, seed, idx = ((specfun._R_SERIES, specfun._maclaurin, np.argsort(radii))
+                         if outward else
+                         (specfun._R_ASYMP, specfun._band_integral, np.argsort(-radii)))
+    z0 = np.array([r_from * np.exp(1j * theta)])
+    d0 = seed(nu, z0)[0]
+    dp0 = nu * seed(nu - 1.0, z0)[0] - 0.5 * z0[0] * d0
+    out = np.empty(len(radii), dtype=complex)
+    out[idx] = _ref_march_ray(nu, theta, radii[idx], r_from, d0, dp0)
+    return out
+
+
+@pytest.fixture
+def reference_pcf_d(monkeypatch):
+    def evaluate(nu, z):
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_kummer_m", _ref_kummer_m)
+            m.setattr(specfun, "_asymptotic", _ref_asymptotic)
+            m.setattr(specfun, "_march_ray", _ref_march)
+            return specfun.pcf_d(nu, z)
+    return evaluate
+
+
+def _assert_reference_bits(nu, z, reference_pcf_d):
+    got = pcf_d(nu, z)
+    ref = reference_pcf_d(nu, z)
+    # A reference value could depend on its batch: terms past a point's own
+    # 1e-18 stop, added while slower points converged, can round into a
+    # small component of its sum (observed: 1 value in 4001, 1 ulp).  Each
+    # point now stops on its own, so its value is the reference's value for
+    # that point evaluated alone.
+    for i in np.flatnonzero(got != ref):
+        assert got[i] == reference_pcf_d(nu, z[i:i + 1])[0], (nu, z[i])
+    for i in (0, len(z) // 3, len(z) - 1):
+        assert pcf_d(nu, z[i:i + 1])[0] == got[i]
+
+
+@pytest.mark.parametrize("force", [0.1, 1.0, -0.3])
+def test_pcf_mode_rays_match_the_reference_route(force, reference_pcf_d):
+    s = np.linspace(-60.0, 60.0, 4001)
+    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    basis = field_mode_basis(cfg, 10.0, 0.0)
+    for nu, ray in ((basis.nu_plus, basis.ray_plus), (basis.nu_minus, basis.ray_minus)):
+        for order in (nu, nu - 1.0):
+            _assert_reference_bits(order, ray * s, reference_pcf_d)
+
+
+def test_pcf_sweep_matches_the_reference_route(reference_pcf_d):
+    # every argument, both half-planes, all four regimes
+    rng = np.random.default_rng(23)
+    z = rng.uniform(0.1, 12.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+    for nu in (NU_P, NU_M, -1.5 + 2.0j, 0.3 - 2.0j):
+        _assert_reference_bits(nu, z, reference_pcf_d)
+
+
+def test_pcf_batch_of_mixed_rays_matches_mpmath():
+    # band points of many rays in one call: each value lands on its own point
+    # (they once came back in order of angle), batched or alone
+    import mpmath
+
+    rng = np.random.default_rng(29)
+    z = rng.uniform(0.1, 12.0, 120) * np.exp(1j * rng.uniform(-np.pi, np.pi, 120))
+    for nu in (NU_P, -1.5 + 2.0j):
+        got = pcf_d(nu, z)
+        with mpmath.workdps(25):
+            ref = np.array([complex(mpmath.pcfd(nu, zz)) for zz in z])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9, nu
+        assert all(pcf_d(nu, z[i:i + 1])[0] == got[i] for i in range(0, 120, 7))
+
+
+def test_each_ray_is_marched_once():
+    cfg = FieldPacketConfig.from_gamma(0.3, 1.0, force=0.23)
+    basis = field_mode_basis(cfg, 30.0, 30.0)
+    info = specfun._march_checkpoints.cache_info
+    basis.modes(0.0)
+    misses, hits = info().misses, info().hits
+    for t in np.linspace(3.0, 30.0, 9):
+        basis.modes(t)
+    assert info().misses == misses
+    assert info().hits > hits
+    radii, coef = specfun._march_checkpoints(basis.nu_plus, np.pi / 4, True)
+    assert not radii.flags.writeable and not coef.flags.writeable
