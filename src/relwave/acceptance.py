@@ -19,13 +19,11 @@ import numpy as np
 
 from .analysis import (charge_density, expectation_x, find_peaks,
                        gauss_similarity_psi, gauss_similarity_rho,
-                       momentum_spectrum, phase_trace)
-from .field_packets import FieldPacketConfig, field_mode_basis, field_slice
-from .free_packets import (ClosedPacketConfig, GaussianPacketConfig,
-                           closed_slice, closed_spectral, gauss_slice,
-                           psi_closed)
-from .kinematics import (FreeMotion, action_field, action_free,
-                         field_trajectory, free_trajectory)
+                       momentum_spectrum)
+from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
+from .free_packets import ClosedPacketConfig, GaussianPacketConfig, closed_spectral
+from .kinematics import FreeMotion
+from .packets import packet_for
 from .specfun import bessel_k1, pcf_d, pcf_d_dz
 
 V0_QUARTER = 0.25
@@ -45,64 +43,55 @@ class CriterionResult:
 # shared artifacts
 # ---------------------------------------------------------------------------
 
-def _closed_cfg(vartheta: float, v0: float = V0_QUARTER) -> ClosedPacketConfig:
-    return ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=v0))
-
-
-def _closed_density(vartheta, t, lo, hi, n):
-    key = ("closed-rho", vartheta, t, lo, hi, n)
-    if key not in _cache:
-        sl = closed_slice(t, np.linspace(lo, hi, n), _closed_cfg(vartheta))
-        _cache[key] = (sl, charge_density(sl))
-    return _cache[key]
-
-def _gauss_sweep(sigma0, gamma0, ts):
-    key = ("gauss-sweep", sigma0, gamma0, tuple(ts))
-    if key not in _cache:
-        cfg = GaussianPacketConfig.from_gamma(sigma0, gamma0)
-        motion = FreeMotion.from_gamma(gamma0)
-        rec = []
-        for t in ts:
-            span = 30.0 + motion.v0 * t
-            xs = np.linspace(-span, span, 4001)
-            sl = gauss_slice(t, xs, cfg)
-            dens = charge_density(sl)
-            traj = free_trajectory(t, motion)
-            p_bar = traj.gamma * traj.v
-            rec.append({
-                "t": t,
-                "fit_rho": gauss_similarity_rho(dens, traj.x),
-                "fit_psi": gauss_similarity_psi(sl, traj.x, p_bar),
-                "min_rho": float(np.min(dens.rho / dens.total_charge())),
-            })
-        _cache[key] = rec
-    return _cache[key]
+def _closed(vartheta):
+    return packet_for({"vartheta": vartheta, "v0": V0_QUARTER}, "closed-free", 0.0, 0.0)
 
 
 def _field_cfg(sigma0, gamma0) -> FieldPacketConfig:
     return FieldPacketConfig.from_gamma(sigma0, gamma0, force=0.1)
 
 
-def _field_sweep(sigma0, gamma0, ts):
-    key = ("field-sweep", sigma0, gamma0, tuple(ts))
+def _sweep(family, case, ts, grids):
+    """Slice, charge density and both similarity fits of one packet at each
+    time of ``ts``, the fits about the classical worldline; ``grids`` holds
+    the (lo, hi, n) x-grid of each time.  The packet is built once, for the
+    widest grid and the largest |t|."""
+    key = (family, tuple(case.items()), tuple(ts), tuple(grids))
     if key not in _cache:
-        cfg = _field_cfg(sigma0, gamma0)
-        basis = field_mode_basis(cfg, 71.0, float(np.max(np.abs(ts))))
-        xs = np.linspace(-40.0, 70.0, 3001)
+        extent = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids) + 1.0
+        pk = packet_for(case, family, extent, float(np.max(np.abs(ts))))
         rec = []
-        for t in ts:
-            sl = field_slice(t, xs, cfg, basis=basis)
+        for t, (lo, hi, n) in zip(ts, grids):
+            sl = pk.slice(t, np.linspace(lo, hi, n))
             dens = charge_density(sl)
-            traj = field_trajectory(t, cfg.motion)
-            p_bar = traj.gamma * traj.v
+            x_bar, p_bar = pk.classical(t)
             rec.append({
                 "t": t,
+                "slice": sl,
+                "density": dens,
                 "charge": dens.total_charge(),
-                "fit_rho": gauss_similarity_rho(dens, traj.x),
-                "fit_psi": gauss_similarity_psi(sl, traj.x, p_bar),
+                "fit_rho": gauss_similarity_rho(dens, x_bar),
+                "fit_psi": gauss_similarity_psi(sl, x_bar, p_bar),
+                "min_rho": float(np.min(dens.rho / dens.total_charge())),
             })
         _cache[key] = rec
     return _cache[key]
+
+
+def _closed_sweep(vartheta, ts, lo, hi, n):
+    return _sweep("closed-free", {"vartheta": vartheta, "v0": V0_QUARTER}, ts,
+                  ((lo, hi, n),) * len(ts))
+
+
+def _gauss_sweep(sigma0, gamma0, ts):
+    v0 = FreeMotion.from_gamma(gamma0).v0
+    return _sweep("gauss-free", {"sigma0": sigma0, "gamma0": gamma0}, ts,
+                  tuple((-(30.0 + v0 * t), 30.0 + v0 * t, 4001) for t in ts))
+
+
+def _field_sweep(sigma0, gamma0, ts):
+    return _sweep("uniform-field", {"sigma0": sigma0, "gamma0": gamma0, "force": 0.1},
+                  ts, ((-40.0, 70.0, 3001),) * len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +103,12 @@ def crit_1_closed_form_oracle():
     worst = 0.0
     xs = np.linspace(-30.0, 30.0, 241)
     for vt in (0.1, 1.0, 10.0, 100.0):
-        cfg = _closed_cfg(vt)
-        pk = closed_spectral(cfg, 40.0, 20.0)
+        pk = _closed(vt)
+        cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=V0_QUARTER))
+        spectral = closed_spectral(cfg, 40.0, 20.0)
         for t in (0.0, 10.0, 20.0):
-            sl = closed_slice(t, xs, cfg)
-            ref, _ = pk.eval_psi_dpsi(t, xs)
-            dev = float(np.max(np.abs(sl.psi - ref)) / np.max(np.abs(ref)))
+            ref, _ = spectral.eval_psi_dpsi(t, xs)
+            dev = float(np.max(np.abs(pk.psi(t, xs) - ref)) / np.max(np.abs(ref)))
             worst = max(worst, dev)
     return worst < 1e-6, f"max relative deviation {worst:.2e} (tol 1e-6)"
 
@@ -134,8 +123,7 @@ def crit_2_initial_widths():
     ok = True
     for vt, (target, tol) in targets.items():
         lo, hi, n = grids[vt]
-        _, dens = _closed_density(vt, 0.0, lo, hi, n)
-        fit = gauss_similarity_rho(dens, 0.0)
+        fit = _closed_sweep(vt, (0.0,), lo, hi, n)[0]["fit_rho"]
         rel = abs(2.0 * fit.sigma_star - target) / target
         ok &= rel < tol
         details.append(f"ctheta={vt:g}: 2sig={2*fit.sigma_star:.4f} "
@@ -145,10 +133,8 @@ def crit_2_initial_widths():
 
 def crit_3_mean_position():
     """<x> = v0 t for the widest packet at t = 20."""
-    cfg = _closed_cfg(100.0)
     xs = np.linspace(-45.0, 55.0, 3001)
-    sl = closed_slice(20.0, xs, cfg)
-    mean = expectation_x(xs, np.abs(sl.psi) ** 2)
+    mean = expectation_x(xs, np.abs(_closed(100.0).psi(20.0, xs)) ** 2)
     err = abs(mean - 5.0)
     return err < 1e-3, f"<x>(20) = {mean:.6f}, |err| = {err:.2e} (tol 1e-3)"
 
@@ -157,9 +143,8 @@ def crit_4_peak_splitting():
     """Sub-Compton packet splits into two lightcone-hugging peaks."""
     ok = True
     details = []
-    for t in (10.0, 20.0):
-        _, dens = _closed_density(0.1, t, -30.0, 30.0, 6001)
-        dens_n = dens
+    for r in _closed_sweep(0.1, (10.0, 20.0), -30.0, 30.0, 6001):
+        t, dens_n = r["t"], r["density"]
         peaks = find_peaks(dens_n, min_prominence=0.05)
         offs = [abs(abs(x) - t) for x, _ in peaks]
         ok &= len(peaks) == 2 and all(o <= 2.0 for o in offs)
@@ -186,7 +171,8 @@ def crit_6_suppression():
     for gamma0, bound, comparator in ((10.0, np.exp(-9.0), "<"), (1.0, np.exp(-1.0), ">")):
         cfg = GaussianPacketConfig.from_gamma(0.3, gamma0)
         xs = np.linspace(-15.0, 15.0, 8001)
-        sl = gauss_slice(0.0, xs, cfg)
+        pk = packet_for({"sigma0": 0.3, "gamma0": gamma0}, "gauss-free", 16.0, 0.0)
+        sl = pk.slice(0.0, xs)
         spec = momentum_spectrum(sl)
         at = lambda p: float(np.interp(p, spec.p, spec.rho_tilde))
         ratio = at(-1.0) / at(cfg.p0)
@@ -206,14 +192,14 @@ def crit_7_field_family():
         charges = np.array([r["charge"] for r in rec])
         drift = float(np.max(np.abs(charges / charges[0] - 1.0)))
         cfg = _field_cfg(sigma0, gamma0)
-        xs = np.linspace(-40.0, 70.0, 3001)
-        sl = field_slice(0.0, xs, cfg)
+        sl = rec[ts.index(0.0)]["slice"]
+        xs = sl.xs
         gauss = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
             * np.exp(-0.5 * ((xs - cfg.x0) / cfg.sigma0) ** 2
                      + 1j * cfg.p0 * (xs - cfg.x0))
         fid = float(np.max(np.abs(sl.psi - gauss)))
         basis = field_mode_basis(cfg, 71.0, 40.0)
-        fp, fm = basis.pair(0.0)
+        fp, fm = mode_pair(cfg, basis.p)
         recon = basis.coeffs.c_plus * fp + basis.coeffs.c_minus * fm
         hbar = cfg.params.hbar
         spectrum = (np.sqrt(cfg.sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
@@ -270,13 +256,8 @@ def crit_9_imag_residual():
 
 
 def _closed_phase_offset(t_end: float, vartheta: float = 100.0):
-    motion = FreeMotion(v0=V0_QUARTER)
-    cfg = ClosedPacketConfig(vartheta=vartheta, motion=motion)
     ts = np.linspace(0.0, t_end, max(int(t_end * 2), 200) + 1)
-    trace = phase_trace(lambda t, x: psi_closed(t, x, cfg)[0],
-                        lambda t: free_trajectory(t, motion).x,
-                        lambda t: action_free(t, motion), ts)
-    return float(trace.offset[-1])
+    return float(_closed(vartheta).trace_phase(ts).offset[-1])
 
 
 def crit_10a_phase_closed_literal():
@@ -297,12 +278,10 @@ def crit_10a_phase_closed_asymptotic():
 
 def crit_10b_phase_field():
     """Field packet phase rides the classical action: bounded offset, matching slope."""
-    cfg = _field_cfg(0.3, 10.0)
-    basis = field_mode_basis(cfg, 71.0, 40.0)
+    pk = packet_for({"sigma0": 0.3, "gamma0": 10.0, "force": 0.1}, "uniform-field",
+                    71.0, 40.0)
     ts = np.linspace(0.0, 40.0, 161)
-    trace = phase_trace(lambda t, x: basis.eval_psi(t, np.array([x]))[0],
-                        lambda t: field_trajectory(t, cfg.motion).x,
-                        lambda t: action_field(t, cfg.motion), ts)
+    trace = pk.trace_phase(ts)
     off = trace.offset
     mask = ts >= 20.0
     slope_phi = np.polyfit(ts[mask], trace.phi[mask], 1)[0]
@@ -426,14 +405,8 @@ def crit_12_ordering():
     probs = []
     # (a) G_psi <= G_rho + 0.02 across families
     for vt in (100.0, 10.0, 1.0, 0.1):
-        cfg = _closed_cfg(vt)
-        for t in (5.0, 10.0, 20.0):
-            xs = np.linspace(-35.0, 40.0, 3001)
-            sl = closed_slice(t, xs, cfg)
-            dens = charge_density(sl)
-            traj = free_trajectory(t, cfg.motion)
-            g_psi = gauss_similarity_psi(sl, traj.x, traj.gamma * traj.v).score
-            g_rho = gauss_similarity_rho(dens, traj.x).score
+        for r in _closed_sweep(vt, (5.0, 10.0, 20.0), -35.0, 40.0, 3001):
+            t, g_psi, g_rho = r["t"], r["fit_psi"].score, r["fit_rho"].score
             if g_psi > g_rho + 0.02:
                 probs.append(f"closed ctheta={vt:g} t={t:g}: "
                              f"G_psi {g_psi:.3f} > G_rho {g_rho:.3f} + 0.02")
@@ -456,11 +429,8 @@ def crit_12_ordering():
         probs.append(f"width slopes: gamma0=10 {slopes[10.0]:.3f} "
                      f"not < gamma0=1 {slopes[1.0]:.3f}")
     # (c) superluminal width growth for the sub-Compton closed packet
-    sig01 = []
     ts_c = (10.0, 15.0, 20.0)
-    for t in ts_c:
-        _, dens = _closed_density(0.1, t, -30.0, 30.0, 6001)
-        sig01.append(gauss_similarity_rho(dens, V0_QUARTER * t).sigma_star)
+    sig01 = [r["fit_rho"].sigma_star for r in _closed_sweep(0.1, ts_c, -30.0, 30.0, 6001)]
     slope_c = float(np.polyfit(ts_c, sig01, 1)[0])
     if not slope_c > 1.0:
         probs.append(f"closed ctheta=0.1 width slope {slope_c:.3f} not > c")

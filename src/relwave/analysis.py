@@ -44,7 +44,6 @@ class WaveSlice:
     xs: np.ndarray
     psi: np.ndarray
     dpsi_dt: np.ndarray
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not (len(self.xs) == len(self.psi) == len(self.dpsi_dt)):
@@ -63,7 +62,6 @@ class DensitySlice:
     t: float
     xs: np.ndarray
     rho: np.ndarray
-    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.xs) != len(self.rho):
@@ -114,7 +112,7 @@ def charge_density(wave: WaveSlice, a0=None,
     if a0 is not None:
         inner = inner - params.q * np.asarray(a0(wave.t, wave.xs)) * wave.psi
     rho = (params.q / (params.m * params.c**2)) * np.real(np.conj(wave.psi) * inner)
-    return DensitySlice(t=wave.t, xs=wave.xs, rho=rho, flags=wave.flags)
+    return DensitySlice(t=wave.t, xs=wave.xs, rho=rho)
 
 
 def best_sigma(objective, bracket: tuple[float, float],
@@ -223,10 +221,10 @@ def momentum_spectrum(wave: WaveSlice, params: PhysParams | None = None,
     if not np.allclose(np.diff(xs), dx, rtol=1e-9, atol=0.0):
         raise ValueError("momentum_spectrum requires a uniform grid")
     n = len(xs)
-    flags = wave.flags
+    flags = ()
     amax = float(np.max(np.abs(psi)))
     if amax > 0 and max(abs(psi[0]), abs(psi[-1])) > boundary_tol * amax:
-        flags = flags + ("boundary-mass: |psi| at grid edge above tolerance",)
+        flags = ("boundary-mass: |psi| at grid edge above tolerance",)
     k = np.fft.fftshift(np.fft.fftfreq(n, d=dx)) * 2.0 * np.pi
     p = hbar * k
     ft = np.fft.fftshift(np.fft.fft(psi))

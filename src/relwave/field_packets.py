@@ -13,8 +13,9 @@ c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
 g(p) = |f+(p)|^2 + |f-(p)|^2 entering that scaling is not constant in p (it
 falls off like 1/E(p)), which is why the explicit division is required for
-initial-state fidelity.  The packet is the momentum sum of the modes,
-``quadrature.superpose``, as for the free packets.
+initial-state fidelity.  The packet is the momentum sum of the modes on
+one momentum grid (``FieldModeBasis``, built once per case by
+``packets.packet_for``), ``quadrature.superpose``, as for the free packets.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import WaveSlice
-from .free_packets import _WINDOW_FACTOR, _node_spacing, _quantize, gauss_spectrum
+from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion, PhysParams
 from .quadrature import momentum_grid, superpose
 from .specfun import PcfOrder, pcf_d
@@ -35,10 +35,6 @@ __all__ = [
     "ModeCoefficients",
     "mode_pair",
     "mode_coeffs",
-    "mode_psi",
-    "psi_field",
-    "field_slice",
-    "mode_ray_weight",
     "FieldModeBasis",
     "field_mode_basis",
 ]
@@ -79,6 +75,8 @@ class FieldPacketConfig:
     def from_gamma(cls, sigma0: float, gamma0: float, force: float,
                    x0: float | None = None,
                    params: PhysParams | None = None) -> "FieldPacketConfig":
+        if gamma0 < 1.0:
+            raise ValueError("gamma0 must be >= 1")
         params = params or PhysParams()
         p0 = params.m * params.c * np.sqrt(gamma0**2 - 1.0)
         return cls(sigma0=sigma0, force=force, p0=float(p0), x0=x0, params=params)
@@ -112,17 +110,6 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     dfp = (nu_plus * pcf_d(nu_plus - 1.0, zp) - 0.5 * zp * fp) * ray_plus * cfg.force
     dfm = (nu_minus * pcf_d(nu_minus - 1.0, zm) - 0.5 * zm * fm) * ray_minus * cfg.force
     return fp, fm, dfp, dfm
-
-
-def _modes(coeffs: ModeCoefficients, cfg: FieldPacketConfig, t: float,
-           derivatives: bool = True):
-    """psi_p(t) and d/dt psi_p(t) on the momenta of ``coeffs``; without
-    ``derivatives``, psi_p(t) alone (the same values, half the D_nu work)."""
-    pair = mode_pair(cfg, coeffs.p + cfg.force * t, derivatives)
-    psi = coeffs.c_plus * pair[0] + coeffs.c_minus * pair[1]
-    if not derivatives:
-        return psi
-    return psi, coeffs.c_plus * pair[2] + coeffs.c_minus * pair[3]
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
@@ -160,13 +147,15 @@ class FieldModeBasis:
         self.coeffs = ModeCoefficients(p=self.p, c_plus=raw.c_plus * scale,
                                        c_minus=raw.c_minus * scale)
 
-    def pair(self, t: float):
-        return mode_pair(self.cfg, self.p + self.cfg.force * t)
-
     def modes(self, t: float, derivatives: bool = True):
         """psi_p(t) and d/dt psi_p(t) on the grid; psi_p(t) alone without
-        ``derivatives``."""
-        return _modes(self.coeffs, self.cfg, t, derivatives)
+        ``derivatives`` (the same values, half the D_nu work)."""
+        c = self.coeffs
+        pair = mode_pair(self.cfg, self.p + self.cfg.force * t, derivatives)
+        psi = c.c_plus * pair[0] + c.c_minus * pair[1]
+        if not derivatives:
+            return psi
+        return psi, c.c_plus * pair[2] + c.c_minus * pair[3]
 
     def eval_psi_dpsi(self, t: float, xs: np.ndarray):
         """psi(t, xs) and d/dt psi(t, xs), the momentum sum of the modes."""
@@ -187,37 +176,3 @@ def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> F
     window = _WINDOW_FACTOR * cfg.params.hbar / cfg.sigma0
     dp = _node_spacing(cfg.params, x_extent, t_max, cfg.params.hbar / cfg.sigma0)
     return FieldModeBasis(cfg, window, dp)
-
-
-def _basis_for(cfg: FieldPacketConfig, xs: np.ndarray, t: float) -> FieldModeBasis:
-    extent = _quantize(float(np.max(np.abs(xs))) + 1.0, 10.0)
-    return field_mode_basis(cfg, extent, _quantize(abs(t), 10.0))
-
-
-def mode_ray_weight(p, cfg: FieldPacketConfig):
-    """g(p) = |f+(p)|^2 + |f-(p)|^2 along the projection ray (diagnostic)."""
-    fp, fm = mode_pair(cfg, np.atleast_1d(np.asarray(p, dtype=float)))
-    return np.abs(fp) ** 2 + np.abs(fm) ** 2
-
-
-def mode_psi(t: float, p, cfg: FieldPacketConfig):
-    """Single-mode value and exact time derivative (psi_p, d/dt psi_p)."""
-    return _modes(mode_coeffs(p, cfg), cfg, t)
-
-
-def psi_field(t: float, x, cfg: FieldPacketConfig):
-    """psi(t, x) and d/dt psi(t, x) by quadrature over the mode grid."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    psi, dpsi = _basis_for(cfg, xs, t).eval_psi_dpsi(t, xs)
-    if np.ndim(x) == 0:
-        return psi[0], dpsi[0]
-    return psi, dpsi
-
-
-def field_slice(t: float, xs: np.ndarray, cfg: FieldPacketConfig,
-                basis: FieldModeBasis | None = None) -> WaveSlice:
-    xs = np.asarray(xs, dtype=float)
-    if basis is None:
-        basis = _basis_for(cfg, xs, t)
-    psi, dpsi = basis.eval_psi_dpsi(t, xs)
-    return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)

@@ -3,15 +3,16 @@
 Two families: the closed-form packet of a particle in uniform motion (flat
 momentum spectrum over decaying modes, summing to a Bessel-K1 expression),
 and the packet that is exactly Gaussian at t = 0.  The closed packet's psi
-and d/dt psi are both closed forms (d/dt by differentiating the K1
-expression); ``closed_spectral`` keeps its plane-wave sum as the reference
-route.  The Gaussian packet is a plane-wave sum exp(i(p x - E t)/hbar) by
-``quadrature.superpose``, with d/dt taken spectrally (each mode weighted by
--i E(p)/hbar); neither family uses finite differences.
+and d/dt psi are both closed forms (``_closed_form``; d/dt by
+differentiating the K1 expression); ``closed_spectral`` keeps its plane-wave
+sum as the reference route.  The Gaussian packet (``gauss_spectral``) is a
+plane-wave sum exp(i(p x - E t)/hbar) by ``quadrature.superpose``, with d/dt
+taken spectrally (each mode weighted by -i E(p)/hbar); neither family uses
+finite differences.  ``packets.packet_for`` builds either one once per case.
 
 This module also holds what the uniform-field packets share with the free
-ones: the initial Gaussian spectrum, the momentum-grid resolution constants
-and node spacing, and the extent rounding of the cached builders.
+ones: the initial Gaussian spectrum and the momentum-grid resolution
+constants and node spacing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import WaveSlice
 from .kinematics import FreeMotion, PhysParams
 from .quadrature import momentum_grid, superpose
 from .specfun import bessel_k0, bessel_k1
@@ -32,11 +32,7 @@ __all__ = [
     "SpectralPacket",
     "w_of_p",
     "energy",
-    "psi_closed",
-    "closed_slice",
     "spectrum_closed",
-    "psi_gauss_free",
-    "gauss_slice",
     "closed_spectral",
     "gauss_spectral",
     "gauss_spectrum",
@@ -45,11 +41,6 @@ __all__ = [
 _TAIL_EPS = 1e-12      # spectrum magnitude at the truncation edge
 _OVERSAMPLE = 3.0      # nodes per Nyquist interval of the fastest phase
 _WINDOW_FACTOR = 12.0  # Gaussian spectrum half-width multiplier for truncation
-
-
-def _quantize(value: float, step: float) -> float:
-    """Round an extent up to a step so cached packet builders can be reused."""
-    return step * float(np.ceil(max(value, step) / step))
 
 
 def energy(p, params: PhysParams):
@@ -96,6 +87,8 @@ class GaussianPacketConfig:
     @classmethod
     def from_gamma(cls, sigma0: float, gamma0: float, x0: float = 0.0,
                    params: PhysParams | None = None) -> "GaussianPacketConfig":
+        if gamma0 < 1.0:
+            raise ValueError("gamma0 must be >= 1")
         params = params or PhysParams()
         p0 = params.m * params.c * np.sqrt(gamma0**2 - 1.0)
         return cls(sigma0=sigma0, p0=float(p0), x0=x0, params=params)
@@ -210,6 +203,14 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
 
     The exponents of K1(z) and of the 1/sqrt(K1(z_n)) in N' are combined,
     exp(z_n/2 - z), which is of order one where the packet is.
+
+    The principal square root never meets its cut.  With x measured from
+    x0, its argument a = (x - i v0 vartheta)^2 - c^2 (t - i vartheta)^2 has
+    Im a = 2 vartheta (c^2 t - v0 x).  Where Im a = 0,
+    Re a = c^2 t^2 (c^2/v0^2 - 1) + vartheta^2 (c^2 - v0^2) > 0
+    (Re a = x^2 + c^2 vartheta^2 > 0 when v0 = 0), so a stays off the
+    closed negative real axis whenever |v0| < c and vartheta > 0, which the
+    configs enforce.
     """
     pp = cfg.params
     m = cfg.motion
@@ -228,31 +229,6 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     return psi, dpsi
 
 
-def psi_closed(t: float, x, cfg: ClosedPacketConfig):
-    """Closed-form psi and d/dt psi at (t, x); x scalar or array."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    psi, dpsi = _closed_form(t, xs, cfg)
-    if np.ndim(x) == 0:
-        return psi[0], dpsi[0]
-    return psi, dpsi
-
-
-def closed_slice(t: float, xs: np.ndarray, cfg: ClosedPacketConfig) -> WaveSlice:
-    """Sampled closed packet on a grid: psi and d/dt psi in closed form.
-
-    The principal square root in the closed form never meets its cut.  With
-    x measured from x0, its argument a = (x - i v0 vartheta)^2
-    - c^2 (t - i vartheta)^2 has Im a = 2 vartheta (c^2 t - v0 x).  Where
-    Im a = 0, Re a = c^2 t^2 (c^2/v0^2 - 1) + vartheta^2 (c^2 - v0^2) > 0
-    (Re a = x^2 + c^2 vartheta^2 > 0 when v0 = 0), so a stays off the
-    closed negative real axis whenever |v0| < c and vartheta > 0, which the
-    configs enforce.
-    """
-    xs = np.asarray(xs, dtype=float)
-    psi, dpsi = _closed_form(t, xs, cfg)
-    return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)
-
-
 def spectrum_closed(p, cfg: ClosedPacketConfig):
     """Momentum distribution 2 pi hbar |N|^2 exp(-2 vartheta W(p)/hbar).
 
@@ -266,22 +242,3 @@ def spectrum_closed(p, cfg: ClosedPacketConfig):
     w = w_of_p(p, cfg.motion)
     return np.exp(zn - 2.0 * cfg.vartheta * w / pp.hbar) \
         / (2.0 * pp.m * pp.c * cfg.motion.gamma0 * k1e)
-
-
-def psi_gauss_free(t: float, x, cfg: GaussianPacketConfig):
-    """psi and d/dt psi of the initially Gaussian free packet at (t, x)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    pk = gauss_spectral(cfg, _quantize(float(np.max(np.abs(xs))) + 1.0, 10.0),
-                         _quantize(abs(t), 5.0))
-    psi, dpsi = pk.eval_psi_dpsi(t, xs)
-    if np.ndim(x) == 0:
-        return psi[0], dpsi[0]
-    return psi, dpsi
-
-
-def gauss_slice(t: float, xs: np.ndarray, cfg: GaussianPacketConfig) -> WaveSlice:
-    xs = np.asarray(xs, dtype=float)
-    pk = gauss_spectral(cfg, _quantize(float(np.max(np.abs(xs))) + 1.0, 10.0),
-                         _quantize(abs(t), 5.0))
-    psi, dpsi = pk.eval_psi_dpsi(t, xs)
-    return WaveSlice(t=t, xs=xs, psi=psi, dpsi_dt=dpsi)

@@ -1,0 +1,142 @@
+"""One packet object per case, whatever its family.
+
+The scenarios and the acceptance checks see a wavepacket only through
+``Packet``: psi and d/dt psi on a grid, psi alone, the classical worldline
+and action it is compared with, and its momentum distribution.
+``packet_for`` is the one place that reads a case dict or names a family.
+It builds the packet once, for |x| <= x_extent and |t| <= t_max: the
+spectral grid of a gauss-free packet and the mode basis of a uniform-field
+packet are fixed by those two bounds, so every time and grid of a case uses
+the same build.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+import numpy as np
+
+from .analysis import PhaseTrace, WaveSlice, phase_trace
+from .field_packets import FieldPacketConfig, field_mode_basis
+from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_form,
+                           gauss_spectral, gauss_spectrum, spectrum_closed)
+from .kinematics import (FreeMotion, action_field, action_free,
+                         field_trajectory, free_trajectory)
+
+__all__ = ["FAMILIES", "Packet", "ScenarioError", "packet_for"]
+
+
+class ScenarioError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Packet:
+    """One wavepacket, built for |t| <= t_max.
+
+    ``psi_dpsi(t, xs)`` gives psi and d/dt psi on ``xs``, ``psi(t, xs)``
+    psi alone (the same values; the uniform-field packet then evaluates half
+    the D_nu).  ``trajectory(t)`` samples the classical worldline and
+    ``action(t)`` is the classical action along it.  ``spectrum(ps, t)`` is
+    the momentum distribution at ``ps``, ``spectrum_peak(ps)`` the peak that
+    peak-normalized spectra divide by: the peak over ``ps`` for the free
+    packets, whose distribution is time independent, and the t = 0 peak over
+    the mode basis for the uniform-field packet.
+    """
+
+    label: str
+    t_max: float
+    psi_dpsi: Callable
+    psi: Callable
+    trajectory: Callable
+    action: Callable
+    spectrum: Callable
+    spectrum_peak: Callable
+
+    def slice(self, t: float, xs) -> WaveSlice:
+        xs = np.asarray(xs, dtype=float)
+        return WaveSlice(t, xs, *self.psi_dpsi(t, xs))
+
+    def classical(self, t: float):
+        """Reference (x_bar, p_bar) for the similarity metrics."""
+        s = self.trajectory(t)
+        return s.x, s.gamma * s.v  # p_bar = m v gamma (natural units m=1)
+
+    def trace_phase(self, ts) -> PhaseTrace:
+        """Phase of psi along the classical worldline against the action."""
+        return phase_trace(lambda t, x: self.psi(t, np.array([x]))[0],
+                           lambda t: self.trajectory(t).x, self.action, ts)
+
+
+def _free_packet(label, t_max, motion: FreeMotion, psi_dpsi, spectrum) -> Packet:
+    return Packet(label=label, t_max=t_max, psi_dpsi=psi_dpsi,
+                  psi=lambda t, xs: psi_dpsi(t, xs)[0],
+                  trajectory=partial(free_trajectory, motion=motion),
+                  action=partial(action_free, motion=motion),
+                  spectrum=lambda ps, t: spectrum(ps),
+                  spectrum_peak=lambda ps: float(np.max(spectrum(ps))))
+
+
+def _closed(case: dict, x_extent: float, t_max: float) -> Packet:
+    # the closed form needs no grid, so x_extent does not enter
+    motion = FreeMotion(v0=case.get("v0", 0.0), x0=case.get("x0", 0.0))
+    cfg = ClosedPacketConfig(vartheta=case["vartheta"], motion=motion)
+    return _free_packet(f"ctheta{case['vartheta']:g}", t_max, motion,
+                        partial(_closed_form, cfg=cfg),
+                        partial(spectrum_closed, cfg=cfg))
+
+
+def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
+    x0 = case.get("x0", 0.0)
+    cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"], x0=x0)
+    packet = gauss_spectral(cfg, x_extent, t_max)
+    return _free_packet(
+        f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max,
+        FreeMotion.from_gamma(case["gamma0"], x0=x0), packet.eval_psi_dpsi,
+        lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)) ** 2)
+
+
+def _field(case: dict, x_extent: float, t_max: float) -> Packet:
+    cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"], case["force"],
+                                       x0=case.get("x0"))
+    basis = field_mode_basis(cfg, x_extent, t_max)
+
+    def density_on_nodes(t):
+        return np.abs(basis.modes(t, derivatives=False)) ** 2
+
+    return Packet(
+        label=f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}",
+        t_max=t_max, psi_dpsi=basis.eval_psi_dpsi, psi=basis.eval_psi,
+        trajectory=partial(field_trajectory, motion=cfg.motion),
+        action=partial(action_field, motion=cfg.motion),
+        spectrum=lambda ps, t: np.interp(ps, basis.p, density_on_nodes(t),
+                                         left=0.0, right=0.0),
+        spectrum_peak=lambda ps: float(np.max(density_on_nodes(0.0))))
+
+
+_BUILDERS = {"closed-free": _closed, "gauss-free": _gauss, "uniform-field": _field}
+FAMILIES = tuple(_BUILDERS)
+
+
+def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet:
+    """The packet of ``case``, built once for |x| <= x_extent, |t| <= t_max.
+
+    Case keys: ``vartheta`` (closed-free) or ``sigma0`` and ``gamma0``
+    (gauss-free; uniform-field also ``force``); optional ``v0`` (closed-free)
+    and ``x0``.  A case may name its own ``family``, which replaces
+    ``family``, and its own ``t_max``, which replaces ``t_max``.  An unknown
+    family, a missing key or an invalid value raises ScenarioError naming
+    the case.
+    """
+    family = case.get("family", family)
+    build = _BUILDERS.get(family)
+    if build is None:
+        raise ScenarioError(f"case {case}: unknown family {family!r}")
+    try:
+        return build(case, x_extent, float(case.get("t_max", t_max)))
+    except KeyError as exc:
+        raise ScenarioError(f"case {case}: missing key {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"case {case}: {exc}") from exc

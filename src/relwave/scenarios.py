@@ -1,7 +1,10 @@
 """Named scenario runner: builds packets, sweeps grids, writes CSV/JSON.
 
-Each builtin scenario reproduces the data behind one figure of the study at
-desk scale.  Output files use fixed schemas:
+Each case's packet is built once (``packets.packet_for``), for the
+scenario's x-range and the largest |t| of its outputs, and every output of
+the case reads it without knowing its family.  Each builtin scenario
+reproduces the data behind one figure of the study at desk scale.  Output
+files use fixed schemas:
 
     density  -> t,x,rho,re_psi,im_psi
     metrics  -> t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual
@@ -26,15 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (WaveSlice, charge_density, gauss_similarity_psi,
-                       gauss_similarity_rho, phase_trace)
-from .field_packets import FieldPacketConfig, field_mode_basis, field_slice
-from .free_packets import (_OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR,
-                           ClosedPacketConfig, GaussianPacketConfig,
-                           closed_slice, gauss_slice, gauss_spectral,
-                           gauss_spectrum, spectrum_closed, psi_closed)
-from .kinematics import (FreeMotion, action_field, action_free,
-                         field_trajectory, free_trajectory)
+from .analysis import charge_density, gauss_similarity_psi, gauss_similarity_rho
+from .free_packets import _OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR
+from .packets import FAMILIES, Packet, ScenarioError, packet_for
 
 __all__ = [
     "Scenario",
@@ -46,13 +43,8 @@ __all__ = [
     "run",
 ]
 
-_FAMILIES = ("closed-free", "gauss-free", "uniform-field")
 _OUTPUTS = ("density", "metrics", "spectrum", "phase", "widths")
 _NORMALIZATIONS = ("unit-charge", "unit-norm", "peak-normalized")
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,7 +54,10 @@ class Scenario:
     ``cases`` lists the per-curve physical parameters: for closed-free each
     case is {"vartheta": ..., "v0": ...}; for gauss-free {"sigma0", "gamma0"};
     for uniform-field {"sigma0", "gamma0", "force"}.  x0 may be given per
-    case.  ``t_list`` may contain negative times.
+    case, and so may ``family`` (in place of the scenario's) and ``t_max``
+    (the largest |t| its packet is built for; its phase trace ends at the
+    smaller of that and ``phase_t_max``).  ``t_list`` may contain negative
+    times.
     """
 
     name: str
@@ -82,7 +77,7 @@ class Scenario:
     p_count: int = 1601
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ScenarioError(f"unknown family {self.family!r}")
         if len(self.t_list) == 0:
             raise ScenarioError("t_list must be non-empty")
@@ -132,60 +127,22 @@ def _write_csv(path: Path, header: str, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# case helpers
-# ---------------------------------------------------------------------------
-
-def _case_label(family: str, case: dict) -> str:
-    family = case.get("family", family)
-    if family == "closed-free":
-        return f"ctheta{case['vartheta']:g}"
-    if family == "gauss-free":
-        return f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}"
-    return f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}"
-
-
-def _slice_for(scn: Scenario, case: dict, t: float, xs: np.ndarray) -> WaveSlice:
-    if scn.family == "closed-free":
-        cfg = ClosedPacketConfig(vartheta=case["vartheta"],
-                                 motion=FreeMotion(v0=case.get("v0", 0.0),
-                                                   x0=case.get("x0", 0.0)))
-        return closed_slice(t, xs, cfg)
-    if scn.family == "gauss-free":
-        cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
-                                              x0=case.get("x0", 0.0))
-        return gauss_slice(t, xs, cfg)
-    cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
-                                       case["force"], x0=case.get("x0"))
-    basis = field_mode_basis(cfg, max(abs(xs[0]), abs(xs[-1])) + 1.0,
-                             float(np.max(np.abs(scn.t_list))))
-    return field_slice(t, xs, cfg, basis=basis)
-
-
-def _classical(family: str, case: dict, t: float):
-    """Reference (x_bar, p_bar) for the similarity metrics."""
-    if family == "closed-free":
-        motion = FreeMotion(v0=case.get("v0", 0.0), x0=case.get("x0", 0.0))
-        s = free_trajectory(t, motion)
-    elif family == "gauss-free":
-        motion = FreeMotion.from_gamma(case["gamma0"], x0=case.get("x0", 0.0))
-        s = free_trajectory(t, motion)
-    else:
-        cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"], case["force"],
-                                           x0=case.get("x0"))
-        s = field_trajectory(t, cfg.motion)
-        # trajectory convention already starts at x0 = c/alpha
-    return s.x, s.gamma * s.v  # p_bar = m v gamma (natural units m=1)
-
-
-# ---------------------------------------------------------------------------
 # output generators
 # ---------------------------------------------------------------------------
 
-def _gen_density(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
+def _packet(scn: Scenario, case: dict) -> Packet:
+    """The case's packet, built once for the scenario's x-range and for the
+    largest |t| its outputs need (the phase trace's end included)."""
+    t_max = float(np.max(np.abs(scn.t_list)))
+    if "phase" in scn.outputs:
+        t_max = max(t_max, scn.phase_t_max)
+    return packet_for(case, scn.family, max(abs(scn.x_min), abs(scn.x_max)) + 1.0, t_max)
+
+
+def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
     rows = []
     for t in scn.t_list:
-        sl = _slice_for(scn, case, t, xs)
-        flags.extend(f"t={t}: {f}" for f in sl.flags)
+        sl = pk.slice(t, xs)
         dens = charge_density(sl)
         rho = dens.rho
         if scn.normalization == "unit-charge":
@@ -196,13 +153,12 @@ def _gen_density(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
     return "t,x,rho,re_psi,im_psi", rows
 
 
-def _gen_metrics(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
+def _gen_metrics(scn: Scenario, pk: Packet, xs: np.ndarray):
     rows = []
     for t in scn.t_list:
-        sl = _slice_for(scn, case, t, xs)
-        flags.extend(f"t={t}: {f}" for f in sl.flags)
+        sl = pk.slice(t, xs)
         dens = charge_density(sl)
-        x_bar, p_bar = _classical(scn.family, case, t)
+        x_bar, p_bar = pk.classical(t)
         fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
         fit_rho = gauss_similarity_rho(dens, x_bar)
         rows.append((t, fit_psi.score, fit_psi.sigma_star,
@@ -210,70 +166,19 @@ def _gen_metrics(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
     return "t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", rows
 
 
-def _gen_spectrum(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
+def _gen_spectrum(scn: Scenario, pk: Packet, xs: np.ndarray):
     ps = np.linspace(scn.p_min, scn.p_max, scn.p_count)
+    peak = pk.spectrum_peak(ps) if scn.normalization == "peak-normalized" else 1.0
     rows = []
-    if scn.family == "closed-free":
-        cfg = ClosedPacketConfig(vartheta=case["vartheta"],
-                                 motion=FreeMotion(v0=case.get("v0", 0.0)))
-        vals = spectrum_closed(ps, cfg)
-        for t in scn.t_list:  # time independent; emitted per requested t
-            rows.extend(_spec_rows(t, ps, vals, scn.normalization))
-    elif scn.family == "gauss-free":
-        cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"])
-        vals = np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)) ** 2
-        for t in scn.t_list:
-            rows.extend(_spec_rows(t, ps, vals, scn.normalization))
-    else:
-        cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
-                                           case["force"], x0=case.get("x0"))
-        basis = field_mode_basis(cfg, scn.x_max + 1.0,
-                                 float(np.max(np.abs(scn.t_list))))
-        peak0 = None
-        for t in scn.t_list:
-            psi_p = basis.modes(t, derivatives=False)
-            vals = np.interp(ps, basis.p, np.abs(psi_p) ** 2, left=0.0, right=0.0)
-            if peak0 is None:
-                psi_p0 = basis.modes(0.0, derivatives=False)
-                peak0 = float(np.max(np.abs(psi_p0) ** 2))
-            if scn.normalization == "peak-normalized":
-                rows.extend(zip([t] * len(ps), ps, vals / peak0))
-            else:
-                rows.extend(zip([t] * len(ps), ps, vals))
+    for t in scn.t_list:
+        rows.extend(zip([t] * len(ps), ps, pk.spectrum(ps, t) / peak))
     return "t,p,rho_tilde", rows
 
 
-def _spec_rows(t, ps, vals, normalization):
-    out = vals
-    if normalization == "peak-normalized":
-        out = vals / np.max(vals)
-    return list(zip([t] * len(ps), ps, out))
-
-
-def _gen_phase(scn: Scenario, case: dict, xs: np.ndarray, flags: list):
-    family = case.get("family", scn.family)
-    t_max = case.get("t_max", scn.phase_t_max)
-    ts = np.arange(0.0, t_max + 0.5 * scn.phase_dt, scn.phase_dt)
-    if family == "closed-free":
-        motion = FreeMotion(v0=case.get("v0", 0.0))
-        cfg = ClosedPacketConfig(vartheta=case["vartheta"], motion=motion)
-        trace = phase_trace(lambda t, x: psi_closed(t, x, cfg)[0],
-                            lambda t: free_trajectory(t, motion).x,
-                            lambda t: action_free(t, motion), ts)
-    elif family == "gauss-free":
-        cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"])
-        motion = FreeMotion.from_gamma(case["gamma0"])
-        pk = gauss_spectral(cfg, motion.v0 * t_max + 5.0, t_max)
-        trace = phase_trace(lambda t, x: pk.eval_psi_dpsi(t, np.array([x]))[0][0],
-                            lambda t: free_trajectory(t, motion).x,
-                            lambda t: action_free(t, motion), ts)
-    else:
-        cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"],
-                                           case["force"], x0=case.get("x0"))
-        basis = field_mode_basis(cfg, scn.x_max + 1.0, t_max)
-        trace = phase_trace(lambda t, x: basis.eval_psi(t, np.array([x]))[0],
-                            lambda t: field_trajectory(t, cfg.motion).x,
-                            lambda t: action_field(t, cfg.motion), ts)
+def _gen_phase(scn: Scenario, pk: Packet, xs: np.ndarray):
+    t_end = min(pk.t_max, scn.phase_t_max)
+    ts = np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt)
+    trace = pk.trace_phase(ts)
     rows = list(zip(trace.ts, trace.phi, trace.s_cl_over_hbar, trace.offset))
     return "t,phi,s_cl_over_hbar,offset", rows
 
@@ -286,22 +191,19 @@ _GENERATORS = {
 }
 
 
-def _case_outputs(scn: Scenario, case: dict, xs: np.ndarray):
-    """(kind, header, rows, flags) for each output of one case.  The widths
-    rows are columns of the metrics rows, so each slice is built and each
-    fit run once."""
+def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
+    """(kind, header, rows) for each output of one case.  The widths rows
+    are columns of the metrics rows, so each slice is built and each fit
+    run once."""
     done: dict = {}
 
     def gen(kind):
         if kind not in done:
             if kind == "widths":
-                _, rows, flags = gen("metrics")
-                done[kind] = ("t,sigma_rho,sigma_psi",
-                              [(r[0], r[4], r[2]) for r in rows], flags)
+                _, rows = gen("metrics")
+                done[kind] = ("t,sigma_rho,sigma_psi", [(r[0], r[4], r[2]) for r in rows])
             else:
-                flags: list = []
-                header, rows = _GENERATORS[kind](scn, case, xs, flags)
-                done[kind] = (header, rows, flags)
+                done[kind] = _GENERATORS[kind](scn, pk, xs)
         return done[kind]
 
     return [(kind, *gen(kind)) for kind in scn.outputs]
@@ -328,7 +230,8 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
 
     def _one(case):
-        return _case_outputs(scenario, dict(case), xs)
+        pk = _packet(scenario, dict(case))
+        return pk.label, _case_outputs(scenario, pk, xs)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -336,12 +239,10 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
     else:
         results = [_one(case) for case in scenario.cases]
 
-    for case, outputs in zip(scenario.cases, results):
-        for kind, header, rows, flags in outputs:
-            fname = f"{scenario.name}_{kind}_{_case_label(scenario.family, dict(case))}.csv"
-            digest = _write_csv(out / fname, header, rows)
-            manifest.outputs[fname] = digest
-            manifest.flags.extend(f"{fname}: {f}" for f in flags)
+    for label, outputs in results:
+        for kind, header, rows in outputs:
+            fname = f"{scenario.name}_{kind}_{label}.csv"
+            manifest.outputs[fname] = _write_csv(out / fname, header, rows)
 
     manifest.wall_time_s = time.time() - started
     (out / f"{scenario.name}_manifest.json").write_text(manifest.to_json())

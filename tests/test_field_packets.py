@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from relwave import field_packets, scenarios
+from relwave import field_packets, packets, scenarios
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, field_mode_basis,
-                                   field_slice, mode_coeffs, mode_psi,
-                                   mode_ray_weight, psi_field)
+                                   mode_coeffs, mode_pair)
 from relwave.kinematics import field_trajectory
+from relwave.packets import packet_for
 from relwave.specfun import pcf_d, pcf_d_dz
 
 F = 0.1
@@ -14,6 +14,17 @@ F = 0.1
 
 def _cfg(sigma0, gamma0):
     return FieldPacketConfig.from_gamma(sigma0, gamma0, force=F)
+
+
+def _packet(sigma0, gamma0, x_extent, t_max):
+    return packet_for({"sigma0": sigma0, "gamma0": gamma0, "force": F}, "uniform-field",
+                      x_extent, t_max)
+
+
+def _ray_weight(cfg, p):
+    # g(p) = |f+(p)|^2 + |f-(p)|^2 along the projection ray
+    fp, fm = mode_pair(cfg, np.asarray(p, dtype=float))
+    return np.abs(fp) ** 2 + np.abs(fm) ** 2
 
 
 def test_config_defaults_and_validation():
@@ -24,6 +35,8 @@ def test_config_defaults_and_validation():
         FieldPacketConfig(sigma0=3.0, force=0.0)
     with pytest.raises(ValueError):
         FieldPacketConfig(sigma0=0.0, force=0.1)
+    with pytest.raises(ValueError, match="gamma0"):
+        FieldPacketConfig.from_gamma(3.0, 0.5, force=F)
 
 
 def test_projection_factors_are_conjugate_pairs():
@@ -37,7 +50,7 @@ def test_projection_factors_are_conjugate_pairs():
 def test_gaussian_factor_is_one_at_p0():
     cfg = FieldPacketConfig(sigma0=3.0, force=F, p0=0.7, x0=4.0)
     c = mode_coeffs(np.array([0.7]), cfg)
-    g = mode_ray_weight(np.array([0.7]), cfg)
+    g = _ray_weight(cfg, [0.7])
     fp = pcf_d(-0.5 - 5.0j, (1.0 + 1.0j) / np.sqrt(F) * 0.7)
     spectrum_peak = np.sqrt(3.0 / (2.0 * np.pi**1.5)) * np.exp(-1j * 0.7 * 4.0)
     assert abs(c.c_plus[0] * g[0] / np.conj(fp) - spectrum_peak) < 1e-10
@@ -58,18 +71,21 @@ def test_mode_reconstruction_is_proportional_to_gaussian():
 def test_ray_weight_is_not_constant():
     # the projection really needs the 1/g(p) factor: g falls off with |p|
     cfg = _cfg(3.0, 1.0)
-    g = mode_ray_weight(np.array([0.0, 3.0]), cfg)
+    g = _ray_weight(cfg, [0.0, 3.0])
     assert g[0] / g[1] > 2.0
 
 
 def test_mode_ode_residual():
+    # the packet's modes at the grid nodes nearest p = -1.3, 0.4, 2.0
     cfg = _cfg(0.3, 1.0)
-    p = np.array([-1.3, 0.4, 2.0])
+    basis = field_mode_basis(cfg, 30.0, 10.0)
+    idx = np.searchsorted(basis.p, [-1.3, 0.4, 2.0])
+    p = basis.p[idx]
     h = 1e-4
     for t in (-12.0, 0.0, 17.0, 40.0):
-        _, d_plus = mode_psi(t + h, p, cfg)
-        _, d_minus = mode_psi(t - h, p, cfg)
-        psi_t, _ = mode_psi(t, p, cfg)
+        d_plus = basis.modes(t + h)[1][idx]
+        d_minus = basis.modes(t - h)[1][idx]
+        psi_t = basis.modes(t, derivatives=False)[idx]
         second = (d_plus - d_minus) / (2 * h)
         omega_sq = (p + F * t) ** 2 + 1.0
         resid = np.abs(second + omega_sq * psi_t)
@@ -77,18 +93,20 @@ def test_mode_ode_residual():
 
 
 def test_adiabatic_flat_modulus_at_weak_force():
+    # the p = 0 mode, c+ f+(F t) + c- f-(F t), as the basis combines it
     cfg = FieldPacketConfig(sigma0=3.0, force=1e-3, p0=0.0)
+    c = mode_coeffs(np.array([0.0]), cfg)
     vals = []
     for t in (0.0, 0.5, 1.0):
-        psi_t, _ = mode_psi(t, np.array([0.0]), cfg)
-        vals.append(abs(psi_t[0]))
+        fp, fm = mode_pair(cfg, c.p + cfg.force * t)
+        vals.append(abs((c.c_plus * fp + c.c_minus * fm)[0]))
     assert max(vals) / min(vals) - 1.0 < 0.01
 
 
 def test_initial_state_fidelity_and_norm():
     cfg = _cfg(0.3, 10.0)
     xs = np.linspace(-30.0, 50.0, 4001)
-    sl = field_slice(0.0, xs, cfg)
+    sl = _packet(0.3, 10.0, 51.0, 0.0).slice(0.0, xs)
     gauss = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
         * np.exp(-0.5 * ((xs - cfg.x0) / cfg.sigma0) ** 2
                  + 1j * cfg.p0 * (xs - cfg.x0))
@@ -100,10 +118,10 @@ def test_wide_packet_rides_the_classical_trajectory():
     # the charge centroid lags the point-particle hyperbola by an
     # O(sigma0^2 alpha) offset that reaches ~0.21 at t = 16
     cfg = _cfg(3.0, 1.0)
-    basis = field_mode_basis(cfg, 60.0, 16.0)
+    pk = _packet(3.0, 1.0, 60.0, 16.0)
     for t in (0.0, 8.0, 16.0):
         xs = np.linspace(-20.0, 55.0, 1501)
-        sl = field_slice(t, xs, cfg, basis=basis)
+        sl = pk.slice(t, xs)
         dens = charge_density(sl)
         peaks = find_peaks(dens, min_prominence=0.05)
         xbar = field_trajectory(t, cfg.motion).x
@@ -116,7 +134,7 @@ def test_narrow_packet_splits_and_spills_backward():
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 60.0, 16.0)
     xs = np.linspace(-30.0, 55.0, 3001)
-    dens = charge_density(field_slice(16.0, xs, cfg, basis=basis))
+    dens = charge_density(_packet(0.3, 1.0, 60.0, 16.0).slice(16.0, xs))
     assert len(find_peaks(dens, min_prominence=0.05)) >= 2
     # momentum spectrum keeps a sizable tail below -mc
     psi_p, _ = basis.modes(16.0)
@@ -127,20 +145,24 @@ def test_narrow_packet_splits_and_spills_backward():
 
 
 def test_charge_conserved_including_backward_times():
-    cfg = _cfg(0.3, 10.0)
-    basis = field_mode_basis(cfg, 80.0, 40.0)
+    pk = _packet(0.3, 10.0, 80.0, 40.0)
     xs = np.linspace(-40.0, 80.0, 3001)
-    charges = [charge_density(field_slice(t, xs, cfg, basis=basis)).total_charge()
+    charges = [charge_density(pk.slice(t, xs)).total_charge()
                for t in (-12.0, 0.0, 20.0, 40.0)]
     assert max(abs(q / charges[0] - 1.0) for q in charges) < 1e-3
 
 
 def test_psi_field_scalar_api():
-    cfg = _cfg(3.0, 1.0)
-    psi, dpsi = psi_field(2.0, 11.0, cfg)
-    assert np.ndim(psi) == 0
+    pk = _packet(3.0, 1.0, 20.0, 10.0)
+    psi, dpsi = pk.psi_dpsi(2.0, np.array([11.0]))
+    assert psi.shape == dpsi.shape == (1,)
     # density positive near the packet center for the wide packet
-    assert np.real(1j * np.conj(psi) * dpsi) > 0.0
+    assert np.real(1j * np.conj(psi[0]) * dpsi[0]) > 0.0
+    # a point gives the bits of that point on a non-uniform grid (the dense
+    # route), and psi alone the bits of psi evaluated with d/dt psi
+    psis, dpsis = pk.psi_dpsi(2.0, np.array([11.0, 11.5, 13.0]))
+    assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
+    assert pk.psi(2.0, np.array([11.0]))[0] == psi[0]
 
 
 def test_modes_match_the_pcf_d_dz_route():
@@ -178,7 +200,7 @@ def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
     monkeypatch.setattr(field_packets, "pcf_d",
                         lambda nu, z: calls.append(nu) or pcf(nu, z))
     per_eval = []
-    trace = scenarios.phase_trace
+    trace = packets.phase_trace
 
     def counting_trace(evaluator, *args, **kwargs):
         def ev(t, x):
@@ -188,9 +210,10 @@ def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
             return val
         return trace(ev, *args, **kwargs)
 
-    monkeypatch.setattr(scenarios, "phase_trace", counting_trace)
+    monkeypatch.setattr(packets, "phase_trace", counting_trace)
     scn = scenarios.Scenario(name="ph", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
-    scenarios._gen_phase(scn, scn.cases[0], np.linspace(-30.0, 30.0, 101), [])
+    pk = scenarios._packet(scn, scn.cases[0])
+    scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
     assert len(per_eval) >= 9 and set(per_eval) == {2}

@@ -5,12 +5,22 @@ from hypothesis import strategies as st
 
 from relwave.analysis import charge_density, expectation_x, momentum_spectrum
 from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
-                                  closed_slice, closed_spectral, gauss_slice,
-                                  gauss_spectral, psi_closed, psi_gauss_free,
-                                  energy, spectrum_closed, w_of_p)
+                                  closed_spectral, gauss_spectral, energy,
+                                  spectrum_closed, w_of_p)
 from relwave.kinematics import FreeMotion
+from relwave.packets import packet_for
 
 MOTION_QUARTER = FreeMotion(v0=0.25)
+
+
+def _closed(vartheta, v0=0.25, x0=0.0):
+    # the closed form needs no grid: the extent and time span do not enter
+    return packet_for({"vartheta": vartheta, "v0": v0, "x0": x0}, "closed-free", 0.0, 0.0)
+
+
+def _gauss(sigma0, gamma0, x_extent, t_max, x0=0.0):
+    return packet_for({"sigma0": sigma0, "gamma0": gamma0, "x0": x0}, "gauss-free",
+                      x_extent, t_max)
 
 
 def test_w_of_p_rest_energy():
@@ -37,40 +47,43 @@ def test_config_validation():
         ClosedPacketConfig(vartheta=0.0, motion=MOTION_QUARTER)
     with pytest.raises(ValueError):
         GaussianPacketConfig(sigma0=-1.0)
+    with pytest.raises(ValueError, match="gamma0"):
+        GaussianPacketConfig.from_gamma(3.0, 0.5)
 
 
 def test_closed_form_matches_spectral_quadrature():
     cfg = ClosedPacketConfig(vartheta=1.0, motion=MOTION_QUARTER)
     xs = np.linspace(-25.0, 25.0, 161)
-    sl = closed_slice(10.0, xs, cfg)
+    sl = _closed(1.0).slice(10.0, xs)
     ref, _ = closed_spectral(cfg, 30.0, 10.0).eval_psi_dpsi(10.0, xs)
     assert np.max(np.abs(sl.psi - ref)) < 1e-6 * np.max(np.abs(ref))
-    assert sl.flags == ()
 
 
 def test_closed_norm_conserved():
     for vt, t in ((1.0, 0.0), (1.0, 10.0), (10.0, 20.0)):
-        cfg = ClosedPacketConfig(vartheta=vt, motion=MOTION_QUARTER)
         xs = np.linspace(-35.0, 40.0, 3001)
-        assert abs(closed_slice(t, xs, cfg).norm() - 1.0) < 1e-5
+        assert abs(_closed(vt).slice(t, xs).norm() - 1.0) < 1e-5
 
 
 def test_closed_single_peak_tracks_classical_position():
-    cfg = ClosedPacketConfig(vartheta=100.0, motion=MOTION_QUARTER)
+    pk = _closed(100.0)
     for t in (0.0, 10.0):
         xs = np.linspace(-40.0 + 0.25 * t, 40.0 + 0.25 * t, 2001)
-        sl = closed_slice(t, xs, cfg)
+        sl = pk.slice(t, xs)
         dens = np.abs(sl.psi) ** 2
         assert abs(xs[int(np.argmax(dens))] - 0.25 * t) < 0.5
         assert abs(expectation_x(xs, dens) - 0.25 * t) < 1e-4
 
 
 def test_psi_closed_scalar_api():
-    cfg = ClosedPacketConfig(vartheta=10.0, motion=MOTION_QUARTER)
-    psi, dpsi = psi_closed(5.0, 1.25, cfg)
-    assert isinstance(complex(psi), complex)
-    psis, dpsis = psi_closed(5.0, np.array([1.25, 2.0]), cfg)
-    assert psis[0] == psi and dpsis[0] == dpsi
+    # one point gives the bits of that point in a grid evaluation, and psi
+    # alone the bits of psi evaluated with d/dt psi
+    pk = _closed(10.0)
+    psi, dpsi = pk.psi_dpsi(5.0, np.array([1.25]))
+    assert psi.shape == dpsi.shape == (1,)
+    psis, dpsis = pk.psi_dpsi(5.0, np.linspace(1.25, 2.0, 4))
+    assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
+    assert pk.psi(5.0, np.array([1.25]))[0] == psi[0]
 
 
 def test_spectrum_closed_peak_and_ratio():
@@ -90,7 +103,7 @@ def test_spectrum_closed_matches_slice_transform():
     cfg = ClosedPacketConfig(vartheta=1.0, motion=MOTION_QUARTER)
     xs = np.linspace(-40.0, 45.0, 4001)
     for t in (0.0, 20.0):
-        sl = closed_slice(t, xs, cfg)
+        sl = _closed(1.0).slice(t, xs)
         spec = momentum_spectrum(sl)
         analytic = spectrum_closed(spec.p, cfg)
         sel = analytic > 1e-3 * analytic.max()
@@ -100,9 +113,10 @@ def test_spectrum_closed_matches_slice_transform():
 
 
 def test_gauss_initial_slice_is_the_gaussian():
+    # gamma0 = sqrt(1.25) is the momentum p0 = 0.5
     cfg = GaussianPacketConfig(sigma0=3.0, p0=0.5, x0=1.0)
     xs = np.linspace(-24.0, 26.0, 2001)
-    sl = gauss_slice(0.0, xs, cfg)
+    sl = _gauss(3.0, np.sqrt(1.25), 27.0, 0.0, x0=1.0).slice(0.0, xs)
     ref = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
         * np.exp(-0.5 * ((xs - 1.0) / 3.0) ** 2 + 1j * 0.5 * (xs - 1.0))
     assert np.max(np.abs(sl.psi - ref)) < 1e-8
@@ -111,16 +125,15 @@ def test_gauss_initial_slice_is_the_gaussian():
 
 
 def test_gauss_norm_conserved():
-    cfg = GaussianPacketConfig.from_gamma(0.3, 10.0)
+    pk = _gauss(0.3, 10.0, 47.0, 16.0)
     for t in (0.0, 8.0, 16.0):
         xs = np.linspace(-30.0, 30.0 + t, 4001)
-        assert abs(gauss_slice(t, xs, cfg).norm() - 1.0) < 1e-5
+        assert abs(pk.slice(t, xs).norm() - 1.0) < 1e-5
 
 
 def test_gauss_narrow_packet_has_negative_density():
-    cfg = GaussianPacketConfig(sigma0=0.3)
     xs = np.linspace(-15.0, 15.0, 3001)
-    dens = charge_density(gauss_slice(0.0, xs, cfg))
+    dens = charge_density(_gauss(0.3, 1.0, 16.0, 0.0).slice(0.0, xs))
     assert dens.rho.min() < 0.0
 
 
@@ -128,21 +141,26 @@ def test_gauss_suppression_criterion():
     fast = GaussianPacketConfig.from_gamma(0.3, 10.0)
     assert abs(fast.p0 - np.sqrt(99.0)) < 1e-12    # ~9.95
     xs = np.linspace(-12.0, 12.0, 6001)
-    spec = momentum_spectrum(gauss_slice(0.0, xs, fast))
+    spec = momentum_spectrum(_gauss(0.3, 10.0, 13.0, 0.0).slice(0.0, xs))
     at = lambda q: float(np.interp(q, spec.p, spec.rho_tilde))
     assert at(-1.0) / at(fast.p0) < np.exp(-9.0)
 
     slow = GaussianPacketConfig.from_gamma(0.3, 1.0)
-    spec2 = momentum_spectrum(gauss_slice(0.0, xs, slow))
+    spec2 = momentum_spectrum(_gauss(0.3, 1.0, 13.0, 0.0).slice(0.0, xs))
     at2 = lambda q: float(np.interp(q, spec2.p, spec2.rho_tilde))
     assert at2(-1.0) / at2(slow.p0) > np.exp(-1.0)
 
 
 def test_psi_gauss_free_scalar_api():
-    cfg = GaussianPacketConfig(sigma0=3.0)
-    psi, dpsi = psi_gauss_free(4.0, 0.5, cfg)
+    pk = _gauss(3.0, 1.0, 10.0, 5.0)
+    psi, dpsi = pk.psi_dpsi(4.0, np.array([0.5]))
     # d/dt weighting is -iE: for a near-rest packet phase rotates at ~ -i m
-    assert abs(dpsi / psi + 1j) < 0.2
+    assert abs(dpsi[0] / psi[0] + 1j) < 0.2
+    # a point gives the bits of that point on a non-uniform grid (the dense
+    # route; a uniform grid takes the chirp-z route, equal to its bound)
+    psis, dpsis = pk.psi_dpsi(4.0, np.array([0.5, 0.75, 2.0]))
+    assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
+    assert pk.psi(4.0, np.array([0.5]))[0] == psi[0]
 
 
 def test_spectral_packet_unit_norm():
@@ -153,7 +171,7 @@ def test_spectral_packet_unit_norm():
 
 
 def test_spectral_time_derivative_against_closed_form():
-    # the analytic d/dt psi of closed_slice (the K1 expression differentiated)
+    # the analytic d/dt psi of the closed packet (the K1 expression differentiated)
     # against the plane-wave sum of closed_spectral, each mode weighted by
     # -i E/hbar
     t = 7.0
@@ -161,7 +179,7 @@ def test_spectral_time_derivative_against_closed_form():
         for v0 in (0.0, 0.25, 0.9):
             cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=v0, x0=0.5))
             xs = 0.5 + v0 * t + np.linspace(-12.0, 12.0, 401)
-            sl = closed_slice(t, xs, cfg)
+            sl = _closed(vt, v0, 0.5).slice(t, xs)
             ref_psi, ref = closed_spectral(cfg, 30.0, 10.0).eval_psi_dpsi(t, xs)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(sl.dpsi_dt - ref)) < 1e-8 * scale, (vt, v0)
@@ -169,25 +187,25 @@ def test_spectral_time_derivative_against_closed_form():
 
 
 def test_closed_slice_at_v0_0999_builds_no_spectral_packet():
-    cfg = ClosedPacketConfig(vartheta=1.0, motion=FreeMotion(v0=0.999))
     misses = closed_spectral.cache_info().misses
-    sl = closed_slice(5.0, np.linspace(-30.0, 40.0, 2001), cfg)
+    pk = _closed(1.0, v0=0.999)
+    sl = pk.slice(5.0, np.linspace(-30.0, 40.0, 2001))
     assert closed_spectral.cache_info().misses == misses
     assert np.all(np.isfinite(sl.psi)) and np.all(np.isfinite(sl.dpsi_dt))
-    psi, dpsi = psi_closed(5.0, 4.995, cfg)
-    assert np.isfinite(psi) and np.isfinite(dpsi)
+    psi, dpsi = pk.psi_dpsi(5.0, np.array([4.995]))
+    assert np.isfinite(psi[0]) and np.isfinite(dpsi[0])
     assert closed_spectral.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("vartheta", [400.0, 1000.0])
 def test_wide_closed_packet_stays_finite_and_normalized(vartheta):
     # K1 of the normalization underflows here; the exponents are combined
-    cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=0.0))
-    sl = closed_slice(0.0, np.linspace(-300.0, 300.0, 6001), cfg)
+    pk = _closed(vartheta, v0=0.0)
+    sl = pk.slice(0.0, np.linspace(-300.0, 300.0, 6001))
     assert np.all(np.isfinite(sl.psi)) and np.all(np.isfinite(sl.dpsi_dt))
     assert abs(sl.norm() - 1.0) < 1e-5
     p = np.linspace(-1.0, 1.0, 20001)
-    spec = spectrum_closed(p, cfg)
+    spec = pk.spectrum(p, 0.0)
     assert np.all(np.isfinite(spec))
     assert abs(np.trapezoid(spec, p) - 1.0) < 1e-9
 
@@ -195,9 +213,8 @@ def test_wide_closed_packet_stays_finite_and_normalized(vartheta):
 def test_group_center_slope_across_widths():
     # <x> stays on v0 t for wide and sub-Compton packets alike
     for vt in (1.0, 0.1):
-        cfg = ClosedPacketConfig(vartheta=vt, motion=MOTION_QUARTER)
         xs = np.linspace(-16.0, 19.0, 1401)
-        sl = closed_slice(10.0, xs, cfg)
+        sl = _closed(vt).slice(10.0, xs)
         assert abs(expectation_x(xs, np.abs(sl.psi) ** 2) - 2.5) < 1e-3
 
 
@@ -233,7 +250,7 @@ def test_closed_spectral_finite_past_the_k1_overflow():
         xs = 2.0 + 0.3 * t + np.linspace(-12.0, 12.0, 401)
         psi, dpsi = pk.eval_psi_dpsi(t, xs)
         assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
-        sl = closed_slice(t, xs, cfg)
+        sl = _closed(1000.0, v0=0.3, x0=2.0).slice(t, xs)
         assert np.max(np.abs(sl.psi - psi)) < 1e-8 * np.max(np.abs(psi))
         assert np.max(np.abs(sl.dpsi_dt - dpsi)) < 1e-8 * np.max(np.abs(dpsi))
 

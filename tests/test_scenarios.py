@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relwave import free_packets, scenarios
+from relwave import free_packets, packets, scenarios
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
                                list_scenarios, load_config, resolve_scenario,
@@ -95,9 +95,9 @@ def test_widths_reuse_the_metrics_slices(tmp_path, monkeypatch):
     # a 2-time run with outputs metrics, widths builds each slice once, and
     # its widths are the sigma columns of its metrics, byte for byte
     calls = []
-    slice_for = scenarios._slice_for
-    monkeypatch.setattr(scenarios, "_slice_for",
-                        lambda *args: calls.append(args[2]) or slice_for(*args))
+    slice_at = packets.Packet.slice
+    monkeypatch.setattr(packets.Packet, "slice",
+                        lambda pk, t, xs: calls.append(t) or slice_at(pk, t, xs))
     scn = dataclasses.replace(TINY, name="w", outputs=("metrics", "widths"))
     run(scn, out_dir=tmp_path)
     assert calls == [0.0, 2.0]
@@ -114,6 +114,52 @@ def test_run_threads_match_serial_across_cases(tmp_path):
     m1 = run(scn, out_dir=tmp_path / "s", threads=1)
     m2 = run(scn, out_dir=tmp_path / "p", threads=2)
     assert len(m1.outputs) == 6 and m1.outputs == m2.outputs
+
+
+def test_mixed_families_write_the_bytes_of_single_family_runs(tmp_path):
+    # each case follows its own family in every output, x0 included
+    cases = ({"family": "closed-free", "vartheta": 2.0, "v0": 0.25, "x0": 1.0},
+             {"family": "gauss-free", "sigma0": 3.0, "gamma0": 1.5, "x0": -1.0},
+             {"family": "uniform-field", "sigma0": 3.0, "gamma0": 1.0, "force": 0.1})
+    mixed = dataclasses.replace(
+        TINY, name="mix", family="closed-free", cases=cases, phase_t_max=2.0,
+        outputs=("density", "metrics", "spectrum", "phase", "widths"),
+        p_min=-4.0, p_max=4.0, p_count=101)
+    m = run(mixed, out_dir=tmp_path / "mixed")
+    assert len(m.outputs) == 15
+    for case in cases:
+        family = case["family"]
+        alone = dataclasses.replace(
+            mixed, family=family,
+            cases=({k: v for k, v in case.items() if k != "family"},))
+        one = run(alone, out_dir=tmp_path / family)
+        assert len(one.outputs) == 5
+        for fname, digest in one.outputs.items():
+            assert m.outputs[fname] == digest, fname
+
+
+def test_unknown_case_family_is_a_scenario_error(tmp_path):
+    scn = dataclasses.replace(TINY, cases=({"family": "warp", "sigma0": 3.0,
+                                            "gamma0": 1.0},))
+    with pytest.raises(ScenarioError, match="warp"):
+        run(scn, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("family,case,reason", [
+    ("gauss-free", "sigma0=3", "missing key 'gamma0'"),
+    ("closed-free", "vartheta=-1", "vartheta must be positive"),
+    ("gauss-free", "sigma0=3, gamma0=0.5", "gamma0 must be >= 1"),
+    ("uniform-field", "sigma0=3, gamma0=0.5, force=0.1", "gamma0 must be >= 1"),
+], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1"])
+def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, reason):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[bad]\nfamily = {family}\ncases = {case}\nt_list = 0\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: case {") and reason in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_unit_charge_normalization(tmp_path):
