@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .kinematics import PhysParams
 
@@ -246,6 +245,7 @@ def find_peaks(density: DensitySlice, min_prominence: float = 0.05):
     Returns a list of (x_peak, height) sorted by x; empty list when nothing
     qualifies.
     """
+    from scipy.signal import find_peaks as _scipy_find_peaks  # ~1 s to import, off the run path
     rho = density.rho
     top = float(np.max(rho))
     if top <= 0.0:

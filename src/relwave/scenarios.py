@@ -380,8 +380,9 @@ def load_config(path: str | Path) -> list[Scenario]:
     """Parse an INI-style config, one section per scenario.
 
     Keys: family, outputs (comma list), t_list (comma list), cases (semicolon
-    separated groups of comma-separated key=value pairs), plus the grid and
-    normalization fields of Scenario.
+    separated groups of comma-separated key=value pairs, each a number except
+    a case's own ``family``), plus the grid and normalization fields of
+    Scenario.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -398,8 +399,8 @@ def load_config(path: str | Path) -> list[Scenario]:
             for group in cases_raw.split(";"):
                 case = {}
                 for item in group.split(","):
-                    key, _, val = item.partition("=")
-                    case[key.strip()] = float(val)
+                    key, _, val = (part.strip() for part in item.partition("="))
+                    case[key] = val if key == "family" else float(val)
                 cases.append(case)
             kwargs = {"name": section, "family": family,
                       "cases": tuple(cases), "t_list": t_list}

@@ -269,6 +269,9 @@ def _band_integral(nu: complex, z: np.ndarray, level: int | None = None,
         # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
         return (z * _band_integral(nu - 1.0, z, level, tau_lo, tau_hi)
                 - (nu - 1.0) * _band_integral(nu - 2.0, z, level, tau_lo, tau_hi))
+    norm = rgamma(-nu)
+    if not np.isfinite(norm):
+        raise SpecFunAccuracyError(f"1/Gamma(-nu) overflows for nu={nu}")
     if level is None:
         # the endpoint oscillation u^{-i Im nu} needs nodes scaling with |Im nu|
         level = 12 + max(0, int(np.ceil(np.log2(max(abs(nu.imag), 1.0) / 6.0))))
@@ -280,7 +283,7 @@ def _band_integral(nu: complex, z: np.ndarray, level: int | None = None,
     t = rot[:, None] * u[None, :]
     integrand = np.exp(-z[:, None] * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
     total = np.sum(integrand * w, axis=1) * rot
-    return np.exp(-0.25 * z * z) * total * rgamma(-nu)
+    return np.exp(-0.25 * z * z) * total * norm
 
 
 def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
@@ -365,10 +368,16 @@ def pcf_d(nu, z):
                 f"lose ~{np.pi * abs(nu.imag) / np.log(10.0):.0f} digits to "
                 "connection-formula cancellation"
             )
-        t1 = np.exp(1j * np.pi * nu * sgn) * pcf_d(nu, -zl)
-        t2 = (SQRT_2PI * rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn) \
-            * pcf_d(-nu - 1.0, -1j * sgn * zl)
-        out[left] = t1 + t2
+        # past |Im nu| ~ 452, 1/Gamma(-nu) and the exponential leave double
+        # range even where their product does not; 0 * inf would be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            pre = (SQRT_2PI * rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn)
+        if not np.all(np.isfinite(pre)):
+            raise SpecFunAccuracyError(
+                f"left-half-plane folding for nu={nu} overflows double precision"
+            )
+        out[left] = np.exp(1j * np.pi * nu * sgn) * pcf_d(nu, -zl) \
+            + pre * pcf_d(-nu - 1.0, -1j * sgn * zl)
     if np.any(~left):
         out[~left] = _pcf_right_half_any_arg(nu, zf[~left])
 

@@ -1,0 +1,26 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import scipy
+bare = set(sys.modules)
+import relwave, relwave.scenarios, relwave.packets, relwave.cli
+print(json.dumps(sorted(m for m in set(sys.modules) - bare if m.startswith("scipy."))))
+"""
+
+
+def test_run_path_imports_only_scipy_special_and_fft():
+    # every relwave process pays for what its imports load; scipy.signal
+    # alone pulls in stats, optimize, sparse, linalg ... (~1 s), so heavier
+    # scipy packages are imported inside the function that uses them
+    out = subprocess.run([sys.executable, "-c", _PROBE, str(SRC)], check=True,
+                         capture_output=True, text=True).stdout
+    packages = {m.split(".")[1] for m in json.loads(out)}
+    assert {p for p in packages if not p.startswith("_")} <= {"special", "fft"}
+    assert {"special", "fft"} <= packages

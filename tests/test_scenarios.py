@@ -199,6 +199,38 @@ def test_load_config_roundtrip(tmp_path):
     assert len(widths) == 3
 
 
+def test_load_config_reads_a_per_case_family():
+    in_code = dataclasses.replace(
+        TINY, name="mixed", family="closed-free",
+        cases=({"vartheta": 2.0, "v0": 0.25},
+               {"family": "gauss-free", "sigma0": 3.0, "gamma0": 1.5},
+               {"family": "uniform-field", "sigma0": 3.0, "gamma0": 1.0, "force": 0.1}))
+    assert load_config(Path(__file__).with_name("mixed_families.ini")) == [in_code]
+
+
+def test_non_numeric_case_values_are_config_errors(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[s]\nfamily = gauss-free\ncases = sigma0=three, gamma0=1\n"
+                   "t_list = 0\n")
+    with pytest.raises(ScenarioError, match=r"\[s\].*three"):
+        load_config(cfg)
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: [s]")
+
+
+def test_weak_force_is_a_numeric_error(tmp_path, capsys):
+    # nu = -1/2 -+ 500i is past the double range of the D_nu fold
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text("[weak]\nfamily = uniform-field\n"
+                   "cases = sigma0=3, gamma0=1, force=0.001\nt_list = 0\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error in weak:") and "overflows" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_load_config_unknown_key(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[s]\nfamily = gauss-free\ncases = sigma0=1, gamma0=1\n"

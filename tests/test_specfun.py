@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
-from relwave.field_packets import FieldPacketConfig, field_mode_basis
+from relwave.field_packets import FieldModeBasis, FieldPacketConfig, field_mode_basis
 from relwave.specfun import (PcfOrder, SpecFunAccuracyError, SpecFunDomainError,
                              bessel_k0, bessel_k1, pcf_d, pcf_d_dz)
 
@@ -184,6 +186,18 @@ def test_subdominant_conditioning_raises_not_lies():
     # far beyond double-precision conditioning the evaluation must refuse
     with pytest.raises(SpecFunAccuracyError):
         pcf_d(-0.5 + 20.0j, 5.0 * np.exp(1j * 1.0))
+
+
+def test_weak_force_fold_raises_not_nan():
+    # F = 1e-3 gives nu = -1/2 -+ 500i: 1/Gamma(-nu) and the fold's
+    # exponential leave double range, and their product 0 * inf must not
+    # reach the basis as NaN behind a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpecFunAccuracyError, match="overflows"):
+            FieldModeBasis(FieldPacketConfig(sigma0=3.0, force=1e-3), 0.05, 0.001)
+        with pytest.raises(SpecFunAccuracyError, match="overflows"):
+            pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
 
 
 # ---------------------------------------------------------------------------
