@@ -8,11 +8,10 @@ and phase relative to the classical action.
 
 __version__ = "0.1.0"
 
-from .kinematics import PhysParams, FreeMotion, FieldMotion, TrajectorySample
+from .kinematics import FreeMotion, FieldMotion, TrajectorySample
 from .analysis import WaveSlice, DensitySlice, GaussFitResult, PhaseTrace
 
 __all__ = [
-    "PhysParams",
     "FreeMotion",
     "FieldMotion",
     "TrajectorySample",

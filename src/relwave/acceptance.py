@@ -201,10 +201,9 @@ def crit_7_field_family():
         basis = field_mode_basis(cfg, 71.0, 40.0)
         fp, fm = mode_pair(cfg, basis.p)
         recon = basis.coeffs.c_plus * fp + basis.coeffs.c_minus * fm
-        hbar = cfg.params.hbar
-        spectrum = (np.sqrt(cfg.sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
-            * np.exp(-0.5 * (cfg.sigma0 / hbar) ** 2 * (basis.p - cfg.p0) ** 2
-                     - 1j * basis.p * cfg.x0 / hbar)
+        spectrum = (np.sqrt(cfg.sigma0) / np.sqrt(2.0 * np.pi**1.5)) \
+            * np.exp(-0.5 * cfg.sigma0**2 * (basis.p - cfg.p0) ** 2
+                     - 1j * basis.p * cfg.x0)
         mask = np.abs(basis.p - cfg.p0) < 3.0 / cfg.sigma0
         ratio = recon[mask] / spectrum[mask]
         const_resid = float(np.max(np.abs(ratio / np.median(ratio.real) - 1.0)))

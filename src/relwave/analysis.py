@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import PhysParams
-
 __all__ = [
     "WaveSlice",
     "DensitySlice",
@@ -29,6 +27,15 @@ __all__ = [
     "find_peaks",
     "phase_trace",
 ]
+
+
+# the coarse log-spaced scan of best_sigma and its golden-section tolerance
+_COARSE = 64
+_REL_TOL = 1e-6
+# |psi| at the grid edge, relative to its maximum, that flags a spectrum
+_BOUNDARY_TOL = 1e-8
+# bisection rounds of phase_trace
+_MAX_REFINES = 16
 
 
 class BracketError(ValueError):
@@ -99,36 +106,27 @@ class SpectrumResult:
     flags: tuple[str, ...] = ()
 
 
-def charge_density(wave: WaveSlice, a0=None,
-                   params: PhysParams | None = None) -> DensitySlice:
-    """rho = (q/mc^2) Re[psi* (i hbar d/dt psi - q A0 psi)] on the grid.
-
-    ``a0`` is the scalar potential as a callable of (t, x) or None for the
-    gauges used here, where A0 = 0.
-    """
-    params = params or PhysParams()
-    inner = 1j * params.hbar * wave.dpsi_dt
-    if a0 is not None:
-        inner = inner - params.q * np.asarray(a0(wave.t, wave.xs)) * wave.psi
-    rho = (params.q / (params.m * params.c**2)) * np.real(np.conj(wave.psi) * inner)
+def charge_density(wave: WaveSlice) -> DensitySlice:
+    """rho = (q/mc^2) Re[psi* i hbar d/dt psi] on the grid (A0 = 0 in the
+    gauges used here)."""
+    rho = np.real(np.conj(wave.psi) * (1j * wave.dpsi_dt))
     return DensitySlice(t=wave.t, xs=wave.xs, rho=rho)
 
 
-def best_sigma(objective, bracket: tuple[float, float],
-               coarse: int = 64, rel_tol: float = 1e-6) -> tuple[float, float]:
+def best_sigma(objective, bracket: tuple[float, float]) -> tuple[float, float]:
     """Maximize a unimodal objective over sigma in ``bracket``.
 
     Log-spaced coarse scan to locate the maximum, then golden-section
-    refinement to |d sigma / sigma| < rel_tol.  Raises BracketError when the
-    coarse scan puts the maximum on the bracket edge.
+    refinement to |d sigma / sigma| < _REL_TOL.  Raises BracketError when
+    the coarse scan puts the maximum on the bracket edge.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise BracketError(f"invalid bracket {bracket}")
-    grid = np.geomspace(lo, hi, coarse)
+    grid = np.geomspace(lo, hi, _COARSE)
     vals = np.array([objective(s) for s in grid])
     i0 = int(np.argmax(vals))
-    if i0 == 0 or i0 == coarse - 1:
+    if i0 == 0 or i0 == _COARSE - 1:
         raise BracketError(
             f"no interior maximum on sigma bracket [{lo:g}, {hi:g}]"
         )
@@ -137,7 +135,7 @@ def best_sigma(objective, bracket: tuple[float, float],
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    while (b - a) > rel_tol * b:
+    while (b - a) > _REL_TOL * b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -155,9 +153,7 @@ def _default_bracket(xs: np.ndarray) -> tuple[float, float]:
     return dx, 0.5 * (xs[-1] - xs[0])
 
 
-def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float,
-                         bracket: tuple[float, float] | None = None,
-                         params: PhysParams | None = None) -> GaussFitResult:
+def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float) -> GaussFitResult:
     """Maximal squared overlap of psi with a moving Gaussian reference.
 
     The reference is (sigma sqrt(pi))^(-1/2) exp[-(x-x_bar)^2/(2 sigma^2)
@@ -165,9 +161,8 @@ def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float,
     is scale free.
     """
     xs = wave.xs
-    hbar = (params or PhysParams()).hbar
     psi = wave.psi / np.sqrt(wave.norm())
-    plane = np.exp(-1j * p_bar * xs / hbar)
+    plane = np.exp(-1j * p_bar * xs)
     weighted = psi * plane  # conj(phi_G) psi with the Gaussian factored out
 
     def objective(sigma):
@@ -175,12 +170,11 @@ def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float,
             * np.exp(-0.5 * ((xs - x_bar) / sigma) ** 2)
         return abs(np.trapezoid(gauss * weighted, xs)) ** 2
 
-    sigma, score = best_sigma(objective, bracket or _default_bracket(xs))
+    sigma, score = best_sigma(objective, _default_bracket(xs))
     return GaussFitResult(score=score, sigma_star=sigma, imag_residual=0.0)
 
 
-def gauss_similarity_rho(density: DensitySlice, x_bar: float,
-                         bracket: tuple[float, float] | None = None) -> GaussFitResult:
+def gauss_similarity_rho(density: DensitySlice, x_bar: float) -> GaussFitResult:
     """Bhattacharyya-type overlap of the charge density with a Gaussian.
 
     score = max_sigma Re int sqrt(rho_G rho) dx / sqrt(int |rho| dx); where
@@ -200,21 +194,18 @@ def gauss_similarity_rho(density: DensitySlice, x_bar: float,
             / np.sqrt(sigma * np.sqrt(np.pi))
         return np.trapezoid(gauss * pos, xs) / denom
 
-    sigma, score = best_sigma(objective, bracket or _default_bracket(xs))
+    sigma, score = best_sigma(objective, _default_bracket(xs))
     gauss = np.exp(-0.5 * ((xs - x_bar) / sigma) ** 2) / np.sqrt(sigma * np.sqrt(np.pi))
     imag = float(np.trapezoid(gauss * neg, xs)) / denom
     return GaussFitResult(score=score, sigma_star=sigma, imag_residual=abs(imag))
 
 
-def momentum_spectrum(wave: WaveSlice, params: PhysParams | None = None,
-                      boundary_tol: float = 1e-8) -> SpectrumResult:
+def momentum_spectrum(wave: WaveSlice) -> SpectrumResult:
     """|FT psi|^2 with the convention psi~(p) = int dx/sqrt(2 pi hbar) e^{-ipx/hbar} psi.
 
     Uses the FFT on the uniform grid; a flag is attached when |psi| at the
-    grid boundary exceeds ``boundary_tol`` times its maximum.
+    grid boundary exceeds _BOUNDARY_TOL times its maximum.
     """
-    params = params or PhysParams()
-    hbar = params.hbar
     xs, psi = wave.xs, wave.psi
     dx = xs[1] - xs[0]
     if not np.allclose(np.diff(xs), dx, rtol=1e-9, atol=0.0):
@@ -222,12 +213,11 @@ def momentum_spectrum(wave: WaveSlice, params: PhysParams | None = None,
     n = len(xs)
     flags = ()
     amax = float(np.max(np.abs(psi)))
-    if amax > 0 and max(abs(psi[0]), abs(psi[-1])) > boundary_tol * amax:
+    if amax > 0 and max(abs(psi[0]), abs(psi[-1])) > _BOUNDARY_TOL * amax:
         flags = ("boundary-mass: |psi| at grid edge above tolerance",)
-    k = np.fft.fftshift(np.fft.fftfreq(n, d=dx)) * 2.0 * np.pi
-    p = hbar * k
+    p = np.fft.fftshift(np.fft.fftfreq(n, d=dx)) * 2.0 * np.pi
     ft = np.fft.fftshift(np.fft.fft(psi))
-    ft = ft * dx / np.sqrt(2.0 * np.pi * hbar) * np.exp(-1j * k * xs[0])
+    ft = ft * dx / np.sqrt(2.0 * np.pi) * np.exp(-1j * p * xs[0])
     return SpectrumResult(p=p, rho_tilde=np.abs(ft) ** 2, flags=flags)
 
 
@@ -254,8 +244,7 @@ def find_peaks(density: DensitySlice, min_prominence: float = 0.05):
     return [(float(density.xs[i]), float(rho[i])) for i in idx]
 
 
-def phase_trace(evaluator, trajectory, action, ts,
-                params: PhysParams | None = None, max_refines: int = 16) -> PhaseTrace:
+def phase_trace(evaluator, trajectory, action, ts) -> PhaseTrace:
     """Unwrapped phase of psi along a classical worldline vs. the action.
 
     ``evaluator(t, x) -> complex`` samples the wavefunction, ``trajectory(t)``
@@ -263,11 +252,10 @@ def phase_trace(evaluator, trajectory, action, ts,
     whose raw phase increment reaches pi are bisected (new evaluator calls)
     until increments are safe; failure to achieve that raises.
     """
-    params = params or PhysParams()
     ts = np.asarray(ts, dtype=float)
     t_list = list(ts)
     raw = {t: float(np.angle(evaluator(t, trajectory(t)))) for t in t_list}
-    for _ in range(max_refines):
+    for _ in range(_MAX_REFINES):
         gaps = [
             (a, b) for a, b in zip(t_list[:-1], t_list[1:])
             if abs(_wrap(raw[b] - raw[a])) >= 0.95 * np.pi
@@ -287,7 +275,7 @@ def phase_trace(evaluator, trajectory, action, ts,
     # anchor so phi(ts[0]) keeps its raw principal value
     keep = np.isin(t_arr, ts)
     phi = phi_all[keep]
-    s_cl = np.array([action(t) for t in ts]) / params.hbar
+    s_cl = np.array([action(t) for t in ts])
     return PhaseTrace(ts=ts, phi=phi, s_cl_over_hbar=s_cl)
 
 

@@ -20,15 +20,15 @@ one momentum grid (``FieldModeBasis``, built once per case by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
-from .kinematics import FieldMotion, PhysParams
+from .kinematics import FieldMotion
 from .quadrature import momentum_grid, superpose
-from .specfun import PcfOrder, pcf_d
+from .specfun import pcf_d
 
 __all__ = [
     "FieldPacketConfig",
@@ -53,7 +53,6 @@ class FieldPacketConfig:
     force: float
     p0: float = 0.0
     x0: float | None = None
-    params: PhysParams = field(default_factory=PhysParams)
 
     def __post_init__(self):
         if self.sigma0 <= 0:
@@ -61,25 +60,18 @@ class FieldPacketConfig:
         if self.force == 0:
             raise ValueError("force must be nonzero")
         if self.x0 is None:
-            object.__setattr__(self, "x0", self.params.c / self.motion.alpha)
-
-    @property
-    def m_transverse_sq(self) -> float:
-        return self.params.m**2
+            object.__setattr__(self, "x0", 1.0 / self.force)
 
     @property
     def motion(self) -> FieldMotion:
-        return FieldMotion(force=self.force, p0=self.p0, params=self.params)
+        return FieldMotion(force=self.force, p0=self.p0)
 
     @classmethod
     def from_gamma(cls, sigma0: float, gamma0: float, force: float,
-                   x0: float | None = None,
-                   params: PhysParams | None = None) -> "FieldPacketConfig":
+                   x0: float | None = None) -> "FieldPacketConfig":
         if gamma0 < 1.0:
             raise ValueError("gamma0 must be >= 1")
-        params = params or PhysParams()
-        p0 = params.m * params.c * np.sqrt(gamma0**2 - 1.0)
-        return cls(sigma0=sigma0, force=force, p0=float(p0), x0=x0, params=params)
+        return cls(sigma0=sigma0, force=force, p0=float(np.sqrt(gamma0**2 - 1.0)), x0=x0)
 
 
 @dataclass(frozen=True)
@@ -90,10 +82,11 @@ class ModeCoefficients:
 
 
 def _orders_and_rays(cfg: FieldPacketConfig):
-    """Orders nu+- and rays r+- of the mode pair f+-(s) = D_nu+-(r+- s)."""
-    nu_plus, nu_minus = PcfOrder.for_uniform_field(cfg.m_transverse_sq, cfg.force)
+    """Orders nu+- = -1/2 -+ i M^2/2F and rays r+- of the mode pair
+    f+-(s) = D_nu+-(r+- s); the real part of each order is exactly -1/2."""
+    a = 1.0 / (2.0 * cfg.force)
     root = np.sqrt(abs(cfg.force))
-    return nu_plus.nu, nu_minus.nu, (1.0 + 1.0j) / root, (1.0j - 1.0) / root
+    return complex(-0.5, -a), complex(-0.5, a), (1.0 + 1.0j) / root, (1.0j - 1.0) / root
 
 
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
@@ -120,7 +113,7 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
     transverse momenta are absorbed into the one-dimensional representation.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    spectrum = gauss_spectrum(p, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)
+    spectrum = gauss_spectrum(p, cfg.sigma0, cfg.p0, cfg.x0)
     fp, fm = mode_pair(cfg, p)
     # combine at unit scale: |D| reaches e^{pi M^2/8F}-ish magnitudes, so
     # |f|^2 would overflow for weak forces even though c+- f+- is O(1)
@@ -141,8 +134,8 @@ class FieldModeBasis:
         self.p, self.weights = momentum_grid(cfg.p0, p_window, n)
         raw = mode_coeffs(self.p, cfg)
         # unit L2 norm at t = 0: int |Psi|^2 dx = 2 pi hbar int |psi_p(0)|^2 dp
-        spectrum = gauss_spectrum(self.p, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)
-        norm2 = 2.0 * np.pi * cfg.params.hbar * float(np.sum(self.weights * np.abs(spectrum) ** 2))
+        spectrum = gauss_spectrum(self.p, cfg.sigma0, cfg.p0, cfg.x0)
+        norm2 = 2.0 * np.pi * float(np.sum(self.weights * np.abs(spectrum) ** 2))
         scale = 1.0 / np.sqrt(norm2)
         self.coeffs = ModeCoefficients(p=self.p, c_plus=raw.c_plus * scale,
                                        c_minus=raw.c_minus * scale)
@@ -160,19 +153,18 @@ class FieldModeBasis:
     def eval_psi_dpsi(self, t: float, xs: np.ndarray):
         """psi(t, xs) and d/dt psi(t, xs), the momentum sum of the modes."""
         psi_p, dpsi_p = self.modes(t)
-        return superpose(self.p, self.weights * psi_p, self.weights * dpsi_p,
-                         xs, self.cfg.params.hbar)
+        return superpose(self.p, self.weights * psi_p, self.weights * dpsi_p, xs)
 
     def eval_psi(self, t: float, xs: np.ndarray):
         """psi(t, xs) alone, for callers that drop d/dt psi (the phase
         traces): 2 D_nu evaluations per time instead of 4, same bits."""
         psi, _ = superpose(self.p, self.weights * self.modes(t, derivatives=False),
-                           None, xs, self.cfg.params.hbar)
+                           None, xs)
         return psi
 
 
 @lru_cache(maxsize=16)
 def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> FieldModeBasis:
-    window = _WINDOW_FACTOR * cfg.params.hbar / cfg.sigma0
-    dp = _node_spacing(cfg.params, x_extent, t_max, cfg.params.hbar / cfg.sigma0)
+    window = _WINDOW_FACTOR / cfg.sigma0
+    dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
     return FieldModeBasis(cfg, window, dp)

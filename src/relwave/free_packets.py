@@ -17,12 +17,12 @@ constants and node spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kinematics import FreeMotion, PhysParams
+from .kinematics import FreeMotion
 from .quadrature import momentum_grid, superpose
 from .specfun import bessel_k0, bessel_k1
 
@@ -43,16 +43,15 @@ _OVERSAMPLE = 3.0      # nodes per Nyquist interval of the fastest phase
 _WINDOW_FACTOR = 12.0  # Gaussian spectrum half-width multiplier for truncation
 
 
-def energy(p, params: PhysParams):
+def energy(p):
     """Relativistic dispersion E(p) = c sqrt(m^2 c^2 + p^2)."""
     p = np.asarray(p, dtype=float)
-    return params.c * np.sqrt((params.m * params.c) ** 2 + p * p)
+    return np.sqrt(1.0 + p * p)
 
 
 def w_of_p(p, motion: FreeMotion):
     """Mode decay function W(p) = E(p) - p v0; positive for |v0| < c."""
-    pp = motion.params
-    return energy(p, pp) - np.asarray(p, dtype=float) * motion.v0
+    return energy(p) - np.asarray(p, dtype=float) * motion.v0
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,6 @@ class ClosedPacketConfig:
         if self.vartheta <= 0:
             raise ValueError("vartheta must be positive")
 
-    @property
-    def params(self) -> PhysParams:
-        return self.motion.params
-
 
 @dataclass(frozen=True)
 class GaussianPacketConfig:
@@ -78,28 +73,24 @@ class GaussianPacketConfig:
     sigma0: float
     p0: float = 0.0
     x0: float = 0.0
-    params: PhysParams = field(default_factory=PhysParams)
 
     def __post_init__(self):
         if self.sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
 
     @classmethod
-    def from_gamma(cls, sigma0: float, gamma0: float, x0: float = 0.0,
-                   params: PhysParams | None = None) -> "GaussianPacketConfig":
+    def from_gamma(cls, sigma0: float, gamma0: float,
+                   x0: float = 0.0) -> "GaussianPacketConfig":
         if gamma0 < 1.0:
             raise ValueError("gamma0 must be >= 1")
-        params = params or PhysParams()
-        p0 = params.m * params.c * np.sqrt(gamma0**2 - 1.0)
-        return cls(sigma0=sigma0, p0=float(p0), x0=x0, params=params)
+        return cls(sigma0=sigma0, p0=float(np.sqrt(gamma0**2 - 1.0)), x0=x0)
 
 
-def gauss_spectrum(p, sigma0: float, p0: float, x0: float, params: PhysParams):
+def gauss_spectrum(p, sigma0: float, p0: float, x0: float):
     """Momentum amplitude of the Gaussian of half-width sigma0, momentum p0
     and centre x0, normalized so that 2 pi hbar int |.|^2 dp = 1."""
-    hbar = params.hbar
-    return (np.sqrt(sigma0) / (hbar * np.sqrt(2.0 * np.pi**1.5))) \
-        * np.exp(-0.5 * (sigma0 / hbar) ** 2 * (p - p0) ** 2 - 1j * p * x0 / hbar)
+    return (np.sqrt(sigma0) / np.sqrt(2.0 * np.pi**1.5)) \
+        * np.exp(-0.5 * sigma0**2 * (p - p0) ** 2 - 1j * p * x0)
 
 
 @dataclass(frozen=True)
@@ -115,23 +106,20 @@ class SpectralPacket:
     weights: np.ndarray
     spectrum: np.ndarray
     norm: float
-    params: PhysParams
 
     def eval_psi_dpsi(self, t: float, xs: np.ndarray):
         """psi(t, xs) and d/dt psi(t, xs)."""
-        hbar = self.params.hbar
-        e = energy(self.p, self.params)
-        gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t / hbar)
-        return superpose(self.p, gt, gt * (-1j * e / hbar), xs, hbar)
+        e = energy(self.p)
+        gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t)
+        return superpose(self.p, gt, gt * (-1j * e), xs)
 
     def norm_at_zero(self, xs: np.ndarray) -> float:
         psi, _ = self.eval_psi_dpsi(0.0, xs)
         return float(np.trapezoid(np.abs(psi) ** 2, xs))
 
 
-def _node_spacing(params: PhysParams, x_extent: float, t_max: float,
-                  sigma_p: float) -> float:
-    freq = (x_extent + params.c * abs(t_max)) / params.hbar + 10.0
+def _node_spacing(x_extent: float, t_max: float, sigma_p: float) -> float:
+    freq = x_extent + abs(t_max) + 10.0
     return min(2.0 * np.pi / (_OVERSAMPLE * freq), sigma_p / 4.0)
 
 
@@ -147,53 +135,45 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
     <= 0 since z_n/2 = vartheta W(p0)/hbar and W >= W(p0), and ``norm`` keeps
     the exponent-scaled K1, so wide packets (vartheta of 1000) stay finite.
     """
-    pp = cfg.params
     m = cfg.motion
-    hbar, c = pp.hbar, pp.c
-    decay = hbar * np.log(1.0 / _TAIL_EPS) / cfg.vartheta
+    decay = np.log(1.0 / _TAIL_EPS) / cfg.vartheta
     w0 = float(w_of_p(m.p0, m))
-    p_hi = (decay + w0 + 2 * pp.m * c**2) / (c - m.v0)
-    p_lo = -(decay + w0 + 2 * pp.m * c**2) / (c + m.v0)
+    p_hi = (decay + w0 + 2.0) / (1.0 - m.v0)
+    p_lo = -(decay + w0 + 2.0) / (1.0 + m.v0)
     # curvature scale of exp(-vartheta W/hbar) around p0
-    sigma_p = np.sqrt(hbar * pp.m * m.gamma0**3 / cfg.vartheta) / c
-    dp = _node_spacing(pp, x_extent, t_max, sigma_p)
+    sigma_p = np.sqrt(m.gamma0**3 / cfg.vartheta)
+    dp = _node_spacing(x_extent, t_max, sigma_p)
     half = 0.5 * (p_hi - p_lo)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
     zn = _norm_arg(cfg)
-    spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) / hbar
-                      - 1j * nodes * m.x0 / hbar)
+    spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) - 1j * nodes * m.x0)
     k1e = bessel_k1(zn, scaled=True).real
-    norm = float(1.0 / np.sqrt(4.0 * np.pi * hbar * pp.m * c * m.gamma0 * k1e))
-    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
-                          norm=norm, params=pp)
+    norm = float(1.0 / np.sqrt(4.0 * np.pi * m.gamma0 * k1e))
+    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum, norm=norm)
 
 
 @lru_cache(maxsize=64)
 def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> SpectralPacket:
     """Plane-wave packet with the Gaussian momentum spectrum of the initial data."""
-    pp = cfg.params
-    hbar = pp.hbar
-    sigma_p = hbar / cfg.sigma0
-    half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR * pp.m * pp.c)
-    dp = _node_spacing(pp, x_extent, t_max, sigma_p)
+    sigma_p = 1.0 / cfg.sigma0
+    half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR)
+    dp = _node_spacing(x_extent, t_max, sigma_p)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(cfg.p0, half, max(n, 401))
-    spectrum = gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0, pp)
-    packet = SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
-                            norm=1.0, params=pp)
+    spectrum = gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0)
+    packet = SpectralPacket(p=nodes, weights=weights, spectrum=spectrum, norm=1.0)
     # trim the numerical norm to one (analytically it already is)
-    span = max(10.0 * cfg.sigma0, 10.0 * pp.compton_reduced)
+    span = max(10.0 * cfg.sigma0, 10.0)
     xs = np.linspace(cfg.x0 - span, cfg.x0 + span, 4001)
     norm = packet.norm_at_zero(xs)
     return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
-                          norm=1.0 / np.sqrt(norm), params=pp)
+                          norm=1.0 / np.sqrt(norm))
 
 
 def _norm_arg(cfg: ClosedPacketConfig) -> float:
     """z_n = 2 m c^2 vartheta / (hbar gamma0), the K1 argument of |N|^2."""
-    pp = cfg.params
-    return 2.0 * pp.m * pp.c**2 * cfg.vartheta / (pp.hbar * cfg.motion.gamma0)
+    return 2.0 * cfg.vartheta / cfg.motion.gamma0
 
 
 def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
@@ -212,20 +192,16 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     closed negative real axis whenever |v0| < c and vartheta > 0, which the
     configs enforce.
     """
-    pp = cfg.params
     m = cfg.motion
-    hbar, c = pp.hbar, pp.c
-    mc = pp.m * c / hbar
     zn = _norm_arg(cfg)
-    pref = c * np.sqrt(mc / (np.pi * m.gamma0 * bessel_k1(zn, scaled=True).real))
+    pref = np.sqrt(1.0 / (np.pi * m.gamma0 * bessel_k1(zn, scaled=True).real))
     tau = t - 1j * cfg.vartheta
     xr = np.asarray(xs, dtype=float) - m.x0
-    f = np.sqrt((xr - 1j * m.v0 * cfg.vartheta) ** 2 - (c * tau) ** 2 + 0j)
-    z = mc * f
-    k0, k1 = bessel_k0(z, scaled=True), bessel_k1(z, scaled=True)
-    g = 1j * pref * np.exp(0.5 * zn - z) / f
+    f = np.sqrt((xr - 1j * m.v0 * cfg.vartheta) ** 2 - tau**2 + 0j)
+    k0, k1 = bessel_k0(f, scaled=True), bessel_k1(f, scaled=True)
+    g = 1j * pref * np.exp(0.5 * zn - f) / f
     psi = g * tau * k1
-    dpsi = g * (k1 + (c * tau) ** 2 / f * (2.0 * k1 / f + mc * k0))
+    dpsi = g * (k1 + tau**2 / f * (2.0 * k1 / f + k0))
     return psi, dpsi
 
 
@@ -236,9 +212,7 @@ def spectrum_closed(p, cfg: ClosedPacketConfig):
     as exp(-2 vartheta (W - W(p0))/hbar) over the exponent-scaled K1 of
     |N|^2 (z_n = 2 vartheta W(p0)/hbar), so it neither under- nor overflows.
     """
-    pp = cfg.params
     zn = _norm_arg(cfg)
     k1e = bessel_k1(zn, scaled=True).real
     w = w_of_p(p, cfg.motion)
-    return np.exp(zn - 2.0 * cfg.vartheta * w / pp.hbar) \
-        / (2.0 * pp.m * pp.c * cfg.motion.gamma0 * k1e)
+    return np.exp(zn - 2.0 * cfg.vartheta * w) / (2.0 * cfg.motion.gamma0 * k1e)

@@ -1,19 +1,18 @@
-"""Physical constants and classical reference motion.
+"""Classical reference motion.
 
 Free motion, hyperbolic motion in a uniform electric field, Lorentz factors,
 proper time, and the classical actions the wavepacket phases are compared
-against; both actions are closed forms.  Natural units m = c = hbar = q = 1
-are the default.
+against; both actions are closed forms.  The units are natural and fixed:
+m = c = hbar = q = 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 __all__ = [
-    "PhysParams",
     "FreeMotion",
     "FieldMotion",
     "TrajectorySample",
@@ -26,53 +25,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PhysParams:
-    """Particle constants; defaults are the natural-unit convention."""
-
-    m: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
-    q: float = 1.0
-
-    def __post_init__(self):
-        if self.m <= 0 or self.c <= 0 or self.hbar <= 0:
-            raise ValueError("m, c, hbar must be strictly positive")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-
-    @property
-    def compton_reduced(self) -> float:
-        return self.hbar / (self.m * self.c)
-
-
-@dataclass(frozen=True)
 class FreeMotion:
     """Uniform motion at velocity v0 starting from x0."""
 
     v0: float
     x0: float = 0.0
-    params: PhysParams = field(default_factory=PhysParams)
 
     def __post_init__(self):
-        if abs(self.v0) >= self.params.c:
+        if abs(self.v0) >= 1.0:
             raise ValueError(f"|v0| must be < c, got v0={self.v0}")
 
     @property
     def gamma0(self) -> float:
-        return 1.0 / math.sqrt(1.0 - (self.v0 / self.params.c) ** 2)
+        return 1.0 / math.sqrt(1.0 - self.v0**2)
 
     @property
     def p0(self) -> float:
-        return self.params.m * self.v0 * self.gamma0
+        return self.v0 * self.gamma0
 
     @classmethod
-    def from_gamma(cls, gamma0: float, x0: float = 0.0,
-                   params: PhysParams | None = None) -> "FreeMotion":
+    def from_gamma(cls, gamma0: float, x0: float = 0.0) -> "FreeMotion":
         if gamma0 < 1.0:
             raise ValueError("gamma0 must be >= 1")
-        params = params or PhysParams()
-        v0 = params.c * math.sqrt(1.0 - 1.0 / gamma0**2)
-        return cls(v0=v0, x0=x0, params=params)
+        return cls(v0=math.sqrt(1.0 - 1.0 / gamma0**2), x0=x0)
 
 
 @dataclass(frozen=True)
@@ -85,7 +60,6 @@ class FieldMotion:
 
     force: float
     p0: float = 0.0
-    params: PhysParams = field(default_factory=PhysParams)
 
     def __post_init__(self):
         if self.force == 0:
@@ -93,7 +67,8 @@ class FieldMotion:
 
     @property
     def alpha(self) -> float:
-        return self.force / (self.params.m * self.params.c)
+        """Proper acceleration force/(m c)."""
+        return self.force
 
     @property
     def t0(self) -> float:
@@ -126,21 +101,19 @@ def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     x(t) = c sqrt(alpha^-2 + (t+t0)^2) - c sqrt(alpha^-2 + t0^2) + c/alpha,
     gamma(t) = sqrt(1 + alpha^2 (t+t0)^2); t may be negative.
     """
-    c = motion.params.c
     a = motion.alpha
     t0 = motion.t0
     u = a * (t + t0)
     gamma = math.sqrt(1.0 + u * u)
-    x = c * math.sqrt(a**-2 + (t + t0) ** 2) - c * math.sqrt(a**-2 + t0**2) + c / a
-    v = c * u / gamma
+    x = math.sqrt(a**-2 + (t + t0) ** 2) - math.sqrt(a**-2 + t0**2) + 1.0 / a
+    v = u / gamma
     tau = (math.asinh(u) - math.asinh(a * t0)) / a
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)
 
 
 def lagrangian_free(motion: FreeMotion) -> float:
     """Classical Lagrangian of free motion, -m c^2 / gamma0."""
-    p = motion.params
-    return -p.m * p.c**2 / motion.gamma0
+    return -1.0 / motion.gamma0
 
 
 def action_free(t: float, motion: FreeMotion) -> float:
@@ -164,5 +137,4 @@ def action_field(t: float, motion: FieldMotion) -> float:
         root = math.sqrt(1.0 + u * u)
         return 0.5 * (u * root + math.asinh(u)) - a * t0 * root
 
-    p = motion.params
-    return p.m * p.c**2 / a * (primitive(0.0) - primitive(t))
+    return 1.0 / a * (primitive(0.0) - primitive(t))

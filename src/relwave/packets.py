@@ -95,7 +95,7 @@ def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
     return _free_packet(
         f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max,
         FreeMotion.from_gamma(case["gamma0"], x0=x0), packet.eval_psi_dpsi,
-        lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0, cfg.params)) ** 2)
+        lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0)) ** 2)
 
 
 def _field(case: dict, x_extent: float, t_max: float) -> Packet:

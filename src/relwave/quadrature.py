@@ -93,31 +93,32 @@ def _chirp(half_theta: float, n: int) -> np.ndarray:
 
 
 def _superpose_czt(p: np.ndarray, dp: float, amps: np.ndarray, xs: np.ndarray,
-                   dx: float, hbar: float) -> np.ndarray:
-    """sum_j a_j exp(i p_j x_k / hbar) for each row a of ``amps`` on uniform
-    grids, by Bluestein: p_j x_k = p_j x_0 + p_0 (x_k - x_0) + theta j k with
-    theta = dp dx / hbar, and j k = (j^2 + k^2 - (k - j)^2) / 2."""
+                   dx: float) -> np.ndarray:
+    """sum_j a_j exp(i p_j x_k) for each row a of ``amps`` on uniform grids,
+    by Bluestein: p_j x_k = p_j x_0 + p_0 (x_k - x_0) + theta j k with
+    theta = dp dx, and j k = (j^2 + k^2 - (k - j)^2) / 2."""
     n_p, n_x = len(p), len(xs)
-    w = _chirp(0.5 * dp * dx / hbar, max(n_p, n_x))
+    w = _chirp(0.5 * dp * dx, max(n_p, n_x))
     size = next_fast_len(n_p + n_x - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_x] = np.conj(w[:n_x])
     kernel[size - n_p + 1:] = np.conj(w[n_p - 1:0:-1])
-    u = amps * np.exp(1j * p * xs[0] / hbar) * w[:n_p]
+    u = amps * np.exp(1j * p * xs[0]) * w[:n_p]
     conv = ifft(fft(u, size, axis=-1) * fft(kernel), axis=-1)[:, :n_x]
-    post = np.exp(1j * p[0] * (xs - xs[0]) / hbar) * w[:n_x]
+    post = np.exp(1j * p[0] * (xs - xs[0])) * w[:n_x]
     return conv * post
 
 
 def _dense_rows(n_p: int) -> int:
-    """Rows of x per block of the dense sum, so that each complex Nx x Np
-    temporary stays within _DENSE_BLOCK_BYTES."""
+    """Rows per block, so that each complex rows x n_p temporary stays within
+    _DENSE_BLOCK_BYTES (the dense sum's blocks of x; ``specfun``'s blocks
+    of band-integral points)."""
     return max(1, _DENSE_BLOCK_BYTES // (16 * n_p))
 
 
 def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
-              xs: np.ndarray, hbar: float):
-    """psi(x) = sum_p amp_p exp(i p x / hbar) on ``xs``, and the same sum of
+              xs: np.ndarray):
+    """psi(x) = sum_p amp_p exp(i p x) on ``xs``, and the same sum of
     ``damp`` (the mode time derivatives), which gives d/dt psi; with
     ``damp`` None only psi is summed and d/dt psi comes back as None.
 
@@ -133,12 +134,12 @@ def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
     amps = [amp] if damp is None else [amp, damp]
     dp, dx = _step(p), _step(xs)
     if dp is not None and dx is not None:
-        out = _superpose_czt(p, dp, np.stack(amps), xs, dx, hbar)
+        out = _superpose_czt(p, dp, np.stack(amps), xs, dx)
     else:
         out = np.empty((len(amps), len(xs)), dtype=complex)
         rows = _dense_rows(len(p))
         for i0 in range(0, len(xs), rows):
-            block = np.exp(1j * np.outer(xs[i0:i0 + rows], p) / hbar)
+            block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
             for row, a in zip(out, amps):
                 row[i0:i0 + rows] = np.einsum("ij,j->i", block, a)
     return out[0], (None if damp is None else out[1])

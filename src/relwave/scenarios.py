@@ -83,6 +83,16 @@ class Scenario:
             raise ScenarioError("t_list must be non-empty")
         if self.x_count < 64:
             raise ScenarioError("x_count must be >= 64")
+        if not self.x_min < self.x_max:
+            raise ScenarioError("x_min must be < x_max")
+        if not self.p_min < self.p_max:
+            raise ScenarioError("p_min must be < p_max")
+        if self.p_count < 2:
+            raise ScenarioError("p_count must be >= 2")
+        if not self.phase_dt > 0:
+            raise ScenarioError("phase_dt must be positive")
+        if not self.phase_t_max >= 0:
+            raise ScenarioError("phase_t_max must be >= 0")
         if self.normalization not in _NORMALIZATIONS:
             raise ScenarioError(f"unknown normalization {self.normalization!r}")
         for out in self.outputs:

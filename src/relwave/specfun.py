@@ -30,16 +30,16 @@ SpecFunAccuracyError instead of returning a silently wrong value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import kve, rgamma
 
+from .quadrature import _dense_rows
+
 __all__ = [
     "SpecFunDomainError",
     "SpecFunAccuracyError",
-    "PcfOrder",
     "bessel_k1",
     "bessel_k0",
     "pcf_d",
@@ -57,6 +57,12 @@ _R_SERIES = 1.5
 _R_ASYMP = 8.0
 _MARCH_ORDER = 36
 _MARCH_STEP = 0.5
+# term caps of the Maclaurin (Kummer M) and Poincare series
+_KUMMER_TERMS = 700
+_POINCARE_TERMS = 60
+# exp-sinh abscissae of the band integral: tau in [_BAND_TAU_LO, _BAND_TAU_HI]
+_BAND_TAU_LO = -4.8
+_BAND_TAU_HI = 3.0
 
 
 class SpecFunDomainError(ValueError):
@@ -65,25 +71,6 @@ class SpecFunDomainError(ValueError):
 
 class SpecFunAccuracyError(ArithmeticError):
     """No evaluation regime could reach the requested accuracy."""
-
-
-@dataclass(frozen=True)
-class PcfOrder:
-    """Order of a parabolic cylinder mode function.
-
-    ``for_uniform_field`` builds the conjugate pair of orders
-    -1/2 -+ i*m_sq/(2*force) used by the mode equation in a uniform field;
-    the real part is exactly -1/2 by construction.
-    """
-
-    nu: complex
-
-    @classmethod
-    def for_uniform_field(cls, m_sq: float, force: float) -> tuple["PcfOrder", "PcfOrder"]:
-        if force == 0:
-            raise SpecFunDomainError("force must be nonzero")
-        a = m_sq / (2.0 * force)
-        return cls(complex(-0.5, -a)), cls(complex(-0.5, a))
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +107,14 @@ def bessel_k0(z, scaled: bool = False):
 # parabolic cylinder D_nu
 # ---------------------------------------------------------------------------
 
-def _kummer_m(a: complex, b: complex, x: np.ndarray, max_terms: int = 700) -> np.ndarray:
+def _kummer_m(a: complex, b: complex, x: np.ndarray) -> np.ndarray:
     """Kummer's M(a, b, x) on a 1-d array.  Each point leaves the sum once
     its term falls below 1e-18 of its total; the arrays shrink with it."""
     total = np.ones_like(x)
     live = np.arange(x.size)
     term = np.ones_like(x)
     tot = np.ones_like(x)
-    for k in range(max_terms):
+    for k in range(_KUMMER_TERMS):
         if not live.size:
             break
         term = term * ((a + k) / (b + k)) * x[live] / (k + 1.0)
@@ -148,7 +135,7 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
     return 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
 
 
-def _asymptotic(nu: complex, z: np.ndarray, max_terms: int = 60):
+def _asymptotic(nu: complex, z: np.ndarray):
     """One-piece Poincare expansion on a 1-d array; returns (value,
     per-point truncation ratio: last term kept over the sum).
 
@@ -162,7 +149,7 @@ def _asymptotic(nu: complex, z: np.ndarray, max_terms: int = 60):
     term = np.ones_like(z)
     mag = np.ones(z.shape)
     tot = np.ones_like(z)
-    for s in range(max_terms):
+    for s in range(_POINCARE_TERMS):
         if not live.size:
             break
         new_term = term * (-(-nu + 2 * s) * (-nu + 2 * s + 1) / (s + 1.0)) * inv
@@ -253,8 +240,7 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray, outward: bool) -> n
     return val
 
 
-def _band_integral(nu: complex, z: np.ndarray, level: int | None = None,
-                   tau_lo: float = -4.8, tau_hi: float = 3.0) -> np.ndarray:
+def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu in the band by the rotated-contour integral representation
     D_nu(z) = e^{-z^2/4}/Gamma(-nu) int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt.
 
@@ -264,26 +250,42 @@ def _band_integral(nu: complex, z: np.ndarray, level: int | None = None,
     is relative to the recessive solution itself, so accuracy does not
     degrade on rays where D_nu is exponentially subdominant.  Requires
     Re nu < 0; callers lift higher orders with the z-ladder.
+
+    The points are summed in blocks, each complex points x nodes temporary
+    within the dense sum's byte budget; the first block whose values leave
+    double range raises SpecFunAccuracyError (weak fields: the rule has
+    2^19 + 1 nodes at |Im nu| ~ 400, where D_nu itself overflows).
     """
     if nu.real >= 0.0:
         # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
-        return (z * _band_integral(nu - 1.0, z, level, tau_lo, tau_hi)
-                - (nu - 1.0) * _band_integral(nu - 2.0, z, level, tau_lo, tau_hi))
+        return z * _band_integral(nu - 1.0, z) - (nu - 1.0) * _band_integral(nu - 2.0, z)
     norm = rgamma(-nu)
     if not np.isfinite(norm):
         raise SpecFunAccuracyError(f"1/Gamma(-nu) overflows for nu={nu}")
-    if level is None:
-        # the endpoint oscillation u^{-i Im nu} needs nodes scaling with |Im nu|
-        level = 12 + max(0, int(np.ceil(np.log2(max(abs(nu.imag), 1.0) / 6.0))))
-    rot = np.exp(-0.5j * np.angle(z))
+    # the endpoint oscillation u^{-i Im nu} needs nodes scaling with |Im nu|
+    level = 12 + max(0, int(np.ceil(np.log2(max(abs(nu.imag), 1.0) / 6.0))))
     n = (1 << level) + 1
-    tau = np.linspace(tau_lo, tau_hi, n)
+    tau = np.linspace(_BAND_TAU_LO, _BAND_TAU_HI, n)
     u = np.exp(0.5 * np.pi * np.sinh(tau))
     w = u * (0.5 * np.pi) * np.cosh(tau) * (tau[1] - tau[0])
-    t = rot[:, None] * u[None, :]
-    integrand = np.exp(-z[:, None] * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
-    total = np.sum(integrand * w, axis=1) * rot
-    return np.exp(-0.25 * z * z) * total * norm
+    out = np.empty_like(z)
+    rows = _dense_rows(n)
+    for i0 in range(0, len(z), rows):
+        zb = z[i0:i0 + rows]
+        rot = np.exp(-0.5j * np.angle(zb))
+        t = rot[:, None] * u[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = np.exp(-zb[:, None] * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
+            total = np.sum(integrand * w, axis=1) * rot
+            vals = np.exp(-0.25 * zb * zb) * total * norm
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise SpecFunAccuracyError(
+                f"D_nu for nu={nu} at |z|~{float(np.abs(zb[bad][0])):.3g} "
+                "overflows double precision"
+            )
+        out[i0:i0 + rows] = vals
+    return out
 
 
 def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:

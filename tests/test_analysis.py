@@ -46,15 +46,6 @@ def test_charge_density_plane_wave():
     assert np.all(dens.rho > 0)
 
 
-def test_charge_density_with_scalar_potential():
-    xs = np.linspace(-2, 2, 41)
-    psi = np.ones_like(xs) * (1.0 + 0.0j)
-    dpsi = -1j * psi
-    a0 = lambda t, x: np.full_like(x, 0.25)
-    dens = charge_density(WaveSlice(t=0.0, xs=xs, psi=psi, dpsi_dt=dpsi), a0=a0)
-    assert np.allclose(dens.rho, 1.0 - 0.25)
-
-
 def test_best_sigma_quadratic():
     sigma, val = best_sigma(lambda s: -(s - 3.0) ** 2, (0.1, 100.0))
     assert abs(sigma - 3.0) < 3e-6
@@ -215,7 +206,7 @@ def test_phase_trace_unwrap_failure_raises():
     with pytest.raises(ArithmeticError):
         phase_trace(lambda t, x: np.exp(1j * 0.98 * np.pi * (t >= 0.5)),
                     lambda t: 0.0, lambda t: 0.0,
-                    np.linspace(0.0, 1.0, 6), max_refines=3)
+                    np.linspace(0.0, 1.0, 6))
 
 
 def test_phase_slope_matches_action_rate_at_late_times():

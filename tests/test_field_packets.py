@@ -30,7 +30,6 @@ def _ray_weight(cfg, p):
 def test_config_defaults_and_validation():
     cfg = _cfg(3.0, 1.0)
     assert cfg.x0 == 10.0            # hyperbola vertex c/alpha
-    assert cfg.m_transverse_sq == 1.0
     with pytest.raises(ValueError):
         FieldPacketConfig(sigma0=3.0, force=0.0)
     with pytest.raises(ValueError):

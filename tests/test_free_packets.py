@@ -227,7 +227,7 @@ def test_closed_packet_folds_onto_plane_waves(vartheta, v0, x0):
     # exponent, as in closed_spectral
     cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=v0, x0=x0))
     pk = closed_spectral(cfg, 20.0, 20.0)
-    e = energy(pk.p, pk.params)
+    e = energy(pk.p)
     half_zn = vartheta / cfg.motion.gamma0
     for t in (0.0, 7.0, 20.0):
         xs = x0 + v0 * t + np.linspace(-10.0, 10.0, 81)

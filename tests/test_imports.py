@@ -24,3 +24,20 @@ def test_run_path_imports_only_scipy_special_and_fft():
     packages = {m.split(".")[1] for m in json.loads(out)}
     assert {p for p in packages if not p.startswith("_")} <= {"special", "fft"}
     assert {"special", "fft"} <= packages
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is deleted breaks
+    # ``from relwave.<module> import *`` with an AttributeError
+    import importlib
+    import pkgutil
+
+    import relwave
+
+    modules = ["relwave"] + [f"relwave.{m.name}"
+                             for m in pkgutil.iter_modules(relwave.__path__)]
+    for name in modules:
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        exported = getattr(importlib.import_module(name), "__all__", ())
+        assert all(n in namespace for n in exported), name

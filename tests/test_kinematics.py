@@ -3,24 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from relwave.kinematics import (FieldMotion, FreeMotion, PhysParams,
-                                action_field, action_free, field_trajectory,
-                                free_trajectory, lagrangian_free)
-
-
-def test_phys_params_validation():
-    with pytest.raises(ValueError):
-        PhysParams(m=0.0)
-    with pytest.raises(ValueError):
-        PhysParams(q=0.0)
-    assert PhysParams().compton_reduced == 1.0
+from relwave.kinematics import (FieldMotion, FreeMotion, action_field, action_free,
+                                field_trajectory, free_trajectory, lagrangian_free)
 
 
 def test_free_motion_gamma_and_momentum():
     m = FreeMotion(v0=0.25)
     assert abs(m.gamma0 - 1.0327955589886444) < 1e-15
     assert abs(m.p0 - 0.2581988897471611) < 1e-15
-    assert abs(m.p0 - m.params.m * m.v0 * m.gamma0) < 1e-12
+    assert abs(m.p0 - m.v0 * m.gamma0) < 1e-12
     with pytest.raises(ValueError):
         FreeMotion(v0=1.0)
 

@@ -12,7 +12,7 @@ def gauss_sum(x, node_count=257, half_width=6.5, shift=0.0):
     amplitude, on a momentum grid about 0."""
     p, w = momentum_grid(0.0, half_width, node_count)
     amp = w * np.exp(-(p - shift) ** 2)
-    return superpose(p, amp, 2.0 * amp, np.atleast_1d(x), 1.0)
+    return superpose(p, amp, 2.0 * amp, np.atleast_1d(x))
 
 
 def test_gaussian_integral():
@@ -28,7 +28,7 @@ def test_bessel_k1_integrand():
     # = K1(1) up to e^{-cosh(5.3)} cosh(5.3) < 1e-40
     k, w = momentum_grid(2.65, 2.65, 1025)
     amp = w * np.exp(-np.cosh(k)) * np.cosh(k)
-    psi, _ = superpose(k, amp, amp, np.array([0.0]), 1.0)
+    psi, _ = superpose(k, amp, amp, np.array([0.0]))
     assert abs(psi[0] - 0.6019072301972346) < 1e-9
 
 
@@ -47,8 +47,8 @@ def test_linearity():
     for _ in range(5):
         a = complex(rng.normal(), rng.normal())
         b = complex(rng.normal(), rng.normal())
-        combined, _ = superpose(p, a * f + b * g, f, xs, 1.0)
-        split = a * superpose(p, f, f, xs, 1.0)[0] + b * superpose(p, g, g, xs, 1.0)[0]
+        combined, _ = superpose(p, a * f + b * g, f, xs)
+        split = a * superpose(p, f, f, xs)[0] + b * superpose(p, g, g, xs)[0]
         scale = max(np.max(np.abs(combined)), 1.0)
         assert np.max(np.abs(combined - split)) <= 1e-12 * scale
 
@@ -58,8 +58,8 @@ def test_reversal():
     p, w = momentum_grid(0.0, 6.5, 513)
     amp = w * np.exp(-(p - 0.7) ** 2) * (1.0 + 0.3j * p)
     xs = np.linspace(-4.0, 4.0, 17)
-    direct, _ = superpose(p, amp, amp, xs, 1.0)
-    reflected, _ = superpose(p, amp[::-1], amp[::-1], -xs, 1.0)
+    direct, _ = superpose(p, amp, amp, xs)
+    reflected, _ = superpose(p, amp[::-1], amp[::-1], -xs)
     assert np.max(np.abs(direct - reflected)) <= 1e-12 * np.max(np.abs(direct))
 
 
@@ -89,23 +89,23 @@ def test_dense_value_at_a_point_does_not_depend_on_the_other_points():
     dmp = -1j * np.sqrt(1.0 + p * p) * amp
     xs = np.linspace(-30.0, 30.0, 1201) ** 3 / 900.0
     assert 1201 > 2 * _dense_rows(len(p))
-    psi, dpsi = superpose(p, amp, dmp, xs, 1.0)
+    psi, dpsi = superpose(p, amp, dmp, xs)
     for i in (0, 7, 511, 512, 700, 1200):
         for sub in (xs[i:i + 1], xs[i] + np.array([0.0, 0.5, 3.0])):
-            one, done = superpose(p, amp, dmp, sub, 1.0)
+            one, done = superpose(p, amp, dmp, sub)
             assert one[0] == psi[i] and done[0] == dpsi[i]
     # a uniform grid takes the chirp-z route: equal to the dense sum within
     # the oracle bound, not bit for bit
     grid = np.linspace(-30.0, 30.0, 1201)
-    psi_u, _ = superpose(p, amp, dmp, grid, 1.0)
+    psi_u, _ = superpose(p, amp, dmp, grid)
     for i in (0, 7, 700, 1200):
-        one, _ = superpose(p, amp, dmp, grid[i:i + 1], 1.0)
+        one, _ = superpose(p, amp, dmp, grid[i:i + 1])
         assert abs(psi_u[i] - one[0]) <= 1e-11 * np.sum(np.abs(amp))
 
 
-def _dense_sum(p, a, xs, hbar):
-    """The oracle: sum_j a_j exp(i p_j x / hbar), one x at a time."""
-    return np.array([np.sum(a * np.exp(1j * p * x / hbar)) for x in xs])
+def _dense_sum(p, a, xs):
+    """The oracle: sum_j a_j exp(i p_j x), one x at a time."""
+    return np.array([np.sum(a * np.exp(1j * p * x)) for x in xs])
 
 
 def _oracle_amplitudes():
@@ -126,7 +126,7 @@ def _oracle_amplitudes():
                     gauss_spectral(GaussianPacketConfig.from_gamma(0.3, 10.0), 20.0, 20.0)))
     out = []
     for name, pk in packets:
-        e = energy(pk.p, pk.params)
+        e = energy(pk.p)
         amp = pk.norm * pk.spectrum * pk.weights * np.exp(-1j * e * t)
         out.append((name, pk.p, amp, -1j * e * amp))
     basis = field_mode_basis(FieldPacketConfig.from_gamma(0.3, 10.0, 0.1), 30.0, 10.0)
@@ -137,17 +137,18 @@ def _oracle_amplitudes():
 
 
 def test_chirp_z_matches_the_dense_sum():
+    # x / 0.37 gives a chirp angle dp dx that is not the packets' own
     for name, p, amp, damp in _oracle_amplitudes():
         for n in (2, 3, 81, 2001):
             for offset in (0.0, 1000.0):
-                for hbar in (1.0, 0.37):
-                    xs = offset + np.linspace(-15.0, 25.0, n)
-                    psi, dpsi = superpose(p, amp, damp, xs, hbar)
+                for scale in (1.0, 0.37):
+                    xs = (offset + np.linspace(-15.0, 25.0, n)) / scale
+                    psi, dpsi = superpose(p, amp, damp, xs)
                     at = np.unique(np.linspace(0, n - 1, min(n, 41)).astype(int))
                     for got, a in ((psi, amp), (dpsi, damp)):
-                        err = np.max(np.abs(got[at] - _dense_sum(p, a, xs[at], hbar)))
+                        err = np.max(np.abs(got[at] - _dense_sum(p, a, xs[at])))
                         assert err <= 1e-11 * np.sum(np.abs(a)), \
-                            f"{name}, n={n}, offset={offset}, hbar={hbar}: {err:.2e}"
+                            f"{name}, n={n}, offset={offset}, x/{scale}: {err:.2e}"
 
 
 def test_dense_blocks_stay_within_the_byte_budget():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,40 @@ def test_weak_force_is_a_numeric_error(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric error in weak:") and "overflows" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_weak_force_above_the_fold_limit_fails_fast(tmp_path, capsys):
+    # nu = -1/2 -+ 416.67i: the band integral overflows at its first block
+    # instead of summing 2^19 + 1 nodes for each of ~400 points
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text("[weak]\nfamily = uniform-field\n"
+                   "cases = sigma0=3, gamma0=1, force=0.0012\nt_list = 0\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\n")
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert time.monotonic() - started < 10.0
+    assert capsys.readouterr().err.startswith("numeric error in weak:")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("grid,reason", [
+    ("x_min = 30\nx_max = -30", "x_min must be < x_max"),
+    ("p_min = 5\np_max = -5", "p_min must be < p_max"),
+    ("p_count = 1", "p_count must be >= 2"),
+    ("phase_dt = 0", "phase_dt must be positive"),
+    ("phase_dt = -0.25", "phase_dt must be positive"),
+    ("phase_t_max = -1", "phase_t_max must be >= 0"),
+], ids=["x-reversed", "p-reversed", "one-p", "zero-dt", "negative-dt", "negative-t-max"])
+def test_cli_grid_errors_exit_as_config_errors(tmp_path, capsys, grid, reason):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[bad]\nfamily = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n"
+                   f"outputs = density, spectrum, phase\nx_count = 301\n{grid}\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
     assert not list(out.glob("*.csv"))
 
 

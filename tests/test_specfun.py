@@ -5,9 +5,10 @@ import pytest
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
-from relwave.field_packets import FieldModeBasis, FieldPacketConfig, field_mode_basis
-from relwave.specfun import (PcfOrder, SpecFunAccuracyError, SpecFunDomainError,
-                             bessel_k0, bessel_k1, pcf_d, pcf_d_dz)
+from relwave.field_packets import (FieldModeBasis, FieldPacketConfig, _orders_and_rays,
+                                   field_mode_basis)
+from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
+                             bessel_k1, pcf_d, pcf_d_dz)
 
 RAY_P = (1.0 + 1.0j) / np.sqrt(0.1)
 RAY_M = (1.0j - 1.0) / np.sqrt(0.1)
@@ -174,12 +175,14 @@ def test_scalar_and_array_api():
 
 
 def test_pcf_order_factory():
-    plus, minus = PcfOrder.for_uniform_field(1.0, 0.1)
-    assert plus.nu == complex(-0.5, -5.0)
-    assert minus.nu == complex(-0.5, 5.0)
-    assert plus.nu.real == -0.5
-    with pytest.raises(SpecFunDomainError):
-        PcfOrder.for_uniform_field(1.0, 0.0)
+    # the orders of the uniform-field modes are -1/2 -+ i/(2F), real part exact
+    for force in (0.1, -0.3, 2.0):
+        plus, minus, _, _ = _orders_and_rays(FieldPacketConfig(sigma0=1.0, force=force))
+        assert plus == complex(-0.5, -1.0 / (2.0 * force))
+        assert minus == complex(-0.5, 1.0 / (2.0 * force))
+        assert plus.real == minus.real == -0.5
+    plus, minus, _, _ = _orders_and_rays(FieldPacketConfig(sigma0=1.0, force=0.1))
+    assert (plus, minus) == (complex(-0.5, -5.0), complex(-0.5, 5.0))
 
 
 def test_subdominant_conditioning_raises_not_lies():
@@ -198,6 +201,16 @@ def test_weak_force_fold_raises_not_nan():
             FieldModeBasis(FieldPacketConfig(sigma0=3.0, force=1e-3), 0.05, 0.001)
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
+
+
+def test_weak_force_band_integral_raises_not_hangs():
+    # F = 0.0012 gives nu = -1/2 -+ 416.67i, inside the fold's range: the
+    # asymptotic points fall to the band integral, whose rule has 2^19 + 1
+    # nodes per point there, and whose values leave double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpecFunAccuracyError, match="overflows"):
+            pcf_d(-0.5 - 416.67j, (1.0 + 1.0j) * np.array([6.0, 14.0]))
 
 
 # ---------------------------------------------------------------------------
