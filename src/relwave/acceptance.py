@@ -108,7 +108,7 @@ def crit_1_closed_form_oracle():
         spectral = closed_spectral(cfg, 40.0, 20.0)
         for t in (0.0, 10.0, 20.0):
             ref, _ = spectral.eval_psi_dpsi(t, xs)
-            dev = float(np.max(np.abs(pk.psi(t, xs) - ref)) / np.max(np.abs(ref)))
+            dev = float(np.max(np.abs(pk.psi_dpsi(t, xs)[0] - ref)) / np.max(np.abs(ref)))
             worst = max(worst, dev)
     return worst < 1e-6, f"max relative deviation {worst:.2e} (tol 1e-6)"
 
@@ -134,7 +134,7 @@ def crit_2_initial_widths():
 def crit_3_mean_position():
     """<x> = v0 t for the widest packet at t = 20."""
     xs = np.linspace(-45.0, 55.0, 3001)
-    mean = expectation_x(xs, np.abs(_closed(100.0).psi(20.0, xs)) ** 2)
+    mean = expectation_x(xs, np.abs(_closed(100.0).psi_dpsi(20.0, xs)[0]) ** 2)
     err = abs(mean - 5.0)
     return err < 1e-3, f"<x>(20) = {mean:.6f}, |err| = {err:.2e} (tol 1e-3)"
 

@@ -247,14 +247,22 @@ def find_peaks(density: DensitySlice, min_prominence: float = 0.05):
 def phase_trace(evaluator, trajectory, action, ts) -> PhaseTrace:
     """Unwrapped phase of psi along a classical worldline vs. the action.
 
-    ``evaluator(t, x) -> complex`` samples the wavefunction, ``trajectory(t)``
-    the worldline position, ``action(t)`` the classical action.  Intervals
-    whose raw phase increment reaches pi are bisected (new evaluator calls)
-    until increments are safe; failure to achieve that raises.
+    ``evaluator(ts, xs) -> psi`` samples the wavefunction at the pairs
+    (ts[k], xs[k]), ``trajectory(t)`` gives the worldline position,
+    ``action(t)`` the classical action.  Intervals whose raw phase increment
+    reaches pi are bisected until increments are safe; failure to achieve
+    that raises.  The evaluator is called once for ``ts`` and once per
+    bisection round, with all of that round's midpoints.
     """
     ts = np.asarray(ts, dtype=float)
+    raw = {}
+
+    def sample(times):
+        xs = np.array([trajectory(t) for t in times], dtype=float)
+        raw.update(zip(times.tolist(), np.angle(evaluator(times, xs)).tolist()))
+
+    sample(ts)
     t_list = list(ts)
-    raw = {t: float(np.angle(evaluator(t, trajectory(t)))) for t in t_list}
     for _ in range(_MAX_REFINES):
         gaps = [
             (a, b) for a, b in zip(t_list[:-1], t_list[1:])
@@ -262,9 +270,7 @@ def phase_trace(evaluator, trajectory, action, ts) -> PhaseTrace:
         ]
         if not gaps:
             break
-        for a, b in gaps:
-            mid = 0.5 * (a + b)
-            raw[mid] = float(np.angle(evaluator(mid, trajectory(mid))))
+        sample(np.array([0.5 * (a + b) for a, b in gaps]))
         t_list = sorted(raw)
     else:
         raise ArithmeticError(

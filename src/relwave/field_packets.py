@@ -27,7 +27,7 @@ import numpy as np
 
 from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
-from .quadrature import momentum_grid, superpose
+from .quadrature import _PAIR_BLOCK, momentum_grid, superpose_pairs
 from .specfun import pcf_d
 
 __all__ = [
@@ -64,7 +64,7 @@ class FieldPacketConfig:
 
     @property
     def motion(self) -> FieldMotion:
-        return FieldMotion(force=self.force, p0=self.p0)
+        return FieldMotion(force=self.force, p0=self.p0, x0=self.x0)
 
     @classmethod
     def from_gamma(cls, sigma0: float, gamma0: float, force: float,
@@ -94,7 +94,15 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
 
     D' comes from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu on the
     D_nu already computed, so each ray costs two D evaluations, not three.
+    An ``s`` of more than ``quadrature._PAIR_BLOCK`` points is evaluated in
+    calls of that many points, which bounds pcf_d's temporaries (each value
+    is independent of the others of its call).
     """
+    if np.size(s) > _PAIR_BLOCK:
+        flat = np.ravel(s)
+        parts = [mode_pair(cfg, flat[i:i + _PAIR_BLOCK], derivatives)
+                 for i in range(0, flat.size, _PAIR_BLOCK)]
+        return tuple(np.concatenate(vals).reshape(np.shape(s)) for vals in zip(*parts))
     nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
     zp, zm = ray_plus * s, ray_minus * s
     fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
@@ -140,9 +148,10 @@ class FieldModeBasis:
         self.coeffs = ModeCoefficients(p=self.p, c_plus=raw.c_plus * scale,
                                        c_minus=raw.c_minus * scale)
 
-    def modes(self, t: float, derivatives: bool = True):
+    def modes(self, t, derivatives: bool = True):
         """psi_p(t) and d/dt psi_p(t) on the grid; psi_p(t) alone without
-        ``derivatives`` (the same values, half the D_nu work)."""
+        ``derivatives`` (the same values, half the D_nu work).  A column
+        of times gives one row per time, from one ``mode_pair`` call."""
         c = self.coeffs
         pair = mode_pair(self.cfg, self.p + self.cfg.force * t, derivatives)
         psi = c.c_plus * pair[0] + c.c_minus * pair[1]
@@ -150,17 +159,14 @@ class FieldModeBasis:
             return psi
         return psi, c.c_plus * pair[2] + c.c_minus * pair[3]
 
-    def eval_psi_dpsi(self, t: float, xs: np.ndarray):
-        """psi(t, xs) and d/dt psi(t, xs), the momentum sum of the modes."""
-        psi_p, dpsi_p = self.modes(t)
-        return superpose(self.p, self.weights * psi_p, self.weights * dpsi_p, xs)
-
-    def eval_psi(self, t: float, xs: np.ndarray):
-        """psi(t, xs) alone, for callers that drop d/dt psi (the phase
-        traces): 2 D_nu evaluations per time instead of 4, same bits."""
-        psi, _ = superpose(self.p, self.weights * self.modes(t, derivatives=False),
-                           None, xs)
-        return psi
+    def eval_psi_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """psi at each pair (ts[k], xs[k]), from psi_p alone (half the D_nu
+        of d/dt psi): the modes of a block of times are one ``modes`` row
+        per time, and each value has the bits of the psi that ``superpose``
+        gives from ``modes(t_k)`` at the point x_k."""
+        return superpose_pairs(
+            self.p, lambda t: self.weights * self.modes(t[:, None], derivatives=False),
+            ts, xs)
 
 
 @lru_cache(maxsize=16)

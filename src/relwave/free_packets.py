@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kinematics import FreeMotion
-from .quadrature import momentum_grid, superpose
+from .quadrature import momentum_grid, superpose, superpose_pairs
 from .specfun import bessel_k0, bessel_k1
 
 __all__ = [
@@ -113,6 +113,14 @@ class SpectralPacket:
         gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t)
         return superpose(self.p, gt, gt * (-1j * e), xs)
 
+    def eval_psi_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """psi at each pair (ts[k], xs[k]), one row of modes exp(-i E t_k)
+        per time; each value has the bits of ``eval_psi_dpsi(t_k, [x_k])``."""
+        e = energy(self.p)
+        return superpose_pairs(
+            self.p, lambda t: self.norm * self.spectrum * self.weights
+            * np.exp(-1j * e * t[:, None]), ts, xs)
+
     def norm_at_zero(self, xs: np.ndarray) -> float:
         psi, _ = self.eval_psi_dpsi(0.0, xs)
         return float(np.trapezoid(np.abs(psi) ** 2, xs))
@@ -180,6 +188,7 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     """psi = N' (vartheta + i t) c K1(z) / f with z = m c f / hbar and
     f = sqrt((x - x0 - i v0 vartheta)^2 - c^2 (t - i vartheta)^2), and its
     t-derivative from dK1/dz = -K0 - K1/z and df/dt = -c^2 (t - i vartheta)/f.
+    Elementwise: ``t`` may also hold one time per point of ``xs``.
 
     The exponents of K1(z) and of the 1/sqrt(K1(z_n)) in N' are combined,
     exp(z_n/2 - z), which is of order one where the packet is.

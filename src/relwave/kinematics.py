@@ -54,16 +54,19 @@ class FreeMotion:
 class FieldMotion:
     """Hyperbolic motion under a constant force (charge times field).
 
-    The trajectory convention puts the worldline so that x(0) = c/alpha when
-    p0 = 0, with alpha = force/(m c) and t0 = p0/force.
+    The worldline starts at x(0) = x0, by default the hyperbola vertex
+    c/alpha, with alpha = force/(m c) and t0 = p0/force.
     """
 
     force: float
     p0: float = 0.0
+    x0: float | None = None
 
     def __post_init__(self):
         if self.force == 0:
             raise ValueError("force must be nonzero")
+        if self.x0 is None:
+            object.__setattr__(self, "x0", 1.0 / self.force)
 
     @property
     def alpha(self) -> float:
@@ -98,14 +101,14 @@ def free_trajectory(t: float, motion: FreeMotion) -> TrajectorySample:
 def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     """Sample of the uniformly accelerated worldline at coordinate time t.
 
-    x(t) = c sqrt(alpha^-2 + (t+t0)^2) - c sqrt(alpha^-2 + t0^2) + c/alpha,
+    x(t) = c sqrt(alpha^-2 + (t+t0)^2) - c sqrt(alpha^-2 + t0^2) + x0,
     gamma(t) = sqrt(1 + alpha^2 (t+t0)^2); t may be negative.
     """
     a = motion.alpha
     t0 = motion.t0
     u = a * (t + t0)
     gamma = math.sqrt(1.0 + u * u)
-    x = math.sqrt(a**-2 + (t + t0) ** 2) - math.sqrt(a**-2 + t0**2) + 1.0 / a
+    x = math.sqrt(a**-2 + (t + t0) ** 2) - math.sqrt(a**-2 + t0**2) + motion.x0
     v = u / gamma
     tau = (math.asinh(u) - math.asinh(a * t0)) / a
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)

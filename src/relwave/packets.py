@@ -24,6 +24,7 @@ from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_for
                            gauss_spectral, gauss_spectrum, spectrum_closed)
 from .kinematics import (FreeMotion, action_field, action_free,
                          field_trajectory, free_trajectory)
+from .quadrature import superpose
 
 __all__ = ["FAMILIES", "Packet", "ScenarioError", "packet_for"]
 
@@ -36,9 +37,10 @@ class ScenarioError(ValueError):
 class Packet:
     """One wavepacket, built for |t| <= t_max.
 
-    ``psi_dpsi(t, xs)`` gives psi and d/dt psi on ``xs``, ``psi(t, xs)``
-    psi alone (the same values; the uniform-field packet then evaluates half
-    the D_nu).  ``trajectory(t)`` samples the classical worldline and
+    ``psi_dpsi(t, xs)`` gives psi and d/dt psi on ``xs``, ``psi_at(ts, xs)``
+    psi alone at the pairs (ts[k], xs[k]), with the bits of ``psi_dpsi`` at
+    each point (the uniform-field packet then evaluates half the D_nu).
+    ``trajectory(t)`` samples the classical worldline and
     ``action(t)`` is the classical action along it.  ``spectrum(ps, t)`` is
     the momentum distribution at ``ps``, ``spectrum_peak(ps)`` the peak that
     peak-normalized spectra divide by: the peak over ``ps`` for the free
@@ -49,7 +51,7 @@ class Packet:
     label: str
     t_max: float
     psi_dpsi: Callable
-    psi: Callable
+    psi_at: Callable
     trajectory: Callable
     action: Callable
     spectrum: Callable
@@ -66,13 +68,13 @@ class Packet:
 
     def trace_phase(self, ts) -> PhaseTrace:
         """Phase of psi along the classical worldline against the action."""
-        return phase_trace(lambda t, x: self.psi(t, np.array([x]))[0],
-                           lambda t: self.trajectory(t).x, self.action, ts)
+        return phase_trace(self.psi_at, lambda t: self.trajectory(t).x,
+                           self.action, ts)
 
 
-def _free_packet(label, t_max, motion: FreeMotion, psi_dpsi, spectrum) -> Packet:
-    return Packet(label=label, t_max=t_max, psi_dpsi=psi_dpsi,
-                  psi=lambda t, xs: psi_dpsi(t, xs)[0],
+def _free_packet(label, t_max, motion: FreeMotion, psi_dpsi, psi_at,
+                 spectrum) -> Packet:
+    return Packet(label=label, t_max=t_max, psi_dpsi=psi_dpsi, psi_at=psi_at,
                   trajectory=partial(free_trajectory, motion=motion),
                   action=partial(action_free, motion=motion),
                   spectrum=lambda ps, t: spectrum(ps),
@@ -85,6 +87,7 @@ def _closed(case: dict, x_extent: float, t_max: float) -> Packet:
     cfg = ClosedPacketConfig(vartheta=case["vartheta"], motion=motion)
     return _free_packet(f"ctheta{case['vartheta']:g}", t_max, motion,
                         partial(_closed_form, cfg=cfg),
+                        lambda ts, xs: _closed_form(ts, xs, cfg)[0],
                         partial(spectrum_closed, cfg=cfg))
 
 
@@ -95,6 +98,7 @@ def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
     return _free_packet(
         f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max,
         FreeMotion.from_gamma(case["gamma0"], x0=x0), packet.eval_psi_dpsi,
+        packet.eval_psi_at,
         lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0)) ** 2)
 
 
@@ -102,13 +106,23 @@ def _field(case: dict, x_extent: float, t_max: float) -> Packet:
     cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"], case["force"],
                                        x0=case.get("x0"))
     basis = field_mode_basis(cfg, x_extent, t_max)
+    # psi_p(t) on the nodes by time, for the spectrum: a time whose slice
+    # was taken does not evaluate its modes again
+    psi_nodes = {}
+
+    def psi_dpsi(t, xs):
+        psi_p, dpsi_p = basis.modes(t)
+        psi_nodes[t] = psi_p
+        return superpose(basis.p, basis.weights * psi_p, basis.weights * dpsi_p, xs)
 
     def density_on_nodes(t):
-        return np.abs(basis.modes(t, derivatives=False)) ** 2
+        if t not in psi_nodes:
+            psi_nodes[t] = basis.modes(t, derivatives=False)
+        return np.abs(psi_nodes[t]) ** 2
 
     return Packet(
         label=f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}",
-        t_max=t_max, psi_dpsi=basis.eval_psi_dpsi, psi=basis.eval_psi,
+        t_max=t_max, psi_dpsi=psi_dpsi, psi_at=basis.eval_psi_at,
         trajectory=partial(field_trajectory, motion=cfg.motion),
         action=partial(action_field, motion=cfg.motion),
         spectrum=lambda ps, t: np.interp(ps, basis.p, density_on_nodes(t),

@@ -11,6 +11,9 @@ uniform field.  ``superpose`` is that sum, a composite trapezoid rule on a
 * any other x (single points, non-uniform grids): the dense Nx x Np sum,
   row by row, over blocks of x sized to a byte budget.
 
+``superpose_pairs`` is the dense sum at (t, x) pairs, each x with the mode
+amplitudes of its own time, in blocks of a few thousand points.
+
 Both are deterministic: repeated runs give the same bits.
 """
 
@@ -23,11 +26,16 @@ __all__ = [
     "QuadratureError",
     "momentum_grid",
     "superpose",
+    "superpose_pairs",
     "trapezoid_weights",
 ]
 
 # bytes of each Nx x Np temporary of the dense sum
 _DENSE_BLOCK_BYTES = 16 << 20
+# points (times x nodes) per block of superpose_pairs: about 128 KiB per
+# complex temporary, and about 2.3 MiB in pcf_d (some 290 B a point) for the
+# uniform-field modes, so that a phase trace does not raise peak memory
+_PAIR_BLOCK = 8192
 
 # 2 pi = _C1 + _C2 + _C3 (Cody-Waite): _C1 and _C2 hold 21 bits each, so
 # n * _C1 and n * _C2 are exact for integers n < 2^32; _C3 adds the rest of
@@ -116,11 +124,9 @@ def _dense_rows(n_p: int) -> int:
     return max(1, _DENSE_BLOCK_BYTES // (16 * n_p))
 
 
-def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
-              xs: np.ndarray):
+def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray, xs: np.ndarray):
     """psi(x) = sum_p amp_p exp(i p x) on ``xs``, and the same sum of
-    ``damp`` (the mode time derivatives), which gives d/dt psi; with
-    ``damp`` None only psi is summed and d/dt psi comes back as None.
+    ``damp`` (the mode time derivatives), which gives d/dt psi.
 
     ``amp`` and ``damp`` already carry the quadrature weights.  When ``xs``
     and ``p`` are both uniform grids the two sums are one chirp-z transform
@@ -131,7 +137,7 @@ def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
     """
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    amps = [amp] if damp is None else [amp, damp]
+    amps = [amp, damp]
     dp, dx = _step(p), _step(xs)
     if dp is not None and dx is not None:
         out = _superpose_czt(p, dp, np.stack(amps), xs, dx)
@@ -142,4 +148,22 @@ def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray | None,
             block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
             for row, a in zip(out, amps):
                 row[i0:i0 + rows] = np.einsum("ij,j->i", block, a)
-    return out[0], (None if damp is None else out[1])
+    return out[0], out[1]
+
+
+def superpose_pairs(p: np.ndarray, amp_rows, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """psi_k = sum_j a_j(t_k) exp(i p_j x_k) at each pair (ts[k], xs[k]).
+
+    ``amp_rows(t)`` gives the weighted amplitudes a_j(t_k), one row per time
+    of a block of at most _PAIR_BLOCK points (one time when Np exceeds it).
+    Each row is summed by ``einsum``, as on the dense route of ``superpose``,
+    so the value of a pair does not depend on the pairs evaluated with it.
+    """
+    ts = np.asarray(ts, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty(len(ts), dtype=complex)
+    rows = max(1, _PAIR_BLOCK // len(p))
+    for i0 in range(0, len(ts), rows):
+        block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
+        out[i0:i0 + rows] = np.einsum("ij,ij->i", block, amp_rows(ts[i0:i0 + rows]))
+    return out

@@ -149,6 +149,19 @@ def _packet(scn: Scenario, case: dict) -> Packet:
     return packet_for(case, scn.family, max(abs(scn.x_min), abs(scn.x_max)) + 1.0, t_max)
 
 
+def _check_on_grid(scn: Scenario, pk: Packet):
+    """The density, metrics and widths outputs sample the packet on the
+    x-grid: its classical position at each output time must lie on it."""
+    if not {"density", "metrics", "widths"} & set(scn.outputs):
+        return
+    for t in scn.t_list:
+        x = pk.trajectory(t).x
+        if not scn.x_min <= x <= scn.x_max:
+            raise ScenarioError(
+                f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "
+                f"lies outside the grid [{scn.x_min:g}, {scn.x_max:g}]")
+
+
 def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
     rows = []
     for t in scn.t_list:
@@ -241,6 +254,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
 
     def _one(case):
         pk = _packet(scenario, dict(case))
+        _check_on_grid(scenario, pk)
         return pk.label, _case_outputs(scenario, pk, xs)
 
     if threads > 1:

@@ -299,17 +299,23 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
         res[small] = _maclaurin(nu, z[small])
     if np.any(big):
         vals, trunc = _asymptotic(nu, z[big])
+        # |nu| too large for the expansion at this radius: points within one
+        # step of the band join it (the march's last checkpoint reaches them
+        # on a dominant ray), the others take the band integral
+        idx = np.flatnonzero(big)
         poor = trunc > 1e-11
-        if np.any(poor):
-            # |nu| too large for the expansion at this radius
-            zb = z[big][poor]
+        near = poor & (r[big] <= _R_ASYMP + _MARCH_STEP)
+        band[idx[near]] = True
+        far = poor & ~near
+        if np.any(far):
+            zb = z[big][far]
             if abs(nu.imag) > 8.0 and np.any(np.angle(zb) * nu.imag > 1e-12):
                 raise SpecFunAccuracyError(
                     f"D_nu for nu={nu} at |z|~{float(np.abs(zb[0])):.3g} on a "
                     "subdominant ray exceeds double-precision conditioning"
                 )
-            vals[poor] = _band_integral(nu, zb)
-        res[big] = vals
+            vals[far] = _band_integral(nu, zb)
+        res[idx[~near]] = vals[~near]
     if np.any(band):
         zb = z[band]
         vals = np.empty_like(zb)

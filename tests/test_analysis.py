@@ -183,7 +183,7 @@ def test_find_peaks_empty_for_ramp():
 
 def test_phase_trace_linear_phase():
     omega = 2.2
-    tr = phase_trace(lambda t, x: np.exp(-1j * omega * t),
+    tr = phase_trace(lambda ts, xs: np.exp(-1j * omega * ts),
                      lambda t: 0.0,
                      lambda t: -omega * t,
                      np.linspace(0.0, 10.0, 11))
@@ -194,17 +194,30 @@ def test_phase_trace_linear_phase():
 def test_phase_trace_refines_fast_rotation():
     # increments of ~2.5 rad per step need one bisection level
     omega = 5.0
-    tr = phase_trace(lambda t, x: np.exp(-1j * omega * t),
+    tr = phase_trace(lambda ts, xs: np.exp(-1j * omega * ts),
                      lambda t: 0.0,
                      lambda t: -omega * t,
                      np.linspace(0.0, 5.0, 11))
     assert np.max(np.abs(tr.offset)) < 1e-12
 
 
+def test_phase_trace_calls_the_evaluator_once_per_round():
+    # one call for the requested times, one for each bisection round with
+    # all of that round's midpoints; increments of 3 rad need one round
+    calls = []
+
+    def evaluator(ts, xs):
+        calls.append(len(ts))
+        return np.exp(-6j * ts)
+
+    phase_trace(evaluator, lambda t: 0.0, lambda t: 0.0, np.linspace(0.0, 5.0, 11))
+    assert calls == [11, 10]
+
+
 def test_phase_trace_unwrap_failure_raises():
     # a genuine phase jump of 0.98 pi survives every bisection level
     with pytest.raises(ArithmeticError):
-        phase_trace(lambda t, x: np.exp(1j * 0.98 * np.pi * (t >= 0.5)),
+        phase_trace(lambda ts, xs: np.exp(1j * 0.98 * np.pi * (ts >= 0.5)),
                     lambda t: 0.0, lambda t: 0.0,
                     np.linspace(0.0, 1.0, 6))
 
@@ -219,7 +232,7 @@ def test_phase_slope_matches_action_rate_at_late_times():
     motion = FreeMotion.from_gamma(10.0)
     pk = gauss_spectral(cfg, 205.0, 200.0)
     ts = np.linspace(150.0, 200.0, 51)
-    tr = phase_trace(lambda t, x: pk.eval_psi_dpsi(t, np.array([x]))[0][0],
+    tr = phase_trace(pk.eval_psi_at,
                      lambda t: free_trajectory(t, motion).x,
                      lambda t: action_free(t, motion), ts)
     slope = np.polyfit(tr.ts, tr.phi, 1)[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relwave import field_packets, packets, scenarios
+from relwave import field_packets, packets, quadrature, scenarios
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, field_mode_basis,
                                    mode_coeffs, mode_pair)
@@ -161,7 +161,7 @@ def test_psi_field_scalar_api():
     # route), and psi alone the bits of psi evaluated with d/dt psi
     psis, dpsis = pk.psi_dpsi(2.0, np.array([11.0, 11.5, 13.0]))
     assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
-    assert pk.psi(2.0, np.array([11.0]))[0] == psi[0]
+    assert pk.psi_at(np.array([2.0]), np.array([11.0]))[0] == psi[0]
 
 
 def test_modes_match_the_pcf_d_dz_route():
@@ -182,31 +182,37 @@ def test_modes_match_the_pcf_d_dz_route():
 
 
 def test_psi_only_evaluation_is_the_same_bits():
+    # psi at (t, x) pairs, f+ and f- only, has the bits of psi evaluated with
+    # d/dt psi at each point, whichever pairs are evaluated with it
     cfg = _cfg(0.3, 10.0)
     basis = field_mode_basis(cfg, 40.0, 20.0)
-    for t in (0.0, 3.25, 17.5):
+    pk = _packet(0.3, 10.0, 40.0, 20.0)
+    ts = np.array([0.0, 3.25, 17.5, 3.25])
+    xs = np.array([field_trajectory(t, cfg.motion).x for t in ts])
+    xs[3] -= 0.7
+    together = pk.psi_at(ts, xs)
+    for k, (t, x) in enumerate(zip(ts, xs)):
         assert np.array_equal(basis.modes(t, derivatives=False), basis.modes(t)[0])
-        x = field_trajectory(t, cfg.motion).x
-        for xs in (np.array([x]), np.array([x - 0.7])):
-            assert np.array_equal(basis.eval_psi(t, xs), basis.eval_psi_dpsi(t, xs)[0])
+        assert together[k] == pk.psi_dpsi(t, np.array([x]))[0][0]
+        assert together[k] == pk.psi_at(ts[k:k + 1], xs[k:k + 1])[0]
+
+
+def _count_pcf(monkeypatch, calls):
+    pcf = field_packets.pcf_d
+    monkeypatch.setattr(field_packets, "pcf_d",
+                        lambda nu, z: calls.append((nu, np.size(z))) or pcf(nu, z))
 
 
 def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
-    # the phase trace keeps psi only, so each evaluation takes f+ and f-
-    # and not the D_{nu-1} of their time derivatives
-    calls = []
-    pcf = field_packets.pcf_d
-    monkeypatch.setattr(field_packets, "pcf_d",
-                        lambda nu, z: calls.append(nu) or pcf(nu, z))
-    per_eval = []
+    # the phase trace keeps psi only: each evaluated time takes f+ and f-
+    # on the Np nodes, and not the D_{nu-1} of their time derivatives
+    times = []
     trace = packets.phase_trace
 
     def counting_trace(evaluator, *args, **kwargs):
-        def ev(t, x):
-            before = len(calls)
-            val = evaluator(t, x)
-            per_eval.append(len(calls) - before)
-            return val
+        def ev(ts, xs):
+            times.append(len(ts))
+            return evaluator(ts, xs)
         return trace(ev, *args, **kwargs)
 
     monkeypatch.setattr(packets, "phase_trace", counting_trace)
@@ -214,5 +220,60 @@ def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
     pk = scenarios._packet(scn, scn.cases[0])
+    basis = field_mode_basis(_cfg(3.0, 1.0), 31.0, 2.0)
+    calls = []
+    _count_pcf(monkeypatch, calls)
     scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
-    assert len(per_eval) >= 9 and set(per_eval) == {2}
+    assert sum(times) >= 9
+    assert {nu for nu, _ in calls} == {basis.nu_plus, basis.nu_minus}
+    assert sum(n for _, n in calls) == 2 * len(basis.p) * sum(times)
+
+
+@pytest.mark.parametrize("block", [field_packets._PAIR_BLOCK, 1000])
+def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
+    # a block of times is one pcf_d call per order; with fewer points per
+    # block than nodes (1000 < Np) a block is one time, its nodes split
+    # over several calls, and the phases keep their bits
+    pk = _packet(0.3, 10.0, 41.0, 8.0)
+    ts = np.arange(0.0, 8.125, 0.25)
+    ref = pk.trace_phase(ts)
+    calls = []
+    monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(field_packets, "_PAIR_BLOCK", block)
+    _count_pcf(monkeypatch, calls)
+    trace = pk.trace_phase(ts)
+    n_p = len(field_mode_basis(_cfg(0.3, 10.0), 41.0, 8.0).p)
+    sizes = [n for _, n in calls]
+    assert max(sizes) <= block
+    assert sum(sizes) == 2 * n_p * len(ts)
+    if block > 2 * n_p:
+        assert max(sizes) > n_p  # several times per call
+    assert np.array_equal(trace.phi, ref.phi)
+
+
+def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
+    # density and peak-normalized spectrum at three times: the basis build
+    # (f+, f-) and 4 D_nu per time for the slices; the spectra and their
+    # t = 0 peak read the slices' psi_p (22 calls when they evaluate again)
+    scn = scenarios.Scenario(name="fd", family="uniform-field",
+                             cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
+                             t_list=(-4.0, 0.0, 4.0), x_min=-20.0, x_max=40.0,
+                             x_count=301, outputs=("density", "spectrum"),
+                             normalization="peak-normalized", p_min=-5.0, p_max=5.0,
+                             p_count=101)
+    field_mode_basis.cache_clear()
+    calls = []
+    _count_pcf(monkeypatch, calls)
+    scenarios.run(scn, tmp_path)
+    assert len(calls) == 14
+
+
+def test_classical_position_tracks_the_density_mean():
+    # the worldline starts at the case's x0 (default: the vertex 1/F)
+    xs = np.linspace(-40.0, 60.0, 2001)
+    for x0 in (0.0, 5.0, None):
+        case = {"sigma0": 3.0, "gamma0": 1.0, "force": F, "x0": x0}
+        pk = packet_for(case, "uniform-field", 61.0, 4.0)
+        for t in (0.0, 4.0):
+            mean = expectation_x(xs, charge_density(pk.slice(t, xs)).rho)
+            assert abs(pk.classical(t)[0] - mean) < 0.25

@@ -83,7 +83,7 @@ def test_psi_closed_scalar_api():
     assert psi.shape == dpsi.shape == (1,)
     psis, dpsis = pk.psi_dpsi(5.0, np.linspace(1.25, 2.0, 4))
     assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
-    assert pk.psi(5.0, np.array([1.25]))[0] == psi[0]
+    assert pk.psi_at(np.array([5.0]), np.array([1.25]))[0] == psi[0]
 
 
 def test_spectrum_closed_peak_and_ratio():
@@ -160,7 +160,7 @@ def test_psi_gauss_free_scalar_api():
     # route; a uniform grid takes the chirp-z route, equal to its bound)
     psis, dpsis = pk.psi_dpsi(4.0, np.array([0.5, 0.75, 2.0]))
     assert psis[0] == psi[0] and dpsis[0] == dpsi[0]
-    assert pk.psi(4.0, np.array([0.5]))[0] == psi[0]
+    assert pk.psi_at(np.array([4.0]), np.array([0.5]))[0] == psi[0]
 
 
 def test_spectral_packet_unit_norm():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from relwave.quadrature import (_DENSE_BLOCK_BYTES, QuadratureError, _dense_rows,
-                                momentum_grid, superpose, trapezoid_weights)
+from relwave.quadrature import (_DENSE_BLOCK_BYTES, _PAIR_BLOCK, QuadratureError,
+                                _dense_rows, momentum_grid, superpose, superpose_pairs,
+                                trapezoid_weights)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -157,6 +158,28 @@ def test_dense_blocks_stay_within_the_byte_budget():
         rows = _dense_rows(n_p)
         assert rows >= 1 and rows * n_p * 16 <= _DENSE_BLOCK_BYTES
     assert _dense_rows(100_000) == 10
+
+
+@pytest.mark.parametrize("n_p", [3, 2001, 9001])
+def test_pair_blocks_stay_within_the_block_bound(n_p):
+    # each block of times holds at most _PAIR_BLOCK points (one time when
+    # Np exceeds it), and a pair has the bits of its one-point dense sum
+    p, w = momentum_grid(0.5, 6.0, n_p)
+    ts = np.linspace(0.0, 9.0, 37)
+    xs = np.sin(ts) + 0.25 * ts
+    seen = []
+
+    def amp_rows(t):
+        seen.append(len(t))
+        return w * np.exp(-0.5 * (p - 0.5) ** 2 - 1j * np.sqrt(1.0 + p * p) * t[:, None])
+
+    psi = superpose_pairs(p, amp_rows, ts, xs)
+    assert sum(seen) == len(ts)
+    assert max(seen) == max(1, min(len(ts), _PAIR_BLOCK // n_p))
+    for k in (0, 17, 36):
+        ref, _ = superpose(p, amp_rows(ts[k:k + 1])[0], amp_rows(ts[k:k + 1])[0],
+                           xs[k:k + 1])
+        assert psi[k] == ref[0]
 
 
 def test_momentum_grid_symmetry():

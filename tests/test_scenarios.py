@@ -163,6 +163,34 @@ def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, r
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("family,case,extra,where", [
+    ("uniform-field", "sigma0=3, gamma0=1, force=0.1, x0=500", "", "x = 500 at t = 0"),
+    ("closed-free", "vartheta=2, v0=0.25, x0=-30", "outputs = metrics", "x = -30 at t = 0"),
+    ("gauss-free", "sigma0=3, gamma0=10", "t_list = 0, 30\noutputs = widths",
+     "at t = 30"),
+], ids=["field-density", "closed-metrics", "gauss-widths"])
+def test_cli_packet_off_the_grid_is_a_config_error(tmp_path, capsys, family, case,
+                                                     extra, where):
+    # the x-grid [-18, 18] does not hold the classical position at an output
+    # time, so the grid would sample nothing of the packet
+    cfg = tmp_path / "off.ini"
+    cfg.write_text(f"[off]\nfamily = {family}\ncases = {case}\n"
+                   + (extra if "t_list" in extra else f"t_list = 0\n{extra}")
+                   + "\nx_min = -18\nx_max = 18\nx_count = 301\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: case ") and where in err
+    assert "outside the grid [-18, 18]" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_phase_and_spectrum_outputs_need_no_grid(tmp_path):
+    scn = dataclasses.replace(TINY, cases=({"sigma0": 3.0, "gamma0": 1.0, "x0": 500.0},),
+                              outputs=("spectrum", "phase"), phase_t_max=1.0)
+    assert len(run(scn, out_dir=tmp_path).outputs) == 2
+
+
 def test_unit_charge_normalization(tmp_path):
     scn = Scenario(name="n", family="gauss-free",
                    cases=({"sigma0": 3.0, "gamma0": 1.0},),

@@ -377,3 +377,23 @@ def test_each_ray_is_marched_once():
     assert info().hits > hits
     radii, coef = specfun._march_checkpoints(basis.nu_plus, np.pi / 4, True)
     assert not radii.flags.writeable and not coef.flags.writeable
+
+
+def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
+    # the D_{nu-1} of the F = 0.1 modes' d/dt at |z| just past _R_ASYMP: the
+    # Poincare series truncates poorly there, and the march's last
+    # checkpoint reaches them on these dominant rays without a band integral
+    import mpmath
+
+    def no_band_integral(nu, z):
+        raise AssertionError("band integral called")
+
+    monkeypatch.setattr(specfun, "_band_integral", no_band_integral)
+    r = np.array([8.004, 8.111])
+    for nu, theta in ((-1.5 - 5.0j, 0.25 * np.pi), (-1.5 + 5.0j, -0.25 * np.pi)):
+        z = r * np.exp(1j * theta)
+        assert np.all(specfun._asymptotic(nu, z)[1] > 1e-11)
+        got = pcf_d(nu, z)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.pcfd(nu, zz)) for zz in z])
+        assert np.max(np.abs(got / ref - 1.0)) < 1e-12
