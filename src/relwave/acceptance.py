@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (charge_density, expectation_x, find_peaks,
+from .analysis import (_gaussian, charge_density, expectation_x, find_peaks,
                        gauss_similarity_psi, gauss_similarity_rho,
                        momentum_spectrum)
-from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
-from .free_packets import ClosedPacketConfig, GaussianPacketConfig, closed_spectral
+from .field_packets import FieldPacketConfig, _orders_and_rays, field_mode_basis
+from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, closed_spectral,
+                           gauss_spectrum)
 from .kinematics import FreeMotion
 from .packets import packet_for
 from .specfun import bessel_k1, pcf_d, pcf_d_dz
@@ -107,7 +108,7 @@ def crit_1_closed_form_oracle():
         cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=V0_QUARTER))
         spectral = closed_spectral(cfg, 40.0, 20.0)
         for t in (0.0, 10.0, 20.0):
-            ref, _ = spectral.eval_psi_dpsi(t, xs)
+            ref, _ = spectral.psi_dpsi(t, xs)
             dev = float(np.max(np.abs(pk.psi_dpsi(t, xs)[0] - ref)) / np.max(np.abs(ref)))
             worst = max(worst, dev)
     return worst < 1e-6, f"max relative deviation {worst:.2e} (tol 1e-6)"
@@ -194,16 +195,12 @@ def crit_7_field_family():
         cfg = _field_cfg(sigma0, gamma0)
         sl = rec[ts.index(0.0)]["slice"]
         xs = sl.xs
-        gauss = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
-            * np.exp(-0.5 * ((xs - cfg.x0) / cfg.sigma0) ** 2
-                     + 1j * cfg.p0 * (xs - cfg.x0))
+        gauss = _gaussian(xs, cfg.x0, cfg.sigma0) / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) \
+            * np.exp(1j * cfg.p0 * (xs - cfg.x0))
         fid = float(np.max(np.abs(sl.psi - gauss)))
         basis = field_mode_basis(cfg, 71.0, 40.0)
-        fp, fm = mode_pair(cfg, basis.p)
-        recon = basis.coeffs.c_plus * fp + basis.coeffs.c_minus * fm
-        spectrum = (np.sqrt(cfg.sigma0) / np.sqrt(2.0 * np.pi**1.5)) \
-            * np.exp(-0.5 * cfg.sigma0**2 * (basis.p - cfg.p0) ** 2
-                     - 1j * basis.p * cfg.x0)
+        recon = basis.modes(0.0, False)
+        spectrum = gauss_spectrum(basis.p, cfg.sigma0, cfg.p0, cfg.x0)
         mask = np.abs(basis.p - cfg.p0) < 3.0 / cfg.sigma0
         ratio = recon[mask] / spectrum[mask]
         const_resid = float(np.max(np.abs(ratio / np.median(ratio.real) - 1.0)))
@@ -336,16 +333,14 @@ def crit_11_special_functions():
     # is ~e^{pi M^2/2F} smaller than its two terms (it measures the
     # exponentially weak mode mixing), so the probe stays in the conversion
     # window |p + F t| <= 0.3 where pointwise round-off resolves it.
-    f_cfg = _field_cfg(0.3, 1.0)
-    basis = field_mode_basis(f_cfg, 40.0, 16.0)
+    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(_field_cfg(0.3, 1.0))
     wr = []
     for t in np.linspace(-3.0, 3.0, 13):
         s = np.array([1e-9 + 0.1 * t])
-        zp = basis.ray_plus * s
-        zm = basis.ray_minus * s
-        fp, fm = pcf_d(basis.nu_plus, zp), pcf_d(basis.nu_minus, zm)
-        dfp = pcf_d_dz(basis.nu_plus, zp) * basis.ray_plus
-        dfm = pcf_d_dz(basis.nu_minus, zm) * basis.ray_minus
+        zp, zm = ray_plus * s, ray_minus * s
+        fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
+        dfp = pcf_d_dz(nu_plus, zp) * ray_plus
+        dfm = pcf_d_dz(nu_minus, zm) * ray_minus
         wr.append(complex(fp[0] * dfm[0] - fm[0] * dfp[0]))
     wr = np.array(wr)
     drift = float(np.max(np.abs(wr - wr[0]) / np.abs(wr[0])))

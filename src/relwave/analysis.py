@@ -148,6 +148,13 @@ def best_sigma(objective, bracket: tuple[float, float]) -> tuple[float, float]:
     return sigma, float(objective(sigma))
 
 
+def _gaussian(xs: np.ndarray, center: float, sigma: float) -> np.ndarray:
+    """exp(-(x - center)^2 / (2 sigma^2)), the x-space Gaussian of both
+    similarity scores.  Each score applies the unit-norm factor
+    (sigma sqrt(pi))^(-1/2) in its own (differently rounded) form."""
+    return np.exp(-0.5 * ((xs - center) / sigma) ** 2)
+
+
 def _default_bracket(xs: np.ndarray) -> tuple[float, float]:
     dx = float(np.min(np.diff(xs)))
     return dx, 0.5 * (xs[-1] - xs[0])
@@ -166,8 +173,7 @@ def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float) -> GaussFi
     weighted = psi * plane  # conj(phi_G) psi with the Gaussian factored out
 
     def objective(sigma):
-        gauss = (sigma * np.sqrt(np.pi)) ** -0.5 \
-            * np.exp(-0.5 * ((xs - x_bar) / sigma) ** 2)
+        gauss = (sigma * np.sqrt(np.pi)) ** -0.5 * _gaussian(xs, x_bar, sigma)
         return abs(np.trapezoid(gauss * weighted, xs)) ** 2
 
     sigma, score = best_sigma(objective, _default_bracket(xs))
@@ -189,14 +195,14 @@ def gauss_similarity_rho(density: DensitySlice, x_bar: float) -> GaussFitResult:
     pos = np.sqrt(np.where(rho > 0.0, rho, 0.0))
     neg = np.sqrt(np.where(rho < 0.0, -rho, 0.0))
 
+    def gauss(sigma):
+        return _gaussian(xs, x_bar, sigma) / np.sqrt(sigma * np.sqrt(np.pi))
+
     def objective(sigma):
-        gauss = np.exp(-0.5 * ((xs - x_bar) / sigma) ** 2) \
-            / np.sqrt(sigma * np.sqrt(np.pi))
-        return np.trapezoid(gauss * pos, xs) / denom
+        return np.trapezoid(gauss(sigma) * pos, xs) / denom
 
     sigma, score = best_sigma(objective, _default_bracket(xs))
-    gauss = np.exp(-0.5 * ((xs - x_bar) / sigma) ** 2) / np.sqrt(sigma * np.sqrt(np.pi))
-    imag = float(np.trapezoid(gauss * neg, xs)) / denom
+    imag = float(np.trapezoid(gauss(sigma) * neg, xs)) / denom
     return GaussFitResult(score=score, sigma_star=sigma, imag_residual=abs(imag))
 
 

@@ -13,9 +13,11 @@ c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
 g(p) = |f+(p)|^2 + |f-(p)|^2 entering that scaling is not constant in p (it
 falls off like 1/E(p)), which is why the explicit division is required for
-initial-state fidelity.  The packet is the momentum sum of the modes on
-one momentum grid (``FieldModeBasis``, built once per case by
-``packets.packet_for``), ``quadrature.superpose``, as for the free packets.
+initial-state fidelity.  The projection is exact at every node, so the
+packet has the analytic unit norm of the Gaussian spectrum.  The packet is
+the ``quadrature.ModeSum`` of the modes c+ f+ + c- f- on one momentum grid
+(``field_mode_basis``, built once per case by ``packets.packet_for``), as
+for the free packets.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
-from .quadrature import _PAIR_BLOCK, momentum_grid, superpose_pairs
+from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid
 from .specfun import pcf_d
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "ModeCoefficients",
     "mode_pair",
     "mode_coeffs",
-    "FieldModeBasis",
     "field_mode_basis",
 ]
 
@@ -116,9 +117,10 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
     """Projection coefficients c+-(p) of the initial Gaussian, at arbitrary p.
 
-    c+- = psi_G(p) conj(f+-(p)) / (|f+(p)|^2 + |f-(p)|^2), up to the overall
-    normalization fixed by unit norm at t = 0; the delta functions over
-    transverse momenta are absorbed into the one-dimensional representation.
+    c+- = psi_G(p) conj(f+-(p)) / (|f+(p)|^2 + |f-(p)|^2), so that
+    c+ f+ + c- f- is the unit-norm ``gauss_spectrum`` psi_G at t = 0; the
+    delta functions over transverse momenta are absorbed into the
+    one-dimensional representation.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     spectrum = gauss_spectrum(p, cfg.sigma0, cfg.p0, cfg.x0)
@@ -132,45 +134,21 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
                             c_minus=spectrum * np.conj(fmn) / (g * scale))
 
 
-class FieldModeBasis:
-    """Mode pair and projection coefficients on a fixed momentum grid."""
+@lru_cache(maxsize=16)
+def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> ModeSum:
+    """The packet's ModeSum of c+ f+ + c- f- on its momentum grid; the modes
+    without ``derivatives`` are the same values for half the D_nu work, and
+    a column of times is one ``mode_pair`` call."""
+    window = _WINDOW_FACTOR / cfg.sigma0
+    dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
+    p, weights = momentum_grid(cfg.p0, window, max(int(2 * window / dp) | 1, 401))
+    c = mode_coeffs(p, cfg)
 
-    def __init__(self, cfg: FieldPacketConfig, p_window: float, dp: float):
-        self.cfg = cfg
-        self.nu_plus, self.nu_minus, self.ray_plus, self.ray_minus = _orders_and_rays(cfg)
-        n = max(int(2 * p_window / dp) | 1, 401)
-        self.p, self.weights = momentum_grid(cfg.p0, p_window, n)
-        raw = mode_coeffs(self.p, cfg)
-        # unit L2 norm at t = 0: int |Psi|^2 dx = 2 pi hbar int |psi_p(0)|^2 dp
-        spectrum = gauss_spectrum(self.p, cfg.sigma0, cfg.p0, cfg.x0)
-        norm2 = 2.0 * np.pi * float(np.sum(self.weights * np.abs(spectrum) ** 2))
-        scale = 1.0 / np.sqrt(norm2)
-        self.coeffs = ModeCoefficients(p=self.p, c_plus=raw.c_plus * scale,
-                                       c_minus=raw.c_minus * scale)
-
-    def modes(self, t, derivatives: bool = True):
-        """psi_p(t) and d/dt psi_p(t) on the grid; psi_p(t) alone without
-        ``derivatives`` (the same values, half the D_nu work).  A column
-        of times gives one row per time, from one ``mode_pair`` call."""
-        c = self.coeffs
-        pair = mode_pair(self.cfg, self.p + self.cfg.force * t, derivatives)
+    def modes(t, derivatives):
+        pair = mode_pair(cfg, p + cfg.force * t, derivatives)
         psi = c.c_plus * pair[0] + c.c_minus * pair[1]
         if not derivatives:
             return psi
         return psi, c.c_plus * pair[2] + c.c_minus * pair[3]
 
-    def eval_psi_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """psi at each pair (ts[k], xs[k]), from psi_p alone (half the D_nu
-        of d/dt psi): the modes of a block of times are one ``modes`` row
-        per time, and each value has the bits of the psi that ``superpose``
-        gives from ``modes(t_k)`` at the point x_k."""
-        return superpose_pairs(
-            self.p, lambda t: self.weights * self.modes(t[:, None], derivatives=False),
-            ts, xs)
-
-
-@lru_cache(maxsize=16)
-def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> FieldModeBasis:
-    window = _WINDOW_FACTOR / cfg.sigma0
-    dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
-    return FieldModeBasis(cfg, window, dp)
+    return ModeSum(p=p, weights=weights, modes=modes)

@@ -6,9 +6,11 @@ and the packet that is exactly Gaussian at t = 0.  The closed packet's psi
 and d/dt psi are both closed forms (``_closed_form``; d/dt by
 differentiating the K1 expression); ``closed_spectral`` keeps its plane-wave
 sum as the reference route.  The Gaussian packet (``gauss_spectral``) is a
-plane-wave sum exp(i(p x - E t)/hbar) by ``quadrature.superpose``, with d/dt
-taken spectrally (each mode weighted by -i E(p)/hbar); neither family uses
-finite differences.  ``packets.packet_for`` builds either one once per case.
+plane-wave sum exp(i(p x - E t)/hbar).  Both sums are ``quadrature.ModeSum``s
+of modes amp_j exp(-i E_j t/hbar), with d/dt taken spectrally (each mode
+weighted by -i E(p)/hbar); neither family uses finite differences, and
+both spectra are normalized analytically.  ``packets.packet_for`` builds
+either one once per case.
 
 This module also holds what the uniform-field packets share with the free
 ones: the initial Gaussian spectrum and the momentum-grid resolution
@@ -23,13 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .kinematics import FreeMotion
-from .quadrature import momentum_grid, superpose, superpose_pairs
+from .quadrature import ModeSum, momentum_grid
 from .specfun import bessel_k0, bessel_k1
 
 __all__ = [
     "ClosedPacketConfig",
     "GaussianPacketConfig",
-    "SpectralPacket",
     "w_of_p",
     "energy",
     "spectrum_closed",
@@ -93,37 +94,15 @@ def gauss_spectrum(p, sigma0: float, p0: float, x0: float):
         * np.exp(-0.5 * sigma0**2 * (p - p0) ** 2 - 1j * p * x0)
 
 
-@dataclass(frozen=True)
-class SpectralPacket:
-    """Plane-wave packet exp(i(p x - E t)/hbar) over weighted momentum
-    modes, evaluable at any (t, x).
+def _plane_waves(p: np.ndarray, weights: np.ndarray, amp: np.ndarray) -> ModeSum:
+    """The ModeSum of the plane waves amp_j exp(i(p_j x - E_j t)/hbar)."""
+    e = energy(p)
 
-    ``spectrum`` holds the weight function evaluated on the nodes, ``norm``
-    the overall normalization constant.
-    """
+    def modes(t, derivatives):
+        a = amp * np.exp(-1j * e * t)
+        return (a, a * (-1j * e)) if derivatives else a
 
-    p: np.ndarray
-    weights: np.ndarray
-    spectrum: np.ndarray
-    norm: float
-
-    def eval_psi_dpsi(self, t: float, xs: np.ndarray):
-        """psi(t, xs) and d/dt psi(t, xs)."""
-        e = energy(self.p)
-        gt = self.norm * self.spectrum * self.weights * np.exp(-1j * e * t)
-        return superpose(self.p, gt, gt * (-1j * e), xs)
-
-    def eval_psi_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """psi at each pair (ts[k], xs[k]), one row of modes exp(-i E t_k)
-        per time; each value has the bits of ``eval_psi_dpsi(t_k, [x_k])``."""
-        e = energy(self.p)
-        return superpose_pairs(
-            self.p, lambda t: self.norm * self.spectrum * self.weights
-            * np.exp(-1j * e * t[:, None]), ts, xs)
-
-    def norm_at_zero(self, xs: np.ndarray) -> float:
-        psi, _ = self.eval_psi_dpsi(0.0, xs)
-        return float(np.trapezoid(np.abs(psi) ** 2, xs))
+    return ModeSum(p=p, weights=weights, modes=modes)
 
 
 def _node_spacing(x_extent: float, t_max: float, sigma_p: float) -> float:
@@ -132,7 +111,7 @@ def _node_spacing(x_extent: float, t_max: float, sigma_p: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> SpectralPacket:
+def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """The closed packet as a plane-wave sum (the quadrature route).
 
     Its modes exp(-(vartheta + i t) W/hbar + i p (x - x0 - v0 t)/hbar) are
@@ -140,8 +119,9 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
     p v0 t terms cancel, and d/dt is -i E/hbar in both forms.  The
     normalization |N|^2 = 1 / (4 pi hbar m c gamma0 K1(z_n)) is split as
     for the closed form: exp(z_n/2) joins the spectrum's exponent, which is
-    <= 0 since z_n/2 = vartheta W(p0)/hbar and W >= W(p0), and ``norm`` keeps
-    the exponent-scaled K1, so wide packets (vartheta of 1000) stay finite.
+    <= 0 since z_n/2 = vartheta W(p0)/hbar and W >= W(p0), and the constant
+    keeps the exponent-scaled K1, so wide packets (vartheta of 1000) stay
+    finite.
     """
     m = cfg.motion
     decay = np.log(1.0 / _TAIL_EPS) / cfg.vartheta
@@ -155,28 +135,22 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> S
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
     zn = _norm_arg(cfg)
-    spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) - 1j * nodes * m.x0)
     k1e = bessel_k1(zn, scaled=True).real
     norm = float(1.0 / np.sqrt(4.0 * np.pi * m.gamma0 * k1e))
-    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum, norm=norm)
+    spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) - 1j * nodes * m.x0)
+    return _plane_waves(nodes, weights, norm * spectrum)
 
 
 @lru_cache(maxsize=64)
-def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> SpectralPacket:
-    """Plane-wave packet with the Gaussian momentum spectrum of the initial data."""
+def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> ModeSum:
+    """Plane-wave packet with the Gaussian momentum spectrum of the initial
+    data, unit norm by ``gauss_spectrum``'s analytic normalization."""
     sigma_p = 1.0 / cfg.sigma0
     half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR)
     dp = _node_spacing(x_extent, t_max, sigma_p)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(cfg.p0, half, max(n, 401))
-    spectrum = gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0)
-    packet = SpectralPacket(p=nodes, weights=weights, spectrum=spectrum, norm=1.0)
-    # trim the numerical norm to one (analytically it already is)
-    span = max(10.0 * cfg.sigma0, 10.0)
-    xs = np.linspace(cfg.x0 - span, cfg.x0 + span, 4001)
-    norm = packet.norm_at_zero(xs)
-    return SpectralPacket(p=nodes, weights=weights, spectrum=spectrum,
-                          norm=1.0 / np.sqrt(norm))
+    return _plane_waves(nodes, weights, gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0))
 
 
 def _norm_arg(cfg: ClosedPacketConfig) -> float:

@@ -4,16 +4,17 @@ The scenarios and the acceptance checks see a wavepacket only through
 ``Packet``: psi and d/dt psi on a grid, psi alone, the classical worldline
 and action it is compared with, and its momentum distribution.
 ``packet_for`` is the one place that reads a case dict or names a family.
-It builds the packet once, for |x| <= x_extent and |t| <= t_max: the
-spectral grid of a gauss-free packet and the mode basis of a uniform-field
-packet are fixed by those two bounds, so every time and grid of a case uses
-the same build.
+The momentum sum of a gauss-free or uniform-field packet
+(``quadrature.ModeSum``) is fixed by |x| <= x_extent and |t| <= t_max, so
+every time and grid of a case uses the same build; it is built once, at
+the packet's first evaluation, so that the worldline of a case can be
+checked against its grid before any sum is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,6 @@ from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_for
                            gauss_spectral, gauss_spectrum, spectrum_closed)
 from .kinematics import (FreeMotion, action_field, action_free,
                          field_trajectory, free_trajectory)
-from .quadrature import superpose
 
 __all__ = ["FAMILIES", "Packet", "ScenarioError", "packet_for"]
 
@@ -45,7 +45,7 @@ class Packet:
     the momentum distribution at ``ps``, ``spectrum_peak(ps)`` the peak that
     peak-normalized spectra divide by: the peak over ``ps`` for the free
     packets, whose distribution is time independent, and the t = 0 peak over
-    the mode basis for the uniform-field packet.
+    the momentum nodes for the uniform-field packet.
     """
 
     label: str
@@ -94,38 +94,46 @@ def _closed(case: dict, x_extent: float, t_max: float) -> Packet:
 def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
     x0 = case.get("x0", 0.0)
     cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"], x0=x0)
-    packet = gauss_spectral(cfg, x_extent, t_max)
+    mode_sum = cache(partial(gauss_spectral, cfg, x_extent, t_max))
     return _free_packet(
         f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max,
-        FreeMotion.from_gamma(case["gamma0"], x0=x0), packet.eval_psi_dpsi,
-        packet.eval_psi_at,
+        FreeMotion.from_gamma(case["gamma0"], x0=x0),
+        lambda t, xs: mode_sum().psi_dpsi(t, xs),
+        lambda ts, xs: mode_sum().psi_at(ts, xs),
         lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0)) ** 2)
 
 
 def _field(case: dict, x_extent: float, t_max: float) -> Packet:
     cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"], case["force"],
                                        x0=case.get("x0"))
-    basis = field_mode_basis(cfg, x_extent, t_max)
     # psi_p(t) on the nodes by time, for the spectrum: a time whose slice
     # was taken does not evaluate its modes again
     psi_nodes = {}
 
-    def psi_dpsi(t, xs):
-        psi_p, dpsi_p = basis.modes(t)
-        psi_nodes[t] = psi_p
-        return superpose(basis.p, basis.weights * psi_p, basis.weights * dpsi_p, xs)
+    @cache
+    def mode_sum():
+        basis = field_mode_basis(cfg, x_extent, t_max)
+
+        def modes(t, derivatives):
+            out = basis.modes(t, derivatives)
+            if np.ndim(t) == 0:
+                psi_nodes[t] = out[0] if derivatives else out
+            return out
+
+        return replace(basis, modes=modes)
 
     def density_on_nodes(t):
         if t not in psi_nodes:
-            psi_nodes[t] = basis.modes(t, derivatives=False)
+            mode_sum().modes(t, False)
         return np.abs(psi_nodes[t]) ** 2
 
     return Packet(
         label=f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}",
-        t_max=t_max, psi_dpsi=psi_dpsi, psi_at=basis.eval_psi_at,
+        t_max=t_max, psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
+        psi_at=lambda ts, xs: mode_sum().psi_at(ts, xs),
         trajectory=partial(field_trajectory, motion=cfg.motion),
         action=partial(action_field, motion=cfg.motion),
-        spectrum=lambda ps, t: np.interp(ps, basis.p, density_on_nodes(t),
+        spectrum=lambda ps, t: np.interp(ps, mode_sum().p, density_on_nodes(t),
                                          left=0.0, right=0.0),
         spectrum_peak=lambda ps: float(np.max(density_on_nodes(0.0))))
 
@@ -135,7 +143,7 @@ FAMILIES = tuple(_BUILDERS)
 
 
 def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet:
-    """The packet of ``case``, built once for |x| <= x_extent, |t| <= t_max.
+    """The packet of ``case``, for |x| <= x_extent and |t| <= t_max.
 
     Case keys: ``vartheta`` (closed-free) or ``sigma0`` and ``gamma0``
     (gauss-free; uniform-field also ``force``); optional ``v0`` (closed-free)

@@ -2,27 +2,31 @@
 
 Every wavepacket is a momentum spectrum times modes, summed over p: plane
 waves for the free packets, parabolic-cylinder modes for the packet in a
-uniform field.  ``superpose`` is that sum, a composite trapezoid rule on a
-``momentum_grid``.  The input picks one of two routes:
+uniform field.  A ``ModeSum`` holds one packet's nodes, trapezoid weights
+and modes, and is the only code that joins modes to the sum, a composite
+trapezoid rule on a ``momentum_grid``.  The sum has two routes:
 
-* uniform x and p grids (every ``linspace`` grid): a chirp-z transform
-  (Bluestein's algorithm; Rabiner, Schafer & Rader 1969), one FFT
-  convolution whose chirp phases are reduced exactly modulo 2 pi;
-* any other x (single points, non-uniform grids): the dense Nx x Np sum,
-  row by row, over blocks of x sized to a byte budget.
-
-``superpose_pairs`` is the dense sum at (t, x) pairs, each x with the mode
-amplitudes of its own time, in blocks of a few thousand points.
+* ``superpose`` on uniform x and p grids (every ``linspace`` grid): a
+  chirp-z transform (Bluestein's algorithm; Rabiner, Schafer & Rader 1969),
+  one FFT convolution whose chirp phases are reduced exactly modulo 2 pi;
+* ``superpose_pairs``, the dense sum at (t, x) pairs, each x with the mode
+  amplitudes of its own time, in blocks of at most _PAIR_BLOCK points.  Any
+  other input of ``superpose`` (single points, non-uniform grids) takes
+  this route with one constant row of amplitudes.
 
 Both are deterministic: repeated runs give the same bits.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 __all__ = [
+    "ModeSum",
     "QuadratureError",
     "momentum_grid",
     "superpose",
@@ -30,9 +34,7 @@ __all__ = [
     "trapezoid_weights",
 ]
 
-# bytes of each Nx x Np temporary of the dense sum
-_DENSE_BLOCK_BYTES = 16 << 20
-# points (times x nodes) per block of superpose_pairs: about 128 KiB per
+# points (x values x nodes) per block of superpose_pairs: about 128 KiB per
 # complex temporary, and about 2.3 MiB in pcf_d (some 290 B a point) for the
 # uniform-field modes, so that a phase trace does not raise peak memory
 _PAIR_BLOCK = 8192
@@ -117,38 +119,23 @@ def _superpose_czt(p: np.ndarray, dp: float, amps: np.ndarray, xs: np.ndarray,
     return conv * post
 
 
-def _dense_rows(n_p: int) -> int:
-    """Rows per block, so that each complex rows x n_p temporary stays within
-    _DENSE_BLOCK_BYTES (the dense sum's blocks of x; ``specfun``'s blocks
-    of band-integral points)."""
-    return max(1, _DENSE_BLOCK_BYTES // (16 * n_p))
-
-
 def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray, xs: np.ndarray):
     """psi(x) = sum_p amp_p exp(i p x) on ``xs``, and the same sum of
     ``damp`` (the mode time derivatives), which gives d/dt psi.
 
     ``amp`` and ``damp`` already carry the quadrature weights.  When ``xs``
     and ``p`` are both uniform grids the two sums are one chirp-z transform
-    (the kernel's FFT is shared).  Otherwise the dense sum runs over blocks
-    of x, each row summed by ``einsum``, not by a BLAS product, whose kernel
-    (and rounding) changes with the number of rows: on this route the value
-    at x does not depend on which other points are evaluated with it.
+    (the kernel's FFT is shared).  Otherwise each is ``superpose_pairs`` with
+    one constant row, so the value at x has the bits of that x evaluated
+    alone, whichever other points come with it.
     """
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    amps = [amp, damp]
     dp, dx = _step(p), _step(xs)
     if dp is not None and dx is not None:
-        out = _superpose_czt(p, dp, np.stack(amps), xs, dx)
-    else:
-        out = np.empty((len(amps), len(xs)), dtype=complex)
-        rows = _dense_rows(len(p))
-        for i0 in range(0, len(xs), rows):
-            block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
-            for row, a in zip(out, amps):
-                row[i0:i0 + rows] = np.einsum("ij,j->i", block, a)
-    return out[0], out[1]
+        return tuple(_superpose_czt(p, dp, np.stack([amp, damp]), xs, dx))
+    return tuple(superpose_pairs(p, lambda t, a=a: np.broadcast_to(a, (len(t), len(p))),
+                                 np.zeros(len(xs)), xs) for a in (amp, damp))
 
 
 def superpose_pairs(p: np.ndarray, amp_rows, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -156,8 +143,9 @@ def superpose_pairs(p: np.ndarray, amp_rows, ts: np.ndarray, xs: np.ndarray) -> 
 
     ``amp_rows(t)`` gives the weighted amplitudes a_j(t_k), one row per time
     of a block of at most _PAIR_BLOCK points (one time when Np exceeds it).
-    Each row is summed by ``einsum``, as on the dense route of ``superpose``,
-    so the value of a pair does not depend on the pairs evaluated with it.
+    Each row is summed by ``einsum``, not by a BLAS product, whose kernel
+    (and rounding) changes with the number of rows: the value of a pair does
+    not depend on the pairs evaluated with it.
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -167,3 +155,29 @@ def superpose_pairs(p: np.ndarray, amp_rows, ts: np.ndarray, xs: np.ndarray) -> 
         block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
         out[i0:i0 + rows] = np.einsum("ij,ij->i", block, amp_rows(ts[i0:i0 + rows]))
     return out
+
+
+@dataclass(frozen=True)
+class ModeSum:
+    """psi(t, x) = sum_j w_j a_j(t) exp(i p_j x) on momentum nodes ``p``
+    with trapezoid ``weights``.
+
+    ``modes(t, derivatives)`` gives the modes a_j(t) on the nodes, and with
+    ``derivatives`` also d/dt a_j(t); ``t`` is a scalar or a column of times
+    (one row of modes per time).
+    """
+
+    p: np.ndarray
+    weights: np.ndarray
+    modes: Callable
+
+    def psi_dpsi(self, t: float, xs: np.ndarray):
+        """psi(t, xs) and d/dt psi(t, xs)."""
+        a, da = self.modes(t, True)
+        return superpose(self.p, self.weights * a, self.weights * da, xs)
+
+    def psi_at(self, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """psi at each pair (ts[k], xs[k]) from the modes alone, one row per
+        time; each value has the bits of ``psi_dpsi(ts[k], [xs[k]])[0]``."""
+        return superpose_pairs(
+            self.p, lambda t: self.weights * self.modes(t[:, None], False), ts, xs)

@@ -35,8 +35,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import kve, rgamma
 
-from .quadrature import _dense_rows
-
 __all__ = [
     "SpecFunDomainError",
     "SpecFunAccuracyError",
@@ -48,6 +46,9 @@ __all__ = [
 
 SQRT_PI = np.sqrt(np.pi)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+# bytes of each complex points x nodes temporary of the band integral
+_DENSE_BLOCK_BYTES = 16 << 20
 
 # pcf regime boundaries, tuned against a high-precision reference.  The march
 # seed sits deep inside the series region because seed error is amplified by
@@ -240,6 +241,12 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray, outward: bool) -> n
     return val
 
 
+def _dense_rows(n: int) -> int:
+    """Points per block of the band integral, so that each complex
+    points x n temporary stays within _DENSE_BLOCK_BYTES."""
+    return max(1, _DENSE_BLOCK_BYTES // (16 * n))
+
+
 def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu in the band by the rotated-contour integral representation
     D_nu(z) = e^{-z^2/4}/Gamma(-nu) int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt.
@@ -251,8 +258,8 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     degrade on rays where D_nu is exponentially subdominant.  Requires
     Re nu < 0; callers lift higher orders with the z-ladder.
 
-    The points are summed in blocks, each complex points x nodes temporary
-    within the dense sum's byte budget; the first block whose values leave
+    The points are summed in blocks (``_dense_rows``), each complex points x
+    nodes temporary within _DENSE_BLOCK_BYTES; the first block whose values leave
     double range raises SpecFunAccuracyError (weak fields: the rule has
     2^19 + 1 nodes at |Im nu| ~ 400, where D_nu itself overflows).
     """

@@ -192,12 +192,19 @@ def test_phase_trace_linear_phase():
 
 
 def test_phase_trace_refines_fast_rotation():
-    # increments of ~2.5 rad per step need one bisection level
-    omega = 5.0
-    tr = phase_trace(lambda ts, xs: np.exp(-1j * omega * ts),
-                     lambda t: 0.0,
-                     lambda t: -omega * t,
+    # increments of 0.97 pi per step, at least the 0.95 pi that triggers a
+    # bisection and below the pi that unwrapping could not resolve: one
+    # bisection round, after which the phase follows the action exactly
+    omega = 1.94 * np.pi
+    calls = []
+
+    def evaluator(ts, xs):
+        calls.append(len(ts))
+        return np.exp(-1j * omega * ts)
+
+    tr = phase_trace(evaluator, lambda t: 0.0, lambda t: -omega * t,
                      np.linspace(0.0, 5.0, 11))
+    assert calls == [11, 10]
     assert np.max(np.abs(tr.offset)) < 1e-12
 
 
@@ -232,7 +239,7 @@ def test_phase_slope_matches_action_rate_at_late_times():
     motion = FreeMotion.from_gamma(10.0)
     pk = gauss_spectral(cfg, 205.0, 200.0)
     ts = np.linspace(150.0, 200.0, 51)
-    tr = phase_trace(pk.eval_psi_at,
+    tr = phase_trace(pk.psi_at,
                      lambda t: free_trajectory(t, motion).x,
                      lambda t: action_free(t, motion), ts)
     slope = np.polyfit(tr.ts, tr.phi, 1)[0]

@@ -3,8 +3,8 @@ import pytest
 
 from relwave import field_packets, packets, quadrature, scenarios
 from relwave.analysis import charge_density, expectation_x, find_peaks
-from relwave.field_packets import (FieldPacketConfig, field_mode_basis,
-                                   mode_coeffs, mode_pair)
+from relwave.field_packets import (FieldPacketConfig, _orders_and_rays,
+                                   field_mode_basis, mode_coeffs, mode_pair)
 from relwave.kinematics import field_trajectory
 from relwave.packets import packet_for
 from relwave.specfun import pcf_d, pcf_d_dz
@@ -82,9 +82,9 @@ def test_mode_ode_residual():
     p = basis.p[idx]
     h = 1e-4
     for t in (-12.0, 0.0, 17.0, 40.0):
-        d_plus = basis.modes(t + h)[1][idx]
-        d_minus = basis.modes(t - h)[1][idx]
-        psi_t = basis.modes(t, derivatives=False)[idx]
+        d_plus = basis.modes(t + h, True)[1][idx]
+        d_minus = basis.modes(t - h, True)[1][idx]
+        psi_t = basis.modes(t, False)[idx]
         second = (d_plus - d_minus) / (2 * h)
         omega_sq = (p + F * t) ** 2 + 1.0
         resid = np.abs(second + omega_sq * psi_t)
@@ -136,8 +136,7 @@ def test_narrow_packet_splits_and_spills_backward():
     dens = charge_density(_packet(0.3, 1.0, 60.0, 16.0).slice(16.0, xs))
     assert len(find_peaks(dens, min_prominence=0.05)) >= 2
     # momentum spectrum keeps a sizable tail below -mc
-    psi_p, _ = basis.modes(16.0)
-    spec = np.abs(psi_p) ** 2
+    spec = np.abs(basis.modes(16.0, False)) ** 2
     mask = basis.p < -1.0
     tail = np.trapezoid(spec[mask], basis.p[mask]) / np.trapezoid(spec, basis.p)
     assert tail > 0.05
@@ -169,14 +168,15 @@ def test_modes_match_the_pcf_d_dz_route():
     # pcf_d_dz evaluates D_nu again, with the same arithmetic
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
-    c = basis.coeffs
+    c = mode_coeffs(basis.p, cfg)
+    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
     for t in (-4.0, 0.0, 7.5):
         s = basis.p + F * t
-        zp, zm = basis.ray_plus * s, basis.ray_minus * s
-        fp, fm = pcf_d(basis.nu_plus, zp), pcf_d(basis.nu_minus, zm)
-        dfp = pcf_d_dz(basis.nu_plus, zp) * basis.ray_plus * F
-        dfm = pcf_d_dz(basis.nu_minus, zm) * basis.ray_minus * F
-        psi_p, dpsi_p = basis.modes(t)
+        zp, zm = ray_plus * s, ray_minus * s
+        fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
+        dfp = pcf_d_dz(nu_plus, zp) * ray_plus * F
+        dfm = pcf_d_dz(nu_minus, zm) * ray_minus * F
+        psi_p, dpsi_p = basis.modes(t, True)
         assert np.array_equal(psi_p, c.c_plus * fp + c.c_minus * fm)
         assert np.array_equal(dpsi_p, c.c_plus * dfp + c.c_minus * dfm)
 
@@ -192,7 +192,7 @@ def test_psi_only_evaluation_is_the_same_bits():
     xs[3] -= 0.7
     together = pk.psi_at(ts, xs)
     for k, (t, x) in enumerate(zip(ts, xs)):
-        assert np.array_equal(basis.modes(t, derivatives=False), basis.modes(t)[0])
+        assert np.array_equal(basis.modes(t, False), basis.modes(t, True)[0])
         assert together[k] == pk.psi_dpsi(t, np.array([x]))[0][0]
         assert together[k] == pk.psi_at(ts[k:k + 1], xs[k:k + 1])[0]
 
@@ -225,7 +225,7 @@ def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
     _count_pcf(monkeypatch, calls)
     scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
     assert sum(times) >= 9
-    assert {nu for nu, _ in calls} == {basis.nu_plus, basis.nu_minus}
+    assert {nu for nu, _ in calls} == set(_orders_and_rays(_cfg(3.0, 1.0))[:2])
     assert sum(n for _, n in calls) == 2 * len(basis.p) * sum(times)
 
 

@@ -9,6 +9,7 @@ from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
                                   spectrum_closed, w_of_p)
 from relwave.kinematics import FreeMotion
 from relwave.packets import packet_for
+from relwave.specfun import bessel_k1
 
 MOTION_QUARTER = FreeMotion(v0=0.25)
 
@@ -55,7 +56,7 @@ def test_closed_form_matches_spectral_quadrature():
     cfg = ClosedPacketConfig(vartheta=1.0, motion=MOTION_QUARTER)
     xs = np.linspace(-25.0, 25.0, 161)
     sl = _closed(1.0).slice(10.0, xs)
-    ref, _ = closed_spectral(cfg, 30.0, 10.0).eval_psi_dpsi(10.0, xs)
+    ref, _ = closed_spectral(cfg, 30.0, 10.0).psi_dpsi(10.0, xs)
     assert np.max(np.abs(sl.psi - ref)) < 1e-6 * np.max(np.abs(ref))
 
 
@@ -164,10 +165,12 @@ def test_psi_gauss_free_scalar_api():
 
 
 def test_spectral_packet_unit_norm():
+    # the spectrum is normalized analytically; no numeric trim follows
     cfg = GaussianPacketConfig(sigma0=0.3, p0=2.0)
     pk = gauss_spectral(cfg, 20.0, 5.0)
     xs = np.linspace(-20.0, 20.0, 4001)
-    assert abs(pk.norm_at_zero(xs) - 1.0) < 1e-6
+    psi, _ = pk.psi_dpsi(0.0, xs)
+    assert abs(np.trapezoid(np.abs(psi) ** 2, xs) - 1.0) < 1e-6
 
 
 def test_spectral_time_derivative_against_closed_form():
@@ -180,7 +183,7 @@ def test_spectral_time_derivative_against_closed_form():
             cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=v0, x0=0.5))
             xs = 0.5 + v0 * t + np.linspace(-12.0, 12.0, 401)
             sl = _closed(vt, v0, 0.5).slice(t, xs)
-            ref_psi, ref = closed_spectral(cfg, 30.0, 10.0).eval_psi_dpsi(t, xs)
+            ref_psi, ref = closed_spectral(cfg, 30.0, 10.0).psi_dpsi(t, xs)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(sl.dpsi_dt - ref)) < 1e-8 * scale, (vt, v0)
             assert np.max(np.abs(sl.psi - ref_psi)) < 1e-8 * np.max(np.abs(ref_psi))
@@ -223,19 +226,21 @@ def test_group_center_slope_across_widths():
 def test_closed_packet_folds_onto_plane_waves(vartheta, v0, x0):
     # the closed-ansatz modes exp(-(vartheta + i t) W/hbar + i p (x - x0 -
     # v0 t)/hbar), summed as before the fold into plane waves; exp(z_n/2)
-    # of the normalization (z_n = 2 vartheta/gamma0 here) rides in the
-    # exponent, as in closed_spectral
+    # of the normalization |N|^2 = 1/(4 pi gamma0 K1(z_n)) (z_n = 2
+    # vartheta/gamma0 here) rides in the exponent, as in closed_spectral
     cfg = ClosedPacketConfig(vartheta=vartheta, motion=FreeMotion(v0=v0, x0=x0))
     pk = closed_spectral(cfg, 20.0, 20.0)
     e = energy(pk.p)
     half_zn = vartheta / cfg.motion.gamma0
+    k1e = bessel_k1(2.0 * half_zn, scaled=True).real
+    norm = 1.0 / np.sqrt(4.0 * np.pi * cfg.motion.gamma0 * k1e)
     for t in (0.0, 7.0, 20.0):
         xs = x0 + v0 * t + np.linspace(-10.0, 10.0, 81)
-        gt = pk.norm * pk.weights * np.exp(half_zn - (vartheta + 1j * t)
-                                           * w_of_p(pk.p, cfg.motion))
+        gt = norm * pk.weights * np.exp(half_zn - (vartheta + 1j * t)
+                                        * w_of_p(pk.p, cfg.motion))
         block = np.exp(1j * np.outer(xs - x0 - v0 * t, pk.p))
         psi_ref, dpsi_ref = block @ gt, block @ (gt * -1j * e)
-        psi, dpsi = pk.eval_psi_dpsi(t, xs)
+        psi, dpsi = pk.psi_dpsi(t, xs)
         assert np.max(np.abs(psi - psi_ref)) <= 1e-12 * np.max(np.abs(psi_ref))
         assert np.max(np.abs(dpsi - dpsi_ref)) <= 1e-12 * np.max(np.abs(dpsi_ref))
 
@@ -245,10 +250,10 @@ def test_closed_spectral_finite_past_the_k1_overflow():
     # spectrum's exponent it does not
     cfg = ClosedPacketConfig(vartheta=1000.0, motion=FreeMotion(v0=0.3, x0=2.0))
     pk = closed_spectral(cfg, 30.0, 10.0)
-    assert np.isfinite(pk.norm) and np.all(np.isfinite(pk.spectrum))
+    assert np.all(np.isfinite(pk.modes(0.0, False)))
     for t in (0.0, 7.0):
         xs = 2.0 + 0.3 * t + np.linspace(-12.0, 12.0, 401)
-        psi, dpsi = pk.eval_psi_dpsi(t, xs)
+        psi, dpsi = pk.psi_dpsi(t, xs)
         assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
         sl = _closed(1000.0, v0=0.3, x0=2.0).slice(t, xs)
         assert np.max(np.abs(sl.psi - psi)) < 1e-8 * np.max(np.abs(psi))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from relwave.quadrature import (_DENSE_BLOCK_BYTES, _PAIR_BLOCK, QuadratureError,
-                                _dense_rows, momentum_grid, superpose, superpose_pairs,
-                                trapezoid_weights)
+from relwave import quadrature
+from relwave.quadrature import (_PAIR_BLOCK, QuadratureError, momentum_grid, superpose,
+                                superpose_pairs, trapezoid_weights)
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -89,7 +89,7 @@ def test_dense_value_at_a_point_does_not_depend_on_the_other_points():
     amp = w * np.exp(-0.5 * (p - 0.3) ** 2 + 2j * p)
     dmp = -1j * np.sqrt(1.0 + p * p) * amp
     xs = np.linspace(-30.0, 30.0, 1201) ** 3 / 900.0
-    assert 1201 > 2 * _dense_rows(len(p))
+    assert 1201 > 2 * (_PAIR_BLOCK // len(p))
     psi, dpsi = superpose(p, amp, dmp, xs)
     for i in (0, 7, 511, 512, 700, 1200):
         for sub in (xs[i:i + 1], xs[i] + np.array([0.0, 0.5, 3.0])):
@@ -111,29 +111,27 @@ def _dense_sum(p, a, xs):
 
 def _oracle_amplitudes():
     """(name, p, amp, damp) of the closed packets, the gamma0 = 10 Gaussian
-    and a uniform-field basis at t = 7."""
+    and a uniform-field packet at t = 7: the weighted modes of their
+    ModeSums."""
     from relwave.field_packets import FieldPacketConfig, field_mode_basis
     from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
-                                      closed_spectral, energy, gauss_spectral)
+                                      closed_spectral, gauss_spectral)
     from relwave.kinematics import FreeMotion
 
     t = 7.0
-    packets = [(f"closed vartheta={vt} v0={v0}",
-                closed_spectral(ClosedPacketConfig(vartheta=vt,
-                                                   motion=FreeMotion(v0=v0, x0=0.5)),
-                                20.0, 20.0))
-               for vt in (0.1, 2.0, 100.0) for v0 in (0.0, 0.9)]
-    packets.append(("gauss gamma0=10",
-                    gauss_spectral(GaussianPacketConfig.from_gamma(0.3, 10.0), 20.0, 20.0)))
+    sums = [(f"closed vartheta={vt} v0={v0}",
+             closed_spectral(ClosedPacketConfig(vartheta=vt,
+                                                motion=FreeMotion(v0=v0, x0=0.5)),
+                             20.0, 20.0))
+            for vt in (0.1, 2.0, 100.0) for v0 in (0.0, 0.9)]
+    sums.append(("gauss gamma0=10",
+                 gauss_spectral(GaussianPacketConfig.from_gamma(0.3, 10.0), 20.0, 20.0)))
+    sums.append(("field sigma0=0.3 gamma0=10",
+                 field_mode_basis(FieldPacketConfig.from_gamma(0.3, 10.0, 0.1), 30.0, 10.0)))
     out = []
-    for name, pk in packets:
-        e = energy(pk.p)
-        amp = pk.norm * pk.spectrum * pk.weights * np.exp(-1j * e * t)
-        out.append((name, pk.p, amp, -1j * e * amp))
-    basis = field_mode_basis(FieldPacketConfig.from_gamma(0.3, 10.0, 0.1), 30.0, 10.0)
-    psi_p, dpsi_p = basis.modes(t)
-    out.append(("field sigma0=0.3 gamma0=10", basis.p, basis.weights * psi_p,
-                basis.weights * dpsi_p))
+    for name, ms in sums:
+        a, da = ms.modes(t, True)
+        out.append((name, ms.p, ms.weights * a, ms.weights * da))
     return out
 
 
@@ -152,12 +150,60 @@ def test_chirp_z_matches_the_dense_sum():
                             f"{name}, n={n}, offset={offset}, x/{scale}: {err:.2e}"
 
 
-def test_dense_blocks_stay_within_the_byte_budget():
-    # each complex temporary of a block is rows x Np x 16 bytes
+def test_dense_blocks_stay_within_the_byte_budget(monkeypatch):
+    # off the chirp-z route superpose is superpose_pairs with one constant
+    # row: a block holds at most _PAIR_BLOCK points (x values x nodes, 16
+    # bytes each per complex temporary), or one x when Np exceeds it
+    shapes = []
+    pairs = quadrature.superpose_pairs
+
+    def recording(p, amp_rows, ts, xs):
+        def rows(t):
+            block = amp_rows(t)
+            shapes.append(block.shape)
+            return block
+        return pairs(p, rows, ts, xs)
+
+    monkeypatch.setattr(quadrature, "superpose_pairs", recording)
+    xs = np.linspace(-3.0, 3.0, 50) ** 3
     for n_p in (2, 2001, 100_000):
-        rows = _dense_rows(n_p)
-        assert rows >= 1 and rows * n_p * 16 <= _DENSE_BLOCK_BYTES
-    assert _dense_rows(100_000) == 10
+        p, w = momentum_grid(0.0, 5.0, n_p)
+        shapes.clear()
+        superpose(p, w, 2.0 * w, xs)
+        assert sum(rows for rows, _ in shapes) == 2 * len(xs)
+        assert {n for _, n in shapes} == {n_p}
+        assert max(rows for rows, _ in shapes) == max(1, min(len(xs), _PAIR_BLOCK // n_p))
+        assert max(rows * n_p for rows, _ in shapes) <= max(_PAIR_BLOCK, n_p)
+
+
+@pytest.mark.parametrize("n_p", [3, 2001, 9001])
+def test_dense_route_has_the_bits_of_superpose_pairs(n_p):
+    # the non-uniform grid takes the dense route, one constant row of
+    # amplitudes per x; the same rows, stored in full, give the same bits
+    p, w = momentum_grid(0.3, 8.0, n_p)
+    amp = w * np.exp(-0.5 * (p - 0.3) ** 2 + 2j * p)
+    dmp = -1j * np.sqrt(1.0 + p * p) * amp
+    xs = np.linspace(-30.0, 30.0, 401) ** 3 / 900.0
+    for got, a in zip(superpose(p, amp, dmp, xs), (amp, dmp)):
+        ref = superpose_pairs(p, lambda t: np.tile(a, (len(t), 1)), np.zeros(len(xs)), xs)
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("family", ["gauss-free", "uniform-field"])
+@pytest.mark.parametrize("sigma0", [0.05, 0.3, 3.0, 10.0])
+@pytest.mark.parametrize("gamma0", [1.0, 10.0, 30.0])
+def test_mode_sums_are_normalized_by_discrete_parseval(family, sigma0, gamma0):
+    # 2 pi sum_j w_j |a_j(0)|^2 = 1 on the nodes themselves: the Gaussian
+    # spectrum's analytic normalization, with no numeric trim after it
+    from relwave.field_packets import FieldPacketConfig, field_mode_basis
+    from relwave.free_packets import GaussianPacketConfig, gauss_spectral
+
+    if family == "gauss-free":
+        ms = gauss_spectral(GaussianPacketConfig.from_gamma(sigma0, gamma0), 30.0, 10.0)
+    else:
+        ms = field_mode_basis(FieldPacketConfig.from_gamma(sigma0, gamma0, 0.1), 30.0, 10.0)
+    norm = 2.0 * np.pi * np.sum(ms.weights * np.abs(ms.modes(0.0, False)) ** 2)
+    assert abs(norm - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("n_p", [3, 2001, 9001])

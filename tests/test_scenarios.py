@@ -248,10 +248,11 @@ def test_non_numeric_case_values_are_config_errors(tmp_path, capsys):
 
 
 def test_weak_force_is_a_numeric_error(tmp_path, capsys):
-    # nu = -1/2 -+ 500i is past the double range of the D_nu fold
+    # nu = -1/2 -+ 500i is past the double range of the D_nu fold; x0 = 0
+    # keeps the worldline on the grid (the vertex 1/F = 1000 is not)
     cfg = tmp_path / "weak.ini"
     cfg.write_text("[weak]\nfamily = uniform-field\n"
-                   "cases = sigma0=3, gamma0=1, force=0.001\nt_list = 0\n"
+                   "cases = sigma0=3, gamma0=1, force=0.001, x0=0\nt_list = 0\n"
                    "x_min = -18\nx_max = 18\nx_count = 301\n")
     out = tmp_path / "o"
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -265,13 +266,28 @@ def test_weak_force_above_the_fold_limit_fails_fast(tmp_path, capsys):
     # instead of summing 2^19 + 1 nodes for each of ~400 points
     cfg = tmp_path / "weak.ini"
     cfg.write_text("[weak]\nfamily = uniform-field\n"
-                   "cases = sigma0=3, gamma0=1, force=0.0012\nt_list = 0\n"
+                   "cases = sigma0=3, gamma0=1, force=0.0012, x0=0\nt_list = 0\n"
                    "x_min = -18\nx_max = 18\nx_count = 301\n")
     out = tmp_path / "o"
     started = time.monotonic()
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
     assert time.monotonic() - started < 10.0
     assert capsys.readouterr().err.startswith("numeric error in weak:")
+    assert not list(out.glob("*.csv"))
+
+
+def test_off_grid_case_fails_before_its_basis_is_built(tmp_path, capsys):
+    # the worldline check needs no mode sum: a weak-force basis that takes
+    # tens of seconds to build is never built for a case off the grid
+    cfg = tmp_path / "off.ini"
+    cfg.write_text("[off]\nfamily = uniform-field\n"
+                   "cases = sigma0=3, gamma0=1, force=0.002, x0=500\nt_list = 0\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\n")
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert time.monotonic() - started < 5.0
+    assert "outside the grid [-18, 18]" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
-from relwave.field_packets import (FieldModeBasis, FieldPacketConfig, _orders_and_rays,
-                                   field_mode_basis)
+from relwave.field_packets import (FieldPacketConfig, _orders_and_rays, field_mode_basis,
+                                   mode_coeffs)
 from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
                              bessel_k1, pcf_d, pcf_d_dz)
 
@@ -198,9 +198,18 @@ def test_weak_force_fold_raises_not_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            FieldModeBasis(FieldPacketConfig(sigma0=3.0, force=1e-3), 0.05, 0.001)
+            mode_coeffs(np.linspace(-0.05, 0.05, 401),
+                        FieldPacketConfig(sigma0=3.0, force=1e-3))
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
+
+
+def test_band_integral_blocks_stay_within_the_byte_budget():
+    # each complex points x nodes temporary of a block is rows x n x 16 bytes
+    for n in (2, 4097, 100_000):
+        rows = specfun._dense_rows(n)
+        assert rows >= 1 and rows * n * 16 <= specfun._DENSE_BLOCK_BYTES
+    assert specfun._dense_rows(100_000) == 10
 
 
 def test_weak_force_band_integral_raises_not_hangs():
@@ -336,8 +345,8 @@ def _assert_reference_bits(nu, z, reference_pcf_d):
 def test_pcf_mode_rays_match_the_reference_route(force, reference_pcf_d):
     s = np.linspace(-60.0, 60.0, 4001)
     cfg = FieldPacketConfig(sigma0=1.0, force=force)
-    basis = field_mode_basis(cfg, 10.0, 0.0)
-    for nu, ray in ((basis.nu_plus, basis.ray_plus), (basis.nu_minus, basis.ray_minus)):
+    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
+    for nu, ray in ((nu_plus, ray_plus), (nu_minus, ray_minus)):
         for order in (nu, nu - 1.0):
             _assert_reference_bits(order, ray * s, reference_pcf_d)
 
@@ -369,13 +378,13 @@ def test_each_ray_is_marched_once():
     cfg = FieldPacketConfig.from_gamma(0.3, 1.0, force=0.23)
     basis = field_mode_basis(cfg, 30.0, 30.0)
     info = specfun._march_checkpoints.cache_info
-    basis.modes(0.0)
+    basis.modes(0.0, True)
     misses, hits = info().misses, info().hits
     for t in np.linspace(3.0, 30.0, 9):
-        basis.modes(t)
+        basis.modes(t, True)
     assert info().misses == misses
     assert info().hits > hits
-    radii, coef = specfun._march_checkpoints(basis.nu_plus, np.pi / 4, True)
+    radii, coef = specfun._march_checkpoints(_orders_and_rays(cfg)[0], np.pi / 4, True)
     assert not radii.flags.writeable and not coef.flags.writeable
 
 
