@@ -12,7 +12,7 @@ trapezoid rule on a ``momentum_grid``.  The sum has two routes:
 * ``superpose_pairs``, the dense sum at (t, x) pairs, each x with the mode
   amplitudes of its own time, in blocks of at most _PAIR_BLOCK points.  Any
   other input of ``superpose`` (single points, non-uniform grids) takes
-  this route with one constant row of amplitudes.
+  this route with one constant row each for psi and d/dt psi.
 
 Both are deterministic: repeated runs give the same bits.
 """
@@ -125,35 +125,37 @@ def superpose(p: np.ndarray, amp: np.ndarray, damp: np.ndarray, xs: np.ndarray):
 
     ``amp`` and ``damp`` already carry the quadrature weights.  When ``xs``
     and ``p`` are both uniform grids the two sums are one chirp-z transform
-    (the kernel's FFT is shared).  Otherwise each is ``superpose_pairs`` with
-    one constant row, so the value at x has the bits of that x evaluated
-    alone, whichever other points come with it.
+    (the kernel's FFT is shared).  Otherwise both are one ``superpose_pairs``
+    call with one constant row each, so the value at x has the bits of that x
+    evaluated alone, whichever other points come with it.
     """
     p = np.asarray(p, dtype=float)
     xs = np.asarray(xs, dtype=float)
     dp, dx = _step(p), _step(xs)
     if dp is not None and dx is not None:
         return tuple(_superpose_czt(p, dp, np.stack([amp, damp]), xs, dx))
-    return tuple(superpose_pairs(p, lambda t, a=a: np.broadcast_to(a, (len(t), len(p))),
-                                 np.zeros(len(xs)), xs) for a in (amp, damp))
+    return tuple(superpose_pairs(p, [lambda t, a=a: np.broadcast_to(a, (len(t), len(p)))
+                                     for a in (amp, damp)], np.zeros(len(xs)), xs))
 
 
 def superpose_pairs(p: np.ndarray, amp_rows, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """psi_k = sum_j a_j(t_k) exp(i p_j x_k) at each pair (ts[k], xs[k]).
+    """psi_k = sum_j a_j(t_k) exp(i p_j x_k) at each pair (ts[k], xs[k]), one
+    row of sums per function in ``amp_rows``.
 
-    ``amp_rows(t)`` gives the weighted amplitudes a_j(t_k), one row per time
-    of a block of at most _PAIR_BLOCK points (one time when Np exceeds it).
-    Each row is summed by ``einsum``, not by a BLAS product, whose kernel
-    (and rounding) changes with the number of rows: the value of a pair does
-    not depend on the pairs evaluated with it.
+    Each function gives the weighted amplitudes a_j(t_k), one row per time
+    of a block of at most _PAIR_BLOCK points (one time when Np exceeds it),
+    summed by ``einsum`` against the block's one set of exponentials; not by
+    a BLAS product, whose kernel (and rounding) changes with the number of
+    rows: the value of a pair does not depend on the pairs evaluated with it.
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(len(ts), dtype=complex)
+    out = np.empty((len(amp_rows), len(ts)), dtype=complex)
     rows = max(1, _PAIR_BLOCK // len(p))
     for i0 in range(0, len(ts), rows):
         block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
-        out[i0:i0 + rows] = np.einsum("ij,ij->i", block, amp_rows(ts[i0:i0 + rows]))
+        for o, amps in zip(out, amp_rows):
+            o[i0:i0 + rows] = np.einsum("ij,ij->i", block, amps(ts[i0:i0 + rows]))
     return out
 
 
@@ -180,4 +182,4 @@ class ModeSum:
         """psi at each pair (ts[k], xs[k]) from the modes alone, one row per
         time; each value has the bits of ``psi_dpsi(ts[k], [xs[k]])[0]``."""
         return superpose_pairs(
-            self.p, lambda t: self.weights * self.modes(t[:, None], False), ts, xs)
+            self.p, [lambda t: self.weights * self.modes(t[:, None], False)], ts, xs)[0]

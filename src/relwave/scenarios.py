@@ -112,18 +112,8 @@ class RunManifest:
     outputs: dict = dc_field(default_factory=dict)  # filename -> sha256
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "tool_version": self.tool_version,
-                "quadrature_settings": self.quadrature_settings,
-                "wall_time_s": round(self.wall_time_s, 3),
-                "flags": self.flags,
-                "outputs": self.outputs,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps({**asdict(self), "wall_time_s": round(self.wall_time_s, 3)},
+                          indent=2, sort_keys=True)
 
 
 def _write_csv(path: Path, header: str, rows) -> str:

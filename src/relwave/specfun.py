@@ -16,16 +16,18 @@ D_nu(z) stitches four regimes:
 
 with |arg z| > pi/2 folded into the right half-plane first.
 
-Both series stop point by point (DLMF 12.4, 12.9): each point leaves its
-sum at its own 1e-18 stop (or, in the divergent Poincare series, before its
-first growing term), so its value does not depend on the other points of
-the call.  The march does not depend on its targets: the Taylor coefficients
-at its checkpoints are computed once per ray (order, angle, direction) and
-cached, and each call only evaluates its targets' polynomials.  Accuracy is
-tuned for the diagonal rays (+-1 +- i) s used by the uniform-field modes
-(observed ~1e-11 there) and degrades gracefully off them; configurations
-whose subdominant solution falls below double-precision conditioning raise
-SpecFunAccuracyError instead of returning a silently wrong value.
+Both series stop point by point (DLMF 12.4, 12.9), so a value does not
+depend on the other points of the call: a Maclaurin point at its own 1e-18
+stop, a Poincare point at its first term below 1e-18 or before its first
+growing term, a count read from a per-order table of coefficients (the
+points then share one Horner pass).  The march does not depend on its
+targets: the Taylor coefficients at its checkpoints are computed once per
+ray (order, angle, direction) and cached, and each call only evaluates its
+targets' polynomials.  Accuracy is tuned for the diagonal rays (+-1 +- i) s
+used by the uniform-field modes (observed ~1e-11 there) and degrades
+gracefully off them; configurations whose subdominant solution falls below
+double-precision conditioning raise SpecFunAccuracyError instead of
+returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -136,40 +138,44 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
     return 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
 
 
+@lru_cache(maxsize=128)
+def _poincare_table(nu: complex):
+    """Poincare term s is c_s (2z^2)^{-s}, c_s = prod_{k<s} r_k, r_k =
+    -(-nu+2k)(-nu+2k+1)/(k+1).  Returns the finite c_s (s <= _POINCARE_TERMS),
+    log|c_s|, and the running maxima grow[k] of log|r_k| and stop[k] of
+    (ln 1e-18 - log|c_{k+1}|)/(k+1): at lam = log|1/(2z^2)|, term k+1 first
+    outgrows term k where grow[k] > -lam, and is below 1e-18 where stop[k] > lam."""
+    k = np.arange(_POINCARE_TERMS)
+    r = -(-nu + 2 * k) * (-nu + 2 * k + 1) / (k + 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_r = np.log(np.abs(r))
+        c = np.concatenate([[1.0 + 0.0j], np.cumprod(r)])
+    n = np.count_nonzero(np.isfinite(c))  # c_s leaves double range past |nu| ~ 2000
+    log_c = np.concatenate([[0.0], np.cumsum(log_r)])[:n]
+    table = (c[:n], log_c, np.maximum.accumulate(log_r[:n - 1]),
+             np.maximum.accumulate((np.log(1e-18) - log_c[1:]) / (k[:n - 1] + 1.0)))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _asymptotic(nu: complex, z: np.ndarray):
     """One-piece Poincare expansion on a 1-d array; returns (value,
-    per-point truncation ratio: last term kept over the sum).
-
-    Each point leaves the sum once its term falls below 1e-18 of its total,
-    or before its first growing term (the series diverges from there on).
-    """
-    total = np.ones_like(z)
-    last_live = np.ones(z.shape)
-    live = np.arange(z.size)
+    per-point truncation ratio: last term kept over the sum).  The points,
+    sorted by term count, share one Horner pass over ``_poincare_table``."""
+    c, log_c, grow, stop = _poincare_table(nu)
     inv = 1.0 / (2.0 * z * z)
-    term = np.ones_like(z)
-    mag = np.ones(z.shape)
-    tot = np.ones_like(z)
-    for s in range(_POINCARE_TERMS):
-        if not live.size:
-            break
-        new_term = term * (-(-nu + 2 * s) * (-nu + 2 * s + 1) / (s + 1.0)) * inv
-        new_mag = np.abs(new_term)
-        # a growing term is not added: its point leaves with the sum it has
-        grown = new_mag > mag
-        tot = np.where(grown, tot, tot + new_term)
-        mag = np.where(grown, mag, new_mag)
-        leave = grown | (mag < 1e-18 * np.abs(tot))
-        if leave.any():
-            total[live[leave]] = tot[leave]
-            last_live[live[leave]] = mag[leave]
-            keep = ~leave
-            live, new_term, mag, inv, tot = (live[keep], new_term[keep], mag[keep],
-                                             inv[keep], tot[keep])
-        term = new_term
-    total[live] = tot
-    last_live[live] = mag
-    trunc = last_live / np.maximum(np.abs(total), 1e-300)
+    lam = np.log(np.abs(inv))
+    n = np.minimum(np.minimum(np.searchsorted(grow, -lam, "right") + 1,
+                              np.searchsorted(stop, lam, "right") + 2), len(c))
+    order = np.argsort(-n, kind="stable")
+    inv_sorted, acc = inv[order], np.zeros_like(z)
+    live = np.searchsorted(-n[order], -np.arange(n.max()))  # points with a term s
+    for s in range(len(live) - 1, 0, -1):
+        acc[:live[s]] = (acc[:live[s]] + c[s]) * inv_sorted[:live[s]]
+    total = np.empty_like(z)
+    total[order] = 1.0 + acc
+    trunc = np.exp(log_c[n - 1] + (n - 1) * lam) / np.maximum(np.abs(total), 1e-300)
     return np.exp(-0.25 * z * z) * z ** nu * total, trunc
 
 

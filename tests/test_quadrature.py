@@ -152,25 +152,32 @@ def test_chirp_z_matches_the_dense_sum():
 
 def test_dense_blocks_stay_within_the_byte_budget(monkeypatch):
     # off the chirp-z route superpose is superpose_pairs with one constant
-    # row: a block holds at most _PAIR_BLOCK points (x values x nodes, 16
-    # bytes each per complex temporary), or one x when Np exceeds it
+    # row each for psi and d/dt psi: a block holds at most _PAIR_BLOCK points
+    # (x values x nodes, 16 bytes each per complex temporary), or one x when
+    # Np exceeds it, and each block serves both rows in turn
     shapes = []
+    sets = []
     pairs = quadrature.superpose_pairs
 
     def recording(p, amp_rows, ts, xs):
-        def rows(t):
-            block = amp_rows(t)
-            shapes.append(block.shape)
+        def rows(k, amps):
+            def block(t):
+                a = amps(t)
+                sets.append(k)
+                shapes.append(a.shape)
+                return a
             return block
-        return pairs(p, rows, ts, xs)
+        return pairs(p, [rows(k, amps) for k, amps in enumerate(amp_rows)], ts, xs)
 
     monkeypatch.setattr(quadrature, "superpose_pairs", recording)
     xs = np.linspace(-3.0, 3.0, 50) ** 3
     for n_p in (2, 2001, 100_000):
         p, w = momentum_grid(0.0, 5.0, n_p)
         shapes.clear()
+        sets.clear()
         superpose(p, w, 2.0 * w, xs)
         assert sum(rows for rows, _ in shapes) == 2 * len(xs)
+        assert sets == [0, 1] * (len(sets) // 2)
         assert {n for _, n in shapes} == {n_p}
         assert max(rows for rows, _ in shapes) == max(1, min(len(xs), _PAIR_BLOCK // n_p))
         assert max(rows * n_p for rows, _ in shapes) <= max(_PAIR_BLOCK, n_p)
@@ -185,8 +192,34 @@ def test_dense_route_has_the_bits_of_superpose_pairs(n_p):
     dmp = -1j * np.sqrt(1.0 + p * p) * amp
     xs = np.linspace(-30.0, 30.0, 401) ** 3 / 900.0
     for got, a in zip(superpose(p, amp, dmp, xs), (amp, dmp)):
-        ref = superpose_pairs(p, lambda t: np.tile(a, (len(t), 1)), np.zeros(len(xs)), xs)
-        assert np.array_equal(got, ref)
+        ref = superpose_pairs(p, [lambda t: np.tile(a, (len(t), 1))], np.zeros(len(xs)), xs)
+        assert np.array_equal(got, ref[0])
+
+
+def _ref_superpose_pairs(p, amp_rows, ts, xs):
+    # the dense pair sum of one row function, as superpose called it once
+    # for psi and once for d/dt psi, each call with its own exponentials
+    out = np.empty(len(ts), dtype=complex)
+    rows = max(1, _PAIR_BLOCK // len(p))
+    for i0 in range(0, len(ts), rows):
+        block = np.exp(1j * np.outer(xs[i0:i0 + rows], p))
+        out[i0:i0 + rows] = np.einsum("ij,ij->i", block, amp_rows(ts[i0:i0 + rows]))
+    return out
+
+
+@pytest.mark.parametrize("n_p", [3, 2245, 9001])
+def test_dense_route_matches_two_separate_pair_sums(n_p):
+    # psi and d/dt psi share each block's exponentials, with the bits of the
+    # two separate sums, on a non-uniform grid and on single points
+    p, w = momentum_grid(-0.4, 7.0, n_p)
+    amp = w * np.exp(-0.5 * (p + 0.4) ** 2 - 1.5j * p)
+    dmp = -1j * np.sqrt(1.0 + p * p) * amp
+    for xs in (np.linspace(-12.0, 12.0, 301) ** 3 / 144.0, np.array([0.7]), np.array([-3e3])):
+        got = superpose(p, amp, dmp, xs)
+        for g, a in zip(got, (amp, dmp)):
+            ref = _ref_superpose_pairs(p, lambda t: np.broadcast_to(a, (len(t), len(p))),
+                                       np.zeros(len(xs)), xs)
+            assert np.array_equal(g, ref)
 
 
 @pytest.mark.parametrize("family", ["gauss-free", "uniform-field"])
@@ -219,7 +252,7 @@ def test_pair_blocks_stay_within_the_block_bound(n_p):
         seen.append(len(t))
         return w * np.exp(-0.5 * (p - 0.5) ** 2 - 1j * np.sqrt(1.0 + p * p) * t[:, None])
 
-    psi = superpose_pairs(p, amp_rows, ts, xs)
+    psi, = superpose_pairs(p, [amp_rows], ts, xs)
     assert sum(seen) == len(ts)
     assert max(seen) == max(1, min(len(ts), _PAIR_BLOCK // n_p))
     for k in (0, 17, 36):

@@ -228,7 +228,10 @@ def test_weak_force_band_integral_raises_not_hangs():
 # The reference route: the series ran every point of a batch to the slowest
 # point's term count, and every call marched its rays again from the seed.
 # Copied unchanged, apart from the seed and target ordering that the caller
-# of _march_ray did (_ref_march below).
+# of _march_ray did (_ref_march below).  The Maclaurin and march routes are
+# checked bit for bit; the Poincare series, now a Horner pass over a
+# per-order coefficient table, sums in another order, so _ref_asymptotic is
+# its oracle to a tolerance.
 
 def _ref_kummer_m(a, b, x, max_terms=700):
     term = np.ones_like(x)
@@ -321,7 +324,6 @@ def reference_pcf_d(monkeypatch):
     def evaluate(nu, z):
         with monkeypatch.context() as m:
             m.setattr(specfun, "_kummer_m", _ref_kummer_m)
-            m.setattr(specfun, "_asymptotic", _ref_asymptotic)
             m.setattr(specfun, "_march_ray", _ref_march)
             return specfun.pcf_d(nu, z)
     return evaluate
@@ -357,6 +359,90 @@ def test_pcf_sweep_matches_the_reference_route(reference_pcf_d):
     z = rng.uniform(0.1, 12.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     for nu in (NU_P, NU_M, -1.5 + 2.0j, 0.3 - 2.0j):
         _assert_reference_bits(nu, z, reference_pcf_d)
+
+
+def _asymptotic_calls(monkeypatch, evaluate):
+    """The (nu, z) of every _asymptotic call that ``evaluate`` makes."""
+    calls = []
+
+    def record(nu, z):
+        calls.append((nu, z.copy()))
+        return asymptotic(nu, z)
+
+    asymptotic = specfun._asymptotic
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_asymptotic", record)
+        evaluate()
+    return calls
+
+
+def test_poincare_series_matches_the_reference_series(monkeypatch):
+    # the Poincare points that pcf_d meets on the mode rays and on the sweep
+    # of the reference tests above
+    def mode_rays_and_sweep():
+        s = np.linspace(-60.0, 60.0, 4001)
+        for force in (0.1, 1.0, -0.3):
+            nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(
+                FieldPacketConfig(sigma0=1.0, force=force))
+            for nu, ray in ((nu_plus, ray_plus), (nu_minus, ray_minus)):
+                for order in (nu, nu - 1.0):
+                    pcf_d(order, ray * s)
+        rng = np.random.default_rng(23)
+        z = rng.uniform(0.1, 12.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
+        for nu in (NU_P, NU_M, -1.5 + 2.0j, 0.3 - 2.0j):
+            pcf_d(nu, z)
+
+    calls = _asymptotic_calls(monkeypatch, mode_rays_and_sweep)
+    assert len(calls) >= 12
+    for nu, z in calls:
+        got, trunc = specfun._asymptotic(nu, z)
+        ref, ref_trunc = _ref_asymptotic(nu, z)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 4e-15, nu
+        # the same points are routed to the march and the band integral
+        assert np.array_equal(trunc > 1e-11, ref_trunc > 1e-11), nu
+
+
+def test_poincare_point_alone_has_its_batch_bits():
+    # at nu = -20 the term counts run from 1 (|z| = 8) to the cap
+    nu = -20.0 + 0.0j
+    z = np.geomspace(8.0, 3000.0, 300) * np.exp(0.25j * np.pi)
+    c, _, grow, stop = specfun._poincare_table(nu)
+    lam = np.log(np.abs(1.0 / (2.0 * z * z)))
+    n = np.minimum(np.minimum(np.searchsorted(grow, -lam, "right") + 1,
+                              np.searchsorted(stop, lam, "right") + 2), len(c))
+    assert n.min() == 1 and n.max() == len(c) == specfun._POINCARE_TERMS + 1
+    got, trunc = specfun._asymptotic(nu, z)
+    for i in range(len(z)):
+        alone, alone_trunc = specfun._asymptotic(nu, z[i:i + 1])
+        assert alone[0] == got[i] and alone_trunc[0] == trunc[i], z[i]
+
+
+@pytest.mark.parametrize("im_nu", [417.0, -417.0, 450.0, -450.0])
+def test_poincare_series_stays_finite_at_the_weakest_fields(im_nu):
+    # |Im nu| = 417 and 450 are forces 1.2e-3 and 1.1e-3: the coefficients
+    # reach ~1e237 and the terms underflow, but nothing leaves double range
+    z = np.geomspace(8.0, 3000.0, 400) * np.exp(-0.25j * np.pi * np.sign(im_nu))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for nu in (complex(-0.5, im_nu), complex(-1.5, im_nu)):
+            table = specfun._poincare_table(nu)
+            assert all(np.all(np.isfinite(a)) for a in table)
+            assert len(table[0]) == specfun._POINCARE_TERMS + 1
+            val, trunc = specfun._asymptotic(nu, z)
+            assert np.all(np.isfinite(val)) and np.all(np.isfinite(trunc))
+            ref, _ = _ref_asymptotic(nu, z)
+            assert np.max(np.abs(val - ref) / np.abs(ref)) < 4e-15
+
+
+def test_poincare_table_keeps_its_finite_prefix():
+    # at |Im nu| = 5000 (force 1e-4) c_s leaves double range after s = 50:
+    # the series stops there, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = specfun._poincare_table(-0.5 - 5000.0j)
+    assert 1 < len(table[0]) <= specfun._POINCARE_TERMS
+    assert all(np.all(np.isfinite(a)) for a in table)
+    assert len(table[2]) == len(table[3]) == len(table[0]) - 1
 
 
 def test_pcf_batch_of_mixed_rays_matches_mpmath():
