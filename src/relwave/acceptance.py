@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import (_gaussian, charge_density, expectation_x, find_peaks,
                        gauss_similarity_psi, gauss_similarity_rho,
                        momentum_spectrum)
-from .field_packets import FieldPacketConfig, _orders_and_rays, field_mode_basis
+from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
 from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, closed_spectral,
                            gauss_spectrum)
 from .kinematics import FreeMotion
@@ -333,14 +333,10 @@ def crit_11_special_functions():
     # is ~e^{pi M^2/2F} smaller than its two terms (it measures the
     # exponentially weak mode mixing), so the probe stays in the conversion
     # window |p + F t| <= 0.3 where pointwise round-off resolves it.
-    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(_field_cfg(0.3, 1.0))
+    cfg = _field_cfg(0.3, 1.0)
     wr = []
     for t in np.linspace(-3.0, 3.0, 13):
-        s = np.array([1e-9 + 0.1 * t])
-        zp, zm = ray_plus * s, ray_minus * s
-        fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
-        dfp = pcf_d_dz(nu_plus, zp) * ray_plus
-        dfm = pcf_d_dz(nu_minus, zm) * ray_minus
+        fp, fm, dfp, dfm = mode_pair(cfg, np.array([1e-9 + 0.1 * t]), derivatives=True)
         wr.append(complex(fp[0] * dfm[0] - fm[0] * dfp[0]))
     wr = np.array(wr)
     drift = float(np.max(np.abs(wr - wr[0]) / np.abs(wr[0])))

@@ -2,10 +2,10 @@
 
 Gauge A = (0, -E t, 0, 0), so each momentum mode obeys
 ``psi_p'' + ((p + F t)^2 + M^2) psi_p = 0`` (natural units), solved by the
-pair of parabolic cylinder functions
+pair of parabolic cylinder functions of one order nu and one ray
 
-    f+(s) = D_{-1/2 - i M^2/2F}((i+1) s / sqrt(F)),
-    f-(s) = D_{-1/2 + i M^2/2F}((i-1) s / sqrt(F)),      s = p + F t.
+    f+(s) = D_nu((1+i) s / sqrt|F|),   nu = -1/2 - i M^2/2F,   s = p + F t,
+    f-(s) = conj f+(-s) = D_conj(nu)((i-1) s / sqrt|F|).
 
 ``mode_pair`` is the one place that evaluates them.  The initial Gaussian is
 imposed by the least-norm projection onto the pair (``mode_coeffs``):
@@ -82,36 +82,37 @@ class ModeCoefficients:
     c_minus: np.ndarray
 
 
-def _orders_and_rays(cfg: FieldPacketConfig):
-    """Orders nu+- = -1/2 -+ i M^2/2F and rays r+- of the mode pair
-    f+-(s) = D_nu+-(r+- s); the real part of each order is exactly -1/2."""
-    a = 1.0 / (2.0 * cfg.force)
-    root = np.sqrt(abs(cfg.force))
-    return complex(-0.5, -a), complex(-0.5, a), (1.0 + 1.0j) / root, (1.0j - 1.0) / root
+def _order_and_ray(cfg: FieldPacketConfig):
+    """The order nu = -1/2 - i M^2/2F (real part exactly -1/2) and the ray
+    r = (1+i)/sqrt|F| of f+(s) = D_nu(r s)."""
+    return complex(-0.5, -1.0 / (2.0 * cfg.force)), (1.0 + 1.0j) / np.sqrt(abs(cfg.force))
 
 
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     """f+(s), f-(s) at s = p + F t; with ``derivatives`` also d/dt f+-.
 
-    D' comes from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu on the
-    D_nu already computed, so each ray costs two D evaluations, not three.
-    An ``s`` of more than ``quadrature._PAIR_BLOCK`` points is evaluated in
-    calls of that many points, which bounds pcf_d's temporaries (each value
-    is independent of the others of its call).
+    D_nu has real Taylor coefficients, so conj D_nu(z) = D_conj(nu)(conj z)
+    and f-(s) = conj f+(-s): one D_nu call on the mirrored points [s, -s]
+    gives both modes, d/dt f- being minus the conjugate of the second half's
+    d/dt f+.  D' comes from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu
+    on the D_nu already computed.  An ``s`` of more than half
+    ``quadrature._PAIR_BLOCK`` points is evaluated in pieces of that many,
+    so that no pcf_d call holds more than _PAIR_BLOCK points (each value is
+    independent of the others of its call).
     """
-    if np.size(s) > _PAIR_BLOCK:
+    half = _PAIR_BLOCK // 2
+    if np.size(s) > half:
         flat = np.ravel(s)
-        parts = [mode_pair(cfg, flat[i:i + _PAIR_BLOCK], derivatives)
-                 for i in range(0, flat.size, _PAIR_BLOCK)]
+        parts = [mode_pair(cfg, flat[i:i + half], derivatives)
+                 for i in range(0, flat.size, half)]
         return tuple(np.concatenate(vals).reshape(np.shape(s)) for vals in zip(*parts))
-    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
-    zp, zm = ray_plus * s, ray_minus * s
-    fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
+    nu, ray = _order_and_ray(cfg)
+    z = ray * np.stack([s, -np.asarray(s)])
+    f = pcf_d(nu, z)
     if not derivatives:
-        return fp, fm
-    dfp = (nu_plus * pcf_d(nu_plus - 1.0, zp) - 0.5 * zp * fp) * ray_plus * cfg.force
-    dfm = (nu_minus * pcf_d(nu_minus - 1.0, zm) - 0.5 * zm * fm) * ray_minus * cfg.force
-    return fp, fm, dfp, dfm
+        return f[0], np.conj(f[1])
+    df = (nu * pcf_d(nu - 1.0, z) - 0.5 * z * f) * ray * cfg.force
+    return f[0], np.conj(f[1]), df[0], -np.conj(df[1])
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:

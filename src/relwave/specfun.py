@@ -16,11 +16,12 @@ D_nu(z) stitches four regimes:
 
 with |arg z| > pi/2 folded into the right half-plane first.
 
-Both series stop point by point (DLMF 12.4, 12.9), so a value does not
-depend on the other points of the call: a Maclaurin point at its own 1e-18
-stop, a Poincare point at its first term below 1e-18 or before its first
-growing term, a count read from a per-order table of coefficients (the
-points then share one Horner pass).  The march does not depend on its
+Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
+coefficients, so a value does not depend on the other points of the call:
+the Maclaurin series takes one term count per order, enough for every
+|z| <= _R_SERIES; a Poincare point stops at its first term below 1e-18 or
+before its first growing term, a count read from the table.  The band
+integral takes one point at a time.  The march does not depend on its
 targets: the Taylor coefficients at its checkpoints are computed once per
 ray (order, angle, direction) and cached, and each call only evaluates its
 targets' polynomials.  Accuracy is tuned for the diagonal rays (+-1 +- i) s
@@ -49,9 +50,6 @@ __all__ = [
 SQRT_PI = np.sqrt(np.pi)
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-# bytes of each complex points x nodes temporary of the band integral
-_DENSE_BLOCK_BYTES = 16 << 20
-
 # pcf regime boundaries, tuned against a high-precision reference.  The march
 # seed sits deep inside the series region because seed error is amplified by
 # the dominant-to-recessive solution ratio (about e^{2 a |arg z|}) by the end
@@ -60,8 +58,7 @@ _R_SERIES = 1.5
 _R_ASYMP = 8.0
 _MARCH_ORDER = 36
 _MARCH_STEP = 0.5
-# term caps of the Maclaurin (Kummer M) and Poincare series
-_KUMMER_TERMS = 700
+# term cap of the Poincare series
 _POINCARE_TERMS = 60
 # exp-sinh abscissae of the band integral: tau in [_BAND_TAU_LO, _BAND_TAU_HI]
 _BAND_TAU_LO = -4.8
@@ -110,31 +107,37 @@ def bessel_k0(z, scaled: bool = False):
 # parabolic cylinder D_nu
 # ---------------------------------------------------------------------------
 
-def _kummer_m(a: complex, b: complex, x: np.ndarray) -> np.ndarray:
-    """Kummer's M(a, b, x) on a 1-d array.  Each point leaves the sum once
-    its term falls below 1e-18 of its total; the arrays shrink with it."""
-    total = np.ones_like(x)
-    live = np.arange(x.size)
-    term = np.ones_like(x)
-    tot = np.ones_like(x)
-    for k in range(_KUMMER_TERMS):
-        if not live.size:
-            break
-        term = term * ((a + k) / (b + k)) * x[live] / (k + 1.0)
-        tot = tot + term
-        done = np.abs(term) < 1e-18 * (np.abs(tot) + 1e-300)
-        if done.any():
-            total[live[done]] = tot[done]
-            keep = ~done
-            live, term, tot = live[keep], term[keep], tot[keep]
-    total[live] = tot
-    return total
+@lru_cache(maxsize=128)
+def _maclaurin_table(nu: complex):
+    """Coefficients c_k of Kummer's M(-nu/2, 1/2, w) and M((1-nu)/2, 3/2, w),
+    w = z^2/2, each up to the first term past the largest with
+    |c_k| (_R_SERIES^2/2)^k < 1e-18: one term count for every |z| <= _R_SERIES."""
+    w_max = 0.5 * _R_SERIES ** 2
+    tables = []
+    for a, b in ((-nu / 2.0, 0.5), ((1.0 - nu) / 2.0, 1.5)):
+        c, ratio = [1.0 + 0.0j], 1.0
+        while abs(c[-1]) * w_max ** (len(c) - 1) >= 1e-18 or abs(ratio) * w_max >= 1.0:
+            if not np.isfinite(c[-1]):
+                raise SpecFunAccuracyError(f"Maclaurin series of D_nu overflows for nu={nu}")
+            ratio = (a + len(c) - 1) / (b + len(c) - 1) / len(c)
+            c.append(c[-1] * ratio)
+        tables.append(np.array(c))
+        tables[-1].flags.writeable = False
+    return tuple(tables)
 
 
 def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
+    """D_nu by its Maclaurin series (DLMF 12.4), the even and odd Kummer M
+    summed by one Horner pass over ``_maclaurin_table``."""
     w = 0.5 * z * z
-    even = _kummer_m(-nu / 2.0, 0.5, w) * rgamma((1.0 - nu) / 2.0)
-    odd = _kummer_m((1.0 - nu) / 2.0, 1.5, w) * rgamma(-nu / 2.0)
+    series = []
+    for c in _maclaurin_table(nu):
+        acc = np.full_like(w, c[-1])
+        for ck in c[-2::-1]:
+            acc = acc * w + ck
+        series.append(acc)
+    even = series[0] * rgamma((1.0 - nu) / 2.0)
+    odd = series[1] * rgamma(-nu / 2.0)
     return 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
 
 
@@ -247,12 +250,6 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray, outward: bool) -> n
     return val
 
 
-def _dense_rows(n: int) -> int:
-    """Points per block of the band integral, so that each complex
-    points x n temporary stays within _DENSE_BLOCK_BYTES."""
-    return max(1, _DENSE_BLOCK_BYTES // (16 * n))
-
-
 def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu in the band by the rotated-contour integral representation
     D_nu(z) = e^{-z^2/4}/Gamma(-nu) int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt.
@@ -264,10 +261,11 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     degrade on rays where D_nu is exponentially subdominant.  Requires
     Re nu < 0; callers lift higher orders with the z-ladder.
 
-    The points are summed in blocks (``_dense_rows``), each complex points x
-    nodes temporary within _DENSE_BLOCK_BYTES; the first block whose values leave
-    double range raises SpecFunAccuracyError (weak fields: the rule has
-    2^19 + 1 nodes at |Im nu| ~ 400, where D_nu itself overflows).
+    Each point is integrated on its own, over 1-d node arrays, so its value
+    does not depend on the other points of the call and a temporary holds
+    at most 2^19 + 1 complex nodes (8 MiB); the first point whose value
+    leaves double range raises SpecFunAccuracyError (weak fields: the rule
+    has 2^19 + 1 nodes at |Im nu| ~ 400, where D_nu itself overflows).
     """
     if nu.real >= 0.0:
         # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
@@ -282,22 +280,14 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     u = np.exp(0.5 * np.pi * np.sinh(tau))
     w = u * (0.5 * np.pi) * np.cosh(tau) * (tau[1] - tau[0])
     out = np.empty_like(z)
-    rows = _dense_rows(n)
-    for i0 in range(0, len(z), rows):
-        zb = z[i0:i0 + rows]
-        rot = np.exp(-0.5j * np.angle(zb))
-        t = rot[:, None] * u[None, :]
+    for i, zi in enumerate(z):
+        rot = np.exp(-0.5j * np.angle(zi))
+        t = rot * u
         with np.errstate(over="ignore", invalid="ignore"):
-            integrand = np.exp(-zb[:, None] * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
-            total = np.sum(integrand * w, axis=1) * rot
-            vals = np.exp(-0.25 * zb * zb) * total * norm
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            raise SpecFunAccuracyError(
-                f"D_nu for nu={nu} at |z|~{float(np.abs(zb[bad][0])):.3g} "
-                "overflows double precision"
-            )
-        out[i0:i0 + rows] = vals
+            integrand = np.exp(-zi * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
+            out[i] = np.exp(-0.25 * zi * zi) * np.sum(integrand * w) * rot * norm
+        if not np.isfinite(out[i]):
+            raise SpecFunAccuracyError(f"D_nu for nu={nu} at |z|~{abs(zi):.3g} overflows double precision")
     return out
 
 

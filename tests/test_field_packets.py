@@ -3,8 +3,8 @@ import pytest
 
 from relwave import field_packets, packets, quadrature, scenarios
 from relwave.analysis import charge_density, expectation_x, find_peaks
-from relwave.field_packets import (FieldPacketConfig, _orders_and_rays,
-                                   field_mode_basis, mode_coeffs, mode_pair)
+from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
+                                   mode_coeffs, mode_pair)
 from relwave.kinematics import field_trajectory
 from relwave.packets import packet_for
 from relwave.specfun import pcf_d, pcf_d_dz
@@ -165,17 +165,18 @@ def test_psi_field_scalar_api():
 
 def test_modes_match_the_pcf_d_dz_route():
     # modes take D' from the ladder relation on the D_nu already computed;
-    # pcf_d_dz evaluates D_nu again, with the same arithmetic
+    # pcf_d_dz evaluates D_nu again, with the same arithmetic, and f- is the
+    # conjugate of f+ at -s
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
     c = mode_coeffs(basis.p, cfg)
-    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
+    nu, ray = _order_and_ray(cfg)
     for t in (-4.0, 0.0, 7.5):
         s = basis.p + F * t
-        zp, zm = ray_plus * s, ray_minus * s
-        fp, fm = pcf_d(nu_plus, zp), pcf_d(nu_minus, zm)
-        dfp = pcf_d_dz(nu_plus, zp) * ray_plus * F
-        dfm = pcf_d_dz(nu_minus, zm) * ray_minus * F
+        zp, zm = ray * s, ray * -s
+        fp, fm = pcf_d(nu, zp), np.conj(pcf_d(nu, zm))
+        dfp = pcf_d_dz(nu, zp) * ray * F
+        dfm = -np.conj(pcf_d_dz(nu, zm) * ray * F)
         psi_p, dpsi_p = basis.modes(t, True)
         assert np.array_equal(psi_p, c.c_plus * fp + c.c_minus * fm)
         assert np.array_equal(dpsi_p, c.c_plus * dfp + c.c_minus * dfm)
@@ -197,15 +198,46 @@ def test_psi_only_evaluation_is_the_same_bits():
         assert together[k] == pk.psi_at(ts[k:k + 1], xs[k:k + 1])[0]
 
 
+def _two_order_route(cfg, s):
+    # f+ and f- as two D_nu families: orders nu and conj(nu) on the rays
+    # r and -conj(r), d/dt from the ladder relation on each
+    nu, ray = _order_and_ray(cfg)
+    out = []
+    for order, r in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
+        z = r * s
+        f = pcf_d(order, z)
+        out.append((f, (order * pcf_d(order - 1.0, z) - 0.5 * z * f) * r * cfg.force))
+    return out[0][0], out[1][0], out[0][1], out[1][1]
+
+
+@pytest.mark.parametrize("force", [0.1, 1.0, 2.0, -0.3, 0.05, 0.02])
+def test_mode_pair_mirror_matches_the_two_order_route(force):
+    # conj D_nu(z) = D_conj(nu)(conj z), so f-(s) = conj f+(-s): the mirror
+    # has the bits of the two-order route, on one call's points and on more
+    # than _PAIR_BLOCK in two rows, which split into several calls (kept to
+    # |s| >= 4, past the band integral's points, which cost up to 12 ms each)
+    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
+    wide = np.outer([1.0, -1.0], np.linspace(4.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
+    for points in (s, wide):
+        ref = _two_order_route(cfg, points)
+        got = mode_pair(cfg, points, derivatives=True)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and np.array_equal(g, r)
+        for g, r in zip(mode_pair(cfg, points), ref[:2]):
+            assert np.array_equal(g, r)
+
+
 def _count_pcf(monkeypatch, calls):
     pcf = field_packets.pcf_d
     monkeypatch.setattr(field_packets, "pcf_d",
                         lambda nu, z: calls.append((nu, np.size(z))) or pcf(nu, z))
 
 
-def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
-    # the phase trace keeps psi only: each evaluated time takes f+ and f-
-    # on the Np nodes, and not the D_{nu-1} of their time derivatives
+def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
+    # the phase trace keeps psi only: each evaluated time takes D_nu on the
+    # Np nodes and their mirror images (f+ and f-), and not the D_{nu-1} of
+    # their time derivatives
     times = []
     trace = packets.phase_trace
 
@@ -225,15 +257,16 @@ def test_field_phase_trace_evaluates_two_pcf_per_time(monkeypatch):
     _count_pcf(monkeypatch, calls)
     scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
     assert sum(times) >= 9
-    assert {nu for nu, _ in calls} == set(_orders_and_rays(_cfg(3.0, 1.0))[:2])
+    assert {nu for nu, _ in calls} == {_order_and_ray(_cfg(3.0, 1.0))[0]}
     assert sum(n for _, n in calls) == 2 * len(basis.p) * sum(times)
 
 
 @pytest.mark.parametrize("block", [field_packets._PAIR_BLOCK, 1000])
 def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
-    # a block of times is one pcf_d call per order; with fewer points per
-    # block than nodes (1000 < Np) a block is one time, its nodes split
-    # over several calls, and the phases keep their bits
+    # a block of times is one or two pcf_d calls, each on at most half a
+    # block of points and their mirror images; with fewer points per block
+    # than nodes (1000 < Np) a block is one time, its nodes split over
+    # several calls, and the phases keep their bits
     pk = _packet(0.3, 10.0, 41.0, 8.0)
     ts = np.arange(0.0, 8.125, 0.25)
     ref = pk.trace_phase(ts)
@@ -253,8 +286,9 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
 
 def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     # density and peak-normalized spectrum at three times: the basis build
-    # (f+, f-) and 4 D_nu per time for the slices; the spectra and their
-    # t = 0 peak read the slices' psi_p (22 calls when they evaluate again)
+    # (f+ and f-, one D_nu call) and 2 D_nu calls per time for the slices
+    # (orders nu and nu - 1); the spectra and their t = 0 peak read the
+    # slices' psi_p (11 calls when they evaluate again)
     scn = scenarios.Scenario(name="fd", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(-4.0, 0.0, 4.0), x_min=-20.0, x_max=40.0,
@@ -265,7 +299,7 @@ def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     calls = []
     _count_pcf(monkeypatch, calls)
     scenarios.run(scn, tmp_path)
-    assert len(calls) == 14
+    assert len(calls) == 7
 
 
 def test_classical_position_tracks_the_density_mean():

@@ -2,11 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
-from relwave.field_packets import (FieldPacketConfig, _orders_and_rays, field_mode_basis,
-                                   mode_coeffs)
+from relwave.field_packets import FieldPacketConfig, _order_and_ray, field_mode_basis, mode_coeffs
 from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
                              bessel_k1, pcf_d, pcf_d_dz)
 
@@ -175,14 +175,13 @@ def test_scalar_and_array_api():
 
 
 def test_pcf_order_factory():
-    # the orders of the uniform-field modes are -1/2 -+ i/(2F), real part exact
+    # the order of the uniform-field modes is -1/2 - i/(2F), real part exact,
+    # on the ray (1+i)/sqrt|F|
     for force in (0.1, -0.3, 2.0):
-        plus, minus, _, _ = _orders_and_rays(FieldPacketConfig(sigma0=1.0, force=force))
-        assert plus == complex(-0.5, -1.0 / (2.0 * force))
-        assert minus == complex(-0.5, 1.0 / (2.0 * force))
-        assert plus.real == minus.real == -0.5
-    plus, minus, _, _ = _orders_and_rays(FieldPacketConfig(sigma0=1.0, force=0.1))
-    assert (plus, minus) == (complex(-0.5, -5.0), complex(-0.5, 5.0))
+        nu, ray = _order_and_ray(FieldPacketConfig(sigma0=1.0, force=force))
+        assert nu == complex(-0.5, -1.0 / (2.0 * force)) and nu.real == -0.5
+        assert ray == (1.0 + 1.0j) / np.sqrt(abs(force))
+    assert _order_and_ray(FieldPacketConfig(sigma0=1.0, force=0.1)) == (NU_P, RAY_P)
 
 
 def test_subdominant_conditioning_raises_not_lies():
@@ -204,12 +203,14 @@ def test_weak_force_fold_raises_not_nan():
             pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
 
 
-def test_band_integral_blocks_stay_within_the_byte_budget():
-    # each complex points x nodes temporary of a block is rows x n x 16 bytes
-    for n in (2, 4097, 100_000):
-        rows = specfun._dense_rows(n)
-        assert rows >= 1 and rows * n * 16 <= specfun._DENSE_BLOCK_BYTES
-    assert specfun._dense_rows(100_000) == 10
+def test_band_integral_point_alone_has_its_batch_bits():
+    # band points of the F = 0.05 mode ray: a value is that of its point
+    # alone, whatever the batch (a points x nodes block rounds otherwise)
+    z = (1.0 + 1.0j) / np.sqrt(0.05) * np.linspace(1.34, 1.45, 40)
+    for nu in (-0.5 - 10.0j, -1.5 + 2.0j):
+        got = specfun._band_integral(nu, z)
+        for i in range(len(z)):
+            assert specfun._band_integral(nu, z[i:i + 1])[0] == got[i], (nu, z[i])
 
 
 def test_weak_force_band_integral_raises_not_hangs():
@@ -228,10 +229,16 @@ def test_weak_force_band_integral_raises_not_hangs():
 # The reference route: the series ran every point of a batch to the slowest
 # point's term count, and every call marched its rays again from the seed.
 # Copied unchanged, apart from the seed and target ordering that the caller
-# of _march_ray did (_ref_march below).  The Maclaurin and march routes are
-# checked bit for bit; the Poincare series, now a Horner pass over a
-# per-order coefficient table, sums in another order, so _ref_asymptotic is
-# its oracle to a tolerance.
+# of _march_ray did (_ref_march below).  The march is checked bit for bit;
+# both series, now Horner passes over per-order coefficient tables, sum in
+# another order, so _ref_kummer_m and _ref_asymptotic are their oracles to
+# a tolerance.
+
+def _mode_orders_and_rays(force):
+    """(order, ray) of f+ and of f-(s) = D_conj(nu)(-conj(ray) s)."""
+    nu, ray = _order_and_ray(FieldPacketConfig(sigma0=1.0, force=force))
+    return (nu, ray), (nu.conjugate(), -ray.conjugate())
+
 
 def _ref_kummer_m(a, b, x, max_terms=700):
     term = np.ones_like(x)
@@ -242,6 +249,14 @@ def _ref_kummer_m(a, b, x, max_terms=700):
         if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
             break
     return total
+
+
+def _ref_maclaurin(nu, z):
+    w = 0.5 * z * z
+    even = _ref_kummer_m(-nu / 2.0, 0.5, w) * rgamma((1.0 - nu) / 2.0)
+    odd = _ref_kummer_m((1.0 - nu) / 2.0, 1.5, w) * rgamma(-nu / 2.0)
+    return 2.0 ** (nu / 2.0) * specfun.SQRT_PI * np.exp(-0.5 * w) \
+        * (even - np.sqrt(2.0) * z * odd)
 
 
 def _ref_asymptotic(nu, z, max_terms=60):
@@ -323,7 +338,6 @@ def _ref_march(nu, theta, radii, outward):
 def reference_pcf_d(monkeypatch):
     def evaluate(nu, z):
         with monkeypatch.context() as m:
-            m.setattr(specfun, "_kummer_m", _ref_kummer_m)
             m.setattr(specfun, "_march_ray", _ref_march)
             return specfun.pcf_d(nu, z)
     return evaluate
@@ -331,14 +345,7 @@ def reference_pcf_d(monkeypatch):
 
 def _assert_reference_bits(nu, z, reference_pcf_d):
     got = pcf_d(nu, z)
-    ref = reference_pcf_d(nu, z)
-    # A reference value could depend on its batch: terms past a point's own
-    # 1e-18 stop, added while slower points converged, can round into a
-    # small component of its sum (observed: 1 value in 4001, 1 ulp).  Each
-    # point now stops on its own, so its value is the reference's value for
-    # that point evaluated alone.
-    for i in np.flatnonzero(got != ref):
-        assert got[i] == reference_pcf_d(nu, z[i:i + 1])[0], (nu, z[i])
+    assert np.array_equal(got, reference_pcf_d(nu, z)), nu
     for i in (0, len(z) // 3, len(z) - 1):
         assert pcf_d(nu, z[i:i + 1])[0] == got[i]
 
@@ -346,9 +353,7 @@ def _assert_reference_bits(nu, z, reference_pcf_d):
 @pytest.mark.parametrize("force", [0.1, 1.0, -0.3])
 def test_pcf_mode_rays_match_the_reference_route(force, reference_pcf_d):
     s = np.linspace(-60.0, 60.0, 4001)
-    cfg = FieldPacketConfig(sigma0=1.0, force=force)
-    nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(cfg)
-    for nu, ray in ((nu_plus, ray_plus), (nu_minus, ray_minus)):
+    for nu, ray in _mode_orders_and_rays(force):
         for order in (nu, nu - 1.0):
             _assert_reference_bits(order, ray * s, reference_pcf_d)
 
@@ -382,9 +387,7 @@ def test_poincare_series_matches_the_reference_series(monkeypatch):
     def mode_rays_and_sweep():
         s = np.linspace(-60.0, 60.0, 4001)
         for force in (0.1, 1.0, -0.3):
-            nu_plus, nu_minus, ray_plus, ray_minus = _orders_and_rays(
-                FieldPacketConfig(sigma0=1.0, force=force))
-            for nu, ray in ((nu_plus, ray_plus), (nu_minus, ray_minus)):
+            for nu, ray in _mode_orders_and_rays(force):
                 for order in (nu, nu - 1.0):
                     pcf_d(order, ray * s)
         rng = np.random.default_rng(23)
@@ -400,6 +403,24 @@ def test_poincare_series_matches_the_reference_series(monkeypatch):
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 4e-15, nu
         # the same points are routed to the march and the band integral
         assert np.array_equal(trunc > 1e-11, ref_trunc > 1e-11), nu
+
+
+@pytest.mark.parametrize("force", [0.1, 1.0, -0.3])
+def test_maclaurin_series_matches_the_reference_series(force):
+    # the mode orders on |z| <= _R_SERIES at every argument, the march seeds
+    # on the diagonal rays included; the Horner pass sums from the last term
+    # down, the reference forward to each batch's slowest 1e-18 stop
+    rng = np.random.default_rng(31)
+    r = specfun._R_SERIES
+    z = np.concatenate([rng.uniform(0.0, r, 300) * np.exp(1j * rng.uniform(-np.pi, np.pi, 300)),
+                        r * np.exp(0.25j * np.pi * np.array([1.0, -1.0, 3.0, -3.0])), [0.0]])
+    for nu, _ in _mode_orders_and_rays(force):
+        for order in (nu, nu - 1.0):
+            got = specfun._maclaurin(order, z)
+            ref = _ref_maclaurin(order, z)
+            assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref)), order
+            for i in range(len(z)):
+                assert specfun._maclaurin(order, z[i:i + 1])[0] == got[i], (order, z[i])
 
 
 def test_poincare_point_alone_has_its_batch_bits():
@@ -470,7 +491,7 @@ def test_each_ray_is_marched_once():
         basis.modes(t, True)
     assert info().misses == misses
     assert info().hits > hits
-    radii, coef = specfun._march_checkpoints(_orders_and_rays(cfg)[0], np.pi / 4, True)
+    radii, coef = specfun._march_checkpoints(_order_and_ray(cfg)[0], np.pi / 4, True)
     assert not radii.flags.writeable and not coef.flags.writeable
 
 
