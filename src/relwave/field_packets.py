@@ -7,7 +7,10 @@ pair of parabolic cylinder functions of one order nu and one ray
     f+(s) = D_nu((1+i) s / sqrt|F|),   nu = -1/2 - i M^2/2F,   s = p + F t,
     f-(s) = conj f+(-s) = D_conj(nu)((i-1) s / sqrt|F|).
 
-``mode_pair`` is the one place that evaluates them.  The initial Gaussian is
+``mode_pair`` is the one place that evaluates them, from one D_nu value per
+|s| on the first-quadrant ray: f+ at -|s| follows from it by the connection
+formula, because -nu-1 = conj(nu).  Points near s = 0, inside D_nu's
+Maclaurin disc, take D_nu at both signs directly.  The initial Gaussian is
 imposed by the least-norm projection onto the pair (``mode_coeffs``):
 c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
@@ -30,7 +33,7 @@ import numpy as np
 from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
 from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid
-from .specfun import pcf_d
+from .specfun import _R_SERIES, _fold_factors, pcf_d
 
 __all__ = [
     "FieldPacketConfig",
@@ -91,11 +94,17 @@ def _order_and_ray(cfg: FieldPacketConfig):
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     """f+(s), f-(s) at s = p + F t; with ``derivatives`` also d/dt f+-.
 
-    D_nu has real Taylor coefficients, so conj D_nu(z) = D_conj(nu)(conj z)
-    and f-(s) = conj f+(-s): one D_nu call on the mirrored points [s, -s]
-    gives both modes, d/dt f- being minus the conjugate of the second half's
-    d/dt f+.  D' comes from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu
-    on the D_nu already computed.  An ``s`` of more than half
+    One D_nu evaluation per |s|: D = D_nu(r|s|) lies on the first-quadrant
+    ray, where pcf_d never folds.  Since -nu-1 = conj(nu) and D_nu has real
+    Taylor coefficients, the connection formula (DLMF §12.2) gives f+ at
+    -|s| from D alone, e^{-i pi nu} D + P conj D with
+    P = sqrt(2 pi)/Gamma(-nu) e^{-i pi (nu+1)/2}, and f-(s) = conj f+(-s):
+    each mode is f+ at +|s| or at -|s|, chosen by the sign of s.  D' comes
+    from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu, and at -|s| from
+    -e^{-i pi nu} D' + i P conj D'.  Points with |r s| <= _R_SERIES take D_nu
+    at r|s| and at -r|s| directly, by the Maclaurin series, which holds for
+    any argument (P alone leaves double range for weak forces).  The fold's
+    guard runs before any D_nu.  An ``s`` of more than half
     ``quadrature._PAIR_BLOCK`` points is evaluated in pieces of that many,
     so that no pcf_d call holds more than _PAIR_BLOCK points (each value is
     independent of the others of its call).
@@ -107,12 +116,30 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
                  for i in range(0, flat.size, half)]
         return tuple(np.concatenate(vals).reshape(np.shape(s)) for vals in zip(*parts))
     nu, ray = _order_and_ray(cfg)
-    z = ray * np.stack([s, -np.asarray(s)])
+    shape = np.shape(s)
+    s = np.ravel(np.asarray(s, dtype=float))
+    u = np.abs(s)
+    near = np.abs(ray * u) <= _R_SERIES
+    far = ~near
+    rot, pre = _fold_factors(nu, -1.0) if np.any(far) else (0.0, 0.0)
+    z = ray * np.concatenate([u, -u[near]])
+    upper = s >= 0.0
+
+    def at_s_and_minus_s(d, rot, pre):
+        # from d at r|s| (and at -r|s| near zero): its values at r s and -r s
+        plus, minus = d[:u.size], np.empty(u.size, dtype=complex)
+        minus[near] = d[u.size:]
+        minus[far] = rot * plus[far] + pre * np.conj(plus[far])
+        return np.where(upper, plus, minus).reshape(shape), \
+            np.where(upper, minus, plus).reshape(shape)
+
     f = pcf_d(nu, z)
+    fp, fp_mirror = at_s_and_minus_s(f, rot, pre)
     if not derivatives:
-        return f[0], np.conj(f[1])
-    df = (nu * pcf_d(nu - 1.0, z) - 0.5 * z * f) * ray * cfg.force
-    return f[0], np.conj(f[1]), df[0], -np.conj(df[1])
+        return fp, np.conj(fp_mirror)
+    dfp, dfp_mirror = at_s_and_minus_s(nu * pcf_d(nu - 1.0, z) - 0.5 * z * f, -rot, 1j * pre)
+    return (fp, np.conj(fp_mirror), dfp * ray * cfg.force,
+            -np.conj(dfp_mirror * ray * cfg.force))
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:

@@ -22,6 +22,7 @@ import configparser
 import hashlib
 import json
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, asdict
 from pathlib import Path
@@ -116,11 +117,31 @@ class RunManifest:
                           indent=2, sort_keys=True)
 
 
-def _write_csv(path: Path, header: str, rows) -> str:
-    """Every value as %.17g (round-trip exact), one format string per row."""
-    fmt = ",".join(["%.17g"] * (header.count(",") + 1))
+def _write_csv(path: Path, header: str, blocks) -> str:
+    """Every value as %.17g (round-trip exact).  ``blocks`` is a list of
+    column tuples, each column a 1-d array or a scalar repeated down its
+    block: a scalar is formatted once per block, an array that recurs in
+    several blocks (the x or p grid) once per file, and each row of the
+    other columns by one format string."""
+    repeats = Counter(id(col) for block in blocks for col in block)
+    grids: dict = {}
     lines = [header]
-    lines.extend(fmt % tuple(row) for row in rows)
+    for block in blocks:
+        fmt, cols = [], []
+        for col in block:
+            if np.ndim(col) == 0:
+                fmt.append("%.17g" % col)
+            elif repeats[id(col)] > 1:
+                key = id(col)
+                if key not in grids:
+                    grids[key] = ["%.17g" % v for v in np.asarray(col, dtype=float).tolist()]
+                fmt.append("%s")
+                cols.append(grids[key])
+            else:
+                fmt.append("%.17g")
+                cols.append(np.asarray(col, dtype=float).tolist())
+        row_fmt = ",".join(fmt)
+        lines.extend(row_fmt % row for row in zip(*cols))
     text = "\n".join(lines) + "\n"
     path.write_text(text)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -153,7 +174,7 @@ def _check_on_grid(scn: Scenario, pk: Packet):
 
 
 def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
-    rows = []
+    blocks = []
     for t in scn.t_list:
         sl = pk.slice(t, xs)
         dens = charge_density(sl)
@@ -162,8 +183,8 @@ def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
             rho = rho / dens.total_charge()
         elif scn.normalization == "peak-normalized":
             rho = rho / np.max(np.abs(rho))
-        rows.extend(zip([t] * len(xs), xs, rho, sl.psi.real, sl.psi.imag))
-    return "t,x,rho,re_psi,im_psi", rows
+        blocks.append((t, xs, rho, sl.psi.real, sl.psi.imag))
+    return "t,x,rho,re_psi,im_psi", blocks
 
 
 def _gen_metrics(scn: Scenario, pk: Packet, xs: np.ndarray):
@@ -176,24 +197,21 @@ def _gen_metrics(scn: Scenario, pk: Packet, xs: np.ndarray):
         fit_rho = gauss_similarity_rho(dens, x_bar)
         rows.append((t, fit_psi.score, fit_psi.sigma_star,
                      fit_rho.score, fit_rho.sigma_star, fit_rho.imag_residual))
-    return "t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", rows
+    return "t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", [tuple(zip(*rows))]
 
 
 def _gen_spectrum(scn: Scenario, pk: Packet, xs: np.ndarray):
     ps = np.linspace(scn.p_min, scn.p_max, scn.p_count)
     peak = pk.spectrum_peak(ps) if scn.normalization == "peak-normalized" else 1.0
-    rows = []
-    for t in scn.t_list:
-        rows.extend(zip([t] * len(ps), ps, pk.spectrum(ps, t) / peak))
-    return "t,p,rho_tilde", rows
+    return "t,p,rho_tilde", [(t, ps, pk.spectrum(ps, t) / peak) for t in scn.t_list]
 
 
 def _gen_phase(scn: Scenario, pk: Packet, xs: np.ndarray):
     t_end = min(pk.t_max, scn.phase_t_max)
     ts = np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt)
     trace = pk.trace_phase(ts)
-    rows = list(zip(trace.ts, trace.phi, trace.s_cl_over_hbar, trace.offset))
-    return "t,phi,s_cl_over_hbar,offset", rows
+    return "t,phi,s_cl_over_hbar,offset", [(trace.ts, trace.phi, trace.s_cl_over_hbar,
+                                            trace.offset)]
 
 
 _GENERATORS = {
@@ -205,16 +223,16 @@ _GENERATORS = {
 
 
 def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
-    """(kind, header, rows) for each output of one case.  The widths rows
-    are columns of the metrics rows, so each slice is built and each fit
-    run once."""
+    """(kind, header, column blocks) for each output of one case.  The
+    widths columns are columns of the metrics, so each slice is built and
+    each fit run once."""
     done: dict = {}
 
     def gen(kind):
         if kind not in done:
             if kind == "widths":
-                _, rows = gen("metrics")
-                done[kind] = ("t,sigma_rho,sigma_psi", [(r[0], r[4], r[2]) for r in rows])
+                _, blocks = gen("metrics")
+                done[kind] = ("t,sigma_rho,sigma_psi", [(b[0], b[4], b[2]) for b in blocks])
             else:
                 done[kind] = _GENERATORS[kind](scn, pk, xs)
         return done[kind]
@@ -254,9 +272,9 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
         results = [_one(case) for case in scenario.cases]
 
     for label, outputs in results:
-        for kind, header, rows in outputs:
+        for kind, header, blocks in outputs:
             fname = f"{scenario.name}_{kind}_{label}.csv"
-            manifest.outputs[fname] = _write_csv(out / fname, header, rows)
+            manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 
     manifest.wall_time_s = time.time() - started
     (out / f"{scenario.name}_manifest.json").write_text(manifest.to_json())

@@ -14,7 +14,11 @@ D_nu(z) stitches four regimes:
                    there would amplify seed error by the dominant/recessive
                    ratio),
 
-with |arg z| > pi/2 folded into the right half-plane first.
+with |arg z| > pi/2 folded into the right half-plane first.  The fold's
+connection-formula factors and its one guard live in ``_fold_factors``,
+which ``field_packets.mode_pair`` calls too, before any D_nu: it raises
+SpecFunAccuracyError where the fold would cancel beyond double precision or
+a factor leaves double range.
 
 Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
 coefficients, so a value does not depend on the other points of the call:
@@ -136,9 +140,16 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
         for ck in c[-2::-1]:
             acc = acc * w + ck
         series.append(acc)
-    even = series[0] * rgamma((1.0 - nu) / 2.0)
-    odd = series[1] * rgamma(-nu / 2.0)
-    return 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
+    # past |Im nu| ~ 900 the 1/Gamma factors, and D_nu with them, leave
+    # double range; inf * 0 would be NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = series[0] * rgamma((1.0 - nu) / 2.0)
+        odd = series[1] * rgamma(-nu / 2.0)
+        val = 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
+    if not np.all(np.isfinite(val)):
+        raise SpecFunAccuracyError(
+            f"Maclaurin series of D_nu for nu={nu} overflows double precision")
+    return val
 
 
 @lru_cache(maxsize=128)
@@ -351,6 +362,32 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
     return res
 
 
+def _fold_factors(nu: complex, sgn):
+    """The factors e^{i pi nu sgn} and sqrt(2 pi)/Gamma(-nu) e^{i pi (nu+1) sgn/2}
+    of the connection formula (DLMF §12.2) for points with sign Im z =
+    ``sgn`` (+-1, scalar or array).  The one guard of every fold, run before
+    any D_nu is evaluated: SpecFunAccuracyError where the fold would cancel
+    beyond double precision (sgn Im nu < 0 past |Im nu| = 6.8) or a factor
+    leaves double range (past |Im nu| ~ 452)."""
+    sgn = np.asarray(sgn, dtype=float)
+    if abs(nu.imag) > 6.8 and np.any(sgn * nu.imag < 0.0):
+        raise SpecFunAccuracyError(
+            f"left-half-plane folding for nu={nu} would lose "
+            f"~{np.pi * abs(nu.imag) / np.log(10.0):.0f} digits to "
+            "connection-formula cancellation"
+        )
+    # 1/Gamma(-nu) and the exponential leave double range even where their
+    # product does not; 0 * inf would be NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        rot = np.exp(1j * np.pi * nu * sgn)
+        pre = (SQRT_2PI * rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn)
+    if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(pre))):
+        raise SpecFunAccuracyError(
+            f"left-half-plane folding for nu={nu} overflows double precision"
+        )
+    return rot, pre
+
+
 def pcf_d(nu, z):
     """Whittaker parabolic cylinder function D_nu(z), complex nu and z.
 
@@ -371,24 +408,8 @@ def pcf_d(nu, z):
     if np.any(left):
         zl = zf[left]
         sgn = np.where(np.imag(zl) >= 0.0, 1.0, -1.0)
-        adverse = sgn * nu.imag < 0.0
-        if np.any(adverse) and abs(nu.imag) > 6.8:
-            zbad = zl[adverse][0]
-            raise SpecFunAccuracyError(
-                f"left-half-plane folding for nu={nu} at z={zbad:.4g} would "
-                f"lose ~{np.pi * abs(nu.imag) / np.log(10.0):.0f} digits to "
-                "connection-formula cancellation"
-            )
-        # past |Im nu| ~ 452, 1/Gamma(-nu) and the exponential leave double
-        # range even where their product does not; 0 * inf would be NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            pre = (SQRT_2PI * rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn)
-        if not np.all(np.isfinite(pre)):
-            raise SpecFunAccuracyError(
-                f"left-half-plane folding for nu={nu} overflows double precision"
-            )
-        out[left] = np.exp(1j * np.pi * nu * sgn) * pcf_d(nu, -zl) \
-            + pre * pcf_d(-nu - 1.0, -1j * sgn * zl)
+        rot, pre = _fold_factors(nu, sgn)
+        out[left] = rot * pcf_d(nu, -zl) + pre * pcf_d(-nu - 1.0, -1j * sgn * zl)
     if np.any(~left):
         out[~left] = _pcf_right_half_any_arg(nu, zf[~left])
 

@@ -1,13 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from relwave import field_packets, packets, quadrature, scenarios
+from relwave import field_packets, packets, quadrature, scenarios, specfun
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
 from relwave.kinematics import field_trajectory
 from relwave.packets import packet_for
-from relwave.specfun import pcf_d, pcf_d_dz
+from relwave.specfun import SpecFunAccuracyError, pcf_d, pcf_d_dz
 
 F = 0.1
 
@@ -165,8 +167,9 @@ def test_psi_field_scalar_api():
 
 def test_modes_match_the_pcf_d_dz_route():
     # modes take D' from the ladder relation on the D_nu already computed;
-    # pcf_d_dz evaluates D_nu again, with the same arithmetic, and f- is the
-    # conjugate of f+ at -s
+    # pcf_d_dz evaluates D_nu again, with the same arithmetic.  f+ at s >= 0,
+    # f- at s < 0, and both near s = 0 are direct D_nu values with its bits;
+    # the other halves come from the connection formula, to a tolerance
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
     c = mode_coeffs(basis.p, cfg)
@@ -174,12 +177,18 @@ def test_modes_match_the_pcf_d_dz_route():
     for t in (-4.0, 0.0, 7.5):
         s = basis.p + F * t
         zp, zm = ray * s, ray * -s
-        fp, fm = pcf_d(nu, zp), np.conj(pcf_d(nu, zm))
-        dfp = pcf_d_dz(nu, zp) * ray * F
-        dfm = -np.conj(pcf_d_dz(nu, zm) * ray * F)
+        ref = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
+               pcf_d_dz(nu, zp) * ray * F, -np.conj(pcf_d_dz(nu, zm) * ray * F))
+        got = mode_pair(cfg, s, derivatives=True)
+        near = np.abs(ray * s) <= specfun._R_SERIES
+        assert 0 < np.count_nonzero(near) < len(s) // 4
+        direct = ((s >= 0.0) | near, (s < 0.0) | near) * 2
+        for g, r, d, tol in zip(got, ref, direct, (1e-13, 1e-13, 1e-11, 1e-11)):
+            assert np.array_equal(g[d], r[d])
+            assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
         psi_p, dpsi_p = basis.modes(t, True)
-        assert np.array_equal(psi_p, c.c_plus * fp + c.c_minus * fm)
-        assert np.array_equal(dpsi_p, c.c_plus * dfp + c.c_minus * dfm)
+        assert np.array_equal(psi_p, c.c_plus * got[0] + c.c_minus * got[1])
+        assert np.array_equal(dpsi_p, c.c_plus * got[2] + c.c_minus * got[3])
 
 
 def test_psi_only_evaluation_is_the_same_bits():
@@ -212,20 +221,64 @@ def _two_order_route(cfg, s):
 
 @pytest.mark.parametrize("force", [0.1, 1.0, 2.0, -0.3, 0.05, 0.02])
 def test_mode_pair_mirror_matches_the_two_order_route(force):
-    # conj D_nu(z) = D_conj(nu)(conj z), so f-(s) = conj f+(-s): the mirror
-    # has the bits of the two-order route, on one call's points and on more
-    # than _PAIR_BLOCK in two rows, which split into several calls (kept to
-    # |s| >= 4, past the band integral's points, which cost up to 12 ms each)
+    # one D_nu per |s| and the connection formula against f+ and f- as two
+    # D_nu families, to 1e-13 of max|f| and 1e-11 of max|d/dt f| (the largest
+    # gap measured is 1.4e-12, at F = 0.05): on one call's points and on
+    # more than _PAIR_BLOCK in two rows, which split into several calls
+    # (kept to |s| >= 4, past the band integral's points, which cost up to
+    # 12 ms each).  The modes alone have the bits of the modes with d/dt
     cfg = FieldPacketConfig(sigma0=1.0, force=force)
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
     wide = np.outer([1.0, -1.0], np.linspace(4.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
     for points in (s, wide):
         ref = _two_order_route(cfg, points)
         got = mode_pair(cfg, points, derivatives=True)
-        for g, r in zip(got, ref):
-            assert g.shape == r.shape and np.array_equal(g, r)
-        for g, r in zip(mode_pair(cfg, points), ref[:2]):
+        for g, r, tol in zip(got, ref, (1e-13, 1e-13, 1e-11, 1e-11)):
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
+        for g, r in zip(mode_pair(cfg, points), got[:2]):
             assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("force", [0.1, -0.3])
+def test_mode_pair_matches_mpmath(force):
+    # f+- and d/dt f+- from mpmath's pcfd on both rays, at points on both
+    # sides of s = 0, near it and in all three D_nu regimes (measured:
+    # 1.5e-13 of max|f| and 8e-13 of max|d/dt f| at F = 0.1)
+    import mpmath
+
+    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    nu, ray = _order_and_ray(cfg)
+    s = np.array([-40.0, -17.3, -6.1, -2.2, -0.9, -0.3, -0.01, 0.0, 0.2, 0.7,
+                  1.9, 5.3, 12.0, 33.0])
+    ref = []
+    with mpmath.workdps(30):
+        for order, r in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
+            f, df = [], []
+            for z in r * s:
+                d = mpmath.pcfd(order, z)
+                f.append(complex(d))
+                df.append(complex((order * mpmath.pcfd(order - 1, z) - z / 2 * d) * r * force))
+            ref.append((np.array(f), np.array(df)))
+    ref = (ref[0][0], ref[1][0], ref[0][1], ref[1][1])
+    for g, r, tol in zip(mode_pair(cfg, s, derivatives=True), ref, (1e-12, 1e-12, 5e-12, 5e-12)):
+        assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("force", [-0.05, -0.07, 5e-4])
+def test_mode_pair_guard_raises_before_any_d_nu(monkeypatch, force):
+    # past |Im nu| = 6.8 on the adverse side (F < 0) the fold cancels, and
+    # at F = 5e-4 its factors leave double range: a typed error, with no
+    # numpy warning and no D_nu evaluated first
+    calls = []
+    _count_pcf(monkeypatch, calls)
+    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in (np.linspace(-5.0, 5.0, 101), np.array([3.0]), np.array([-3.0])):
+            with pytest.raises(SpecFunAccuracyError):
+                mode_pair(cfg, s, derivatives=True)
+    assert calls == []
 
 
 def _count_pcf(monkeypatch, calls):
@@ -234,16 +287,23 @@ def _count_pcf(monkeypatch, calls):
                         lambda nu, z: calls.append((nu, np.size(z))) or pcf(nu, z))
 
 
+def _pcf_points(cfg, s):
+    # D_nu points of mode_pair at s: one per |s|, and a second (at -r|s|)
+    # for each s near 0, where the Maclaurin series serves both signs
+    ray = _order_and_ray(cfg)[1]
+    return np.size(s) + np.count_nonzero(np.abs(ray * np.abs(s)) <= specfun._R_SERIES)
+
+
 def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
-    # the phase trace keeps psi only: each evaluated time takes D_nu on the
-    # Np nodes and their mirror images (f+ and f-), and not the D_{nu-1} of
-    # their time derivatives
+    # the phase trace keeps psi only: each evaluated time takes D_nu once on
+    # each of the Np nodes' |s| (f+ and f-; twice for the few near s = 0),
+    # and not the D_{nu-1} of their time derivatives
     times = []
     trace = packets.phase_trace
 
     def counting_trace(evaluator, *args, **kwargs):
         def ev(ts, xs):
-            times.append(len(ts))
+            times.extend(ts)
             return evaluator(ts, xs)
         return trace(ev, *args, **kwargs)
 
@@ -256,17 +316,19 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     calls = []
     _count_pcf(monkeypatch, calls)
     scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
-    assert sum(times) >= 9
+    assert len(times) >= 9
     assert {nu for nu, _ in calls} == {_order_and_ray(_cfg(3.0, 1.0))[0]}
-    assert sum(n for _, n in calls) == 2 * len(basis.p) * sum(times)
+    points = sum(n for _, n in calls)
+    assert points == sum(_pcf_points(_cfg(3.0, 1.0), basis.p + F * t) for t in times)
+    assert points < 1.1 * len(basis.p) * len(times)
 
 
 @pytest.mark.parametrize("block", [field_packets._PAIR_BLOCK, 1000])
 def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     # a block of times is one or two pcf_d calls, each on at most half a
-    # block of points and their mirror images; with fewer points per block
-    # than nodes (1000 < Np) a block is one time, its nodes split over
-    # several calls, and the phases keep their bits
+    # block of points (and the mirror images of those near s = 0); with
+    # fewer points per block than nodes (1000 < Np) a block is one time, its
+    # nodes split over several calls, and the phases keep their bits
     pk = _packet(0.3, 10.0, 41.0, 8.0)
     ts = np.arange(0.0, 8.125, 0.25)
     ref = pk.trace_phase(ts)
@@ -275,10 +337,11 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     monkeypatch.setattr(field_packets, "_PAIR_BLOCK", block)
     _count_pcf(monkeypatch, calls)
     trace = pk.trace_phase(ts)
-    n_p = len(field_mode_basis(_cfg(0.3, 10.0), 41.0, 8.0).p)
+    p = field_mode_basis(_cfg(0.3, 10.0), 41.0, 8.0).p
+    n_p = len(p)
     sizes = [n for _, n in calls]
     assert max(sizes) <= block
-    assert sum(sizes) == 2 * n_p * len(ts)
+    assert sum(sizes) == sum(_pcf_points(_cfg(0.3, 10.0), p + F * t) for t in ts)
     if block > 2 * n_p:
         assert max(sizes) > n_p  # several times per call
     assert np.array_equal(trace.phi, ref.phi)
@@ -287,8 +350,9 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
 def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     # density and peak-normalized spectrum at three times: the basis build
     # (f+ and f-, one D_nu call) and 2 D_nu calls per time for the slices
-    # (orders nu and nu - 1); the spectra and their t = 0 peak read the
-    # slices' psi_p (11 calls when they evaluate again)
+    # (orders nu and nu - 1), each on the nodes' |s| once (and the mirror
+    # images of those near s = 0); the spectra and their t = 0 peak read
+    # the slices' psi_p (11 calls when they evaluate again)
     scn = scenarios.Scenario(name="fd", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(-4.0, 0.0, 4.0), x_min=-20.0, x_max=40.0,
@@ -300,6 +364,10 @@ def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     _count_pcf(monkeypatch, calls)
     scenarios.run(scn, tmp_path)
     assert len(calls) == 7
+    cfg = _cfg(3.0, 1.0)
+    p = field_mode_basis(cfg, 41.0, 4.0).p
+    assert sum(n for _, n in calls) == _pcf_points(cfg, p) + 2 * sum(
+        _pcf_points(cfg, p + F * t) for t in scn.t_list)
 
 
 def test_classical_position_tracks_the_density_mean():

@@ -351,13 +351,20 @@ def test_fig7_lowerleft_spectra_peak_normalized(tmp_path):
 
 
 def test_csv_rows_match_the_per_value_format(tmp_path):
-    # one %-format per row writes the bytes that f"{v:.17g}" per value did
+    # column blocks (a scalar once per block, a grid shared by blocks once
+    # per file, each other row by one %-format) write the bytes that
+    # f"{v:.17g}" per value did
     rows = [(-0.0, 5e-324, 1e308), (3.0, np.float64(2.0), -7),
             (np.float64(-0.0), 0.1, np.float64(1.0 / 3.0)),
             (np.float64(5e-324), np.float64(-1e308), 1e16),
             (2.5, np.float64(123456789.0), float(2**60))]
+    grid = np.array([0.1, -0.0, 1.0 / 3.0])
+    blocks = [tuple(zip(*rows[:3])), (np.float64(-0.0), grid, np.array(rows[3])),
+              (7, grid, np.array(rows[4]))]
     path = tmp_path / "rows.csv"
-    scenarios._write_csv(path, "a,b,c", rows)
+    scenarios._write_csv(path, "a,b,c", blocks)
+    expected_rows = rows[:3] + list(zip([-0.0] * 3, grid, rows[3])) \
+        + list(zip([7] * 3, grid, rows[4]))
     expected = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
-                                   for row in rows)
+                                   for row in expected_rows)
     assert path.read_text() == expected

@@ -6,7 +6,8 @@ from scipy.special import rgamma
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
-from relwave.field_packets import FieldPacketConfig, _order_and_ray, field_mode_basis, mode_coeffs
+from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
+                                   mode_coeffs, mode_pair)
 from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
                              bessel_k1, pcf_d, pcf_d_dz)
 
@@ -201,6 +202,18 @@ def test_weak_force_fold_raises_not_nan():
                         FieldPacketConfig(sigma0=3.0, force=1e-3))
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
+
+
+def test_maclaurin_overflow_raises_not_nan():
+    # past |Im nu| ~ 900 the Maclaurin series' 1/Gamma factors, and D_nu
+    # with them, leave double range: a typed error, not NaN behind a numpy
+    # warning; mode_pair reaches it on points near s = 0 alone (F = 5e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SpecFunAccuracyError, match="overflows"):
+            pcf_d(-0.5 - 1000.0j, np.array([0.5 + 0.5j, 1.0]))
+        with pytest.raises(SpecFunAccuracyError, match="overflows"):
+            mode_pair(FieldPacketConfig(sigma0=1.0, force=5e-4), np.array([0.0, 1e-3]))
 
 
 def test_band_integral_point_alone_has_its_batch_bits():
