@@ -21,9 +21,8 @@ from .analysis import (_gaussian, charge_density, expectation_x, find_peaks,
                        gauss_similarity_psi, gauss_similarity_rho,
                        momentum_spectrum)
 from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
-from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, closed_spectral,
-                           gauss_spectrum)
-from .kinematics import FreeMotion
+from .free_packets import ClosedPacketConfig, closed_spectral, gauss_spectrum
+from .kinematics import FieldMotion, FreeMotion
 from .packets import packet_for
 from .specfun import bessel_k1, pcf_d, pcf_d_dz
 
@@ -49,7 +48,7 @@ def _closed(vartheta):
 
 
 def _field_cfg(sigma0, gamma0) -> FieldPacketConfig:
-    return FieldPacketConfig.from_gamma(sigma0, gamma0, force=0.1)
+    return FieldPacketConfig(sigma0, FieldMotion.from_gamma(gamma0, force=0.1))
 
 
 def _sweep(family, case, ts, grids):
@@ -170,13 +169,12 @@ def crit_6_suppression():
     out = []
     ok = True
     for gamma0, bound, comparator in ((10.0, np.exp(-9.0), "<"), (1.0, np.exp(-1.0), ">")):
-        cfg = GaussianPacketConfig.from_gamma(0.3, gamma0)
         xs = np.linspace(-15.0, 15.0, 8001)
         pk = packet_for({"sigma0": 0.3, "gamma0": gamma0}, "gauss-free", 16.0, 0.0)
         sl = pk.slice(0.0, xs)
         spec = momentum_spectrum(sl)
         at = lambda p: float(np.interp(p, spec.p, spec.rho_tilde))
-        ratio = at(-1.0) / at(cfg.p0)
+        ratio = at(-1.0) / at(pk.classical(0.0)[1])
         good = ratio < bound if comparator == "<" else ratio > bound
         ok &= good
         out.append(f"gamma0={gamma0:g}: ratio={ratio:.3e} {comparator} {bound:.3e}")
@@ -193,15 +191,16 @@ def crit_7_field_family():
         charges = np.array([r["charge"] for r in rec])
         drift = float(np.max(np.abs(charges / charges[0] - 1.0)))
         cfg = _field_cfg(sigma0, gamma0)
+        m = cfg.motion
         sl = rec[ts.index(0.0)]["slice"]
         xs = sl.xs
-        gauss = _gaussian(xs, cfg.x0, cfg.sigma0) / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) \
-            * np.exp(1j * cfg.p0 * (xs - cfg.x0))
+        gauss = _gaussian(xs, m.x0, cfg.sigma0) / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) \
+            * np.exp(1j * m.p0 * (xs - m.x0))
         fid = float(np.max(np.abs(sl.psi - gauss)))
         basis = field_mode_basis(cfg, 71.0, 40.0)
         recon = basis.modes(0.0, False)
-        spectrum = gauss_spectrum(basis.p, cfg.sigma0, cfg.p0, cfg.x0)
-        mask = np.abs(basis.p - cfg.p0) < 3.0 / cfg.sigma0
+        spectrum = gauss_spectrum(basis.p, cfg.sigma0, m.p0, m.x0)
+        mask = np.abs(basis.p - m.p0) < 3.0 / cfg.sigma0
         ratio = recon[mask] / spectrum[mask]
         const_resid = float(np.max(np.abs(ratio / np.median(ratio.real) - 1.0)))
         ok &= drift < 1e-3 and fid < 1e-5 and const_resid < 1e-6

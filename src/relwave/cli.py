@@ -60,8 +60,6 @@ def _cmd_run(args) -> int:
         n_out = len(manifest.outputs)
         print(f"{scn.name}: {n_out} output file(s) in {args.out_dir} "
               f"({manifest.wall_time_s:.1f}s)")
-        for flag in manifest.flags:
-            print(f"  flag: {flag}")
     return worst
 
 

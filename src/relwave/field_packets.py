@@ -20,7 +20,8 @@ initial-state fidelity.  The projection is exact at every node, so the
 packet has the analytic unit norm of the Gaussian spectrum.  The packet is
 the ``quadrature.ModeSum`` of the modes c+ f+ + c- f- on one momentum grid
 (``field_mode_basis``, built once per case by ``packets.packet_for``), as
-for the free packets.
+for the free packets.  A config is a width and a ``kinematics.FieldMotion``:
+the modes and the classical worldline share one force, p0 and x0.
 """
 
 from __future__ import annotations
@@ -46,36 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FieldPacketConfig:
-    """Initial Gaussian data plus the uniform force F = q * field.
-
-    The transverse mass is fixed to m (transverse momenta set to zero).
-    ``x0`` defaults to the hyperbola vertex c/alpha so the packet rides the
-    conventional classical trajectory.
-    """
+    """Initial Gaussian of half-width sigma0 about motion's x0 and p0, under its
+    force F = q * field; transverse momenta are zero (transverse mass m)."""
 
     sigma0: float
-    force: float
-    p0: float = 0.0
-    x0: float | None = None
+    motion: FieldMotion
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
+        if not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
-        if self.force == 0:
-            raise ValueError("force must be nonzero")
-        if self.x0 is None:
-            object.__setattr__(self, "x0", 1.0 / self.force)
-
-    @property
-    def motion(self) -> FieldMotion:
-        return FieldMotion(force=self.force, p0=self.p0, x0=self.x0)
-
-    @classmethod
-    def from_gamma(cls, sigma0: float, gamma0: float, force: float,
-                   x0: float | None = None) -> "FieldPacketConfig":
-        if gamma0 < 1.0:
-            raise ValueError("gamma0 must be >= 1")
-        return cls(sigma0=sigma0, force=force, p0=float(np.sqrt(gamma0**2 - 1.0)), x0=x0)
 
 
 @dataclass(frozen=True)
@@ -88,7 +68,8 @@ class ModeCoefficients:
 def _order_and_ray(cfg: FieldPacketConfig):
     """The order nu = -1/2 - i M^2/2F (real part exactly -1/2) and the ray
     r = (1+i)/sqrt|F| of f+(s) = D_nu(r s)."""
-    return complex(-0.5, -1.0 / (2.0 * cfg.force)), (1.0 + 1.0j) / np.sqrt(abs(cfg.force))
+    force = cfg.motion.force
+    return complex(-0.5, -1.0 / (2.0 * force)), (1.0 + 1.0j) / np.sqrt(abs(force))
 
 
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
@@ -138,8 +119,8 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     if not derivatives:
         return fp, np.conj(fp_mirror)
     dfp, dfp_mirror = at_s_and_minus_s(nu * pcf_d(nu - 1.0, z) - 0.5 * z * f, -rot, 1j * pre)
-    return (fp, np.conj(fp_mirror), dfp * ray * cfg.force,
-            -np.conj(dfp_mirror * ray * cfg.force))
+    return (fp, np.conj(fp_mirror), dfp * ray * cfg.motion.force,
+            -np.conj(dfp_mirror * ray * cfg.motion.force))
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
@@ -151,7 +132,7 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
     one-dimensional representation.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    spectrum = gauss_spectrum(p, cfg.sigma0, cfg.p0, cfg.x0)
+    spectrum = gauss_spectrum(p, cfg.sigma0, cfg.motion.p0, cfg.motion.x0)
     fp, fm = mode_pair(cfg, p)
     # combine at unit scale: |D| reaches e^{pi M^2/8F}-ish magnitudes, so
     # |f|^2 would overflow for weak forces even though c+- f+- is O(1)
@@ -169,11 +150,11 @@ def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> M
     a column of times is one ``mode_pair`` call."""
     window = _WINDOW_FACTOR / cfg.sigma0
     dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
-    p, weights = momentum_grid(cfg.p0, window, max(int(2 * window / dp) | 1, 401))
+    p, weights = momentum_grid(cfg.motion.p0, window, max(int(2 * window / dp) | 1, 401))
     c = mode_coeffs(p, cfg)
 
     def modes(t, derivatives):
-        pair = mode_pair(cfg, p + cfg.force * t, derivatives)
+        pair = mode_pair(cfg, p + cfg.motion.force * t, derivatives)
         psi = c.c_plus * pair[0] + c.c_minus * pair[1]
         if not derivatives:
             return psi

@@ -2,7 +2,9 @@
 
 Two families: the closed-form packet of a particle in uniform motion (flat
 momentum spectrum over decaying modes, summing to a Bessel-K1 expression),
-and the packet that is exactly Gaussian at t = 0.  The closed packet's psi
+and the packet that is exactly Gaussian at t = 0.  Each config is a width
+and a ``kinematics.FreeMotion``, so a packet and the classical worldline it
+is scored against share one p0 and one x0.  The closed packet's psi
 and d/dt psi are both closed forms (``_closed_form``; d/dt by
 differentiating the K1 expression); ``closed_spectral`` keeps its plane-wave
 sum as the reference route.  The Gaussian packet (``gauss_spectral``) is a
@@ -63,28 +65,20 @@ class ClosedPacketConfig:
     motion: FreeMotion
 
     def __post_init__(self):
-        if self.vartheta <= 0:
+        if not self.vartheta > 0:
             raise ValueError("vartheta must be positive")
 
 
 @dataclass(frozen=True)
 class GaussianPacketConfig:
-    """Initially Gaussian packet of half-width sigma0 and momentum p0."""
+    """Initially Gaussian packet of half-width sigma0 about motion's x0 and p0."""
 
     sigma0: float
-    p0: float = 0.0
-    x0: float = 0.0
+    motion: FreeMotion
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
+        if not self.sigma0 > 0:
             raise ValueError("sigma0 must be positive")
-
-    @classmethod
-    def from_gamma(cls, sigma0: float, gamma0: float,
-                   x0: float = 0.0) -> "GaussianPacketConfig":
-        if gamma0 < 1.0:
-            raise ValueError("gamma0 must be >= 1")
-        return cls(sigma0=sigma0, p0=float(np.sqrt(gamma0**2 - 1.0)), x0=x0)
 
 
 def gauss_spectrum(p, sigma0: float, p0: float, x0: float):
@@ -145,12 +139,13 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
 def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """Plane-wave packet with the Gaussian momentum spectrum of the initial
     data, unit norm by ``gauss_spectrum``'s analytic normalization."""
+    m = cfg.motion
     sigma_p = 1.0 / cfg.sigma0
     half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR)
     dp = _node_spacing(x_extent, t_max, sigma_p)
     n = int(2 * half / dp) | 1
-    nodes, weights = momentum_grid(cfg.p0, half, max(n, 401))
-    return _plane_waves(nodes, weights, gauss_spectrum(nodes, cfg.sigma0, cfg.p0, cfg.x0))
+    nodes, weights = momentum_grid(m.p0, half, max(n, 401))
+    return _plane_waves(nodes, weights, gauss_spectrum(nodes, cfg.sigma0, m.p0, m.x0))
 
 
 def _norm_arg(cfg: ClosedPacketConfig) -> float:

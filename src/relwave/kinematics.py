@@ -4,6 +4,10 @@ Free motion, hyperbolic motion in a uniform electric field, Lorentz factors,
 proper time, and the classical actions the wavepacket phases are compared
 against; both actions are closed forms.  The units are natural and fixed:
 m = c = hbar = q = 1.
+
+Each packet config holds its motion, so this is the one place that turns
+gamma0 into p0, defaults the field x0 to the hyperbola vertex and checks
+gamma0, v0 and the force, by comparisons that NaN fails.
 """
 
 from __future__ import annotations
@@ -20,8 +24,12 @@ __all__ = [
     "field_trajectory",
     "action_free",
     "action_field",
-    "lagrangian_free",
 ]
+
+
+def _check_gamma(gamma0: float):
+    if not gamma0 >= 1.0:
+        raise ValueError("gamma0 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,7 @@ class FreeMotion:
     x0: float = 0.0
 
     def __post_init__(self):
-        if abs(self.v0) >= 1.0:
+        if not abs(self.v0) < 1.0:
             raise ValueError(f"|v0| must be < c, got v0={self.v0}")
 
     @property
@@ -45,8 +53,7 @@ class FreeMotion:
 
     @classmethod
     def from_gamma(cls, gamma0: float, x0: float = 0.0) -> "FreeMotion":
-        if gamma0 < 1.0:
-            raise ValueError("gamma0 must be >= 1")
+        _check_gamma(gamma0)
         return cls(v0=math.sqrt(1.0 - 1.0 / gamma0**2), x0=x0)
 
 
@@ -54,8 +61,8 @@ class FreeMotion:
 class FieldMotion:
     """Hyperbolic motion under a constant force (charge times field).
 
-    The worldline starts at x(0) = x0, by default the hyperbola vertex
-    c/alpha, with alpha = force/(m c) and t0 = p0/force.
+    The force is also the proper acceleration.  The worldline starts at
+    x(0) = x0, by default the hyperbola vertex 1/force, with t0 = p0/force.
     """
 
     force: float
@@ -63,19 +70,20 @@ class FieldMotion:
     x0: float | None = None
 
     def __post_init__(self):
-        if self.force == 0:
+        if not abs(self.force) > 0.0:
             raise ValueError("force must be nonzero")
         if self.x0 is None:
             object.__setattr__(self, "x0", 1.0 / self.force)
 
     @property
-    def alpha(self) -> float:
-        """Proper acceleration force/(m c)."""
-        return self.force
-
-    @property
     def t0(self) -> float:
         return self.p0 / self.force
+
+    @classmethod
+    def from_gamma(cls, gamma0: float, force: float,
+                   x0: float | None = None) -> "FieldMotion":
+        _check_gamma(gamma0)
+        return cls(force=force, p0=math.sqrt(gamma0**2 - 1.0), x0=x0)
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,10 @@ def free_trajectory(t: float, motion: FreeMotion) -> TrajectorySample:
 def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     """Sample of the uniformly accelerated worldline at coordinate time t.
 
-    x(t) = c sqrt(alpha^-2 + (t+t0)^2) - c sqrt(alpha^-2 + t0^2) + x0,
-    gamma(t) = sqrt(1 + alpha^2 (t+t0)^2); t may be negative.
+    x(t) = sqrt(a^-2 + (t+t0)^2) - sqrt(a^-2 + t0^2) + x0,
+    gamma(t) = sqrt(1 + a^2 (t+t0)^2) with a the force; t may be negative.
     """
-    a = motion.alpha
+    a = motion.force
     t0 = motion.t0
     u = a * (t + t0)
     gamma = math.sqrt(1.0 + u * u)
@@ -114,25 +122,20 @@ def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)
 
 
-def lagrangian_free(motion: FreeMotion) -> float:
-    """Classical Lagrangian of free motion, -m c^2 / gamma0."""
-    return -1.0 / motion.gamma0
-
-
 def action_free(t: float, motion: FreeMotion) -> float:
-    """Classical action of free motion, -(m c^2 / gamma0) t."""
-    return lagrangian_free(motion) * t
+    """Classical action of free motion, the Lagrangian -1/gamma0 times t."""
+    return (-1.0 / motion.gamma0) * t
 
 
 def action_field(t: float, motion: FieldMotion) -> float:
     """Classical action under a uniform force, in closed form.
 
-    S(t) = -m c^2 int_0^t (1 + a^2 s (s+t0)) / sqrt(1 + a^2 (s+t0)^2) ds.
+    S(t) = -int_0^t (1 + a^2 s (s+t0)) / sqrt(1 + a^2 (s+t0)^2) ds, a the force.
     With u = a (s + t0) the integrand is sqrt(1+u^2) - a t0 u / sqrt(1+u^2),
-    so S = -m c^2/a [(u sqrt(1+u^2) + asinh u)/2 - a t0 sqrt(1+u^2)]
+    so S = -1/a [(u sqrt(1+u^2) + asinh u)/2 - a t0 sqrt(1+u^2)]
     between s = 0 and s = t.
     """
-    a = motion.alpha
+    a = motion.force
     t0 = motion.t0
 
     def primitive(s):

@@ -23,7 +23,7 @@ from .analysis import PhaseTrace, WaveSlice, phase_trace
 from .field_packets import FieldPacketConfig, field_mode_basis
 from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_form,
                            gauss_spectral, gauss_spectrum, spectrum_closed)
-from .kinematics import (FreeMotion, action_field, action_free,
+from .kinematics import (FieldMotion, FreeMotion, action_field, action_free,
                          field_trajectory, free_trajectory)
 
 __all__ = ["FAMILIES", "Packet", "ScenarioError", "packet_for"]
@@ -92,20 +92,19 @@ def _closed(case: dict, x_extent: float, t_max: float) -> Packet:
 
 
 def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
-    x0 = case.get("x0", 0.0)
-    cfg = GaussianPacketConfig.from_gamma(case["sigma0"], case["gamma0"], x0=x0)
+    motion = FreeMotion.from_gamma(case["gamma0"], x0=case.get("x0", 0.0))
+    cfg = GaussianPacketConfig(sigma0=case["sigma0"], motion=motion)
     mode_sum = cache(partial(gauss_spectral, cfg, x_extent, t_max))
     return _free_packet(
-        f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max,
-        FreeMotion.from_gamma(case["gamma0"], x0=x0),
+        f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max, motion,
         lambda t, xs: mode_sum().psi_dpsi(t, xs),
         lambda ts, xs: mode_sum().psi_at(ts, xs),
-        lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, cfg.p0, cfg.x0)) ** 2)
+        lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, motion.p0, motion.x0)) ** 2)
 
 
 def _field(case: dict, x_extent: float, t_max: float) -> Packet:
-    cfg = FieldPacketConfig.from_gamma(case["sigma0"], case["gamma0"], case["force"],
-                                       x0=case.get("x0"))
+    motion = FieldMotion.from_gamma(case["gamma0"], case["force"], x0=case.get("x0"))
+    cfg = FieldPacketConfig(sigma0=case["sigma0"], motion=motion)
     # psi_p(t) on the nodes by time, for the spectrum: a time whose slice
     # was taken does not evaluate its modes again
     psi_nodes = {}
@@ -131,8 +130,8 @@ def _field(case: dict, x_extent: float, t_max: float) -> Packet:
         label=f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}",
         t_max=t_max, psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
         psi_at=lambda ts, xs: mode_sum().psi_at(ts, xs),
-        trajectory=partial(field_trajectory, motion=cfg.motion),
-        action=partial(action_field, motion=cfg.motion),
+        trajectory=partial(field_trajectory, motion=motion),
+        action=partial(action_field, motion=motion),
         spectrum=lambda ps, t: np.interp(ps, mode_sum().p, density_on_nodes(t),
                                          left=0.0, right=0.0),
         spectrum_peak=lambda ps: float(np.max(density_on_nodes(0.0))))
@@ -149,13 +148,16 @@ def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet
     (gauss-free; uniform-field also ``force``); optional ``v0`` (closed-free)
     and ``x0``.  A case may name its own ``family``, which replaces
     ``family``, and its own ``t_max``, which replaces ``t_max``.  An unknown
-    family, a missing key or an invalid value raises ScenarioError naming
-    the case.
+    family, a missing key or an invalid or non-finite value raises
+    ScenarioError naming the case.
     """
     family = case.get("family", family)
     build = _BUILDERS.get(family)
     if build is None:
         raise ScenarioError(f"case {case}: unknown family {family!r}")
+    for key, val in case.items():
+        if isinstance(val, float) and not np.isfinite(val):
+            raise ScenarioError(f"case {case}: {key} must be finite")
     try:
         return build(case, x_extent, float(case.get("t_max", t_max)))
     except KeyError as exc:

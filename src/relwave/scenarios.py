@@ -82,6 +82,11 @@ class Scenario:
             raise ScenarioError(f"unknown family {self.family!r}")
         if len(self.t_list) == 0:
             raise ScenarioError("t_list must be non-empty")
+        if not np.all(np.isfinite(self.t_list)):
+            raise ScenarioError("t_list values must be finite")
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.p_min, self.p_max,
+                                   self.phase_t_max])):
+            raise ScenarioError("grid bounds must be finite")
         if self.x_count < 64:
             raise ScenarioError("x_count must be >= 64")
         if not self.x_min < self.x_max:
@@ -109,7 +114,6 @@ class RunManifest:
     tool_version: str
     quadrature_settings: dict
     wall_time_s: float = 0.0
-    flags: list = dc_field(default_factory=list)
     outputs: dict = dc_field(default_factory=dict)  # filename -> sha256
 
     def to_json(self) -> str:

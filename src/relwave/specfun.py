@@ -302,6 +302,17 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conditioned_band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
+    """``_band_integral``; past |Im nu| = 8 a point on a subdominant ray raises
+    SpecFunAccuracyError: there even the integral cancels beyond double precision."""
+    if abs(nu.imag) > 8.0 and np.any(np.angle(z) * nu.imag > 1e-12):
+        raise SpecFunAccuracyError(
+            f"D_nu for nu={nu} at |z|~{float(np.abs(z[0])):.3g} on a "
+            "subdominant ray exceeds double-precision conditioning"
+        )
+    return _band_integral(nu, z)
+
+
 def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument."""
     res = np.empty_like(z)
@@ -322,13 +333,7 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
         band[idx[near]] = True
         far = poor & ~near
         if np.any(far):
-            zb = z[big][far]
-            if abs(nu.imag) > 8.0 and np.any(np.angle(zb) * nu.imag > 1e-12):
-                raise SpecFunAccuracyError(
-                    f"D_nu for nu={nu} at |z|~{float(np.abs(zb[0])):.3g} on a "
-                    "subdominant ray exceeds double-precision conditioning"
-                )
-            vals[far] = _band_integral(nu, zb)
+            vals[far] = _conditioned_band_integral(nu, z[big][far])
         res[idx[~near]] = vals[~near]
     if np.any(band):
         zb = z[band]
@@ -340,24 +345,17 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
         breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
         for g in np.split(order, breaks):
             theta = angles[g[0]]
-            radii = np.abs(zb[g])
             if theta * nu.imag > 1e-12:
                 # D_nu is exponentially subdominant on this ray; marching
                 # would amplify seed error by the dominant/recessive ratio,
-                # so integrate instead.  Past |Im nu| ~ 8 even the integral
-                # cancels beyond double precision.
-                if abs(nu.imag) > 8.0:
-                    raise SpecFunAccuracyError(
-                        f"D_nu for nu={nu} at |z|~{radii[0]:.3g} on the "
-                        "subdominant ray exceeds double-precision conditioning"
-                    )
-                vals[g] = _band_integral(nu, zb[g])
+                # so integrate instead
+                vals[g] = _conditioned_band_integral(nu, zb[g])
                 continue
             # march away from the locally dominant solution: outward where
             # e^{-z^2/4} grows (Re z^2 < 0), inward from the band-integral
             # seed where it decays.
             outward = bool(np.cos(2.0 * theta) <= 0.25)
-            vals[g] = _march_ray(nu, theta, radii, outward)
+            vals[g] = _march_ray(nu, theta, np.abs(zb[g]), outward)
         res[band] = vals
     return res
 

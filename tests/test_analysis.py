@@ -235,8 +235,8 @@ def test_phase_slope_matches_action_rate_at_late_times():
     from relwave.free_packets import GaussianPacketConfig, gauss_spectral
     from relwave.kinematics import FreeMotion, action_free, free_trajectory
 
-    cfg = GaussianPacketConfig.from_gamma(0.3, 10.0)
     motion = FreeMotion.from_gamma(10.0)
+    cfg = GaussianPacketConfig(sigma0=0.3, motion=motion)
     pk = gauss_spectral(cfg, 205.0, 200.0)
     ts = np.linspace(150.0, 200.0, 51)
     tr = phase_trace(pk.psi_at,

@@ -7,7 +7,7 @@ from relwave import field_packets, packets, quadrature, scenarios, specfun
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
-from relwave.kinematics import field_trajectory
+from relwave.kinematics import FieldMotion, field_trajectory
 from relwave.packets import packet_for
 from relwave.specfun import SpecFunAccuracyError, pcf_d, pcf_d_dz
 
@@ -15,7 +15,7 @@ F = 0.1
 
 
 def _cfg(sigma0, gamma0):
-    return FieldPacketConfig.from_gamma(sigma0, gamma0, force=F)
+    return FieldPacketConfig(sigma0, FieldMotion.from_gamma(gamma0, force=F))
 
 
 def _packet(sigma0, gamma0, x_extent, t_max):
@@ -29,15 +29,11 @@ def _ray_weight(cfg, p):
     return np.abs(fp) ** 2 + np.abs(fm) ** 2
 
 
-def test_config_defaults_and_validation():
-    cfg = _cfg(3.0, 1.0)
-    assert cfg.x0 == 10.0            # hyperbola vertex c/alpha
-    with pytest.raises(ValueError):
-        FieldPacketConfig(sigma0=3.0, force=0.0)
-    with pytest.raises(ValueError):
-        FieldPacketConfig(sigma0=0.0, force=0.1)
-    with pytest.raises(ValueError, match="gamma0"):
-        FieldPacketConfig.from_gamma(3.0, 0.5, force=F)
+def test_config_validation():
+    # gamma0, the force and the x0 default are the motion's (test_kinematics)
+    for sigma0 in (0.0, np.nan):
+        with pytest.raises(ValueError, match="sigma0"):
+            FieldPacketConfig(sigma0=sigma0, motion=FieldMotion(force=0.1))
 
 
 def test_projection_factors_are_conjugate_pairs():
@@ -49,7 +45,7 @@ def test_projection_factors_are_conjugate_pairs():
 
 
 def test_gaussian_factor_is_one_at_p0():
-    cfg = FieldPacketConfig(sigma0=3.0, force=F, p0=0.7, x0=4.0)
+    cfg = FieldPacketConfig(sigma0=3.0, motion=FieldMotion(force=F, p0=0.7, x0=4.0))
     c = mode_coeffs(np.array([0.7]), cfg)
     g = _ray_weight(cfg, [0.7])
     fp = pcf_d(-0.5 - 5.0j, (1.0 + 1.0j) / np.sqrt(F) * 0.7)
@@ -64,7 +60,8 @@ def test_mode_reconstruction_is_proportional_to_gaussian():
     fp = pcf_d(-0.5 - 5.0j, (1.0 + 1.0j) / np.sqrt(F) * p)
     fm = pcf_d(-0.5 + 5.0j, (1.0j - 1.0) / np.sqrt(F) * p)
     recon = c.c_plus * fp + c.c_minus * fm
-    gauss = np.exp(-0.5 * cfg.sigma0**2 * (p - cfg.p0) ** 2 - 1j * p * cfg.x0)
+    m = cfg.motion
+    gauss = np.exp(-0.5 * cfg.sigma0**2 * (p - m.p0) ** 2 - 1j * p * m.x0)
     ratio = recon / gauss
     assert np.max(np.abs(ratio / ratio[len(p) // 2] - 1.0)) < 1e-6
 
@@ -95,11 +92,11 @@ def test_mode_ode_residual():
 
 def test_adiabatic_flat_modulus_at_weak_force():
     # the p = 0 mode, c+ f+(F t) + c- f-(F t), as the basis combines it
-    cfg = FieldPacketConfig(sigma0=3.0, force=1e-3, p0=0.0)
+    cfg = FieldPacketConfig(sigma0=3.0, motion=FieldMotion(force=1e-3, p0=0.0))
     c = mode_coeffs(np.array([0.0]), cfg)
     vals = []
     for t in (0.0, 0.5, 1.0):
-        fp, fm = mode_pair(cfg, c.p + cfg.force * t)
+        fp, fm = mode_pair(cfg, c.p + cfg.motion.force * t)
         vals.append(abs((c.c_plus * fp + c.c_minus * fm)[0]))
     assert max(vals) / min(vals) - 1.0 < 0.01
 
@@ -109,8 +106,8 @@ def test_initial_state_fidelity_and_norm():
     xs = np.linspace(-30.0, 50.0, 4001)
     sl = _packet(0.3, 10.0, 51.0, 0.0).slice(0.0, xs)
     gauss = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
-        * np.exp(-0.5 * ((xs - cfg.x0) / cfg.sigma0) ** 2
-                 + 1j * cfg.p0 * (xs - cfg.x0))
+        * np.exp(-0.5 * ((xs - cfg.motion.x0) / cfg.sigma0) ** 2
+                 + 1j * cfg.motion.p0 * (xs - cfg.motion.x0))
     assert np.max(np.abs(sl.psi - gauss)) < 1e-5
     assert abs(sl.norm() - 1.0) < 1e-6
 
@@ -215,7 +212,7 @@ def _two_order_route(cfg, s):
     for order, r in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
         z = r * s
         f = pcf_d(order, z)
-        out.append((f, (order * pcf_d(order - 1.0, z) - 0.5 * z * f) * r * cfg.force))
+        out.append((f, (order * pcf_d(order - 1.0, z) - 0.5 * z * f) * r * cfg.motion.force))
     return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
@@ -227,7 +224,7 @@ def test_mode_pair_mirror_matches_the_two_order_route(force):
     # more than _PAIR_BLOCK in two rows, which split into several calls
     # (kept to |s| >= 4, past the band integral's points, which cost up to
     # 12 ms each).  The modes alone have the bits of the modes with d/dt
-    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
     wide = np.outer([1.0, -1.0], np.linspace(4.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
     for points in (s, wide):
@@ -247,7 +244,7 @@ def test_mode_pair_matches_mpmath(force):
     # 1.5e-13 of max|f| and 8e-13 of max|d/dt f| at F = 0.1)
     import mpmath
 
-    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     nu, ray = _order_and_ray(cfg)
     s = np.array([-40.0, -17.3, -6.1, -2.2, -0.9, -0.3, -0.01, 0.0, 0.2, 0.7,
                   1.9, 5.3, 12.0, 33.0])
@@ -272,7 +269,7 @@ def test_mode_pair_guard_raises_before_any_d_nu(monkeypatch, force):
     # numpy warning and no D_nu evaluated first
     calls = []
     _count_pcf(monkeypatch, calls)
-    cfg = FieldPacketConfig(sigma0=1.0, force=force)
+    cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for s in (np.linspace(-5.0, 5.0, 101), np.array([3.0]), np.array([-3.0])):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from relwave.analysis import charge_density, expectation_x, momentum_spectrum
 from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
-                                  closed_spectral, gauss_spectral, energy,
-                                  spectrum_closed, w_of_p)
+                                  closed_spectral, gauss_spectral, gauss_spectrum,
+                                  energy, spectrum_closed, w_of_p)
 from relwave.kinematics import FreeMotion
 from relwave.packets import packet_for
 from relwave.specfun import bessel_k1
@@ -46,10 +46,9 @@ def test_w_of_p_positive_everywhere():
 def test_config_validation():
     with pytest.raises(ValueError):
         ClosedPacketConfig(vartheta=0.0, motion=MOTION_QUARTER)
-    with pytest.raises(ValueError):
-        GaussianPacketConfig(sigma0=-1.0)
-    with pytest.raises(ValueError, match="gamma0"):
-        GaussianPacketConfig.from_gamma(3.0, 0.5)
+    for sigma0 in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="sigma0"):
+            GaussianPacketConfig(sigma0=sigma0, motion=MOTION_QUARTER)
 
 
 def test_closed_form_matches_spectral_quadrature():
@@ -115,7 +114,7 @@ def test_spectrum_closed_matches_slice_transform():
 
 def test_gauss_initial_slice_is_the_gaussian():
     # gamma0 = sqrt(1.25) is the momentum p0 = 0.5
-    cfg = GaussianPacketConfig(sigma0=3.0, p0=0.5, x0=1.0)
+    cfg = GaussianPacketConfig(sigma0=3.0, motion=FreeMotion.from_gamma(np.sqrt(1.25), x0=1.0))
     xs = np.linspace(-24.0, 26.0, 2001)
     sl = _gauss(3.0, np.sqrt(1.25), 27.0, 0.0, x0=1.0).slice(0.0, xs)
     ref = (cfg.sigma0 * np.sqrt(np.pi)) ** -0.5 \
@@ -139,17 +138,28 @@ def test_gauss_narrow_packet_has_negative_density():
 
 
 def test_gauss_suppression_criterion():
-    fast = GaussianPacketConfig.from_gamma(0.3, 10.0)
+    fast = FreeMotion.from_gamma(10.0)
     assert abs(fast.p0 - np.sqrt(99.0)) < 1e-12    # ~9.95
     xs = np.linspace(-12.0, 12.0, 6001)
     spec = momentum_spectrum(_gauss(0.3, 10.0, 13.0, 0.0).slice(0.0, xs))
     at = lambda q: float(np.interp(q, spec.p, spec.rho_tilde))
     assert at(-1.0) / at(fast.p0) < np.exp(-9.0)
 
-    slow = GaussianPacketConfig.from_gamma(0.3, 1.0)
+    slow = FreeMotion.from_gamma(1.0)
     spec2 = momentum_spectrum(_gauss(0.3, 1.0, 13.0, 0.0).slice(0.0, xs))
     at2 = lambda q: float(np.interp(q, spec2.p, spec2.rho_tilde))
     assert at2(-1.0) / at2(slow.p0) > np.exp(-1.0)
+
+
+@pytest.mark.parametrize("gamma0", [3.0, 10.0, 30.0])
+def test_gauss_spectrum_is_centred_on_the_classical_momentum(gamma0):
+    # the packet's t = 0 modes are the Gaussian spectrum about the very
+    # (x_bar, p_bar) its scores compare it with, bit for bit
+    pk = _gauss(0.3, gamma0, 10.0, 0.0, x0=1.5)
+    x_bar, p_bar = pk.classical(0.0)
+    cfg = GaussianPacketConfig(sigma0=0.3, motion=FreeMotion.from_gamma(gamma0, x0=1.5))
+    ms = gauss_spectral(cfg, 10.0, 0.0)
+    assert np.array_equal(ms.modes(0.0, False), gauss_spectrum(ms.p, 0.3, p_bar, x_bar))
 
 
 def test_psi_gauss_free_scalar_api():
@@ -166,7 +176,7 @@ def test_psi_gauss_free_scalar_api():
 
 def test_spectral_packet_unit_norm():
     # the spectrum is normalized analytically; no numeric trim follows
-    cfg = GaussianPacketConfig(sigma0=0.3, p0=2.0)
+    cfg = GaussianPacketConfig(sigma0=0.3, motion=FreeMotion(v0=2.0 / np.sqrt(5.0)))
     pk = gauss_spectral(cfg, 20.0, 5.0)
     xs = np.linspace(-20.0, 20.0, 4001)
     psi, _ = pk.psi_dpsi(0.0, xs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relwave.kinematics import (FieldMotion, FreeMotion, action_field, action_free,
-                                field_trajectory, free_trajectory, lagrangian_free)
+                                field_trajectory, free_trajectory)
 
 
 def test_free_motion_gamma_and_momentum():
@@ -12,14 +12,18 @@ def test_free_motion_gamma_and_momentum():
     assert abs(m.gamma0 - 1.0327955589886444) < 1e-15
     assert abs(m.p0 - 0.2581988897471611) < 1e-15
     assert abs(m.p0 - m.v0 * m.gamma0) < 1e-12
-    with pytest.raises(ValueError):
-        FreeMotion(v0=1.0)
+    for v0 in (1.0, math.nan):
+        with pytest.raises(ValueError):
+            FreeMotion(v0=v0)
 
 
 def test_free_motion_from_gamma():
     m = FreeMotion.from_gamma(10.0)
     assert abs(m.gamma0 - 10.0) < 1e-12
     assert abs(m.p0 - math.sqrt(99.0)) < 1e-12
+    for gamma0 in (0.5, math.nan):
+        with pytest.raises(ValueError, match="gamma0"):
+            FreeMotion.from_gamma(gamma0)
 
 
 def test_free_trajectory_rest_and_moving():
@@ -32,6 +36,7 @@ def test_free_trajectory_rest_and_moving():
 
 def test_field_trajectory_reference_points():
     motion = FieldMotion(force=0.1)
+    assert motion.x0 == 10.0            # the hyperbola vertex 1/force
     assert abs(field_trajectory(0.0, motion).x - 10.0) < 1e-12
     assert abs(field_trajectory(10.0, motion).gamma - math.sqrt(2.0)) < 1e-12
     # negative times supported
@@ -44,7 +49,7 @@ def test_field_trajectory_initial_velocity_matches_momentum():
     s = field_trajectory(0.0, motion)
     # p0 = m v gamma at t = 0
     assert abs(s.v * s.gamma - motion.p0) < 1e-12
-    a_t0 = motion.alpha * motion.t0
+    a_t0 = motion.force * motion.t0
     assert abs(s.v - a_t0 / math.sqrt(1.0 + a_t0**2)) < 1e-12
 
 
@@ -83,7 +88,8 @@ def test_action_free_values():
     assert action_free(5.0, FreeMotion(v0=0.0)) == -5.0
     assert action_free(0.0, FreeMotion(v0=0.25)) == 0.0
     assert abs(action_free(10.0, FreeMotion(v0=0.25)) + 9.682458365518542) < 1e-12
-    assert abs(lagrangian_free(FreeMotion(v0=0.25)) + 0.9682458365518543) < 1e-15
+    # at t = 1 the action is the Lagrangian -1/gamma0
+    assert abs(action_free(1.0, FreeMotion(v0=0.25)) + 0.9682458365518543) < 1e-15
 
 
 def test_action_field_values():
@@ -96,7 +102,7 @@ def test_action_field_values():
 
 def test_action_field_derivative_matches_integrand():
     motion = FieldMotion(force=0.1, p0=0.5)
-    a, t0 = motion.alpha, motion.t0
+    a, t0 = motion.force, motion.t0
     h = 1e-4
     for t in (2.0, 15.0):
         ds = (action_field(t + h, motion) - action_field(t - h, motion)) / (2 * h)
@@ -106,8 +112,16 @@ def test_action_field_derivative_matches_integrand():
 
 
 def test_field_motion_validation():
-    with pytest.raises(ValueError):
-        FieldMotion(force=0.0)
+    for force in (0.0, math.nan):
+        with pytest.raises(ValueError, match="force"):
+            FieldMotion(force=force)
+    for gamma0 in (0.5, math.nan):
+        with pytest.raises(ValueError, match="gamma0"):
+            FieldMotion.from_gamma(gamma0, force=0.1)
+    # p0 = sqrt(gamma0^2 - 1), and x0 defaults to the vertex 1/force
+    motion = FieldMotion.from_gamma(10.0, force=-0.2)
+    assert motion.p0 == math.sqrt(99.0) and motion.x0 == -5.0
+    assert FieldMotion.from_gamma(1.0, force=0.1, x0=3.0).x0 == 3.0
 
 
 @pytest.mark.parametrize("force", [0.1, 1.0, -0.3])
@@ -117,7 +131,7 @@ def test_action_field_closed_form_matches_trapezoid(force, p0):
     # changes sign for some (force, p0), so the error is taken relative to
     # int |L| ds
     motion = FieldMotion(force=force, p0=p0)
-    a, t0 = motion.alpha, motion.t0
+    a, t0 = motion.force, motion.t0
     for t in (-12.0, -3.7, 0.5, 17.0, 200.0):
         s = np.linspace(0.0, t, 200001)
         u = a * (s + t0)

@@ -116,7 +116,7 @@ def _oracle_amplitudes():
     from relwave.field_packets import FieldPacketConfig, field_mode_basis
     from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
                                       closed_spectral, gauss_spectral)
-    from relwave.kinematics import FreeMotion
+    from relwave.kinematics import FieldMotion, FreeMotion
 
     t = 7.0
     sums = [(f"closed vartheta={vt} v0={v0}",
@@ -125,9 +125,11 @@ def _oracle_amplitudes():
                              20.0, 20.0))
             for vt in (0.1, 2.0, 100.0) for v0 in (0.0, 0.9)]
     sums.append(("gauss gamma0=10",
-                 gauss_spectral(GaussianPacketConfig.from_gamma(0.3, 10.0), 20.0, 20.0)))
+                 gauss_spectral(GaussianPacketConfig(0.3, FreeMotion.from_gamma(10.0)),
+                                20.0, 20.0)))
     sums.append(("field sigma0=0.3 gamma0=10",
-                 field_mode_basis(FieldPacketConfig.from_gamma(0.3, 10.0, 0.1), 30.0, 10.0)))
+                 field_mode_basis(FieldPacketConfig(0.3, FieldMotion.from_gamma(10.0, 0.1)),
+                                  30.0, 10.0)))
     out = []
     for name, ms in sums:
         a, da = ms.modes(t, True)
@@ -230,11 +232,14 @@ def test_mode_sums_are_normalized_by_discrete_parseval(family, sigma0, gamma0):
     # spectrum's analytic normalization, with no numeric trim after it
     from relwave.field_packets import FieldPacketConfig, field_mode_basis
     from relwave.free_packets import GaussianPacketConfig, gauss_spectral
+    from relwave.kinematics import FieldMotion, FreeMotion
 
     if family == "gauss-free":
-        ms = gauss_spectral(GaussianPacketConfig.from_gamma(sigma0, gamma0), 30.0, 10.0)
+        ms = gauss_spectral(GaussianPacketConfig(sigma0, FreeMotion.from_gamma(gamma0)),
+                            30.0, 10.0)
     else:
-        ms = field_mode_basis(FieldPacketConfig.from_gamma(sigma0, gamma0, 0.1), 30.0, 10.0)
+        ms = field_mode_basis(FieldPacketConfig(sigma0, FieldMotion.from_gamma(gamma0, 0.1)),
+                              30.0, 10.0)
     norm = 2.0 * np.pi * np.sum(ms.weights * np.abs(ms.modes(0.0, False)) ** 2)
     assert abs(norm - 1.0) < 1e-13
 

@@ -55,6 +55,12 @@ def test_scenario_validation():
         Scenario(**{**base, "normalization": "unit-vibes"})
     with pytest.raises(ScenarioError):
         Scenario(**{**base, "cases": ()})
+    with pytest.raises(ScenarioError, match="t_list values must be finite"):
+        Scenario(**{**base, "t_list": (0.0, np.inf)})
+    for key in ("x_min", "x_max", "p_min", "p_max", "phase_t_max"):
+        for bad in (np.nan, -np.inf, np.inf):
+            with pytest.raises(ScenarioError, match="grid bounds must be finite"):
+                Scenario(**{**base, key: bad})
 
 
 def test_run_writes_outputs_and_manifest(tmp_path):
@@ -151,7 +157,12 @@ def test_unknown_case_family_is_a_scenario_error(tmp_path):
     ("closed-free", "vartheta=-1", "vartheta must be positive"),
     ("gauss-free", "sigma0=3, gamma0=0.5", "gamma0 must be >= 1"),
     ("uniform-field", "sigma0=3, gamma0=0.5, force=0.1", "gamma0 must be >= 1"),
-], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1"])
+    ("gauss-free", "sigma0=nan, gamma0=1", "sigma0 must be finite"),
+    ("closed-free", "vartheta=2, v0=nan", "v0 must be finite"),
+    ("uniform-field", "sigma0=3, gamma0=nan, force=0.1", "gamma0 must be finite"),
+    ("gauss-free", "sigma0=3, gamma0=1, x0=inf", "x0 must be finite"),
+], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1",
+        "gauss-sigma0-nan", "closed-v0-nan", "field-gamma0-nan", "gauss-x0-inf"])
 def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, reason):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[bad]\nfamily = {family}\ncases = {case}\nt_list = 0\n"
@@ -298,11 +309,16 @@ def test_off_grid_case_fails_before_its_basis_is_built(tmp_path, capsys):
     ("phase_dt = 0", "phase_dt must be positive"),
     ("phase_dt = -0.25", "phase_dt must be positive"),
     ("phase_t_max = -1", "phase_t_max must be >= 0"),
-], ids=["x-reversed", "p-reversed", "one-p", "zero-dt", "negative-dt", "negative-t-max"])
+    ("t_list = 0, nan", "t_list values must be finite"),
+    ("x_min = -inf", "grid bounds must be finite"),
+    ("phase_t_max = inf", "grid bounds must be finite"),
+], ids=["x-reversed", "p-reversed", "one-p", "zero-dt", "negative-dt", "negative-t-max",
+        "t-nan", "x-min-minus-inf", "infinite-t-max"])
 def test_cli_grid_errors_exit_as_config_errors(tmp_path, capsys, grid, reason):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[bad]\nfamily = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n"
-                   f"outputs = density, spectrum, phase\nx_count = 301\n{grid}\n")
+    cfg.write_text("[bad]\nfamily = gauss-free\ncases = sigma0=3, gamma0=1\n"
+                   + ("" if "t_list" in grid else "t_list = 0\n")
+                   + f"outputs = density, spectrum, phase\nx_count = 301\n{grid}\n")
     out = tmp_path / "o"
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err

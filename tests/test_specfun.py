@@ -8,6 +8,7 @@ from relwave import specfun
 from relwave.acceptance import k1_series_reference
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
+from relwave.kinematics import FieldMotion
 from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
                              bessel_k1, pcf_d, pcf_d_dz)
 
@@ -15,6 +16,10 @@ RAY_P = (1.0 + 1.0j) / np.sqrt(0.1)
 RAY_M = (1.0j - 1.0) / np.sqrt(0.1)
 NU_P = -0.5 - 5.0j
 NU_M = -0.5 + 5.0j
+
+
+def _field_cfg(force, sigma0=1.0):
+    return FieldPacketConfig(sigma0=sigma0, motion=FieldMotion(force=force))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +184,10 @@ def test_pcf_order_factory():
     # the order of the uniform-field modes is -1/2 - i/(2F), real part exact,
     # on the ray (1+i)/sqrt|F|
     for force in (0.1, -0.3, 2.0):
-        nu, ray = _order_and_ray(FieldPacketConfig(sigma0=1.0, force=force))
+        nu, ray = _order_and_ray(_field_cfg(force))
         assert nu == complex(-0.5, -1.0 / (2.0 * force)) and nu.real == -0.5
         assert ray == (1.0 + 1.0j) / np.sqrt(abs(force))
-    assert _order_and_ray(FieldPacketConfig(sigma0=1.0, force=0.1)) == (NU_P, RAY_P)
+    assert _order_and_ray(_field_cfg(0.1)) == (NU_P, RAY_P)
 
 
 def test_subdominant_conditioning_raises_not_lies():
@@ -199,7 +204,7 @@ def test_weak_force_fold_raises_not_nan():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             mode_coeffs(np.linspace(-0.05, 0.05, 401),
-                        FieldPacketConfig(sigma0=3.0, force=1e-3))
+                        _field_cfg(1e-3, sigma0=3.0))
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
 
@@ -213,7 +218,7 @@ def test_maclaurin_overflow_raises_not_nan():
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             pcf_d(-0.5 - 1000.0j, np.array([0.5 + 0.5j, 1.0]))
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            mode_pair(FieldPacketConfig(sigma0=1.0, force=5e-4), np.array([0.0, 1e-3]))
+            mode_pair(_field_cfg(5e-4), np.array([0.0, 1e-3]))
 
 
 def test_band_integral_point_alone_has_its_batch_bits():
@@ -249,7 +254,7 @@ def test_weak_force_band_integral_raises_not_hangs():
 
 def _mode_orders_and_rays(force):
     """(order, ray) of f+ and of f-(s) = D_conj(nu)(-conj(ray) s)."""
-    nu, ray = _order_and_ray(FieldPacketConfig(sigma0=1.0, force=force))
+    nu, ray = _order_and_ray(_field_cfg(force))
     return (nu, ray), (nu.conjugate(), -ray.conjugate())
 
 
@@ -495,7 +500,7 @@ def test_pcf_batch_of_mixed_rays_matches_mpmath():
 
 
 def test_each_ray_is_marched_once():
-    cfg = FieldPacketConfig.from_gamma(0.3, 1.0, force=0.23)
+    cfg = FieldPacketConfig(0.3, FieldMotion.from_gamma(1.0, force=0.23))
     basis = field_mode_basis(cfg, 30.0, 30.0)
     info = specfun._march_checkpoints.cache_info
     basis.modes(0.0, True)
