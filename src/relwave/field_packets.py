@@ -4,8 +4,11 @@ Gauge A = (0, -E t, 0, 0), so each momentum mode obeys
 ``psi_p'' + ((p + F t)^2 + M^2) psi_p = 0`` (natural units), solved by the
 pair of parabolic cylinder functions of one order nu and one ray
 
-    f+(s) = D_nu((1+i) s / sqrt|F|),   nu = -1/2 - i M^2/2F,   s = p + F t,
-    f-(s) = conj f+(-s) = D_conj(nu)((i-1) s / sqrt|F|).
+    f+(s) = D_nu((1+i) s / sqrt|F|),   nu = -1/2 - i M^2/2|F|,   s = p + F t,
+    f-(s) = conj f+(-s) = D_conj(nu)((i-1) s / sqrt|F|),
+
+and for F < 0 by their conjugates: the mode equation in s holds F^2 only,
+and a positive-frequency mode's phase, exp(-i int E ds / F), flips with F.
 
 ``mode_pair`` is the one place that evaluates them, from one D_nu value per
 |s| on the first-quadrant ray: f+ at -|s| follows from it by the connection
@@ -66,10 +69,10 @@ class ModeCoefficients:
 
 
 def _order_and_ray(cfg: FieldPacketConfig):
-    """The order nu = -1/2 - i M^2/2F (real part exactly -1/2) and the ray
-    r = (1+i)/sqrt|F| of f+(s) = D_nu(r s)."""
-    force = cfg.motion.force
-    return complex(-0.5, -1.0 / (2.0 * force)), (1.0 + 1.0j) / np.sqrt(abs(force))
+    """The order nu = -1/2 - i M^2/2|F| (real part exactly -1/2) and the ray
+    r = (1+i)/sqrt|F| of f+(s) = D_nu(r s) (conjugated for F < 0)."""
+    force = abs(cfg.motion.force)
+    return complex(-0.5, -1.0 / (2.0 * force)), (1.0 + 1.0j) / np.sqrt(force)
 
 
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
@@ -88,7 +91,9 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     guard runs before any D_nu.  An ``s`` of more than half
     ``quadrature._PAIR_BLOCK`` points is evaluated in pieces of that many,
     so that no pcf_d call holds more than _PAIR_BLOCK points (each value is
-    independent of the others of its call).
+    independent of the others of its call).  For F < 0 the modes are the
+    conjugates of those of |F|, and, since d/dt = F d/ds, their time
+    derivatives are minus the conjugates of those of |F|.
     """
     half = _PAIR_BLOCK // 2
     if np.size(s) > half:
@@ -116,11 +121,15 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
 
     f = pcf_d(nu, z)
     fp, fp_mirror = at_s_and_minus_s(f, rot, pre)
-    if not derivatives:
-        return fp, np.conj(fp_mirror)
-    dfp, dfp_mirror = at_s_and_minus_s(nu * pcf_d(nu - 1.0, z) - 0.5 * z * f, -rot, 1j * pre)
-    return (fp, np.conj(fp_mirror), dfp * ray * cfg.motion.force,
-            -np.conj(dfp_mirror * ray * cfg.motion.force))
+    modes = (fp, np.conj(fp_mirror))
+    if derivatives:
+        force = abs(cfg.motion.force)
+        dfp, dfp_mirror = at_s_and_minus_s(nu * pcf_d(nu - 1.0, z) - 0.5 * z * f,
+                                           -rot, 1j * pre)
+        modes += (dfp * ray * force, -np.conj(dfp_mirror * ray * force))
+    if cfg.motion.force > 0:
+        return modes
+    return tuple(np.conj(m) if k < 2 else -np.conj(m) for k, m in enumerate(modes))
 
 
 def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:

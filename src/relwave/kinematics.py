@@ -109,14 +109,15 @@ def free_trajectory(t: float, motion: FreeMotion) -> TrajectorySample:
 def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     """Sample of the uniformly accelerated worldline at coordinate time t.
 
-    x(t) = sqrt(a^-2 + (t+t0)^2) - sqrt(a^-2 + t0^2) + x0,
+    x(t) = sign(a) [sqrt(a^-2 + (t+t0)^2) - sqrt(a^-2 + t0^2)] + x0,
     gamma(t) = sqrt(1 + a^2 (t+t0)^2) with a the force; t may be negative.
     """
     a = motion.force
     t0 = motion.t0
     u = a * (t + t0)
     gamma = math.sqrt(1.0 + u * u)
-    x = math.sqrt(a**-2 + (t + t0) ** 2) - math.sqrt(a**-2 + t0**2) + motion.x0
+    x = math.copysign(1.0, a) * (math.sqrt(a**-2 + (t + t0) ** 2)
+                                 - math.sqrt(a**-2 + t0**2)) + motion.x0
     v = u / gamma
     tau = (math.asinh(u) - math.asinh(a * t0)) / a
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)

@@ -6,15 +6,15 @@ and action it is compared with, and its momentum distribution.
 ``packet_for`` is the one place that reads a case dict or names a family.
 The momentum sum of a gauss-free or uniform-field packet
 (``quadrature.ModeSum``) is fixed by |x| <= x_extent and |t| <= t_max, so
-every time and grid of a case uses the same build; it is built once, at
-the packet's first evaluation, so that the worldline of a case can be
-checked against its grid before any sum is built.
+every time and grid of a case uses the same build, made at the packet's
+first evaluation: a case is checked without building any sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from inspect import Parameter, signature
 from typing import Callable
 
 import numpy as np
@@ -81,30 +81,30 @@ def _free_packet(label, t_max, motion: FreeMotion, psi_dpsi, psi_at,
                   spectrum_peak=lambda ps: float(np.max(spectrum(ps))))
 
 
-def _closed(case: dict, x_extent: float, t_max: float) -> Packet:
+def _closed(x_extent: float, t_max: float, *, vartheta, v0=0.0, x0=0.0) -> Packet:
     # the closed form needs no grid, so x_extent does not enter
-    motion = FreeMotion(v0=case.get("v0", 0.0), x0=case.get("x0", 0.0))
-    cfg = ClosedPacketConfig(vartheta=case["vartheta"], motion=motion)
-    return _free_packet(f"ctheta{case['vartheta']:g}", t_max, motion,
+    motion = FreeMotion(v0=v0, x0=x0)
+    cfg = ClosedPacketConfig(vartheta=vartheta, motion=motion)
+    return _free_packet(f"ctheta{vartheta:g}", t_max, motion,
                         partial(_closed_form, cfg=cfg),
                         lambda ts, xs: _closed_form(ts, xs, cfg)[0],
                         partial(spectrum_closed, cfg=cfg))
 
 
-def _gauss(case: dict, x_extent: float, t_max: float) -> Packet:
-    motion = FreeMotion.from_gamma(case["gamma0"], x0=case.get("x0", 0.0))
-    cfg = GaussianPacketConfig(sigma0=case["sigma0"], motion=motion)
+def _gauss(x_extent: float, t_max: float, *, sigma0, gamma0, x0=0.0) -> Packet:
+    motion = FreeMotion.from_gamma(gamma0, x0=x0)
+    cfg = GaussianPacketConfig(sigma0=sigma0, motion=motion)
     mode_sum = cache(partial(gauss_spectral, cfg, x_extent, t_max))
     return _free_packet(
-        f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}", t_max, motion,
+        f"sigma{sigma0:g}_gamma{gamma0:g}", t_max, motion,
         lambda t, xs: mode_sum().psi_dpsi(t, xs),
         lambda ts, xs: mode_sum().psi_at(ts, xs),
         lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, motion.p0, motion.x0)) ** 2)
 
 
-def _field(case: dict, x_extent: float, t_max: float) -> Packet:
-    motion = FieldMotion.from_gamma(case["gamma0"], case["force"], x0=case.get("x0"))
-    cfg = FieldPacketConfig(sigma0=case["sigma0"], motion=motion)
+def _field(x_extent: float, t_max: float, *, sigma0, gamma0, force, x0=None) -> Packet:
+    motion = FieldMotion.from_gamma(gamma0, force, x0=x0)
+    cfg = FieldPacketConfig(sigma0=sigma0, motion=motion)
     # psi_p(t) on the nodes by time, for the spectrum: a time whose slice
     # was taken does not evaluate its modes again
     psi_nodes = {}
@@ -127,7 +127,7 @@ def _field(case: dict, x_extent: float, t_max: float) -> Packet:
         return np.abs(psi_nodes[t]) ** 2
 
     return Packet(
-        label=f"sigma{case['sigma0']:g}_gamma{case['gamma0']:g}_F{case['force']:g}",
+        label=f"sigma{sigma0:g}_gamma{gamma0:g}_F{force:g}",
         t_max=t_max, psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
         psi_at=lambda ts, xs: mode_sum().psi_at(ts, xs),
         trajectory=partial(field_trajectory, motion=motion),
@@ -144,23 +144,28 @@ FAMILIES = tuple(_BUILDERS)
 def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet:
     """The packet of ``case``, for |x| <= x_extent and |t| <= t_max.
 
-    Case keys: ``vartheta`` (closed-free) or ``sigma0`` and ``gamma0``
-    (gauss-free; uniform-field also ``force``); optional ``v0`` (closed-free)
-    and ``x0``.  A case may name its own ``family``, which replaces
-    ``family``, and its own ``t_max``, which replaces ``t_max``.  An unknown
-    family, a missing key or an invalid or non-finite value raises
-    ScenarioError naming the case.
-    """
-    family = case.get("family", family)
+    A case's own ``family`` and ``t_max`` replace the arguments; its other
+    keys bind to the keyword-only parameters of ``_closed``, ``_gauss`` or
+    ``_field``.  An unknown family or key, a missing key, a non-finite or
+    invalid value and a ``t_max`` below 0 raise ScenarioError naming the case."""
+    keys = dict(case)
+    family = keys.pop("family", family)
+    t_max = keys.pop("t_max", t_max)
     build = _BUILDERS.get(family)
     if build is None:
         raise ScenarioError(f"case {case}: unknown family {family!r}")
     for key, val in case.items():
         if isinstance(val, float) and not np.isfinite(val):
             raise ScenarioError(f"case {case}: {key} must be finite")
+    if not t_max >= 0:
+        raise ScenarioError(f"case {case}: t_max must be >= 0")
+    params = {key: p.default for key, p in signature(build).parameters.items()
+              if p.kind is Parameter.KEYWORD_ONLY}
+    required = {key for key, default in params.items() if default is Parameter.empty}
+    for what, names in (("unknown", keys.keys() - params), ("missing", required - keys.keys())):
+        if names:
+            raise ScenarioError(f"case {case}: {what} key {min(names)!r}")
     try:
-        return build(case, x_extent, float(case.get("t_max", t_max)))
-    except KeyError as exc:
-        raise ScenarioError(f"case {case}: missing key {exc}") from exc
+        return build(x_extent, float(t_max), **keys)
     except ValueError as exc:
         raise ScenarioError(f"case {case}: {exc}") from exc

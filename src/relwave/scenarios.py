@@ -24,7 +24,7 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +52,11 @@ _NORMALIZATIONS = ("unit-charge", "unit-norm", "peak-normalized")
 class Scenario:
     """One configuration-driven sweep.
 
-    ``cases`` lists the per-curve physical parameters: for closed-free each
-    case is {"vartheta": ..., "v0": ...}; for gauss-free {"sigma0", "gamma0"};
-    for uniform-field {"sigma0", "gamma0", "force"}.  x0 may be given per
-    case, and so may ``family`` (in place of the scenario's) and ``t_max``
-    (the largest |t| its packet is built for; its phase trace ends at the
-    smaller of that and ``phase_t_max``).  ``t_list`` may contain negative
-    times.
+    Each case's keys are the keyword-only parameters of its family's builder
+    in ``packets`` (``_closed``, ``_gauss``, ``_field``), plus an optional
+    ``family`` and ``t_max`` (its phase trace ends at the smaller of that and
+    ``phase_t_max``).  Every case is checked here, its worldline against the
+    x-grid included.  ``t_list`` may contain negative times.
     """
 
     name: str
@@ -106,6 +104,8 @@ class Scenario:
                 raise ScenarioError(f"unknown output kind {out!r}")
         if not self.cases:
             raise ScenarioError("scenario needs at least one case")
+        for case in self.cases:
+            _packet(self, case)
 
 
 @dataclass
@@ -156,25 +156,21 @@ def _write_csv(path: Path, header: str, blocks) -> str:
 # ---------------------------------------------------------------------------
 
 def _packet(scn: Scenario, case: dict) -> Packet:
-    """The case's packet, built once for the scenario's x-range and for the
-    largest |t| its outputs need (the phase trace's end included)."""
+    """The case's packet, for the scenario's x-range and the largest |t| of
+    its outputs (the phase trace's end included); for a density, metrics or
+    widths output, its classical position at each time must lie on the grid."""
     t_max = float(np.max(np.abs(scn.t_list)))
     if "phase" in scn.outputs:
         t_max = max(t_max, scn.phase_t_max)
-    return packet_for(case, scn.family, max(abs(scn.x_min), abs(scn.x_max)) + 1.0, t_max)
-
-
-def _check_on_grid(scn: Scenario, pk: Packet):
-    """The density, metrics and widths outputs sample the packet on the
-    x-grid: its classical position at each output time must lie on it."""
-    if not {"density", "metrics", "widths"} & set(scn.outputs):
-        return
-    for t in scn.t_list:
-        x = pk.trajectory(t).x
-        if not scn.x_min <= x <= scn.x_max:
-            raise ScenarioError(
-                f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "
-                f"lies outside the grid [{scn.x_min:g}, {scn.x_max:g}]")
+    pk = packet_for(case, scn.family, max(abs(scn.x_min), abs(scn.x_max)) + 1.0, t_max)
+    if {"density", "metrics", "widths"} & set(scn.outputs):
+        for t in scn.t_list:
+            x = pk.trajectory(t).x
+            if not scn.x_min <= x <= scn.x_max:
+                raise ScenarioError(
+                    f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "
+                    f"lies outside the grid [{scn.x_min:g}, {scn.x_max:g}]")
+    return pk
 
 
 def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
@@ -265,8 +261,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
 
     def _one(case):
-        pk = _packet(scenario, dict(case))
-        _check_on_grid(scenario, pk)
+        pk = _packet(scenario, case)
         return pk.label, _case_outputs(scenario, pk, xs)
 
     if threads > 1:
@@ -390,9 +385,7 @@ def resolve_scenario(name: str) -> Scenario:
         return cat[name]
     if name in _ALIASES:
         base, outputs = _ALIASES[name]
-        scn = cat[base]
-        return Scenario(**{**asdict(scn), "name": name, "outputs": outputs,
-                           "cases": scn.cases, "t_list": scn.t_list})
+        return replace(cat[base], name=name, outputs=outputs)
     raise ScenarioError(
         f"scenario {name!r} not found; available: "
         + ", ".join(sorted(list(cat) + list(_ALIASES)))

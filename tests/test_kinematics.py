@@ -53,6 +53,25 @@ def test_field_trajectory_initial_velocity_matches_momentum():
     assert abs(s.v - a_t0 / math.sqrt(1.0 + a_t0**2)) < 1e-12
 
 
+def test_field_trajectory_under_a_negative_force():
+    # launched forward against the force, the particle turns back at
+    # t = -t0 = 5: at t = 3 it is still right of x0 (dividing the
+    # displacement by |a| put it at -0.122)
+    s = field_trajectory(3.0, FieldMotion(force=-0.3, p0=1.5, x0=2.0))
+    assert abs(s.x - 4.121950862543114) < 1e-12 and s.v > 0.0
+
+
+@pytest.mark.parametrize("force", [0.3, -0.3])
+def test_field_trajectory_position_moves_with_its_velocity(force):
+    # a central difference of x(t) is v(t); at F < 0 on both sides of the
+    # turning point t = 5
+    motion = FieldMotion(force=force, p0=1.5, x0=2.0)
+    h = 1e-5
+    for t in (-4.0, 0.0, 3.0, 7.0):
+        dxdt = (field_trajectory(t + h, motion).x - field_trajectory(t - h, motion).x) / (2 * h)
+        assert abs(dxdt - field_trajectory(t, motion).v) < 1e-9
+
+
 def test_trajectory_invariants():
     motion = FieldMotion(force=0.1, p0=2.0)
     taus = []

@@ -145,11 +145,22 @@ def test_mixed_families_write_the_bytes_of_single_family_runs(tmp_path):
             assert m.outputs[fname] == digest, fname
 
 
-def test_unknown_case_family_is_a_scenario_error(tmp_path):
-    scn = dataclasses.replace(TINY, cases=({"family": "warp", "sigma0": 3.0,
-                                            "gamma0": 1.0},))
+def test_unknown_case_family_is_a_scenario_error():
+    # the Scenario checks its cases when it is built, before any run
     with pytest.raises(ScenarioError, match="warp"):
-        run(scn, out_dir=tmp_path)
+        dataclasses.replace(TINY, cases=({"family": "warp", "sigma0": 3.0,
+                                          "gamma0": 1.0},))
+
+
+def test_a_bad_case_in_a_later_section_stops_every_section(tmp_path, capsys):
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(CONFIG_TEXT + "\n[later]\nfamily = gauss-free\n"
+                   "cases = sigma0=3, gamma0=1; sigma0=3, gamma1=1\nt_list = 0\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: case {") and "unknown key 'gamma1'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family,case,reason", [
@@ -161,8 +172,13 @@ def test_unknown_case_family_is_a_scenario_error(tmp_path):
     ("closed-free", "vartheta=2, v0=nan", "v0 must be finite"),
     ("uniform-field", "sigma0=3, gamma0=nan, force=0.1", "gamma0 must be finite"),
     ("gauss-free", "sigma0=3, gamma0=1, x0=inf", "x0 must be finite"),
+    # a misspelt key once left x0 at its default, and a negative t_max wrote
+    # a phase file with no rows, both with exit code 0
+    ("gauss-free", "sigma0=3, gamma0=1, xo=5", "unknown key 'xo'"),
+    ("closed-free", "vartheta=2, v0=0.25, t_max=-5", "t_max must be >= 0"),
 ], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1",
-        "gauss-sigma0-nan", "closed-v0-nan", "field-gamma0-nan", "gauss-x0-inf"])
+        "gauss-sigma0-nan", "closed-v0-nan", "field-gamma0-nan", "gauss-x0-inf",
+        "misspelt-key", "negative-t-max"])
 def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, reason):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[bad]\nfamily = {family}\ncases = {case}\nt_list = 0\n"
@@ -256,6 +272,19 @@ def test_non_numeric_case_values_are_config_errors(tmp_path, capsys):
         load_config(cfg)
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("config error: [s]")
+
+
+def test_negative_force_packet_stays_gaussian_at_t0(tmp_path):
+    # F = -0.1 once wrote G_rho(0) = 0.481 (imag_residual 0.481) with exit
+    # code 0: its modes were not positive frequency
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text("[neg]\nfamily = uniform-field\n"
+                   "cases = sigma0=3, gamma0=1, force=-0.1, x0=0\nt_list = 0, 4\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\noutputs = metrics\n")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "neg_metrics_sigma3_gamma1_F-0.1.csv", delimiter=",",
+                      skiprows=1)
+    assert rows[0, 0] == 0.0 and rows[0, 3] > 0.99 and rows[0, 5] < 1e-6
 
 
 def test_weak_force_is_a_numeric_error(tmp_path, capsys):

@@ -180,13 +180,15 @@ def test_scalar_and_array_api():
     assert arr[0] == val
 
 
-def test_pcf_order_factory():
-    # the order of the uniform-field modes is -1/2 - i/(2F), real part exact,
-    # on the ray (1+i)/sqrt|F|
+def test_pcf_order_factory_takes_the_order_of_abs_force():
+    # the order of the uniform-field modes is -1/2 - i/(2|F|), real part
+    # exact, on the ray (1+i)/sqrt|F|: a negative force conjugates the modes
+    # of |F| and shares their order
     for force in (0.1, -0.3, 2.0):
         nu, ray = _order_and_ray(_field_cfg(force))
-        assert nu == complex(-0.5, -1.0 / (2.0 * force)) and nu.real == -0.5
+        assert nu == complex(-0.5, -1.0 / (2.0 * abs(force))) and nu.real == -0.5
         assert ray == (1.0 + 1.0j) / np.sqrt(abs(force))
+    assert _order_and_ray(_field_cfg(-0.3)) == _order_and_ray(_field_cfg(0.3))
     assert _order_and_ray(_field_cfg(0.1)) == (NU_P, RAY_P)
 
 
