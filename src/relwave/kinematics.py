@@ -109,17 +109,17 @@ def free_trajectory(t: float, motion: FreeMotion) -> TrajectorySample:
 def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
     """Sample of the uniformly accelerated worldline at coordinate time t.
 
-    x(t) = sign(a) [sqrt(a^-2 + (t+t0)^2) - sqrt(a^-2 + t0^2)] + x0,
-    gamma(t) = sqrt(1 + a^2 (t+t0)^2) with a the force; t may be negative.
+    With a the force, u = a (t + t0) and u0 = a t0 = p0: gamma = sqrt(1 + u^2)
+    and x = x0 + t (u + u0)/(gamma + gamma0), which is x0 + (gamma - gamma0)/a
+    for either sign of a, with no a^-2 to overflow or cancel.  t may be < 0.
     """
     a = motion.force
     t0 = motion.t0
-    u = a * (t + t0)
+    u, u0 = a * (t + t0), a * t0
     gamma = math.sqrt(1.0 + u * u)
-    x = math.copysign(1.0, a) * (math.sqrt(a**-2 + (t + t0) ** 2)
-                                 - math.sqrt(a**-2 + t0**2)) + motion.x0
+    x = motion.x0 + t * (u + u0) / (gamma + math.sqrt(1.0 + u0 * u0))
     v = u / gamma
-    tau = (math.asinh(u) - math.asinh(a * t0)) / a
+    tau = (math.asinh(u) - math.asinh(u0)) / a
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)
 
 

@@ -158,3 +158,31 @@ def test_action_field_closed_form_matches_trapezoid(force, p0):
         ref = np.trapezoid(lagrangian, s)
         scale = abs(np.trapezoid(np.abs(lagrangian), s))
         assert abs(action_field(t, motion) - ref) <= 1e-9 * scale
+
+
+def _field_x_by_hyperbola(t, motion):
+    # the worldline as the difference of two hyperbola radii, the form
+    # field_trajectory used before: it cancels as a^-2 grows
+    a, t0 = motion.force, motion.t0
+    return math.copysign(1.0, a) * (math.sqrt(a**-2 + (t + t0) ** 2)
+                                    - math.sqrt(a**-2 + t0**2)) + motion.x0
+
+
+@pytest.mark.parametrize("force", [0.1, -0.1, 0.3, -0.3])
+def test_field_trajectory_matches_the_hyperbola_radii(force):
+    motion = FieldMotion(force=force, p0=1.5, x0=2.0)
+    for t in (-12.0, -4.0, 0.5, 3.0, 7.0, 40.0):
+        x, ref = field_trajectory(t, motion).x, _field_x_by_hyperbola(t, motion)
+        assert abs(x - ref) <= 1e-13 * max(abs(ref), 1.0)
+
+
+def test_field_trajectory_at_a_vanishing_force_is_uniform_motion():
+    # a^-2 overflowed below |F| ~ 1e-154; the worldline is then a straight
+    # line at the launch velocity
+    p0 = 1.5
+    for force in (1e-200, -1e-200):
+        motion = FieldMotion(force=force, p0=p0, x0=2.0)
+        for t in (-7.0, 0.0, 3.0, 40.0):
+            x = field_trajectory(t, motion).x
+            ref = 2.0 + t * p0 / math.sqrt(1.0 + p0 * p0)
+            assert math.isfinite(x) and abs(x - ref) <= 1e-15 * max(abs(ref), 1.0)
