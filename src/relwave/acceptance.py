@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (_gaussian, charge_density, expectation_x, find_peaks,
+from .analysis import (charge_density, expectation_x, find_peaks,
                        gauss_similarity_psi, gauss_similarity_rho,
                        momentum_spectrum)
 from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
@@ -194,8 +194,8 @@ def crit_7_field_family():
         m = cfg.motion
         sl = rec[ts.index(0.0)]["slice"]
         xs = sl.xs
-        gauss = _gaussian(xs, m.x0, cfg.sigma0) / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) \
-            * np.exp(1j * m.p0 * (xs - m.x0))
+        gauss = np.exp(-0.5 * ((xs - m.x0) / cfg.sigma0) ** 2) \
+            / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) * np.exp(1j * m.p0 * (xs - m.x0))
         fid = float(np.max(np.abs(sl.psi - gauss)))
         basis = field_mode_basis(cfg, 71.0, 40.0)
         recon = basis.modes(0.0, False)

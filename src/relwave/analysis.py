@@ -29,9 +29,11 @@ __all__ = [
 ]
 
 
-# the coarse log-spaced scan of best_sigma and its golden-section tolerance
+# the log-spaced scan of best_sigma, the log-sigma width at which its root
+# is found, and the widths per exp block of a similarity objective
 _COARSE = 64
-_REL_TOL = 1e-6
+_ROOT_TOL = 1e-15
+_BLOCK = 16
 # |psi| at the grid edge, relative to its maximum, that flags a spectrum
 _BOUNDARY_TOL = 1e-8
 # bisection rounds of phase_trace
@@ -114,50 +116,73 @@ def charge_density(wave: WaveSlice) -> DensitySlice:
 
 
 def best_sigma(objective, bracket: tuple[float, float]) -> tuple[float, float]:
-    """Maximize a unimodal objective over sigma in ``bracket``.
+    """Maximize a similarity score over sigma in ``bracket``.
 
-    Log-spaced coarse scan to locate the maximum, then golden-section
-    refinement to |d sigma / sigma| < _REL_TOL.  Raises BracketError when
-    the coarse scan puts the maximum on the bracket edge.
+    ``objective(sigmas)`` returns the score and its d/d sigma at an array of
+    widths.  One call scans _COARSE log-spaced widths; in the half-cell beside
+    their maximum, a safeguarded regula falsi in log sigma then takes the
+    root of d/d sigma, determinate to about 1e-15 of sigma.  Raises
+    BracketError when the scan's maximum is on the bracket edge or d/d sigma
+    keeps its sign across the half-cell.
     """
     lo, hi = bracket
     if not (0 < lo < hi):
         raise BracketError(f"invalid bracket {bracket}")
     grid = np.geomspace(lo, hi, _COARSE)
-    vals = np.array([objective(s) for s in grid])
+    vals, slopes = objective(grid)
     i0 = int(np.argmax(vals))
     if i0 == 0 or i0 == _COARSE - 1:
-        raise BracketError(
-            f"no interior maximum on sigma bracket [{lo:g}, {hi:g}]"
-        )
-    a, b = grid[i0 - 1], grid[i0 + 1]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > _REL_TOL * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = objective(c)
+        raise BracketError(f"no interior maximum on sigma bracket [{lo:g}, {hi:g}]")
+    # ends (log sigma, sigma, score, d score / d log sigma); the Illinois rule
+    # halves the slope of an end kept twice in a row, and a bisection follows
+    # three steps that did not halve the bracket together
+    a, b = [(np.log(grid[i]), grid[i], vals[i], grid[i] * slopes[i])
+            for i in (i0, i0 + 1 if slopes[i0] > 0 else i0 - 1)]
+    if a[3] * b[3] > 0:
+        raise BracketError(f"d/d sigma keeps its sign beside sigma = {grid[i0]:g}")
+    ga, gb, kept, widths = a[3], b[3], None, [abs(b[0] - a[0])]
+    while a[3] != 0 and b[3] != 0 and widths[-1] > _ROOT_TOL:
+        stalled = len(widths) > 3 and widths[-1] > 0.5 * widths[-4]
+        s = 0.5 * (a[0] + b[0]) if stalled else b[0] - gb * (b[0] - a[0]) / (gb - ga)
+        if not min(a[0], b[0]) < s < max(a[0], b[0]):
+            break
+        sigma = np.exp(s)
+        val, slope = objective(np.array([sigma]))
+        c = (s, sigma, val[0], sigma * slope[0])
+        if c[3] * a[3] > 0:
+            a, ga, gb, kept = c, c[3], gb * (0.5 if kept == "b" else 1.0), "b"
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = objective(d)
-    sigma = 0.5 * (a + b)
-    return sigma, float(objective(sigma))
-
-
-def _gaussian(xs: np.ndarray, center: float, sigma: float) -> np.ndarray:
-    """exp(-(x - center)^2 / (2 sigma^2)), the x-space Gaussian of both
-    similarity scores.  Each score applies the unit-norm factor
-    (sigma sqrt(pi))^(-1/2) in its own (differently rounded) form."""
-    return np.exp(-0.5 * ((xs - center) / sigma) ** 2)
+            b, gb, ga, kept = c, c[3], ga * (0.5 if kept == "a" else 1.0), "a"
+        widths.append(abs(b[0] - a[0]))
+    end = min(a, b, key=lambda e: abs(e[3]))
+    return float(end[1]), float(end[2])
 
 
 def _default_bracket(xs: np.ndarray) -> tuple[float, float]:
-    dx = float(np.min(np.diff(xs)))
-    return dx, 0.5 * (xs[-1] - xs[0])
+    return float(np.min(np.diff(xs))), 0.5 * (xs[-1] - xs[0])
+
+
+def _overlap(xs: np.ndarray, x_bar: float, weight: np.ndarray):
+    """sigmas -> (I, dI/d sigma), I = int g weight dx by the trapezoid rule
+    with g = (sigma sqrt(pi))^(-1/2) exp(-(x - x_bar)^2/(2 sigma^2)).  exp is
+    taken for _BLOCK widths at a time, one matrix product per block."""
+    u2, h = (xs - x_bar) ** 2, np.convolve(np.diff(xs), [0.5, 0.5])  # h: trapezoid weights
+    cols = np.stack([h * weight, h * u2 * weight], axis=1)
+    flat, work = cols.view(float), np.empty((_BLOCK, len(xs)))  # complex as (re, im)
+
+    def moments(sigmas):
+        out = np.empty((len(sigmas), flat.shape[1]))
+        for k in range(0, len(sigmas), _BLOCK):
+            e = work[:len(sigmas[k:k + _BLOCK])]
+            # in place, and floored at exp(-300) ~ 5e-131, which moves no
+            # score: exp and the product are much slower where they underflow
+            np.multiply.outer(-0.5 / sigmas[k:k + _BLOCK] ** 2, u2, out=e)
+            out[k:k + _BLOCK] = np.exp(np.maximum(e, -300.0, out=e), out=e) @ flat
+        m, m2 = out.view(cols.dtype).T
+        norm = (sigmas * np.sqrt(np.pi)) ** -0.5
+        return norm * m, norm / sigmas * (m2 / sigmas**2 - 0.5 * m)
+
+    return moments
 
 
 def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float) -> GaussFitResult:
@@ -168,13 +193,12 @@ def gauss_similarity_psi(wave: WaveSlice, x_bar: float, p_bar: float) -> GaussFi
     is scale free.
     """
     xs = wave.xs
-    psi = wave.psi / np.sqrt(wave.norm())
-    plane = np.exp(-1j * p_bar * xs)
-    weighted = psi * plane  # conj(phi_G) psi with the Gaussian factored out
+    # conj(phi_G) psi with the Gaussian factored out
+    overlap = _overlap(xs, x_bar, wave.psi / np.sqrt(wave.norm()) * np.exp(-1j * p_bar * xs))
 
-    def objective(sigma):
-        gauss = (sigma * np.sqrt(np.pi)) ** -0.5 * _gaussian(xs, x_bar, sigma)
-        return abs(np.trapezoid(gauss * weighted, xs)) ** 2
+    def objective(sigmas):
+        i, di = overlap(sigmas)
+        return np.abs(i) ** 2, 2.0 * np.real(np.conj(i) * di)
 
     sigma, score = best_sigma(objective, _default_bracket(xs))
     return GaussFitResult(score=score, sigma_star=sigma, imag_residual=0.0)
@@ -188,21 +212,12 @@ def gauss_similarity_rho(density: DensitySlice, x_bar: float) -> GaussFitResult:
     magnitude at the optimum is reported as ``imag_residual``.
     """
     xs = density.xs
-    rho = density.rho
-    denom = np.sqrt(np.trapezoid(np.abs(rho), xs))
+    denom = np.sqrt(np.trapezoid(np.abs(density.rho), xs))
     if denom == 0.0:
         raise ValueError("density has zero total |rho|")
-    pos = np.sqrt(np.where(rho > 0.0, rho, 0.0))
-    neg = np.sqrt(np.where(rho < 0.0, -rho, 0.0))
-
-    def gauss(sigma):
-        return _gaussian(xs, x_bar, sigma) / np.sqrt(sigma * np.sqrt(np.pi))
-
-    def objective(sigma):
-        return np.trapezoid(gauss(sigma) * pos, xs) / denom
-
-    sigma, score = best_sigma(objective, _default_bracket(xs))
-    imag = float(np.trapezoid(gauss(sigma) * neg, xs)) / denom
+    overlap = _overlap(xs, x_bar, np.sqrt(density.rho + 0j) / denom)
+    sigma, score = best_sigma(lambda s: np.real(overlap(s)), _default_bracket(xs))
+    imag = float(overlap(np.array([sigma]))[0][0].imag)
     return GaussFitResult(score=score, sigma_star=sigma, imag_residual=abs(imag))
 
 

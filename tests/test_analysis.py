@@ -6,6 +6,8 @@ from relwave.analysis import (BracketError, DensitySlice, GaussFitResult,
                               expectation_x, find_peaks, gauss_similarity_psi,
                               gauss_similarity_rho, momentum_spectrum,
                               phase_trace)
+from relwave import scenarios
+from relwave.scenarios import builtin_scenarios
 
 
 def _gaussian_wave(xs, sigma, x0=0.0, p0=0.0):
@@ -47,26 +49,131 @@ def test_charge_density_plane_wave():
 
 
 def test_best_sigma_quadratic():
-    sigma, val = best_sigma(lambda s: -(s - 3.0) ** 2, (0.1, 100.0))
-    assert abs(sigma - 3.0) < 3e-6
-    assert abs(val) < 1e-10
+    sigma, val = best_sigma(lambda s: (-(s - 3.0) ** 2, -2.0 * (s - 3.0)), (0.1, 100.0))
+    assert abs(sigma - 3.0) < 1e-12
+    assert abs(val) < 1e-24
 
 
 def test_best_sigma_gaussian_overlap_peaks_at_equal_widths():
     sigma0 = 2.4
 
     def overlap(s):
-        return np.sqrt(2.0 * s * sigma0 / (s * s + sigma0 * sigma0))
+        r = 2.0 * s * sigma0 / (s * s + sigma0 * sigma0)
+        dr = 2.0 * sigma0 * (sigma0 * sigma0 - s * s) / (s * s + sigma0 * sigma0) ** 2
+        return np.sqrt(r), 0.5 * dr / np.sqrt(r)
 
     sigma, _ = best_sigma(overlap, (0.05, 50.0))
-    assert abs(sigma / sigma0 - 1.0) < 1e-6
+    assert abs(sigma / sigma0 - 1.0) < 1e-12
 
 
 def test_best_sigma_bracket_error():
     with pytest.raises(BracketError):
-        best_sigma(lambda s: s, (0.1, 10.0))  # maximum at the edge
+        best_sigma(lambda s: (s, np.ones_like(s)), (0.1, 10.0))  # maximum at the edge
     with pytest.raises(BracketError):
-        best_sigma(lambda s: -s, (0.1, 10.0))
+        best_sigma(lambda s: (-s, -np.ones_like(s)), (0.1, 10.0))
+    with pytest.raises(BracketError, match="keeps its sign"):
+        # an interior maximum whose d/d sigma never changes sign
+        best_sigma(lambda s: (-(s - 3.0) ** 2, np.ones_like(s)), (0.1, 100.0))
+
+
+def _golden_best_sigma(objective, bracket):
+    # the fit that the root of d/d sigma replaced: the same 64-point log
+    # scan, one width per call, then a golden section on the maximum to
+    # |d sigma / sigma| < 1e-6
+    lo, hi = bracket
+    grid = np.geomspace(lo, hi, 64)
+    i0 = int(np.argmax([objective(s) for s in grid]))
+    assert 0 < i0 < 63
+    a, b = grid[i0 - 1], grid[i0 + 1]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while (b - a) > 1e-6 * b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = objective(d)
+    sigma = 0.5 * (a + b)
+    return sigma, float(objective(sigma))
+
+
+def _golden_fits(sl, dens, x_bar, p_bar):
+    """(sigma*, score) of G_psi and of G_rho by the replaced route: each
+    score by np.trapezoid at one width per call."""
+    xs = sl.xs
+    bracket = (float(np.min(np.diff(xs))), 0.5 * (xs[-1] - xs[0]))
+
+    def gauss(s):
+        return (s * np.sqrt(np.pi)) ** -0.5 * np.exp(-0.5 * ((xs - x_bar) / s) ** 2)
+
+    weighted = sl.psi / np.sqrt(sl.norm()) * np.exp(-1j * p_bar * xs)
+    denom = np.sqrt(np.trapezoid(np.abs(dens.rho), xs))
+    pos = np.sqrt(np.where(dens.rho > 0.0, dens.rho, 0.0))
+    return (_golden_best_sigma(lambda s: abs(np.trapezoid(gauss(s) * weighted, xs)) ** 2,
+                               bracket),
+            _golden_best_sigma(lambda s: np.trapezoid(gauss(s) * pos, xs) / denom, bracket))
+
+
+def _builtin_slices(name, case, times):
+    """(slice, density, x_bar, p_bar) of one case of a builtin scenario at
+    the given times, on the scenario's grid."""
+    scn = builtin_scenarios()[name]
+    pk = scenarios._packet(scn, next(c for c in scn.cases if c.items() >= case.items()))
+    xs = np.linspace(scn.x_min, scn.x_max, scn.x_count)
+    out = []
+    for t in times:
+        sl = pk.slice(t, xs)
+        out.append((sl, charge_density(sl), *pk.classical(t)))
+    return out
+
+
+_ORACLE_SLICES = [
+    ("fig2", {"vartheta": 0.1}, (0.0, 10.0, 20.0)),
+    ("fig2", {"vartheta": 100.0}, (0.0, 10.0, 20.0)),
+    ("fig5", {"sigma0": 0.3, "gamma0": 10.0}, (0.0, 8.0, 16.0)),
+    ("fig8", {"sigma0": 3.0, "gamma0": 1.0}, (36.0, 40.0)),
+]
+
+
+@pytest.mark.parametrize("name,case,times", _ORACLE_SLICES)
+def test_fits_agree_with_the_golden_section_route(name, case, times):
+    # the root of d/d sigma finds the maximum that the scan plus golden
+    # section found, to that search's 1e-6; fig8's (3, 1) G_psi at t = 40
+    # keeps its global maximum near sigma = 0.17, far from the moment width
+    for sl, dens, x_bar, p_bar in _builtin_slices(name, case, times):
+        (sig_psi, g_psi), (sig_rho, g_rho) = _golden_fits(sl, dens, x_bar, p_bar)
+        fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
+        fit_rho = gauss_similarity_rho(dens, x_bar)
+        assert abs(fit_psi.sigma_star / sig_psi - 1.0) < 1e-6
+        assert abs(fit_rho.sigma_star / sig_rho - 1.0) < 1e-6
+        assert abs(fit_psi.score - g_psi) < 1e-12
+        assert abs(fit_rho.score - g_rho) < 1e-12
+
+
+def test_fitted_widths_are_determinate():
+    # each value moved by up to 1e-16 of itself, below the rounding of any
+    # route that builds it: the scores then agree to about 17 digits, yet
+    # the golden section's width moved by up to 5e-7 of itself.  (A move of
+    # 1e-16 of the density's maximum is another matter: sqrt(rho) near the
+    # zeros of rho turns it into a 3e-9 move of G_rho itself.)
+    rng = np.random.default_rng(7)
+    ((sl, dens, x_bar, p_bar),) = _builtin_slices(
+        "fig8", {"sigma0": 0.3, "gamma0": 1.0}, (36.0,))
+    rho = dens.rho * (1.0 + 1e-16 * rng.uniform(-1.0, 1.0, len(sl.xs)))
+    psi = sl.psi * (1.0 + 1e-16 * rng.uniform(-1.0, 1.0, len(sl.xs)))
+    pairs = [
+        (gauss_similarity_rho(dens, x_bar),
+         gauss_similarity_rho(DensitySlice(t=dens.t, xs=dens.xs, rho=rho), x_bar)),
+        (gauss_similarity_psi(sl, x_bar, p_bar),
+         gauss_similarity_psi(WaveSlice(t=sl.t, xs=sl.xs, psi=psi, dpsi_dt=sl.dpsi_dt),
+                              x_bar, p_bar)),
+    ]
+    for fit, moved in pairs:
+        assert abs(moved.sigma_star / fit.sigma_star - 1.0) <= 1e-12
 
 
 def test_gauss_similarity_psi_self_overlap():
