@@ -7,7 +7,6 @@ from relwave.analysis import (BracketError, DensitySlice, GaussFitResult,
                               gauss_similarity_rho, momentum_spectrum,
                               phase_trace)
 from relwave import scenarios
-from relwave.scenarios import builtin_scenarios
 
 
 def _gaussian_wave(xs, sigma, x0=0.0, p0=0.0):
@@ -121,7 +120,7 @@ def _golden_fits(sl, dens, x_bar, p_bar):
 def _builtin_slices(name, case, times):
     """(slice, density, x_bar, p_bar) of one case of a builtin scenario at
     the given times, on the scenario's grid."""
-    scn = builtin_scenarios()[name]
+    scn = scenarios.builtin_scenarios()[name]
     pk = scenarios._packet(scn, next(c for c in scn.cases if c.items() >= case.items()))
     xs = np.linspace(scn.x_min, scn.x_max, scn.x_count)
     out = []
