@@ -111,15 +111,21 @@ def field_trajectory(t: float, motion: FieldMotion) -> TrajectorySample:
 
     With a the force, u = a (t + t0) and u0 = a t0 = p0: gamma = sqrt(1 + u^2)
     and x = x0 + t (u + u0)/(gamma + gamma0), which is x0 + (gamma - gamma0)/a
-    for either sign of a, with no a^-2 to overflow or cancel.  t may be < 0.
+    for either sign of a, with no a^-2 to overflow or cancel.  The proper
+    time is (asinh u - asinh u0)/a; when u and u0 share a sign it is written
+    asinh(a t (u + u0)/(u gamma0 + u0 gamma))/a, by u - u0 = a t, so that it
+    does not cancel as a -> 0.  t may be < 0.
     """
     a = motion.force
     t0 = motion.t0
     u, u0 = a * (t + t0), a * t0
-    gamma = math.sqrt(1.0 + u * u)
-    x = motion.x0 + t * (u + u0) / (gamma + math.sqrt(1.0 + u0 * u0))
+    gamma, gamma0 = math.sqrt(1.0 + u * u), math.sqrt(1.0 + u0 * u0)
+    x = motion.x0 + t * (u + u0) / (gamma + gamma0)
     v = u / gamma
-    tau = (math.asinh(u) - math.asinh(u0)) / a
+    if u * u0 > 0.0:
+        tau = math.asinh(a * t * (u + u0) / (u * gamma0 + u0 * gamma)) / a
+    else:
+        tau = (math.asinh(u) - math.asinh(u0)) / a
     return TrajectorySample(t=t, x=x, v=v, gamma=gamma, tau=tau)
 
 

@@ -186,3 +186,25 @@ def test_field_trajectory_at_a_vanishing_force_is_uniform_motion():
             x = field_trajectory(t, motion).x
             ref = 2.0 + t * p0 / math.sqrt(1.0 + p0 * p0)
             assert math.isfinite(x) and abs(x - ref) <= 1e-15 * max(abs(ref), 1.0)
+
+
+def test_field_proper_time_at_a_vanishing_force_is_t_over_gamma0():
+    # (asinh u - asinh u0)/a cancelled to 0 here, where t/gamma0 = 1.664
+    p0 = 1.5
+    gamma0 = math.sqrt(1.0 + p0 * p0)
+    for force in (1e-200, -1e-200):
+        motion = FieldMotion(force=force, p0=p0, x0=2.0)
+        for t in (-7.0, 3.0, 40.0):
+            tau = field_trajectory(t, motion).tau
+            assert abs(tau - t / gamma0) <= 1e-15 * abs(t / gamma0)
+
+
+@pytest.mark.parametrize("force", [0.1, -0.1, 0.3, -0.3])
+def test_field_proper_time_matches_the_asinh_difference(force):
+    for p0 in (-1.5, 0.0, 0.7):
+        motion = FieldMotion(force=force, p0=p0, x0=2.0)
+        for t in (-12.0, -4.0, 0.5, 3.0, 7.0, 40.0):
+            u, u0 = force * (t + motion.t0), force * motion.t0
+            ref = (math.asinh(u) - math.asinh(u0)) / force
+            tau = field_trajectory(t, motion).tau
+            assert abs(tau - ref) <= 1e-13 * max(abs(ref), 1.0)
