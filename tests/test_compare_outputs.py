@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -35,3 +36,16 @@ def test_diff_fails_when_the_file_sets_or_shapes_differ(tmp_path, capsys):
     _write(b / "two.csv", "t\n0\n1\n")
     assert compare_outputs.diff(a, b) == 1
     assert "two.csv: columns or rows differ" in capsys.readouterr().out
+
+
+def test_run_prints_each_scenarios_file_count_and_wall_time(tmp_path, capsys, monkeypatch):
+    from relwave import scenarios
+
+    tiny = scenarios.Scenario(name="tiny", family="gauss-free",
+                              cases=({"sigma0": 3.0, "gamma0": 1.0},), t_list=(0.0,),
+                              x_min=-12.0, x_max=12.0, x_count=128, outputs=("density",))
+    monkeypatch.setattr(scenarios, "builtin_scenarios", lambda: {"tiny": tiny})
+    monkeypatch.setattr(scenarios, "load_config", lambda path: [])
+    compare_outputs.run(tmp_path)
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"tiny: 1 file\(s\), \d+\.\d{3} s\n", out), out

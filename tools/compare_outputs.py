@@ -5,7 +5,8 @@
 
 ``run`` writes the CSV files and manifests of the nine builtin scenarios and
 of ``tests/mixed_families.ini`` into DIR, with the relwave of this checkout's
-``src/``.  ``diff`` prints one line per CSV file of A and B: ``identical``,
+``src/``, and prints each scenario's file count and its manifest's
+``wall_time_s``.  ``diff`` prints one line per CSV file of A and B: ``identical``,
 or its largest |B - A| over the column's scale, the column's max |A|
 (max(max |A|, 1) for G_psi, G_rho and imag_residual, whose values are
 fractions of one).  A summary line ends the output.  The exit code is 1 when
@@ -32,7 +33,8 @@ def run(out_dir: Path) -> None:
     todo += scenarios.load_config(ROOT / "tests" / "mixed_families.ini")
     for scn in todo:
         manifest = scenarios.run(scn, out_dir)
-        print(f"{scn.name}: {len(manifest.outputs)} file(s)")
+        print(f"{scn.name}: {len(manifest.outputs)} file(s), "
+              f"{manifest.wall_time_s:.3f} s")
 
 
 def _read(path: Path):
