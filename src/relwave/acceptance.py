@@ -1,8 +1,8 @@
 """Acceptance checks: quantitative reproduction targets, one record each.
 
 Each criterion is a function returning (passed, detail).  ``run_all`` executes
-them in order, printing one PASS/FAIL line per criterion.  Heavy intermediate
-results (metric sweeps, dense slices) are cached and shared across criteria.
+them in order, printing one PASS/FAIL line per criterion.  Each criterion
+runs its own sweeps: no two ask for the same (family, case, times, grids).
 
 Criterion 10a keeps its literal parameters and is a *known failure*:
 along the worldline the offset phi - S/hbar equals -arctan(t/vartheta)/2 up
@@ -27,7 +27,6 @@ from .packets import packet_for
 from .specfun import bessel_k1, pcf_d, pcf_d_dz
 
 V0_QUARTER = 0.25
-_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,23 @@ def _sweep(family, case, ts, grids):
     time of ``ts``, the fits about the classical worldline; ``grids`` holds
     the (lo, hi, n) x-grid of each time.  The packet is built once, for the
     widest grid and the largest |t|."""
-    key = (family, tuple(case.items()), tuple(ts), tuple(grids))
-    if key not in _cache:
-        extent = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids) + 1.0
-        pk = packet_for(case, family, extent, float(np.max(np.abs(ts))))
-        rec = []
-        for t, (lo, hi, n) in zip(ts, grids):
-            sl = pk.slice(t, np.linspace(lo, hi, n))
-            dens = charge_density(sl)
-            x_bar, p_bar = pk.classical(t)
-            rec.append({
-                "t": t,
-                "slice": sl,
-                "density": dens,
-                "charge": dens.total_charge(),
-                "fit_rho": gauss_similarity_rho(dens, x_bar),
-                "fit_psi": gauss_similarity_psi(sl, x_bar, p_bar),
-                "min_rho": float(np.min(dens.rho / dens.total_charge())),
-            })
-        _cache[key] = rec
-    return _cache[key]
+    extent = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids) + 1.0
+    pk = packet_for(case, family, extent, float(np.max(np.abs(ts))))
+    rec = []
+    for t, (lo, hi, n) in zip(ts, grids):
+        sl = pk.slice(t, np.linspace(lo, hi, n))
+        dens = charge_density(sl)
+        x_bar, p_bar = pk.classical(t)
+        rec.append({
+            "t": t,
+            "slice": sl,
+            "density": dens,
+            "charge": dens.total_charge(),
+            "fit_rho": gauss_similarity_rho(dens, x_bar),
+            "fit_psi": gauss_similarity_psi(sl, x_bar, p_bar),
+            "min_rho": float(np.min(dens.rho / dens.total_charge())),
+        })
+    return rec
 
 
 def _closed_sweep(vartheta, ts, lo, hi, n):

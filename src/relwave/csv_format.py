@@ -11,9 +11,10 @@ characters come from a table of 0000 .. 9999; the layouts of ``%g``
 ``-0``, 2 or 3 exponent digits) from word tables and byte masks.  A value
 the product cannot certify takes the per-value format, the shape of
 Grisu3 (Loitsch 2010): a non-finite one, |v| outside ``_FAST_RANGE`` (0
-excepted), and one whose product lies within ``_TIE_MARGIN`` of a rounding
-tie, where ``%.17g`` rounds half to even.  So every byte is that of
-``"%.17g" % v``.
+excepted), one next to a power of ten whose floor(log10 |v|) is off by one
+(its a 10^s falls outside [10^16, 10^17)), and one whose product lies
+within ``_TIE_MARGIN`` of a rounding tie, where ``%.17g`` rounds half to
+even.  So every byte is that of ``"%.17g" % v``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = ["format_g17"]
 
 _FAST_RANGE = (1e-250, 1e250)
 _TIE_MARGIN = 1e-10  # in units of the 17th digit; the product's error is < 4e-15
-_POW_MIN, _POW_MAX = -235, 268  # s = 16 - floor(log10 |v|), +-1, over _FAST_RANGE
+_POW_MIN, _POW_MAX = -235, 268  # s = 16 - floor(log10 |v|) over _FAST_RANGE, log10 +-1
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter of a double into 26-bit halves
 
 
@@ -109,14 +110,8 @@ def format_g17(v: np.ndarray) -> np.ndarray:
     fast |= zero
     s = 16 - np.floor(np.log10(a)).astype(np.int64)
     n, frac = _scaled(a, s, pow_hi, pow_lo)
-    # where log10 was off by one; a second miss (a 10^s within 1e-14 of
-    # 10^16 or 10^17) is left to the per-value format
-    off = np.flatnonzero((n < 10**16) | (n >= 10**17))
-    if len(off):
-        s[off] += np.where(n[off] < 10**16, 1, -1)
-        n[off], frac[off] = _scaled(a[off], s[off], pow_hi, pow_lo)
-        fast[off] &= (n[off] >= 10**16) & (n[off] < 10**17)
-    fast &= np.abs(frac - 0.5) > _TIE_MARGIN
+    # n outside [10^16, 10^17): log10 was off by one, near a power of ten
+    fast &= (n >= 10**16) & (n < 10**17) & (np.abs(frac - 0.5) > _TIE_MARGIN)
     n += frac > 0.5
     carry = n == 10**17
     n[carry] = 10**16

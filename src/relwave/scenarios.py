@@ -2,9 +2,13 @@
 
 Each case's packet is built once (``packets.packet_for``), for the
 scenario's x-range and the largest |t| of its outputs, and every output of
-the case reads it without knowing its family.  Each builtin scenario
-reproduces the data behind one figure of the study at desk scale.  Output
-files use fixed schemas:
+the case reads it without knowing its family.  A case's outputs come from
+one pass over ``t_list``: each time's slice, charge density and Gaussian
+fits are computed once and serve all its outputs (the widths are columns of
+the metrics).  Each builtin scenario reproduces the data behind one figure
+of the study at desk scale.  Output files use fixed schemas, one file per
+(case, output); two outputs that would share a file name are a
+``ScenarioError``:
 
     density  -> t,x,rho,re_psi,im_psi
     metrics  -> t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual
@@ -20,7 +24,8 @@ values (metrics, widths, phase) is formatted value by value.  A larger one
 the 17 digits from a double-double product with a tabulated 10^s (error
 below 4e-15 of the last digit) and falls back to the per-value format for
 every value it cannot certify: a non-finite one, |v| outside
-[1e-250, 1e250] (0 excepted), and one within 1e-10 of a rounding tie.
+[1e-250, 1e250] (0 excepted), one next to a power of ten whose log10 is
+off by one, and one within 1e-10 of a rounding tie.
 Both routes write the same bytes.
 """
 
@@ -111,8 +116,12 @@ class Scenario:
                 raise ScenarioError(f"unknown output kind {out!r}")
         if not self.cases:
             raise ScenarioError("scenario needs at least one case")
-        for case in self.cases:
-            _packet(self, case)
+        labels = [_packet(self, case).label for case in self.cases]
+        names = [_file_name(self, kind, label) for label in labels for kind in self.outputs]
+        for fname in names:
+            if names.count(fname) > 1:
+                raise ScenarioError(f"two outputs would write {fname}: two cases with "
+                                    "one label, or an output kind listed twice")
 
 
 @dataclass
@@ -177,8 +186,12 @@ def _write_csv(path: Path, header: str, blocks) -> str:
 
 
 # ---------------------------------------------------------------------------
-# output generators
+# per-case outputs
 # ---------------------------------------------------------------------------
+
+def _file_name(scn: Scenario, kind: str, label: str) -> str:
+    return f"{scn.name}_{kind}_{label}.csv"
+
 
 def _packet(scn: Scenario, case: dict) -> Packet:
     """The case's packet, for the scenario's x-range and the largest |t| of
@@ -198,71 +211,46 @@ def _packet(scn: Scenario, case: dict) -> Packet:
     return pk
 
 
-def _gen_density(scn: Scenario, pk: Packet, xs: np.ndarray):
-    blocks = []
-    for t in scn.t_list:
-        sl = pk.slice(t, xs)
-        dens = charge_density(sl)
-        rho = dens.rho
-        if scn.normalization == "unit-charge":
-            rho = rho / dens.total_charge()
-        elif scn.normalization == "peak-normalized":
-            rho = rho / np.max(np.abs(rho))
-        blocks.append((t, xs, rho, sl.psi.real, sl.psi.imag))
-    return "t,x,rho,re_psi,im_psi", blocks
-
-
-def _gen_metrics(scn: Scenario, pk: Packet, xs: np.ndarray):
-    rows = []
-    for t in scn.t_list:
-        sl = pk.slice(t, xs)
-        dens = charge_density(sl)
-        x_bar, p_bar = pk.classical(t)
-        fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
-        fit_rho = gauss_similarity_rho(dens, x_bar)
-        rows.append((t, fit_psi.score, fit_psi.sigma_star,
-                     fit_rho.score, fit_rho.sigma_star, fit_rho.imag_residual))
-    return "t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", [tuple(zip(*rows))]
-
-
-def _gen_spectrum(scn: Scenario, pk: Packet, xs: np.ndarray):
-    ps = np.linspace(scn.p_min, scn.p_max, scn.p_count)
-    peak = pk.spectrum_peak(ps) if scn.normalization == "peak-normalized" else 1.0
-    return "t,p,rho_tilde", [(t, ps, pk.spectrum(ps, t) / peak) for t in scn.t_list]
-
-
-def _gen_phase(scn: Scenario, pk: Packet, xs: np.ndarray):
-    t_end = min(pk.t_max, scn.phase_t_max)
-    ts = np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt)
-    trace = pk.trace_phase(ts)
-    return "t,phi,s_cl_over_hbar,offset", [(trace.ts, trace.phi, trace.s_cl_over_hbar,
-                                            trace.offset)]
-
-
-_GENERATORS = {
-    "density": _gen_density,
-    "metrics": _gen_metrics,
-    "spectrum": _gen_spectrum,
-    "phase": _gen_phase,
-}
-
-
 def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
-    """(kind, header, column blocks) for each output of one case.  The
-    widths columns are columns of the metrics, so each slice is built and
-    each fit run once."""
-    done: dict = {}
-
-    def gen(kind):
-        if kind not in done:
-            if kind == "widths":
-                _, blocks = gen("metrics")
-                done[kind] = ("t,sigma_rho,sigma_psi", [(b[0], b[4], b[2]) for b in blocks])
-            else:
-                done[kind] = _GENERATORS[kind](scn, pk, xs)
-        return done[kind]
-
-    return [(kind, *gen(kind)) for kind in scn.outputs]
+    """(kind, header, column blocks) for each output of one case, in one pass
+    over ``t_list``: each time's slice and charge density are made once and
+    serve its density rows and both fits; the widths are columns of the
+    metrics rows.  The spectrum follows, reading the slices' node modes
+    where the packet keeps them, and then the phase trace."""
+    kinds = set(scn.outputs)
+    density, metrics = [], []
+    for t in scn.t_list if kinds & {"density", "metrics", "widths"} else ():
+        sl = pk.slice(t, xs)
+        dens = charge_density(sl)
+        if "density" in kinds:
+            rho = dens.rho
+            if scn.normalization == "unit-charge":
+                rho = rho / dens.total_charge()
+            elif scn.normalization == "peak-normalized":
+                rho = rho / np.max(np.abs(rho))
+            density.append((t, xs, rho, sl.psi.real, sl.psi.imag))
+        if kinds & {"metrics", "widths"}:
+            x_bar, p_bar = pk.classical(t)
+            fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
+            fit_rho = gauss_similarity_rho(dens, x_bar)
+            metrics.append((t, fit_psi.score, fit_psi.sigma_star,
+                            fit_rho.score, fit_rho.sigma_star, fit_rho.imag_residual))
+    cols = tuple(zip(*metrics))
+    out = {"density": ("t,x,rho,re_psi,im_psi", density),
+           "metrics": ("t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", [cols])}
+    if metrics:
+        out["widths"] = ("t,sigma_rho,sigma_psi", [(cols[0], cols[4], cols[2])])
+    if "spectrum" in kinds:
+        ps = np.linspace(scn.p_min, scn.p_max, scn.p_count)
+        peak = pk.spectrum_peak(ps) if scn.normalization == "peak-normalized" else 1.0
+        out["spectrum"] = ("t,p,rho_tilde",
+                           [(t, ps, pk.spectrum(ps, t) / peak) for t in scn.t_list])
+    if "phase" in kinds:
+        t_end = min(pk.t_max, scn.phase_t_max)
+        tr = pk.trace_phase(np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt))
+        out["phase"] = ("t,phi,s_cl_over_hbar,offset",
+                        [(tr.ts, tr.phi, tr.s_cl_over_hbar, tr.offset)])
+    return [(kind, *out[kind]) for kind in scn.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +285,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
 
     for label, outputs in results:
         for kind, header, blocks in outputs:
-            fname = f"{scenario.name}_{kind}_{label}.csv"
+            fname = _file_name(scenario, kind, label)
             manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 
     manifest.wall_time_s = time.time() - started
@@ -439,7 +427,10 @@ def load_config(path: str | Path) -> list[Scenario]:
     Scenario.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated section, no section header, ...
+        raise ScenarioError(str(exc)) from exc
     if not read:
         raise ScenarioError(f"config file {path!r} not found or empty")
     scenarios = []

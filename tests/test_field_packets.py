@@ -362,7 +362,7 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     basis = field_mode_basis(_cfg(3.0, 1.0), 31.0, 2.0)
     calls = []
     _count_pcf(monkeypatch, calls)
-    scenarios._gen_phase(scn, pk, np.linspace(-30.0, 30.0, 101))
+    scenarios._case_outputs(scn, pk, np.linspace(-30.0, 30.0, 101))
     assert len(times) >= 9
     assert {nu for nu, _ in calls} == {_order_and_ray(_cfg(3.0, 1.0))[0]}
     points = sum(n for _, n in calls)

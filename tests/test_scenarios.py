@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relwave import free_packets, packets, scenarios
+from relwave import field_packets, free_packets, packets, scenarios
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
                                list_scenarios, load_config, resolve_scenario,
@@ -112,6 +112,70 @@ def test_widths_reuse_the_metrics_slices(tmp_path, monkeypatch):
                         (tmp_path / f"w_{kind}_sigma3_gamma1.csv").read_text().splitlines()[1:]]
                        for kind in ("metrics", "widths"))
     assert widths == [[m[0], m[4], m[2]] for m in metrics]
+
+
+def test_one_slice_per_case_and_time_serves_every_output(tmp_path, monkeypatch):
+    # density, metrics, widths and spectrum of two field cases at three
+    # times: one slice per (case, t), and no more D_nu points than the
+    # density alone takes (the spectrum reads the slices' node modes)
+    scn = Scenario(name="one", family="uniform-field",
+                   cases=({"sigma0": 3.0, "gamma0": 1.0, "force": 0.1},
+                          {"sigma0": 2.0, "gamma0": 1.5, "force": 0.1}),
+                   t_list=(-2.0, 0.0, 2.0), x_min=-20.0, x_max=40.0, x_count=301,
+                   outputs=("density", "metrics", "widths", "spectrum"),
+                   normalization="peak-normalized", p_min=-5.0, p_max=5.0, p_count=101)
+    slices, points = [], []
+    slice_at, pcf = packets.Packet.slice, field_packets.pcf_d
+    monkeypatch.setattr(packets.Packet, "slice",
+                        lambda pk, t, xs: slices.append((pk.label, t)) or slice_at(pk, t, xs))
+    monkeypatch.setattr(field_packets, "pcf_d",
+                        lambda nu, z: points.append(np.size(z)) or pcf(nu, z))
+    field_packets.field_mode_basis.cache_clear()
+    run(dataclasses.replace(scn, outputs=("density",)), out_dir=tmp_path / "density")
+    density_points = sum(points)
+    slices.clear()
+    points.clear()
+    field_packets.field_mode_basis.cache_clear()
+    assert len(run(scn, out_dir=tmp_path / "all").outputs) == 8
+    assert sorted(slices) == sorted({(label, t) for label in ("sigma3_gamma1_F0.1",
+                                                             "sigma2_gamma1.5_F0.1")
+                                     for t in scn.t_list})
+    assert sum(points) == density_points
+
+
+def test_outputs_that_would_share_a_file_are_config_errors(tmp_path, capsys):
+    # labels leave out v0, so these two cases once wrote one metrics file,
+    # the second case's rows only, with exit code 0
+    base = dict(name="dup", family="closed-free", t_list=(0.0,), x_min=-18.0,
+                x_max=18.0, x_count=301, outputs=("metrics",))
+    with pytest.raises(ScenarioError, match="dup_metrics_ctheta2.csv"):
+        Scenario(**base, cases=({"vartheta": 2.0, "v0": 0.25}, {"vartheta": 2.0, "v0": 0.5}))
+    with pytest.raises(ScenarioError, match="dup_metrics_ctheta2.csv"):
+        Scenario(**{**base, "outputs": ("metrics", "widths", "metrics")},
+                 cases=({"vartheta": 2.0, "v0": 0.25},))
+    out = tmp_path / "o"
+    cfg = Path(__file__).with_name("duplicate_labels.ini")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: two outputs would write dup_metrics_ctheta2.csv")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text,reason", [
+    (Path(__file__).with_name("duplicate_section.ini").read_text(),
+     "section 'twice' already exists"),
+    ("family = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n",
+     "no section headers"),
+], ids=["duplicate-section", "no-section-header"])
+def test_malformed_config_files_exit_as_config_errors(tmp_path, capsys, text, reason):
+    # both once ended as "internal error" with exit code 3
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_run_threads_match_serial_across_cases(tmp_path):
