@@ -428,9 +428,9 @@ def load_config(path: str | Path) -> list[Scenario]:
     """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:  # a repeated section, no section header, ...
-        raise ScenarioError(str(exc)) from exc
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:  # a repeated section, ...
+        raise ScenarioError(f"config file {path!r}: {exc}") from exc
     if not read:
         raise ScenarioError(f"config file {path!r} not found or empty")
     scenarios = []

@@ -161,16 +161,18 @@ def test_outputs_that_would_share_a_file_are_config_errors(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("text,reason", [
-    (Path(__file__).with_name("duplicate_section.ini").read_text(),
+@pytest.mark.parametrize("data,reason", [
+    (Path(__file__).with_name("duplicate_section.ini").read_bytes(),
      "section 'twice' already exists"),
-    ("family = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n",
+    (b"family = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n",
      "no section headers"),
-], ids=["duplicate-section", "no-section-header"])
-def test_malformed_config_files_exit_as_config_errors(tmp_path, capsys, text, reason):
-    # both once ended as "internal error" with exit code 3
+    (b"[s]\nfamily = gauss-free\ncases = sigma0=3, gamma0=1\nt_list = 0\n# \xff\n",
+     "can't decode byte 0xff"),
+], ids=["duplicate-section", "no-section-header", "not-utf-8"])
+def test_malformed_config_files_exit_as_config_errors(tmp_path, capsys, data, reason):
+    # each once ended as "internal error" with exit code 3
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    cfg.write_bytes(data)
     out = tmp_path / "o"
     assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
