@@ -3,6 +3,8 @@
 Each criterion is a function returning (passed, detail).  ``run_all`` executes
 them in order, printing one PASS/FAIL line per criterion.  Each criterion
 runs its own sweeps: no two ask for the same (family, case, times, grids).
+A sweep is a list of ``Packet.observe`` records, as in the scenario runner,
+and makes only the fits its criterion reads.
 
 Criterion 10a keeps its literal parameters and is a *known failure*:
 along the worldline the offset phi - S/hbar equals -arctan(t/vartheta)/2 up
@@ -17,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (charge_density, expectation_x, find_peaks,
-                       gauss_similarity_psi, gauss_similarity_rho,
-                       momentum_spectrum)
+from .analysis import expectation_x, find_peaks, momentum_spectrum
 from .field_packets import FieldPacketConfig, field_mode_basis, mode_pair
 from .free_packets import ClosedPacketConfig, closed_spectral, gauss_spectrum
 from .kinematics import FieldMotion, FreeMotion
@@ -51,27 +51,12 @@ def _field_cfg(sigma0, gamma0) -> FieldPacketConfig:
 
 
 def _sweep(family, case, ts, grids):
-    """Slice, charge density and both similarity fits of one packet at each
-    time of ``ts``, the fits about the classical worldline; ``grids`` holds
+    """The observations of one packet at each time of ``ts``; ``grids`` holds
     the (lo, hi, n) x-grid of each time.  The packet is built once, for the
     widest grid and the largest |t|."""
     extent = max(max(abs(lo), abs(hi)) for lo, hi, _ in grids) + 1.0
     pk = packet_for(case, family, extent, float(np.max(np.abs(ts))))
-    rec = []
-    for t, (lo, hi, n) in zip(ts, grids):
-        sl = pk.slice(t, np.linspace(lo, hi, n))
-        dens = charge_density(sl)
-        x_bar, p_bar = pk.classical(t)
-        rec.append({
-            "t": t,
-            "slice": sl,
-            "density": dens,
-            "charge": dens.total_charge(),
-            "fit_rho": gauss_similarity_rho(dens, x_bar),
-            "fit_psi": gauss_similarity_psi(sl, x_bar, p_bar),
-            "min_rho": float(np.min(dens.rho / dens.total_charge())),
-        })
-    return rec
+    return [pk.observe(t, np.linspace(lo, hi, n)) for t, (lo, hi, n) in zip(ts, grids)]
 
 
 def _closed_sweep(vartheta, ts, lo, hi, n):
@@ -118,8 +103,7 @@ def crit_2_initial_widths():
     details = []
     ok = True
     for vt, (target, tol) in targets.items():
-        lo, hi, n = grids[vt]
-        fit = _closed_sweep(vt, (0.0,), lo, hi, n)[0]["fit_rho"]
+        fit = _closed_sweep(vt, (0.0,), *grids[vt])[0].fit_rho
         rel = abs(2.0 * fit.sigma_star - target) / target
         ok &= rel < tol
         details.append(f"ctheta={vt:g}: 2sig={2*fit.sigma_star:.4f} "
@@ -140,8 +124,8 @@ def crit_4_peak_splitting():
     ok = True
     details = []
     for r in _closed_sweep(0.1, (10.0, 20.0), -30.0, 30.0, 6001):
-        t, dens_n = r["t"], r["density"]
-        peaks = find_peaks(dens_n, min_prominence=0.05)
+        t = r.slice.t
+        peaks = find_peaks(r.density, min_prominence=0.05)
         offs = [abs(abs(x) - t) for x, _ in peaks]
         ok &= len(peaks) == 2 and all(o <= 2.0 for o in offs)
         details.append(f"t={t:g}: {len(peaks)} peaks at "
@@ -151,13 +135,13 @@ def crit_4_peak_splitting():
 
 def crit_5_negative_density():
     """Sub-Compton Gaussian has negative rho; wide Gaussian does not."""
-    narrow = _gauss_sweep(0.3, 1.0, (0.0,))[0]
-    wide = _gauss_sweep(3.0, 1.0, (0.0,))[0]
-    ok = (narrow["min_rho"] < 0.0 and wide["min_rho"] >= -1e-6
-          and wide["fit_rho"].score > 0.99)
-    return ok, (f"min rho (0.3,1) = {narrow['min_rho']:.3e} < 0; "
-                f"min rho (3,1) = {wide['min_rho']:.3e} >= -1e-6; "
-                f"G_rho(0) (3,1) = {wide['fit_rho'].score:.5f} > 0.99")
+    narrow, wide = (_gauss_sweep(sigma0, 1.0, (0.0,))[0] for sigma0 in (0.3, 3.0))
+    min_narrow, min_wide = (float(np.min(r.density.rho / r.density.total_charge()))
+                            for r in (narrow, wide))
+    ok = min_narrow < 0.0 and min_wide >= -1e-6 and wide.fit_rho.score > 0.99
+    return ok, (f"min rho (0.3,1) = {min_narrow:.3e} < 0; "
+                f"min rho (3,1) = {min_wide:.3e} >= -1e-6; "
+                f"G_rho(0) (3,1) = {wide.fit_rho.score:.5f} > 0.99")
 
 
 def crit_6_suppression():
@@ -165,12 +149,11 @@ def crit_6_suppression():
     out = []
     ok = True
     for gamma0, bound, comparator in ((10.0, np.exp(-9.0), "<"), (1.0, np.exp(-1.0), ">")):
-        xs = np.linspace(-15.0, 15.0, 8001)
         pk = packet_for({"sigma0": 0.3, "gamma0": gamma0}, "gauss-free", 16.0, 0.0)
-        sl = pk.slice(0.0, xs)
-        spec = momentum_spectrum(sl)
+        obs = pk.observe(0.0, np.linspace(-15.0, 15.0, 8001))
+        spec = momentum_spectrum(obs.slice)
         at = lambda p: float(np.interp(p, spec.p, spec.rho_tilde))
-        ratio = at(-1.0) / at(pk.classical(0.0)[1])
+        ratio = at(-1.0) / at(obs.p_bar)
         good = ratio < bound if comparator == "<" else ratio > bound
         ok &= good
         out.append(f"gamma0={gamma0:g}: ratio={ratio:.3e} {comparator} {bound:.3e}")
@@ -184,11 +167,11 @@ def crit_7_field_family():
     ok = True
     for sigma0, gamma0 in ((3.0, 1.0), (0.3, 1.0), (0.3, 10.0)):
         rec = _field_sweep(sigma0, gamma0, ts)
-        charges = np.array([r["charge"] for r in rec])
+        charges = np.array([r.density.total_charge() for r in rec])
         drift = float(np.max(np.abs(charges / charges[0] - 1.0)))
         cfg = _field_cfg(sigma0, gamma0)
         m = cfg.motion
-        sl = rec[ts.index(0.0)]["slice"]
+        sl = rec[ts.index(0.0)].slice
         xs = sl.xs
         gauss = np.exp(-0.5 * ((xs - m.x0) / cfg.sigma0) ** 2) \
             / np.sqrt(cfg.sigma0 * np.sqrt(np.pi)) * np.exp(1j * m.p0 * (xs - m.x0))
@@ -214,7 +197,7 @@ def crit_8_frozen_spreading():
     """
     ts = tuple(np.arange(0.0, 40.5, 4.0))
     rec = _field_sweep(3.0, 1.0, ts)
-    sig = np.array([r["fit_rho"].sigma_star for r in rec])
+    sig = np.array([r.fit_rho.sigma_star for r in rec])
     tarr = np.array(ts)
     mask = tarr >= 8.0
     u = tarr[mask] / np.sqrt(1.0 + (0.1 * tarr[mask]) ** 2)
@@ -239,7 +222,7 @@ def crit_9_imag_residual():
     """
     ts = tuple(np.arange(0.0, 40.5, 4.0))
     rec = _field_sweep(0.3, 1.0, ts)
-    res = {r["t"]: r["fit_rho"].imag_residual for r in rec}
+    res = {r.slice.t: r.fit_rho.imag_residual for r in rec}
     worst = max(v for t, v in res.items() if t >= 4.0)
     ok = worst <= 5e-4
     return ok, (f"worst imag residual on t in [4,40]: {worst:.2e} (tol 5e-4); "
@@ -391,31 +374,31 @@ def crit_12_ordering():
     # (a) G_psi <= G_rho + 0.02 across families
     for vt in (100.0, 10.0, 1.0, 0.1):
         for r in _closed_sweep(vt, (5.0, 10.0, 20.0), -35.0, 40.0, 3001):
-            t, g_psi, g_rho = r["t"], r["fit_psi"].score, r["fit_rho"].score
+            t, g_psi, g_rho = r.slice.t, r.fit_psi.score, r.fit_rho.score
             if g_psi > g_rho + 0.02:
                 probs.append(f"closed ctheta={vt:g} t={t:g}: "
                              f"G_psi {g_psi:.3f} > G_rho {g_rho:.3f} + 0.02")
     for sigma0, gamma0 in ((3.0, 1.0), (3.0, 10.0), (0.3, 10.0), (0.3, 1.0)):
         for r in _gauss_sweep(sigma0, gamma0, (8.0, 16.0)):
-            if r["fit_psi"].score > r["fit_rho"].score + 0.02:
-                probs.append(f"gauss ({sigma0:g},{gamma0:g}) t={r['t']:g} ordering")
+            if r.fit_psi.score > r.fit_rho.score + 0.02:
+                probs.append(f"gauss ({sigma0:g},{gamma0:g}) t={r.slice.t:g} ordering")
     for sigma0, gamma0 in ((3.0, 1.0), (0.3, 1.0), (0.3, 10.0)):
         for r in _field_sweep(sigma0, gamma0, (8.0, 16.0)):
-            if r["fit_psi"].score > r["fit_rho"].score + 0.02:
-                probs.append(f"field ({sigma0:g},{gamma0:g}) t={r['t']:g} ordering")
+            if r.fit_psi.score > r.fit_rho.score + 0.02:
+                probs.append(f"field ({sigma0:g},{gamma0:g}) t={r.slice.t:g} ordering")
     # (b) slower spreading at higher gamma0 (same sigma0)
     slopes = {}
     for gamma0 in (1.0, 10.0):
         ts = (8.0, 10.0, 12.0, 14.0, 16.0)
         rec = _gauss_sweep(3.0, gamma0, ts)
-        sig = [r["fit_rho"].sigma_star for r in rec]
+        sig = [r.fit_rho.sigma_star for r in rec]
         slopes[gamma0] = float(np.polyfit(ts, sig, 1)[0])
     if not slopes[10.0] < slopes[1.0]:
         probs.append(f"width slopes: gamma0=10 {slopes[10.0]:.3f} "
                      f"not < gamma0=1 {slopes[1.0]:.3f}")
     # (c) superluminal width growth for the sub-Compton closed packet
     ts_c = (10.0, 15.0, 20.0)
-    sig01 = [r["fit_rho"].sigma_star for r in _closed_sweep(0.1, ts_c, -30.0, 30.0, 6001)]
+    sig01 = [r.fit_rho.sigma_star for r in _closed_sweep(0.1, ts_c, -30.0, 30.0, 6001)]
     slope_c = float(np.polyfit(ts_c, sig01, 1)[0])
     if not slope_c > 1.0:
         probs.append(f"closed ctheta=0.1 width slope {slope_c:.3f} not > c")

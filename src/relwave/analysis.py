@@ -40,8 +40,8 @@ _BOUNDARY_TOL = 1e-8
 _MAX_REFINES = 16
 
 
-class BracketError(ValueError):
-    """The similarity objective had no interior maximum on the search bracket."""
+class BracketError(ValueError, ArithmeticError):
+    """A similarity fit found no maximum inside its bracket, or a zero density."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def gauss_similarity_rho(density: DensitySlice, x_bar: float) -> GaussFitResult:
     xs = density.xs
     denom = np.sqrt(np.trapezoid(np.abs(density.rho), xs))
     if denom == 0.0:
-        raise ValueError("density has zero total |rho|")
+        raise BracketError("density has zero total |rho|")
     overlap = _overlap(xs, x_bar, np.sqrt(density.rho + 0j) / denom)
     sigma, score = best_sigma(lambda s: np.real(overlap(s)), _default_bracket(xs))
     imag = float(overlap(np.array([sigma]))[0][0].imag)

@@ -1,8 +1,8 @@
 """One packet object per case, whatever its family.
 
 The scenarios and the acceptance checks see a wavepacket only through
-``Packet``: psi and d/dt psi on a grid, psi alone, the classical worldline
-and action it is compared with, and its momentum distribution.
+``Packet``: its one per-time record ``observe`` (an ``Observation``), psi
+alone, the classical worldline and action, and its momentum distribution.
 ``packet_for`` is the one place that reads a case dict or names a family.
 The momentum sum of a gauss-free or uniform-field packet
 (``quadrature.ModeSum``) is fixed by |x| <= x_extent and |t| <= t_max, so
@@ -13,24 +13,45 @@ first evaluation: a case is checked without building any sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from inspect import Parameter, signature
 from typing import Callable
 
 import numpy as np
 
-from .analysis import PhaseTrace, WaveSlice, phase_trace
+from .analysis import (DensitySlice, GaussFitResult, PhaseTrace, WaveSlice, charge_density,
+                       gauss_similarity_psi, gauss_similarity_rho, phase_trace)
 from .field_packets import FieldPacketConfig, field_mode_basis
 from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_form,
                            gauss_spectral, gauss_spectrum, spectrum_closed)
 from .kinematics import (FieldMotion, FreeMotion, action_field, action_free,
                          field_trajectory, free_trajectory)
 
-__all__ = ["FAMILIES", "Packet", "ScenarioError", "packet_for"]
+__all__ = ["FAMILIES", "Observation", "Packet", "ScenarioError", "packet_for"]
 
 
 class ScenarioError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class Observation:
+    """A packet's slice and charge density at one time on one grid, and the
+    classical (x_bar, p_bar) its Gaussian fits are made about, each fit on
+    first read and at most once."""
+
+    slice: WaveSlice
+    density: DensitySlice
+    x_bar: float
+    p_bar: float
+
+    @cached_property
+    def fit_psi(self) -> GaussFitResult:
+        return gauss_similarity_psi(self.slice, self.x_bar, self.p_bar)
+
+    @cached_property
+    def fit_rho(self) -> GaussFitResult:
+        return gauss_similarity_rho(self.density, self.x_bar)
 
 
 @dataclass(frozen=True)
@@ -61,10 +82,10 @@ class Packet:
         xs = np.asarray(xs, dtype=float)
         return WaveSlice(t, xs, *self.psi_dpsi(t, xs))
 
-    def classical(self, t: float):
-        """Reference (x_bar, p_bar) for the similarity metrics."""
-        s = self.trajectory(t)
-        return s.x, s.gamma * s.v  # p_bar = m v gamma (natural units m=1)
+    def observe(self, t: float, xs) -> Observation:
+        """The packet at ``t`` on ``xs``, about its classical worldline."""
+        sl, s = self.slice(t, xs), self.trajectory(t)
+        return Observation(sl, charge_density(sl), s.x, s.gamma * s.v)  # p_bar = m v gamma, m = 1
 
     def trace_phase(self, ts) -> PhaseTrace:
         """Phase of psi along the classical worldline against the action."""

@@ -3,11 +3,11 @@
 Each case's packet is built once (``packets.packet_for``), for the
 scenario's x-range and the largest |t| of its outputs, and every output of
 the case reads it without knowing its family.  A case's outputs come from
-one pass over ``t_list``: each time's slice, charge density and Gaussian
-fits are computed once and serve all its outputs (the widths are columns of
-the metrics).  Each builtin scenario reproduces the data behind one figure
-of the study at desk scale.  Output files use fixed schemas, one file per
-(case, output); two outputs that would share a file name are a
+one pass over ``t_list``: each time's ``Packet.observe`` record, which
+``relwave verify`` reads too, serves all its outputs (the widths are
+columns of the metrics).  Each builtin scenario reproduces the data behind
+one figure of the study at desk scale.  Output files use fixed schemas, one
+file per (case, output); two outputs that would share a file name are a
 ``ScenarioError``:
 
     density  -> t,x,rho,re_psi,im_psi
@@ -42,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import charge_density, gauss_similarity_psi, gauss_similarity_rho
 from .free_packets import _OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR
 from .packets import FAMILIES, Packet, ScenarioError, packet_for
 
@@ -213,28 +212,24 @@ def _packet(scn: Scenario, case: dict) -> Packet:
 
 def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
     """(kind, header, column blocks) for each output of one case, in one pass
-    over ``t_list``: each time's slice and charge density are made once and
-    serve its density rows and both fits; the widths are columns of the
-    metrics rows.  The spectrum follows, reading the slices' node modes
-    where the packet keeps them, and then the phase trace."""
+    over ``t_list``: each time's observation serves its density rows and its
+    metrics rows, whose fits it makes only when read; the widths are columns
+    of the metrics rows.  The spectrum follows, reading the slices' node
+    modes where the packet keeps them, and then the phase trace."""
     kinds = set(scn.outputs)
     density, metrics = [], []
     for t in scn.t_list if kinds & {"density", "metrics", "widths"} else ():
-        sl = pk.slice(t, xs)
-        dens = charge_density(sl)
+        obs = pk.observe(t, xs)
         if "density" in kinds:
-            rho = dens.rho
+            rho = obs.density.rho
             if scn.normalization == "unit-charge":
-                rho = rho / dens.total_charge()
+                rho = rho / obs.density.total_charge()
             elif scn.normalization == "peak-normalized":
                 rho = rho / np.max(np.abs(rho))
-            density.append((t, xs, rho, sl.psi.real, sl.psi.imag))
+            density.append((t, xs, rho, obs.slice.psi.real, obs.slice.psi.imag))
         if kinds & {"metrics", "widths"}:
-            x_bar, p_bar = pk.classical(t)
-            fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
-            fit_rho = gauss_similarity_rho(dens, x_bar)
-            metrics.append((t, fit_psi.score, fit_psi.sigma_star,
-                            fit_rho.score, fit_rho.sigma_star, fit_rho.imag_residual))
+            metrics.append((t, obs.fit_psi.score, obs.fit_psi.sigma_star, obs.fit_rho.score,
+                            obs.fit_rho.sigma_star, obs.fit_rho.imag_residual))
     cols = tuple(zip(*metrics))
     out = {"density": ("t,x,rho,re_psi,im_psi", density),
            "metrics": ("t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual", [cols])}

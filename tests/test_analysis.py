@@ -73,6 +73,12 @@ def test_best_sigma_bracket_error():
     with pytest.raises(BracketError, match="keeps its sign"):
         # an interior maximum whose d/d sigma never changes sign
         best_sigma(lambda s: (-(s - 3.0) ** 2, np.ones_like(s)), (0.1, 100.0))
+    # a numeric error, which the CLI reports with exit code 2; a zero
+    # density has nothing to fit either
+    assert issubclass(BracketError, ArithmeticError)
+    xs = np.linspace(-5.0, 5.0, 101)
+    with pytest.raises(BracketError, match="zero total"):
+        gauss_similarity_rho(DensitySlice(t=0.0, xs=xs, rho=np.zeros_like(xs)), 0.0)
 
 
 def _golden_best_sigma(objective, bracket):
@@ -118,16 +124,12 @@ def _golden_fits(sl, dens, x_bar, p_bar):
 
 
 def _builtin_slices(name, case, times):
-    """(slice, density, x_bar, p_bar) of one case of a builtin scenario at
-    the given times, on the scenario's grid."""
+    """The observations of one case of a builtin scenario at the given
+    times, on the scenario's grid."""
     scn = scenarios.builtin_scenarios()[name]
     pk = scenarios._packet(scn, next(c for c in scn.cases if c.items() >= case.items()))
     xs = np.linspace(scn.x_min, scn.x_max, scn.x_count)
-    out = []
-    for t in times:
-        sl = pk.slice(t, xs)
-        out.append((sl, charge_density(sl), *pk.classical(t)))
-    return out
+    return [pk.observe(t, xs) for t in times]
 
 
 _ORACLE_SLICES = [
@@ -143,10 +145,10 @@ def test_fits_agree_with_the_golden_section_route(name, case, times):
     # the root of d/d sigma finds the maximum that the scan plus golden
     # section found, to that search's 1e-6; fig8's (3, 1) G_psi at t = 40
     # keeps its global maximum near sigma = 0.17, far from the moment width
-    for sl, dens, x_bar, p_bar in _builtin_slices(name, case, times):
-        (sig_psi, g_psi), (sig_rho, g_rho) = _golden_fits(sl, dens, x_bar, p_bar)
-        fit_psi = gauss_similarity_psi(sl, x_bar, p_bar)
-        fit_rho = gauss_similarity_rho(dens, x_bar)
+    for obs in _builtin_slices(name, case, times):
+        (sig_psi, g_psi), (sig_rho, g_rho) = _golden_fits(obs.slice, obs.density,
+                                                          obs.x_bar, obs.p_bar)
+        fit_psi, fit_rho = obs.fit_psi, obs.fit_rho
         assert abs(fit_psi.sigma_star / sig_psi - 1.0) < 1e-6
         assert abs(fit_rho.sigma_star / sig_rho - 1.0) < 1e-6
         assert abs(fit_psi.score - g_psi) < 1e-12
@@ -160,8 +162,8 @@ def test_fitted_widths_are_determinate():
     # 1e-16 of the density's maximum is another matter: sqrt(rho) near the
     # zeros of rho turns it into a 3e-9 move of G_rho itself.)
     rng = np.random.default_rng(7)
-    ((sl, dens, x_bar, p_bar),) = _builtin_slices(
-        "fig8", {"sigma0": 0.3, "gamma0": 1.0}, (36.0,))
+    (obs,) = _builtin_slices("fig8", {"sigma0": 0.3, "gamma0": 1.0}, (36.0,))
+    sl, dens, x_bar, p_bar = obs.slice, obs.density, obs.x_bar, obs.p_bar
     rho = dens.rho * (1.0 + 1e-16 * rng.uniform(-1.0, 1.0, len(sl.xs)))
     psi = sl.psi * (1.0 + 1e-16 * rng.uniform(-1.0, 1.0, len(sl.xs)))
     pairs = [

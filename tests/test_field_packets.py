@@ -425,7 +425,7 @@ def test_classical_position_tracks_the_density_mean():
         pk = packet_for(case, "uniform-field", 61.0, 4.0)
         for t in (0.0, 4.0):
             mean = expectation_x(xs, charge_density(pk.slice(t, xs)).rho)
-            assert abs(pk.classical(t)[0] - mean) < 0.25
+            assert abs(pk.trajectory(t).x - mean) < 0.25
 
 
 @pytest.mark.parametrize("force", [-0.3, -0.1])
@@ -441,9 +441,9 @@ def test_negative_force_packet_conserves_its_charge(force):
         dens = charge_density(pk.slice(t, xs))
         charges.append(dens.total_charge())
         assert abs(charges[-1] - charge_density(mirror.slice(t, xs)).total_charge()) < 1e-12
-        assert abs(expectation_x(xs, dens.rho) - pk.classical(t)[0]) < 0.25
+        assert abs(expectation_x(xs, dens.rho) - pk.trajectory(t).x) < 0.25
     assert charges[0] > 1.0 and max(charges) - min(charges) < 1e-6 * charges[0]
-    assert pk.classical(6.0)[0] < -0.1  # the force pulls it to negative x
+    assert pk.trajectory(6.0).x < -0.1  # the force pulls it to negative x
 
 
 @pytest.mark.parametrize("force", [-0.3, -1.0])

@@ -156,7 +156,8 @@ def test_gauss_spectrum_is_centred_on_the_classical_momentum(gamma0):
     # the packet's t = 0 modes are the Gaussian spectrum about the very
     # (x_bar, p_bar) its scores compare it with, bit for bit
     pk = _gauss(0.3, gamma0, 10.0, 0.0, x0=1.5)
-    x_bar, p_bar = pk.classical(0.0)
+    obs = pk.observe(0.0, np.linspace(-10.0, 10.0, 201))
+    x_bar, p_bar = obs.x_bar, obs.p_bar
     cfg = GaussianPacketConfig(sigma0=0.3, motion=FreeMotion.from_gamma(gamma0, x0=1.5))
     ms = gauss_spectral(cfg, 10.0, 0.0)
     assert np.array_equal(ms.modes(0.0, False), gauss_spectrum(ms.p, 0.3, p_bar, x_bar))

@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relwave import field_packets, free_packets, packets, scenarios
+from relwave import cli, field_packets, free_packets, packets, scenarios
+from relwave.analysis import BracketError
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
                                list_scenarios, load_config, resolve_scenario,
                                run)
+from relwave.specfun import SpecFunAccuracyError
 
 TINY = Scenario(
     name="tiny", family="gauss-free",
@@ -116,23 +118,30 @@ def test_widths_reuse_the_metrics_slices(tmp_path, monkeypatch):
 
 def test_one_slice_per_case_and_time_serves_every_output(tmp_path, monkeypatch):
     # density, metrics, widths and spectrum of two field cases at three
-    # times: one slice per (case, t), and no more D_nu points than the
-    # density alone takes (the spectrum reads the slices' node modes)
+    # times: one slice and one fit of each kind per (case, t), and no more
+    # D_nu points than the density alone takes (the spectrum reads the
+    # slices' node modes); the density alone makes no fit
     scn = Scenario(name="one", family="uniform-field",
                    cases=({"sigma0": 3.0, "gamma0": 1.0, "force": 0.1},
                           {"sigma0": 2.0, "gamma0": 1.5, "force": 0.1}),
                    t_list=(-2.0, 0.0, 2.0), x_min=-20.0, x_max=40.0, x_count=301,
                    outputs=("density", "metrics", "widths", "spectrum"),
                    normalization="peak-normalized", p_min=-5.0, p_max=5.0, p_count=101)
-    slices, points = [], []
+    slices, points, fits = [], [], []
     slice_at, pcf = packets.Packet.slice, field_packets.pcf_d
+    fit_psi, fit_rho = packets.gauss_similarity_psi, packets.gauss_similarity_rho
     monkeypatch.setattr(packets.Packet, "slice",
                         lambda pk, t, xs: slices.append((pk.label, t)) or slice_at(pk, t, xs))
     monkeypatch.setattr(field_packets, "pcf_d",
                         lambda nu, z: points.append(np.size(z)) or pcf(nu, z))
+    monkeypatch.setattr(packets, "gauss_similarity_psi",
+                        lambda sl, *args: fits.append(("psi", sl.t)) or fit_psi(sl, *args))
+    monkeypatch.setattr(packets, "gauss_similarity_rho",
+                        lambda dens, *args: fits.append(("rho", dens.t)) or fit_rho(dens, *args))
     field_packets.field_mode_basis.cache_clear()
     run(dataclasses.replace(scn, outputs=("density",)), out_dir=tmp_path / "density")
     density_points = sum(points)
+    assert fits == []
     slices.clear()
     points.clear()
     field_packets.field_mode_basis.cache_clear()
@@ -140,6 +149,8 @@ def test_one_slice_per_case_and_time_serves_every_output(tmp_path, monkeypatch):
     assert sorted(slices) == sorted({(label, t) for label in ("sigma3_gamma1_F0.1",
                                                              "sigma2_gamma1.5_F0.1")
                                      for t in scn.t_list})
+    assert sorted(fits) == sorted((kind, t) for kind in ("psi", "rho")
+                                  for _ in scn.cases for t in scn.t_list)
     assert sum(points) == density_points
 
 
@@ -365,6 +376,29 @@ def test_weak_force_is_a_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error in weak:") and "overflows" in err
     assert not list(out.glob("*.csv"))
+
+
+def test_under_resolved_grid_is_a_numeric_error(tmp_path, capsys):
+    # the fits' BracketError once left run untyped: exit code 3, "internal error"
+    out = tmp_path / "o"
+    cfg = Path(__file__).with_name("under_resolved.ini")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error in under-resolved: no interior maximum")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("error,code", [
+    (BracketError("no interior maximum"), 2),
+    (SpecFunAccuracyError("overflows"), 2),
+    (ScenarioError("bad case"), 1),
+], ids=["bracket", "specfun-accuracy", "scenario"])
+def test_errors_from_run_map_to_exit_codes(tmp_path, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert cli_main(["run", "--scenario", "fig1", "--out-dir", str(tmp_path)]) == code
 
 
 def test_weak_force_above_the_fold_limit_fails_fast(tmp_path, capsys):
