@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import trapezoid_weights
+
 __all__ = [
     "WaveSlice",
     "DensitySlice",
@@ -166,7 +168,7 @@ def _overlap(xs: np.ndarray, x_bar: float, weight: np.ndarray):
     """sigmas -> (I, dI/d sigma), I = int g weight dx by the trapezoid rule
     with g = (sigma sqrt(pi))^(-1/2) exp(-(x - x_bar)^2/(2 sigma^2)).  exp is
     taken for _BLOCK widths at a time, one matrix product per block."""
-    u2, h = (xs - x_bar) ** 2, np.convolve(np.diff(xs), [0.5, 0.5])  # h: trapezoid weights
+    u2, h = (xs - x_bar) ** 2, trapezoid_weights(xs)
     cols = np.stack([h * weight, h * u2 * weight], axis=1)
     flat, work = cols.view(float), np.empty((_BLOCK, len(xs)))  # complex as (re, im)
 

@@ -1,18 +1,19 @@
 """Command-line interface.
 
     relwave list
-    relwave run --config FILE [--scenario NAME] [--out-dir DIR] [--threads N]
-    relwave run --scenario NAME [--out-dir DIR] [--threads N]
+    relwave run --config FILE [--scenario NAME] [--out-dir DIR]
+    relwave run --scenario NAME [--out-dir DIR]
     relwave verify
 
-Exit codes: 0 success, 1 configuration error, 2 numeric non-convergence,
-3 internal error.
+Exit codes: 0 success, 1 configuration error (a usage error and an output
+directory that cannot be made too), 2 numeric non-convergence, 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .scenarios import ScenarioError, list_scenarios, load_config, resolve_scenario, run
 
@@ -42,14 +43,15 @@ def _cmd_run(args) -> int:
             scenarios = [resolve_scenario(args.scenario)]
         else:
             raise ScenarioError("provide --config and/or --scenario")
-    except ScenarioError as exc:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except (ScenarioError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     worst = EXIT_OK
     for scn in scenarios:
         try:
-            manifest = run(scn, out_dir=args.out_dir, threads=args.threads)
+            manifest = run(scn, out_dir=args.out_dir)
         except ScenarioError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -85,12 +87,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="INI config file with scenario sections")
     p_run.add_argument("--scenario", help="scenario name (builtin or from config)")
     p_run.add_argument("--out-dir", default="out", help="output directory")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="parallel workers across cases/outputs")
 
     sub.add_parser("verify", help="run the acceptance checks")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 for --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "list":
             return _cmd_list(args)

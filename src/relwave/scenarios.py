@@ -35,7 +35,6 @@ import configparser
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -211,7 +210,7 @@ def _packet(scn: Scenario, case: dict) -> Packet:
 
 
 def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
-    """(kind, header, column blocks) for each output of one case, in one pass
+    """(file name, header, column blocks) for each output of one case, in one pass
     over ``t_list``: each time's observation serves its density rows and its
     metrics rows, whose fits it makes only when read; the widths are columns
     of the metrics rows.  The spectrum follows, reading the slices' node
@@ -245,15 +244,21 @@ def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
         tr = pk.trace_phase(np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt))
         out["phase"] = ("t,phi,s_cl_over_hbar,offset",
                         [(tr.ts, tr.phi, tr.s_cl_over_hbar, tr.offset)])
-    return [(kind, *out[kind]) for kind in scn.outputs]
+    return [(_file_name(scn, kind, pk.label), *out[kind]) for kind in scn.outputs]
 
 
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> RunManifest:
-    """Execute a scenario, writing one CSV per (case, output) plus a manifest."""
+def run(scenario: Scenario, out_dir: str | Path = "out", *, threads: int = 1) -> RunManifest:
+    """Execute a scenario, writing one CSV per (case, output) plus a manifest.
+    Every case's outputs are computed before any file is written, so a case
+    that fails leaves no CSV.  ``threads`` must be 1: cases run serially, and
+    the keyword goes with its last caller, ``perfbench/worker.py`` (ROADMAP
+    item A)."""
+    if threads != 1:
+        raise ScenarioError(f"threads must be 1, not {threads!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -267,21 +272,10 @@ def run(scenario: Scenario, out_dir: str | Path = "out", threads: int = 1) -> Ru
         },
     )
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
-
-    def _one(case):
-        pk = _packet(scenario, case)
-        return pk.label, _case_outputs(scenario, pk, xs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_one, scenario.cases))
-    else:
-        results = [_one(case) for case in scenario.cases]
-
-    for label, outputs in results:
-        for kind, header, blocks in outputs:
-            fname = _file_name(scenario, kind, label)
-            manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
+    files = [f for case in scenario.cases
+             for f in _case_outputs(scenario, _packet(scenario, case), xs)]
+    for fname, header, blocks in files:
+        manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 
     manifest.wall_time_s = time.time() - started
     (out / f"{scenario.name}_manifest.json").write_text(manifest.to_json())

@@ -94,10 +94,11 @@ def test_run_deterministic(tmp_path):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
-def test_run_threads_match_serial(tmp_path):
-    m1 = run(TINY, out_dir=tmp_path / "s", threads=1)
-    m2 = run(TINY, out_dir=tmp_path / "p", threads=2)
-    assert m1.outputs == m2.outputs
+def test_run_accepts_only_one_thread(tmp_path):
+    # cases run serially; the keyword stays for the benchmark worker's threads=1
+    with pytest.raises(ScenarioError, match="threads must be 1"):
+        run(TINY, tmp_path, threads=2)
+    assert not list(tmp_path.iterdir())
 
 
 def test_widths_reuse_the_metrics_slices(tmp_path, monkeypatch):
@@ -189,15 +190,6 @@ def test_malformed_config_files_exit_as_config_errors(tmp_path, capsys, data, re
     err = capsys.readouterr().err
     assert err.startswith("config error:") and reason in err
     assert not list(out.glob("*.csv"))
-
-
-def test_run_threads_match_serial_across_cases(tmp_path):
-    scn = dataclasses.replace(TINY, name="c", outputs=("metrics", "widths", "density"),
-                              cases=({"sigma0": 3.0, "gamma0": 1.0},
-                                     {"sigma0": 2.0, "gamma0": 1.5}))
-    m1 = run(scn, out_dir=tmp_path / "s", threads=1)
-    m2 = run(scn, out_dir=tmp_path / "p", threads=2)
-    assert len(m1.outputs) == 6 and m1.outputs == m2.outputs
 
 
 def test_mixed_families_write_the_bytes_of_single_family_runs(tmp_path):
@@ -378,6 +370,16 @@ def test_weak_force_is_a_numeric_error(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_a_later_case_that_fails_leaves_no_csv_of_an_earlier_one(tmp_path, capsys):
+    # every case's outputs are computed before any file is written: the
+    # F = 0.1 case computes, the F = 1e-200 case after it overflows
+    out = tmp_path / "o"
+    cfg = Path(__file__).with_name("late_failure.ini")
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numeric error in late-failure:")
+    assert not list(out.glob("*"))
+
+
 def test_under_resolved_grid_is_a_numeric_error(tmp_path, capsys):
     # the fits' BracketError once left run untyped: exit code 3, "internal error"
     out = tmp_path / "o"
@@ -483,6 +485,33 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert (tmp_path / "o" / "mini_widths_sigma3_gamma1.csv").exists()
 
     assert cli_main(["run", "--config", str(cfg), "--scenario", "absent"]) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--scenario", "fig3", "--bogus"], 1),
+    ([], 1),
+    (["run", "--scenario", "fig3", "--threads", "2"], 1),
+    (["run", "--help"], 0),
+], ids=["unknown-option", "no-command", "threads", "help"])
+def test_cli_usage_errors_are_config_errors(capsys, argv, code):
+    # argparse exits 2 on a usage error, the code of a numeric error
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "usage: relwave" in captured.err
+    else:
+        assert "--out-dir" in captured.out and "--threads" not in captured.out
+
+
+def test_an_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    # a file in its place once exited 3 as "internal error: [Errno 17] File exists"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli_main(["run", "--scenario", "fig3", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_fig7_lowerleft_spectra_peak_normalized(tmp_path):
