@@ -81,17 +81,20 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list builtin scenarios")
+    commands = {"list": sub.add_parser("list", help="list builtin scenarios")}
 
-    p_run = sub.add_parser("run", help="run scenarios")
+    p_run = commands["run"] = sub.add_parser("run", help="run scenarios")
     p_run.add_argument("--config", help="INI config file with scenario sections")
     p_run.add_argument("--scenario", help="scenario name (builtin or from config)")
     p_run.add_argument("--out-dir", default="out", help="output directory")
 
-    sub.add_parser("verify", help="run the acceptance checks")
+    commands["verify"] = sub.add_parser("verify", help="run the acceptance checks")
 
     try:
-        args = parser.parse_args(argv)
+        # an unknown option is reported with its command's usage line, not the root's
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 for --help
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:

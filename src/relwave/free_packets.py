@@ -21,7 +21,7 @@ constants and node spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -59,14 +59,23 @@ def w_of_p(p, motion: FreeMotion):
 
 @dataclass(frozen=True)
 class ClosedPacketConfig:
-    """Closed-form packet: width parameter vartheta (time units) and motion."""
+    """Closed-form packet: width parameter vartheta (time units) and motion.
+
+    ``k1_norm`` is exp(z_n) K1(z_n), the exponent-scaled K1 of the
+    normalization |N|^2 (``_norm_arg``).  It is computed once, when the
+    config is made, so evaluating the packet makes no K1 call for it, and a
+    closed-free scenario imports scipy.special when it is built, not in a run.
+    """
 
     vartheta: float
     motion: FreeMotion
+    k1_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vartheta > 0:
             raise ValueError("vartheta must be positive")
+        object.__setattr__(self, "k1_norm",
+                           float(bessel_k1(_norm_arg(self), scaled=True).real))
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,7 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
     zn = _norm_arg(cfg)
-    k1e = bessel_k1(zn, scaled=True).real
-    norm = float(1.0 / np.sqrt(4.0 * np.pi * m.gamma0 * k1e))
+    norm = float(1.0 / np.sqrt(4.0 * np.pi * m.gamma0 * cfg.k1_norm))
     spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) - 1j * nodes * m.x0)
     return _plane_waves(nodes, weights, norm * spectrum)
 
@@ -172,7 +180,7 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     """
     m = cfg.motion
     zn = _norm_arg(cfg)
-    pref = np.sqrt(1.0 / (np.pi * m.gamma0 * bessel_k1(zn, scaled=True).real))
+    pref = np.sqrt(1.0 / (np.pi * m.gamma0 * cfg.k1_norm))
     tau = t - 1j * cfg.vartheta
     xr = np.asarray(xs, dtype=float) - m.x0
     f = np.sqrt((xr - 1j * m.v0 * cfg.vartheta) ** 2 - tau**2 + 0j)
@@ -191,6 +199,5 @@ def spectrum_closed(p, cfg: ClosedPacketConfig):
     |N|^2 (z_n = 2 vartheta W(p0)/hbar), so it neither under- nor overflows.
     """
     zn = _norm_arg(cfg)
-    k1e = bessel_k1(zn, scaled=True).real
     w = w_of_p(p, cfg.motion)
-    return np.exp(zn - 2.0 * cfg.vartheta * w) / (2.0 * cfg.motion.gamma0 * k1e)
+    return np.exp(zn - 2.0 * cfg.vartheta * w) / (2.0 * cfg.motion.gamma0 * cfg.k1_norm)

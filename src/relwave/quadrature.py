@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 __all__ = [
     "ModeSum",
@@ -53,10 +52,9 @@ class QuadratureError(Exception):
 
 def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     """Composite trapezoid weights for an ordered 1-d node array."""
-    w = np.zeros(len(nodes))
-    d = np.diff(nodes)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
+    h = 0.5 * np.diff(nodes)
+    w = np.concatenate(([0.0], h))
+    w[:-1] += h
     return w
 
 
@@ -84,6 +82,21 @@ def _step(v: np.ndarray) -> float | None:
     return float(d)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest m >= n whose prime factors are all 2, 3, 5, 7 or 11, the
+    factors pocketfft has dedicated passes for: the size that
+    ``scipy.fft.next_fast_len`` gives for a complex transform."""
+    m = max(n, 1)
+    while True:
+        rest = m
+        for f in (2, 3, 5, 7, 11):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return m
+        m += 1
+
+
 def _chirp(half_theta: float, n: int) -> np.ndarray:
     """exp(i half_theta m^2) for m = 0 .. n-1, the phase reduced exactly.
 
@@ -109,12 +122,12 @@ def _superpose_czt(p: np.ndarray, dp: float, amps: np.ndarray, xs: np.ndarray,
     theta = dp dx, and j k = (j^2 + k^2 - (k - j)^2) / 2."""
     n_p, n_x = len(p), len(xs)
     w = _chirp(0.5 * dp * dx, max(n_p, n_x))
-    size = next_fast_len(n_p + n_x - 1)
+    size = _next_fast_len(n_p + n_x - 1)
     kernel = np.zeros(size, dtype=complex)
     kernel[:n_x] = np.conj(w[:n_x])
     kernel[size - n_p + 1:] = np.conj(w[n_p - 1:0:-1])
     u = amps * np.exp(1j * p * xs[0]) * w[:n_p]
-    conv = ifft(fft(u, size, axis=-1) * fft(kernel), axis=-1)[:, :n_x]
+    conv = np.fft.ifft(np.fft.fft(u, size, axis=-1) * np.fft.fft(kernel), axis=-1)[:, :n_x]
     post = np.exp(1j * p[0] * (xs - xs[0])) * w[:n_x]
     return conv * post
 

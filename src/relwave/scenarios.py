@@ -35,7 +35,7 @@ import configparser
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -298,82 +298,82 @@ _FIELD_THREE = ({"sigma0": 3.0, "gamma0": 1.0, "force": 0.1},
                 {"sigma0": 0.3, "gamma0": 10.0, "force": 0.1})
 
 
-def builtin_scenarios() -> dict[str, Scenario]:
-    cat = {
-        "fig1": Scenario(
-            name="fig1", family="closed-free",
-            cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
-            t_list=(0.0, 10.0, 20.0), x_min=-30.0, x_max=30.0, x_count=2001,
-            outputs=("density",), normalization="unit-charge",
-            description="Closed-form packets at v0=c/4: charge density at t=0,10,20 "
-                        "for c*vartheta=100,10,1,0.1 (unit total charge)."),
-        "fig2": Scenario(
-            name="fig2", family="closed-free",
-            cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
-            t_list=tuple(np.arange(0.0, 20.5, 2.0)), x_min=-35.0, x_max=40.0,
-            x_count=3001, outputs=("metrics", "widths"), normalization="unit-norm",
-            description="Gaussian-similarity scores and best-fit half-widths vs t "
-                        "for the closed-form packets."),
-        "fig3": Scenario(
-            name="fig3", family="closed-free",
-            cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
-            t_list=(0.0,), outputs=("spectrum",), normalization="unit-norm",
-            p_min=-6.0, p_max=6.0, p_count=2401,
-            description="Momentum distributions of the closed-form packets "
-                        "(time independent)."),
-        "fig4": Scenario(
-            name="fig4", family="gauss-free",
-            cases=_GAUSS_FOUR,
-            t_list=(0.0, 4.0, 8.0, 12.0, 16.0), x_min=-30.0, x_max=46.0,
-            x_count=3001, outputs=("density",), normalization="unit-charge",
-            description="Initially Gaussian free packets, four (sigma0, gamma0) "
-                        "cases: density at t=0..16."),
-        "fig5": Scenario(
-            name="fig5", family="gauss-free",
-            cases=_GAUSS_FOUR,
-            t_list=tuple(np.arange(0.0, 16.5, 2.0)), x_min=-30.0, x_max=46.0,
-            x_count=3001, outputs=("metrics", "widths"), normalization="unit-norm",
-            description="Similarity scores and best-fit widths for the initially "
-                        "Gaussian free packets."),
-        "fig6": Scenario(
-            name="fig6", family="closed-free",
-            cases=({"vartheta": 0.3, "v0": 0.99498743710662},
-                   {"vartheta": 96.0, "v0": 0.99498743710662},
-                   {"vartheta": 10.0, "v0": 0.0}),
-            t_list=(0.0,), outputs=("spectrum",), normalization="peak-normalized",
-            p_min=-3.0, p_max=22.0, p_count=2501,
-            description="Peak-normalized momentum spectra comparing closed-form "
-                        "packets against Gaussian spectra (gamma0=10 and v0=0)."),
-        "fig7": Scenario(
-            name="fig7", family="uniform-field",
-            cases=_FIELD_THREE,
-            t_list=(-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0, 16.0),
-            x_min=-40.0, x_max=70.0, x_count=2201,
-            outputs=("density", "spectrum"), normalization="peak-normalized",
-            p_min=-25.0, p_max=35.0, p_count=2401,
-            description="Uniform-field packets (F=0.1): density and mode spectra, "
-                        "including backward evolution."),
-        "fig8": Scenario(
-            name="fig8", family="uniform-field",
-            cases=_FIELD_THREE,
-            t_list=tuple(np.arange(0.0, 40.5, 4.0)),
-            x_min=-40.0, x_max=70.0, x_count=2201,
-            outputs=("metrics", "widths"), normalization="unit-norm",
-            description="Similarity scores and best-fit widths for the "
-                        "uniform-field packets over t=0..40."),
-        "fig9": Scenario(
-            name="fig9", family="closed-free",
-            cases=({"family": "closed-free", "vartheta": 100.0, "v0": 0.25},
-                   {"family": "gauss-free", "sigma0": 0.3, "gamma0": 10.0},
-                   {"family": "uniform-field", "sigma0": 0.3, "gamma0": 10.0,
-                    "force": 0.1, "t_max": 40.0}),
-            t_list=(0.0,), outputs=("phase",), normalization="unit-norm",
-            phase_t_max=50.0, phase_dt=0.25, x_max=70.0,
-            description="Phase along the classical worldline vs classical action "
-                        "for the closed-form, Gaussian, and uniform-field packets."),
-    }
-    return cat
-
+# each builtin's Scenario fields but its name; a Scenario is built only when
+# asked for, since building a closed-free one evaluates K1 (and imports
+# scipy.special)
+_BUILTINS = {
+    "fig1": dict(
+        family="closed-free",
+        cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
+        t_list=(0.0, 10.0, 20.0), x_min=-30.0, x_max=30.0, x_count=2001,
+        outputs=("density",), normalization="unit-charge",
+        description="Closed-form packets at v0=c/4: charge density at t=0,10,20 "
+                    "for c*vartheta=100,10,1,0.1 (unit total charge)."),
+    "fig2": dict(
+        family="closed-free",
+        cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
+        t_list=tuple(np.arange(0.0, 20.5, 2.0)), x_min=-35.0, x_max=40.0,
+        x_count=3001, outputs=("metrics", "widths"), normalization="unit-norm",
+        description="Gaussian-similarity scores and best-fit half-widths vs t "
+                    "for the closed-form packets."),
+    "fig3": dict(
+        family="closed-free",
+        cases=_cases_closed(100.0, 10.0, 1.0, 0.1),
+        t_list=(0.0,), outputs=("spectrum",), normalization="unit-norm",
+        p_min=-6.0, p_max=6.0, p_count=2401,
+        description="Momentum distributions of the closed-form packets "
+                    "(time independent)."),
+    "fig4": dict(
+        family="gauss-free",
+        cases=_GAUSS_FOUR,
+        t_list=(0.0, 4.0, 8.0, 12.0, 16.0), x_min=-30.0, x_max=46.0,
+        x_count=3001, outputs=("density",), normalization="unit-charge",
+        description="Initially Gaussian free packets, four (sigma0, gamma0) "
+                    "cases: density at t=0..16."),
+    "fig5": dict(
+        family="gauss-free",
+        cases=_GAUSS_FOUR,
+        t_list=tuple(np.arange(0.0, 16.5, 2.0)), x_min=-30.0, x_max=46.0,
+        x_count=3001, outputs=("metrics", "widths"), normalization="unit-norm",
+        description="Similarity scores and best-fit widths for the initially "
+                    "Gaussian free packets."),
+    "fig6": dict(
+        family="closed-free",
+        cases=({"vartheta": 0.3, "v0": 0.99498743710662},
+               {"vartheta": 96.0, "v0": 0.99498743710662},
+               {"vartheta": 10.0, "v0": 0.0}),
+        t_list=(0.0,), outputs=("spectrum",), normalization="peak-normalized",
+        p_min=-3.0, p_max=22.0, p_count=2501,
+        description="Peak-normalized momentum spectra comparing closed-form "
+                    "packets against Gaussian spectra (gamma0=10 and v0=0)."),
+    "fig7": dict(
+        family="uniform-field",
+        cases=_FIELD_THREE,
+        t_list=(-12.0, -8.0, -4.0, 0.0, 4.0, 8.0, 12.0, 16.0),
+        x_min=-40.0, x_max=70.0, x_count=2201,
+        outputs=("density", "spectrum"), normalization="peak-normalized",
+        p_min=-25.0, p_max=35.0, p_count=2401,
+        description="Uniform-field packets (F=0.1): density and mode spectra, "
+                    "including backward evolution."),
+    "fig8": dict(
+        family="uniform-field",
+        cases=_FIELD_THREE,
+        t_list=tuple(np.arange(0.0, 40.5, 4.0)),
+        x_min=-40.0, x_max=70.0, x_count=2201,
+        outputs=("metrics", "widths"), normalization="unit-norm",
+        description="Similarity scores and best-fit widths for the "
+                    "uniform-field packets over t=0..40."),
+    "fig9": dict(
+        family="closed-free",
+        cases=({"family": "closed-free", "vartheta": 100.0, "v0": 0.25},
+               {"family": "gauss-free", "sigma0": 0.3, "gamma0": 10.0},
+               {"family": "uniform-field", "sigma0": 0.3, "gamma0": 10.0,
+                "force": 0.1, "t_max": 40.0}),
+        t_list=(0.0,), outputs=("phase",), normalization="unit-norm",
+        phase_t_max=50.0, phase_dt=0.25, x_max=70.0,
+        description="Phase along the classical worldline vs classical action "
+                    "for the closed-form, Gaussian, and uniform-field packets."),
+}
 
 _ALIASES = {
     "fig7-lowerleft": ("fig7", ("spectrum",)),
@@ -381,22 +381,26 @@ _ALIASES = {
 }
 
 
+def builtin_scenarios() -> dict[str, Scenario]:
+    return {name: Scenario(name=name, **fields) for name, fields in _BUILTINS.items()}
+
+
 def resolve_scenario(name: str) -> Scenario:
-    cat = builtin_scenarios()
-    if name in cat:
-        return cat[name]
+    """The builtin scenario or alias ``name``, and no other builtin."""
+    if name in _BUILTINS:
+        return Scenario(name=name, **_BUILTINS[name])
     if name in _ALIASES:
         base, outputs = _ALIASES[name]
-        return replace(cat[base], name=name, outputs=outputs)
+        return Scenario(name=name, **{**_BUILTINS[base], "outputs": outputs})
     raise ScenarioError(
         f"scenario {name!r} not found; available: "
-        + ", ".join(sorted(list(cat) + list(_ALIASES)))
+        + ", ".join(sorted(list(_BUILTINS) + list(_ALIASES)))
     )
 
 
 def list_scenarios() -> list[tuple[str, str]]:
     """(name, description) pairs for the builtin catalog."""
-    return [(name, scn.description) for name, scn in builtin_scenarios().items()]
+    return [(name, fields["description"]) for name, fields in _BUILTINS.items()]
 
 
 # ---------------------------------------------------------------------------

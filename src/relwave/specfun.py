@@ -4,6 +4,13 @@ K0 and K1 come from ``scipy.special.kve``, the exponent-scaled AMOS routine
 exp(z) K_n(z), evaluated on 1-d arrays.  The scaled form is public
 (``scaled=True``) so that callers can carry exponents in log space: K1 of
 the closed packet's normalization underflows for vartheta of a few hundred.
+Only the closed-free packets need a Bessel K, so ``scipy.special`` is
+imported on the first K0/K1 call, not with this module.
+
+The complex 1/Gamma of the D_nu series and connection formula comes from
+``mpmath.rgamma`` at 53-bit working precision, cached per argument: within
+one ulp of the exact value, 0 at the poles, and non-finite where it leaves
+double range, which the callers turn into SpecFunAccuracyError.
 
 D_nu(z) stitches four regimes:
 
@@ -39,8 +46,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import mpmath
 import numpy as np
-from scipy.special import kve, rgamma
 
 __all__ = [
     "SpecFunDomainError",
@@ -82,6 +89,8 @@ class SpecFunAccuracyError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def _bessel_k(z, order: int, scaled: bool):
+    from scipy.special import kve  # only the closed-free packets load scipy
+
     z = np.asarray(z, dtype=complex)
     # evaluated on 1-d arrays only: numpy takes another complex-multiply loop
     # for 0-d operands, so a scalar call would round differently
@@ -110,6 +119,14 @@ def bessel_k0(z, scaled: bool = False):
 # ---------------------------------------------------------------------------
 # parabolic cylinder D_nu
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _rgamma(z: complex) -> np.complex128:
+    """1/Gamma(z), each part within one ulp (observed: 0.56): 0 at the
+    poles, and an infinite part where the value leaves double range."""
+    with mpmath.workprec(53):
+        return np.complex128(complex(mpmath.rgamma(mpmath.mpc(z))))
+
 
 @lru_cache(maxsize=128)
 def _maclaurin_table(nu: complex):
@@ -143,8 +160,8 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
     # past |Im nu| ~ 900 the 1/Gamma factors, and D_nu with them, leave
     # double range; inf * 0 would be NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        even = series[0] * rgamma((1.0 - nu) / 2.0)
-        odd = series[1] * rgamma(-nu / 2.0)
+        even = series[0] * _rgamma((1.0 - nu) / 2.0)
+        odd = series[1] * _rgamma(-nu / 2.0)
         val = 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
     if not np.all(np.isfinite(val)):
         raise SpecFunAccuracyError(
@@ -281,7 +298,7 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     if nu.real >= 0.0:
         # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
         return z * _band_integral(nu - 1.0, z) - (nu - 1.0) * _band_integral(nu - 2.0, z)
-    norm = rgamma(-nu)
+    norm = _rgamma(-nu)
     if not np.isfinite(norm):
         raise SpecFunAccuracyError(f"1/Gamma(-nu) overflows for nu={nu}")
     # the endpoint oscillation u^{-i Im nu} needs nodes scaling with |Im nu|
@@ -378,7 +395,7 @@ def _fold_factors(nu: complex, sgn):
     # product does not; 0 * inf would be NaN
     with np.errstate(over="ignore", invalid="ignore"):
         rot = np.exp(1j * np.pi * nu * sgn)
-        pre = (SQRT_2PI * rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn)
+        pre = (SQRT_2PI * _rgamma(-nu)) * np.exp(1j * np.pi * (nu + 1.0) / 2.0 * sgn)
     if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(pre))):
         raise SpecFunAccuracyError(
             f"left-half-plane folding for nu={nu} overflows double precision"

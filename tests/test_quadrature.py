@@ -298,3 +298,24 @@ def test_momentum_grid_errors():
 def test_trapezoid_weights_nonuniform():
     xs = np.array([0.0, 1.0, 3.0])
     assert np.allclose(trapezoid_weights(xs), [0.5, 1.5, 1.0])
+
+
+def test_trapezoid_weights_have_the_bits_of_the_two_pass_form():
+    # the weights were a zero array plus half of each gap on either side
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 17, 3001):
+        for scale in (1e-3, 1.0, 1e4):
+            nodes = np.sort(rng.uniform(-scale, scale, n))
+            ref = np.zeros(n)
+            d = np.diff(nodes)
+            ref[:-1] += 0.5 * d
+            ref[1:] += 0.5 * d
+            assert np.array_equal(trapezoid_weights(nodes), ref), (n, scale)
+
+
+def test_next_fast_len_matches_scipy():
+    # the chirp-z transform's FFT size, once scipy.fft's, for a complex transform
+    from scipy.fft import next_fast_len
+
+    for n in range(1, 20001):
+        assert quadrature._next_fast_len(n) == next_fast_len(n), n

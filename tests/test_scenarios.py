@@ -503,6 +503,16 @@ def test_cli_usage_errors_are_config_errors(capsys, argv, code):
         assert "--out-dir" in captured.out and "--threads" not in captured.out
 
 
+def test_an_unknown_option_shows_its_commands_usage_line(capsys):
+    # the root parser once reported it: "usage: relwave [-h] {list,run,verify} ..."
+    assert cli_main(["run", "--scenario", "fig3", "--bogus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: relwave run [-h]")
+    assert "relwave run: error: unrecognized arguments: --bogus" in err
+    assert cli_main(["list", "--bogus"]) == 1
+    assert capsys.readouterr().err.startswith("usage: relwave list [-h]")
+
+
 def test_an_out_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
     # a file in its place once exited 3 as "internal error: [Errno 17] File exists"
     blocker = tmp_path / "file"

@@ -1,8 +1,8 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import rgamma
 
 from relwave import specfun
 from relwave.acceptance import k1_series_reference
@@ -77,8 +77,6 @@ def test_k1_vectorized_matches_scalar():
 
 def test_k0_k1_against_mpmath():
     # 100 points over |z| in [1e-3, 50], |arg z| < 0.499 pi
-    import mpmath
-
     rng = np.random.default_rng(17)
     zs = 10 ** rng.uniform(-3.0, np.log10(50.0), 100) \
         * np.exp(1j * rng.uniform(-0.499 * np.pi, 0.499 * np.pi, 100))
@@ -243,6 +241,37 @@ def test_weak_force_band_integral_raises_not_hangs():
             pcf_d(-0.5 - 416.67j, (1.0 + 1.0j) * np.array([6.0, 14.0]))
 
 
+def test_rgamma_is_within_one_ulp():
+    # the orders of the series and of the fold at the modes of F = 0.1 ..
+    # 1e-3, and random points: each part of 1/Gamma within one ulp of the
+    # 200-bit value (scipy.special.rgamma was 2.5e-15 off at the mode orders)
+    rng = np.random.default_rng(41)
+    zs = [complex(a, b) for a, b in zip(rng.uniform(-4.0, 4.0, 300),
+                                        rng.uniform(-300.0, 300.0, 300))]
+    for force in (0.1, 1.0, 0.3, 0.02, 1e-3):
+        nu = complex(-0.5, -1.0 / (2.0 * force))
+        for order in (nu, nu - 1.0, nu.conjugate()):
+            zs += [-order, (1.0 - order) / 2.0, -order / 2.0]
+    with mpmath.workprec(200):
+        for z in zs:
+            got, ref = specfun._rgamma(z), mpmath.rgamma(mpmath.mpc(z))
+            for part, exact in ((got.real, ref.real), (got.imag, ref.imag)):
+                if abs(exact) > np.finfo(float).max:  # past double range at F = 1e-3
+                    assert not np.isfinite(part), z
+                else:
+                    assert abs(mpmath.mpf(part) - exact) <= np.spacing(abs(part)), z
+
+
+def test_rgamma_is_zero_at_the_poles_and_infinite_past_double_range():
+    for n in range(0, 12):
+        assert specfun._rgamma(complex(-n, 0.0)) == 0.0
+    # |1/Gamma(1/4 + i y)| ~ e^{pi |y|/2} leaves double range near |y| = 450,
+    # where the weak-force series and fold raise SpecFunAccuracyError
+    assert np.isfinite(specfun._rgamma(0.25 - 450.0j))
+    for z in (0.25 + 500.0j, 0.25 - 500.0j, 0.5 + 1000.0j):
+        assert not np.isfinite(specfun._rgamma(z))
+
+
 # ---------------------------------------------------------------------------
 # D_nu kernels against the route they replaced
 # ---------------------------------------------------------------------------
@@ -271,10 +300,15 @@ def _ref_kummer_m(a, b, x, max_terms=700):
     return total
 
 
+def _ref_rgamma(z):
+    with mpmath.workprec(200):
+        return complex(mpmath.rgamma(mpmath.mpc(z)))
+
+
 def _ref_maclaurin(nu, z):
     w = 0.5 * z * z
-    even = _ref_kummer_m(-nu / 2.0, 0.5, w) * rgamma((1.0 - nu) / 2.0)
-    odd = _ref_kummer_m((1.0 - nu) / 2.0, 1.5, w) * rgamma(-nu / 2.0)
+    even = _ref_kummer_m(-nu / 2.0, 0.5, w) * _ref_rgamma((1.0 - nu) / 2.0)
+    odd = _ref_kummer_m((1.0 - nu) / 2.0, 1.5, w) * _ref_rgamma(-nu / 2.0)
     return 2.0 ** (nu / 2.0) * specfun.SQRT_PI * np.exp(-0.5 * w) \
         * (even - np.sqrt(2.0) * z * odd)
 
@@ -489,8 +523,6 @@ def test_poincare_table_keeps_its_finite_prefix():
 def test_pcf_batch_of_mixed_rays_matches_mpmath():
     # band points of many rays in one call: each value lands on its own point
     # (they once came back in order of angle), batched or alone
-    import mpmath
-
     rng = np.random.default_rng(29)
     z = rng.uniform(0.1, 12.0, 120) * np.exp(1j * rng.uniform(-np.pi, np.pi, 120))
     for nu in (NU_P, -1.5 + 2.0j):
@@ -519,8 +551,6 @@ def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
     # the D_{nu-1} of the F = 0.1 modes' d/dt at |z| just past _R_ASYMP: the
     # Poincare series truncates poorly there, and the march's last
     # checkpoint reaches them on these dominant rays without a band integral
-    import mpmath
-
     def no_band_integral(nu, z):
         raise AssertionError("band integral called")
 
