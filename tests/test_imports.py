@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -45,21 +46,35 @@ def _probe(code: str, *args: str):
     return json.loads(out.splitlines()[-1])
 
 
-def test_only_a_closed_free_scenario_loads_scipy_and_only_scipy_special():
+@functools.lru_cache(maxsize=None)
+def _run_path_stages():
+    return _probe(_PROBE)
+
+
+def test_run_path_imports_only_scipy_special_and_fft():
     # importing scipy.special costs a relwave process about 0.3 s and 25 MiB,
     # and only the closed-free packets need it (for K0 and K1): importing
     # relwave and running gauss-free and uniform-field packets load no scipy
     # module, and a closed-free Scenario loads scipy.special when it is built
-    # (its K1 normalization), so that its run loads nothing more.  A lazy
-    # import inside the Gaussian fits would show in the runs too
-    # (scipy.optimize costs about 0.3 s, scipy.signal about 1 s)
-    stages = _probe(_PROBE)
+    # (its K1 normalization).  The chirp-z transform uses numpy.fft, so
+    # scipy.fft is no longer loaded either
+    stages = _run_path_stages()
     assert stages["import"] == []
     assert stages["gauss and field runs"] == []
     loaded = set(stages["closed scenario"]) - set(_probe(_BARE_SCIPY))
     assert {m.split(".")[1] for m in loaded if not m.split(".")[1].startswith("_")} \
         == {"special"}
+
+
+def test_a_metrics_run_loads_neither_scipy_optimize_nor_signal():
+    # a lazy import inside the Gaussian fits would show only in the runs
+    # (scipy.optimize costs about 0.3 s, scipy.signal about 1 s): the
+    # closed-free run, with metrics and widths outputs, loads nothing beyond
+    # what building its Scenario loaded
+    stages = _run_path_stages()
     assert stages["closed run"] == stages["closed scenario"]
+    packages = {m.split(".")[1] for stage in stages.values() for m in stage if "." in m}
+    assert not packages & {"optimize", "signal"}
 
 
 _CLI_PROBE = """
