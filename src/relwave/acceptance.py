@@ -268,8 +268,6 @@ def crit_10b_phase_field():
 
 def crit_11_special_functions():
     """Identity, recurrence, derivative, ODE, Wronskian, and K1 oracles."""
-    import mpmath as mp
-
     probs = []
     # D0 / D1 identities
     for z in (1.0 + 1.0j, 2.0 + 0.0j, -0.7 + 0.4j):

@@ -91,10 +91,13 @@ def main(argv=None) -> int:
     commands["verify"] = sub.add_parser("verify", help="run the acceptance checks")
 
     try:
-        # an unknown option is reported with its command's usage line, not the root's
+        # an unknown option is reported with the usage line of its command, or
+        # of the root if it comes before the command (the root takes only -h)
         args, extra = parser.parse_known_args(argv)
         if extra:
-            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+            first = (sys.argv[1:] if argv is None else argv).index(args.command) == 0
+            (commands[args.command] if first else parser).error(
+                f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 for --help
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:

@@ -1,14 +1,14 @@
 """Named scenario runner: builds packets, sweeps grids, writes CSV/JSON.
 
-Each case's packet is built once (``packets.packet_for``), for the
-scenario's x-range and the largest |t| of its outputs, and every output of
-the case reads it without knowing its family.  A case's outputs come from
-one pass over ``t_list``: each time's ``Packet.observe`` record, which
-``relwave verify`` reads too, serves all its outputs (the widths are
-columns of the metrics).  Each builtin scenario reproduces the data behind
-one figure of the study at desk scale.  Output files use fixed schemas, one
-file per (case, output); two outputs that would share a file name are a
-``ScenarioError``:
+Each case's packet is built once (``packets.packet_for``), when its
+``Scenario`` is built, for the scenario's x-range and the largest |t| of its
+outputs, and every run and output of the case reads it without knowing its
+family.  A case's outputs come from one pass over ``t_list``: each time's
+``Packet.observe`` record, which ``relwave verify`` reads too, serves all
+its outputs (the widths are columns of the metrics).  Each builtin
+scenario reproduces the data behind one figure of the study at desk scale.
+Output files use fixed schemas, one file per (case, output); two outputs
+that would share a file name are a ``ScenarioError``:
 
     density  -> t,x,rho,re_psi,im_psi
     metrics  -> t,G_psi,sigma_psi,G_rho,sigma_rho,imag_residual
@@ -66,7 +66,9 @@ class Scenario:
     in ``packets`` (``_closed``, ``_gauss``, ``_field``), plus an optional
     ``family`` and ``t_max`` (its phase trace ends at the smaller of that and
     ``phase_t_max``).  Every case is checked here, its worldline against the
-    x-grid included.  ``t_list`` may contain negative times.
+    x-grid included.  ``t_list`` may contain negative times.  ``packets``
+    holds each case's packet, built here and read by every ``run``; it is
+    not a field, so it stays out of the repr, equality and manifest.
     """
 
     name: str
@@ -114,8 +116,23 @@ class Scenario:
                 raise ScenarioError(f"unknown output kind {out!r}")
         if not self.cases:
             raise ScenarioError("scenario needs at least one case")
-        labels = [_packet(self, case).label for case in self.cases]
-        names = [_file_name(self, kind, label) for label in labels for kind in self.outputs]
+        t_max = float(np.max(np.abs(self.t_list)))
+        if "phase" in self.outputs:
+            t_max = max(t_max, self.phase_t_max)
+        x_extent = max(abs(self.x_min), abs(self.x_max)) + 1.0
+        on_grid = {"density", "metrics", "widths"} & set(self.outputs)
+        packets = []
+        for case in self.cases:
+            pk = packet_for(case, self.family, x_extent, t_max)
+            for t in self.t_list if on_grid else ():
+                x = pk.trajectory(t).x
+                if not self.x_min <= x <= self.x_max:
+                    raise ScenarioError(
+                        f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "
+                        f"lies outside the grid [{self.x_min:g}, {self.x_max:g}]")
+            packets.append(pk)
+        object.__setattr__(self, "packets", tuple(packets))
+        names = [_file_name(self, kind, pk.label) for pk in packets for kind in self.outputs]
         for fname in names:
             if names.count(fname) > 1:
                 raise ScenarioError(f"two outputs would write {fname}: two cases with "
@@ -191,24 +208,6 @@ def _file_name(scn: Scenario, kind: str, label: str) -> str:
     return f"{scn.name}_{kind}_{label}.csv"
 
 
-def _packet(scn: Scenario, case: dict) -> Packet:
-    """The case's packet, for the scenario's x-range and the largest |t| of
-    its outputs (the phase trace's end included); for a density, metrics or
-    widths output, its classical position at each time must lie on the grid."""
-    t_max = float(np.max(np.abs(scn.t_list)))
-    if "phase" in scn.outputs:
-        t_max = max(t_max, scn.phase_t_max)
-    pk = packet_for(case, scn.family, max(abs(scn.x_min), abs(scn.x_max)) + 1.0, t_max)
-    if {"density", "metrics", "widths"} & set(scn.outputs):
-        for t in scn.t_list:
-            x = pk.trajectory(t).x
-            if not scn.x_min <= x <= scn.x_max:
-                raise ScenarioError(
-                    f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "
-                    f"lies outside the grid [{scn.x_min:g}, {scn.x_max:g}]")
-    return pk
-
-
 def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
     """(file name, header, column blocks) for each output of one case, in one pass
     over ``t_list``: each time's observation serves its density rows and its
@@ -272,8 +271,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", *, threads: int = 1) ->
         },
     )
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
-    files = [f for case in scenario.cases
-             for f in _case_outputs(scenario, _packet(scenario, case), xs)]
+    files = [f for pk in scenario.packets for f in _case_outputs(scenario, pk, xs)]
     for fname, header, blocks in files:
         manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 

@@ -127,7 +127,7 @@ def _builtin_slices(name, case, times):
     """The observations of one case of a builtin scenario at the given
     times, on the scenario's grid."""
     scn = scenarios.builtin_scenarios()[name]
-    pk = scenarios._packet(scn, next(c for c in scn.cases if c.items() >= case.items()))
+    pk = next(pk for c, pk in zip(scn.cases, scn.packets) if c.items() >= case.items())
     xs = np.linspace(scn.x_min, scn.x_max, scn.x_count)
     return [pk.observe(t, xs) for t in times]
 

@@ -358,7 +358,7 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     scn = scenarios.Scenario(name="ph", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
-    pk = scenarios._packet(scn, scn.cases[0])
+    pk, = scn.packets
     basis = field_mode_basis(_cfg(3.0, 1.0), 31.0, 2.0)
     calls = []
     _count_pcf(monkeypatch, calls)

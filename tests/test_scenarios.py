@@ -94,6 +94,43 @@ def test_run_deterministic(tmp_path):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
 
 
+def test_each_case_is_built_once_when_its_scenario_is_built(tmp_path, monkeypatch):
+    # run reads the packets its Scenario built and builds none: fig3's four
+    # closed-free cases were once built twice, at resolve_scenario and in run
+    cases = []
+    build = scenarios.packet_for
+    monkeypatch.setattr(scenarios, "packet_for",
+                        lambda case, *args: cases.append(case) or build(case, *args))
+    fig3 = resolve_scenario("fig3")
+    run(fig3, out_dir=tmp_path / "fig3")
+    assert cases == list(fig3.cases) and len(cases) == 4
+    cases.clear()
+    mixed = load_config(Path(__file__).with_name("mixed_families.ini"))
+    for scn in mixed:
+        run(scn, out_dir=tmp_path / "mixed")
+    assert cases == [case for scn in mixed for case in scn.cases]
+
+
+def test_a_second_run_reuses_the_packet_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    # the field packet, its mode sum and its node-mode memo (which the
+    # spectrum reads) serve both runs: one basis, and the first run's bytes
+    bases = []
+    basis = packets.field_mode_basis
+    monkeypatch.setattr(packets, "field_mode_basis",
+                        lambda *args: bases.append(args) or basis(*args))
+    scn = Scenario(name="again", family="uniform-field",
+                   cases=({"sigma0": 3.0, "gamma0": 1.0, "force": 0.1},),
+                   t_list=(-2.0, 0.0, 2.0), x_min=-20.0, x_max=40.0, x_count=301,
+                   outputs=("density", "spectrum"), normalization="peak-normalized",
+                   p_min=-5.0, p_max=5.0, p_count=101)
+    first = run(scn, out_dir=tmp_path / "a")
+    second = run(scn, out_dir=tmp_path / "b")
+    assert len(bases) == 1
+    assert len(first.outputs) == 2 and first.outputs == second.outputs
+    for fname in first.outputs:
+        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
 def test_run_accepts_only_one_thread(tmp_path):
     # cases run serially; the keyword stays for the benchmark worker's threads=1
     with pytest.raises(ScenarioError, match="threads must be 1"):
@@ -487,18 +524,20 @@ def test_cli_list_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg), "--scenario", "absent"]) == 1
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["run", "--scenario", "fig3", "--bogus"], 1),
-    ([], 1),
-    (["run", "--scenario", "fig3", "--threads", "2"], 1),
-    (["run", "--help"], 0),
-], ids=["unknown-option", "no-command", "threads", "help"])
-def test_cli_usage_errors_are_config_errors(capsys, argv, code):
+@pytest.mark.parametrize("argv,code,usage", [
+    (["run", "--scenario", "fig3", "--bogus"], 1, "usage: relwave run [-h]"),
+    ([], 1, "usage: relwave [-h]"),
+    (["run", "--scenario", "fig3", "--threads", "2"], 1, "usage: relwave run [-h]"),
+    (["run", "--help"], 0, None),
+    # the unknown option comes before the command: the root's usage line
+    (["--bogus", "list"], 1, "usage: relwave [-h] {list,run,verify} ..."),
+], ids=["unknown-option", "no-command", "threads", "help", "unknown-option-before-command"])
+def test_cli_usage_errors_are_config_errors(capsys, argv, code, usage):
     # argparse exits 2 on a usage error, the code of a numeric error
     assert cli_main(argv) == code
     captured = capsys.readouterr()
     if code:
-        assert "usage: relwave" in captured.err
+        assert captured.err.startswith(usage)
     else:
         assert "--out-dir" in captured.out and "--threads" not in captured.out
 
