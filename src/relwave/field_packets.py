@@ -30,7 +30,6 @@ the modes and the classical worldline share one force, p0 and x0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -152,19 +151,25 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
                             c_minus=spectrum * np.conj(fmn) / (g * scale))
 
 
-@lru_cache(maxsize=16)
 def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """The packet's ModeSum of c+ f+ + c- f- on its momentum grid; the modes
     without ``derivatives`` are the same values for half the D_nu work, and
-    a column of times is one ``mode_pair`` call."""
+    a column of times is one ``mode_pair`` call.  The modes at each scalar
+    time are kept, and the modes alone at that time are those kept values:
+    the spectrum of a time whose slice was taken evaluates no D_nu."""
     window = _WINDOW_FACTOR / cfg.sigma0
     dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
     p, weights = momentum_grid(cfg.motion.p0, window, max(int(2 * window / dp) | 1, 401))
     c = mode_coeffs(p, cfg)
+    kept = {}
 
     def modes(t, derivatives):
+        if not derivatives and np.ndim(t) == 0 and t in kept:
+            return kept[t]
         pair = mode_pair(cfg, p + cfg.motion.force * t, derivatives)
         psi = c.c_plus * pair[0] + c.c_minus * pair[1]
+        if np.ndim(t) == 0:
+            kept[t] = psi
         if not derivatives:
             return psi
         return psi, c.c_plus * pair[2] + c.c_minus * pair[3]

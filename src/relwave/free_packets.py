@@ -22,7 +22,6 @@ constants and node spacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -113,7 +112,6 @@ def _node_spacing(x_extent: float, t_max: float, sigma_p: float) -> float:
     return min(2.0 * np.pi / (_OVERSAMPLE * freq), sigma_p / 4.0)
 
 
-@lru_cache(maxsize=64)
 def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """The closed packet as a plane-wave sum (the quadrature route).
 
@@ -143,7 +141,6 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
     return _plane_waves(nodes, weights, norm * spectrum)
 
 
-@lru_cache(maxsize=64)
 def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """Plane-wave packet with the Gaussian momentum spectrum of the initial
     data, unit norm by ``gauss_spectrum``'s analytic normalization."""

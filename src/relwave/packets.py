@@ -7,12 +7,13 @@ alone, the classical worldline and action, and its momentum distribution.
 The momentum sum of a gauss-free or uniform-field packet
 (``quadrature.ModeSum``) is fixed by |x| <= x_extent and |t| <= t_max, so
 every time and grid of a case uses the same build, made at the packet's
-first evaluation: a case is checked without building any sum.
+first evaluation and held by the packet alone: a case is checked without
+building any sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from inspect import Parameter, signature
 from typing import Callable
@@ -56,7 +57,7 @@ class Observation:
 
 @dataclass(frozen=True)
 class Packet:
-    """One wavepacket, built for |t| <= t_max.
+    """One wavepacket.
 
     ``psi_dpsi(t, xs)`` gives psi and d/dt psi on ``xs``, ``psi_at(ts, xs)``
     psi alone at the pairs (ts[k], xs[k]), with the bits of ``psi_dpsi`` at
@@ -70,7 +71,6 @@ class Packet:
     """
 
     label: str
-    t_max: float
     psi_dpsi: Callable
     psi_at: Callable
     trajectory: Callable
@@ -93,9 +93,8 @@ class Packet:
                            self.action, ts)
 
 
-def _free_packet(label, t_max, motion: FreeMotion, psi_dpsi, psi_at,
-                 spectrum) -> Packet:
-    return Packet(label=label, t_max=t_max, psi_dpsi=psi_dpsi, psi_at=psi_at,
+def _free_packet(label, motion: FreeMotion, psi_dpsi, psi_at, spectrum) -> Packet:
+    return Packet(label=label, psi_dpsi=psi_dpsi, psi_at=psi_at,
                   trajectory=partial(free_trajectory, motion=motion),
                   action=partial(action_free, motion=motion),
                   spectrum=lambda ps, t: spectrum(ps),
@@ -106,7 +105,7 @@ def _closed(x_extent: float, t_max: float, *, vartheta, v0=0.0, x0=0.0) -> Packe
     # the closed form needs no grid, so x_extent does not enter
     motion = FreeMotion(v0=v0, x0=x0)
     cfg = ClosedPacketConfig(vartheta=vartheta, motion=motion)
-    return _free_packet(f"ctheta{vartheta:g}", t_max, motion,
+    return _free_packet(f"ctheta{vartheta:g}", motion,
                         partial(_closed_form, cfg=cfg),
                         lambda ts, xs: _closed_form(ts, xs, cfg)[0],
                         partial(spectrum_closed, cfg=cfg))
@@ -117,7 +116,7 @@ def _gauss(x_extent: float, t_max: float, *, sigma0, gamma0, x0=0.0) -> Packet:
     cfg = GaussianPacketConfig(sigma0=sigma0, motion=motion)
     mode_sum = cache(partial(gauss_spectral, cfg, x_extent, t_max))
     return _free_packet(
-        f"sigma{sigma0:g}_gamma{gamma0:g}", t_max, motion,
+        f"sigma{sigma0:g}_gamma{gamma0:g}", motion,
         lambda t, xs: mode_sum().psi_dpsi(t, xs),
         lambda ts, xs: mode_sum().psi_at(ts, xs),
         lambda ps: np.abs(gauss_spectrum(ps, cfg.sigma0, motion.p0, motion.x0)) ** 2)
@@ -126,30 +125,14 @@ def _gauss(x_extent: float, t_max: float, *, sigma0, gamma0, x0=0.0) -> Packet:
 def _field(x_extent: float, t_max: float, *, sigma0, gamma0, force, x0=None) -> Packet:
     motion = FieldMotion.from_gamma(gamma0, force, x0=x0)
     cfg = FieldPacketConfig(sigma0=sigma0, motion=motion)
-    # psi_p(t) on the nodes by time, for the spectrum: a time whose slice
-    # was taken does not evaluate its modes again
-    psi_nodes = {}
-
-    @cache
-    def mode_sum():
-        basis = field_mode_basis(cfg, x_extent, t_max)
-
-        def modes(t, derivatives):
-            out = basis.modes(t, derivatives)
-            if np.ndim(t) == 0:
-                psi_nodes[t] = out[0] if derivatives else out
-            return out
-
-        return replace(basis, modes=modes)
+    mode_sum = cache(partial(field_mode_basis, cfg, x_extent, t_max))
 
     def density_on_nodes(t):
-        if t not in psi_nodes:
-            mode_sum().modes(t, False)
-        return np.abs(psi_nodes[t]) ** 2
+        return np.abs(mode_sum().modes(t, False)) ** 2
 
     return Packet(
         label=f"sigma{sigma0:g}_gamma{gamma0:g}_F{force:g}",
-        t_max=t_max, psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
+        psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
         psi_at=lambda ts, xs: mode_sum().psi_at(ts, xs),
         trajectory=partial(field_trajectory, motion=motion),
         action=partial(action_field, motion=motion),
@@ -165,21 +148,18 @@ FAMILIES = tuple(_BUILDERS)
 def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet:
     """The packet of ``case``, for |x| <= x_extent and |t| <= t_max.
 
-    A case's own ``family`` and ``t_max`` replace the arguments; its other
-    keys bind to the keyword-only parameters of ``_closed``, ``_gauss`` or
-    ``_field``.  An unknown family or key, a missing key, a non-finite or
-    invalid value and a ``t_max`` below 0 raise ScenarioError naming the case."""
+    A case's own ``family`` replaces the argument; its other keys bind to
+    the keyword-only parameters of ``_closed``, ``_gauss`` or ``_field``.
+    An unknown family or key, a missing key and a non-finite or invalid
+    value raise ScenarioError naming the case."""
     keys = dict(case)
     family = keys.pop("family", family)
-    t_max = keys.pop("t_max", t_max)
     build = _BUILDERS.get(family)
     if build is None:
         raise ScenarioError(f"case {case}: unknown family {family!r}")
     for key, val in case.items():
         if isinstance(val, float) and not np.isfinite(val):
             raise ScenarioError(f"case {case}: {key} must be finite")
-    if not t_max >= 0:
-        raise ScenarioError(f"case {case}: t_max must be >= 0")
     params = {key: p.default for key, p in signature(build).parameters.items()
               if p.kind is Parameter.KEYWORD_ONLY}
     required = {key for key, default in params.items() if default is Parameter.empty}
@@ -187,6 +167,6 @@ def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet
         if names:
             raise ScenarioError(f"case {case}: {what} key {min(names)!r}")
     try:
-        return build(x_extent, float(t_max), **keys)
+        return build(x_extent, t_max, **keys)
     except ValueError as exc:
         raise ScenarioError(f"case {case}: {exc}") from exc

@@ -64,11 +64,12 @@ class Scenario:
 
     Each case's keys are the keyword-only parameters of its family's builder
     in ``packets`` (``_closed``, ``_gauss``, ``_field``), plus an optional
-    ``family`` and ``t_max`` (its phase trace ends at the smaller of that and
-    ``phase_t_max``).  Every case is checked here, its worldline against the
-    x-grid included.  ``t_list`` may contain negative times.  ``packets``
-    holds each case's packet, built here and read by every ``run``; it is
-    not a field, so it stays out of the repr, equality and manifest.
+    ``family`` and ``t_max``, which only ends its phase trace (``_phase_end``).
+    Every case is checked here, its worldline against the x-grid included.
+    ``t_list`` may contain negative times.  ``packets`` holds each case's
+    packet, built here for the largest |t| of its outputs and read by every
+    ``run``; it is not a field, so it stays out of the repr, equality and
+    manifest.
     """
 
     name: str
@@ -116,14 +117,13 @@ class Scenario:
                 raise ScenarioError(f"unknown output kind {out!r}")
         if not self.cases:
             raise ScenarioError("scenario needs at least one case")
-        t_max = float(np.max(np.abs(self.t_list)))
-        if "phase" in self.outputs:
-            t_max = max(t_max, self.phase_t_max)
+        t_out = float(np.max(np.abs(self.t_list)))
         x_extent = max(abs(self.x_min), abs(self.x_max)) + 1.0
         on_grid = {"density", "metrics", "widths"} & set(self.outputs)
         packets = []
         for case in self.cases:
-            pk = packet_for(case, self.family, x_extent, t_max)
+            keys = {key: val for key, val in case.items() if key != "t_max"}
+            pk = packet_for(keys, self.family, x_extent, max(t_out, _phase_end(self, case)))
             for t in self.t_list if on_grid else ():
                 x = pk.trajectory(t).x
                 if not self.x_min <= x <= self.x_max:
@@ -208,7 +208,20 @@ def _file_name(scn: Scenario, kind: str, label: str) -> str:
     return f"{scn.name}_{kind}_{label}.csv"
 
 
-def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
+def _phase_end(scn: Scenario, case: dict) -> float:
+    """Where the phase trace of ``case`` ends: at the smaller of its own
+    ``t_max`` and ``phase_t_max``, or at 0 when ``scn`` has no phase output.
+    The one reader of a case's ``t_max``: a non-finite or negative one is a
+    ScenarioError naming the case."""
+    t_max = case.get("t_max", scn.phase_t_max)
+    if isinstance(t_max, float) and not np.isfinite(t_max):
+        raise ScenarioError(f"case {case}: t_max must be finite")
+    if not t_max >= 0:
+        raise ScenarioError(f"case {case}: t_max must be >= 0")
+    return float(min(t_max, scn.phase_t_max)) if "phase" in scn.outputs else 0.0
+
+
+def _case_outputs(scn: Scenario, case: dict, pk: Packet, xs: np.ndarray):
     """(file name, header, column blocks) for each output of one case, in one pass
     over ``t_list``: each time's observation serves its density rows and its
     metrics rows, whose fits it makes only when read; the widths are columns
@@ -239,7 +252,7 @@ def _case_outputs(scn: Scenario, pk: Packet, xs: np.ndarray):
         out["spectrum"] = ("t,p,rho_tilde",
                            [(t, ps, pk.spectrum(ps, t) / peak) for t in scn.t_list])
     if "phase" in kinds:
-        t_end = min(pk.t_max, scn.phase_t_max)
+        t_end = _phase_end(scn, case)
         tr = pk.trace_phase(np.arange(0.0, t_end + 0.5 * scn.phase_dt, scn.phase_dt))
         out["phase"] = ("t,phi,s_cl_over_hbar,offset",
                         [(tr.ts, tr.phi, tr.s_cl_over_hbar, tr.offset)])
@@ -271,7 +284,8 @@ def run(scenario: Scenario, out_dir: str | Path = "out", *, threads: int = 1) ->
         },
     )
     xs = np.linspace(scenario.x_min, scenario.x_max, scenario.x_count)
-    files = [f for pk in scenario.packets for f in _case_outputs(scenario, pk, xs)]
+    files = [f for case, pk in zip(scenario.cases, scenario.packets)
+             for f in _case_outputs(scenario, case, pk, xs)]
     for fname, header, blocks in files:
         manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 

@@ -360,9 +360,10 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
                              t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
     pk, = scn.packets
     basis = field_mode_basis(_cfg(3.0, 1.0), 31.0, 2.0)
+    pk.psi_at(np.zeros(1), np.zeros(1))  # builds the packet's own basis, uncounted
     calls = []
     _count_pcf(monkeypatch, calls)
-    scenarios._case_outputs(scn, pk, np.linspace(-30.0, 30.0, 101))
+    scenarios._case_outputs(scn, scn.cases[0], pk, np.linspace(-30.0, 30.0, 101))
     assert len(times) >= 9
     assert {nu for nu, _ in calls} == {_order_and_ray(_cfg(3.0, 1.0))[0]}
     points = sum(n for _, n in calls)
@@ -379,12 +380,12 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     pk = _packet(0.3, 10.0, 41.0, 8.0)
     ts = np.arange(0.0, 8.125, 0.25)
     ref = pk.trace_phase(ts)
+    p = field_mode_basis(_cfg(0.3, 10.0), 41.0, 8.0).p
     calls = []
     monkeypatch.setattr(quadrature, "_PAIR_BLOCK", block)
     monkeypatch.setattr(field_packets, "_PAIR_BLOCK", block)
     _count_pcf(monkeypatch, calls)
     trace = pk.trace_phase(ts)
-    p = field_mode_basis(_cfg(0.3, 10.0), 41.0, 8.0).p
     n_p = len(p)
     sizes = [n for _, n in calls]
     assert max(sizes) <= block
@@ -406,14 +407,14 @@ def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
                              x_count=301, outputs=("density", "spectrum"),
                              normalization="peak-normalized", p_min=-5.0, p_max=5.0,
                              p_count=101)
-    field_mode_basis.cache_clear()
     calls = []
     _count_pcf(monkeypatch, calls)
     scenarios.run(scn, tmp_path)
     assert len(calls) == 7
+    points = sum(n for _, n in calls)
     cfg = _cfg(3.0, 1.0)
     p = field_mode_basis(cfg, 41.0, 4.0).p
-    assert sum(n for _, n in calls) == _pcf_points(cfg, p) + 2 * sum(
+    assert points == _pcf_points(cfg, p) + 2 * sum(
         _pcf_points(cfg, p + F * t) for t in scn.t_list)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relwave import free_packets, packets
 from relwave.analysis import charge_density, expectation_x, momentum_spectrum
 from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
                                   closed_spectral, gauss_spectral, gauss_spectrum,
@@ -200,15 +201,20 @@ def test_spectral_time_derivative_against_closed_form():
             assert np.max(np.abs(sl.psi - ref_psi)) < 1e-8 * np.max(np.abs(ref_psi))
 
 
-def test_closed_slice_at_v0_0999_builds_no_spectral_packet():
-    misses = closed_spectral.cache_info().misses
+def test_closed_slice_at_v0_0999_builds_no_spectral_packet(monkeypatch):
+    # counted wherever the packets could look the builder up
+    builds = []
+    for module in (free_packets, packets):
+        monkeypatch.setattr(module, "closed_spectral",
+                            lambda *args: builds.append(args) or closed_spectral(*args),
+                            raising=False)
     pk = _closed(1.0, v0=0.999)
     sl = pk.slice(5.0, np.linspace(-30.0, 40.0, 2001))
-    assert closed_spectral.cache_info().misses == misses
+    assert builds == []
     assert np.all(np.isfinite(sl.psi)) and np.all(np.isfinite(sl.dpsi_dt))
     psi, dpsi = pk.psi_dpsi(5.0, np.array([4.995]))
     assert np.isfinite(psi[0]) and np.isfinite(dpsi[0])
-    assert closed_spectral.cache_info().misses == misses
+    assert builds == []
 
 
 @pytest.mark.parametrize("vartheta", [400.0, 1000.0])

@@ -176,13 +176,11 @@ def test_one_slice_per_case_and_time_serves_every_output(tmp_path, monkeypatch):
                         lambda sl, *args: fits.append(("psi", sl.t)) or fit_psi(sl, *args))
     monkeypatch.setattr(packets, "gauss_similarity_rho",
                         lambda dens, *args: fits.append(("rho", dens.t)) or fit_rho(dens, *args))
-    field_packets.field_mode_basis.cache_clear()
     run(dataclasses.replace(scn, outputs=("density",)), out_dir=tmp_path / "density")
     density_points = sum(points)
     assert fits == []
     slices.clear()
     points.clear()
-    field_packets.field_mode_basis.cache_clear()
     assert len(run(scn, out_dir=tmp_path / "all").outputs) == 8
     assert sorted(slices) == sorted({(label, t) for label in ("sigma3_gamma1_F0.1",
                                                              "sigma2_gamma1.5_F0.1")
@@ -282,9 +280,10 @@ def test_a_bad_case_in_a_later_section_stops_every_section(tmp_path, capsys):
     # a phase file with no rows, both with exit code 0
     ("gauss-free", "sigma0=3, gamma0=1, xo=5", "unknown key 'xo'"),
     ("closed-free", "vartheta=2, v0=0.25, t_max=-5", "t_max must be >= 0"),
+    ("closed-free", "vartheta=2, v0=0.25, t_max=inf", "t_max must be finite"),
 ], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1",
         "gauss-sigma0-nan", "closed-v0-nan", "field-gamma0-nan", "gauss-x0-inf",
-        "misspelt-key", "negative-t-max"])
+        "misspelt-key", "negative-t-max", "infinite-t-max"])
 def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, reason):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[bad]\nfamily = {family}\ncases = {case}\nt_list = 0\n"
@@ -316,6 +315,19 @@ def test_cli_packet_off_the_grid_is_a_config_error(tmp_path, capsys, family, cas
     assert err.startswith("config error: case ") and where in err
     assert "outside the grid [-18, 18]" in err
     assert not list(out.glob("*.csv"))
+
+
+def test_a_case_t_max_ends_only_its_phase_trace(tmp_path):
+    # a case's t_max also set the horizon of its momentum sum, so t_max = 0
+    # aliased the t = 100 slice (charge 1.19 on the grid, 0.108 without it)
+    # with exit code 0; now the density bytes do not depend on it
+    short, full = load_config(Path(__file__).with_name("short_t_max.ini"))
+    assert short.cases[0]["t_max"] == 0.0 and "t_max" not in full.cases[0]
+    texts = []
+    for scn in (short, full):
+        fname, = run(scn, out_dir=tmp_path).outputs
+        texts.append((tmp_path / fname).read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_phase_and_spectrum_outputs_need_no_grid(tmp_path):
