@@ -148,12 +148,14 @@ FAMILIES = tuple(_BUILDERS)
 def packet_for(case: dict, family: str, x_extent: float, t_max: float) -> Packet:
     """The packet of ``case``, for |x| <= x_extent and |t| <= t_max.
 
-    A case's own ``family`` replaces the argument; its other keys bind to
+    A case's own ``family`` replaces the argument, its ``t_max`` only ends
+    its phase trace (``scenarios._phase_end``), and its other keys bind to
     the keyword-only parameters of ``_closed``, ``_gauss`` or ``_field``.
     An unknown family or key, a missing key and a non-finite or invalid
     value raise ScenarioError naming the case."""
     keys = dict(case)
     family = keys.pop("family", family)
+    keys.pop("t_max", None)
     build = _BUILDERS.get(family)
     if build is None:
         raise ScenarioError(f"case {case}: unknown family {family!r}")

@@ -122,8 +122,7 @@ class Scenario:
         on_grid = {"density", "metrics", "widths"} & set(self.outputs)
         packets = []
         for case in self.cases:
-            keys = {key: val for key, val in case.items() if key != "t_max"}
-            pk = packet_for(keys, self.family, x_extent, max(t_out, _phase_end(self, case)))
+            pk = packet_for(case, self.family, x_extent, max(t_out, _phase_end(self, case)))
             for t in self.t_list if on_grid else ():
                 x = pk.trajectory(t).x
                 if not self.x_min <= x <= self.x_max:

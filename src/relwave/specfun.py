@@ -12,20 +12,23 @@ The complex 1/Gamma of the D_nu series and connection formula comes from
 one ulp of the exact value, 0 at the poles, and non-finite where it leaves
 double range, which the callers turn into SpecFunAccuracyError.
 
-D_nu(z) stitches four regimes:
+D_nu(z) takes each point, in one pass, to the first regime that holds it:
 
-* small |z|       Maclaurin series via Kummer's M (any argument),
-* large |z|       Poincare expansion e^{-z^2/4} z^nu sum_s (-nu)_{2s} (-2z^2)^{-s}/s!,
-* band, dominant rays    Taylor marching of Weber's equation along the ray,
-* band, subdominant rays  rotated-contour integral representation (marching
-                   there would amplify seed error by the dominant/recessive
-                   ratio),
+* |z| <= _R_SERIES  Maclaurin series via Kummer's M (any argument),
+* |z| >= _R_ASYMP   Poincare expansion e^{-z^2/4} z^nu sum_s (-nu)_{2s} (-2z^2)^{-s}/s!,
+                    where it truncates within 1e-11,
+* dominant rays     Taylor march of Weber's equation outward along the ray,
+                    on to where the Poincare expansion holds,
+* other points      rotated-contour integral representation (a march there
+                    would amplify seed error by the dominant/recessive ratio),
 
 with |arg z| > pi/2 folded into the right half-plane first.  The fold's
 connection-formula factors and its one guard live in ``_fold_factors``,
 which ``field_packets.mode_pair`` calls too, before any D_nu: it raises
 SpecFunAccuracyError where the fold would cancel beyond double precision or
-a factor leaves double range.
+a factor leaves double range.  The mode rays of the uniform-field packets
+take the first three regimes (within 1e-11 of mpmath for forces down to
+0.01); the band integral serves only the rays the march does not.
 
 Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
 coefficients, so a value does not depend on the other points of the call:
@@ -34,12 +37,10 @@ the Maclaurin series takes one term count per order, enough for every
 before its first growing term, a count read from the table.  The band
 integral takes one point at a time.  The march does not depend on its
 targets: the Taylor coefficients at its checkpoints are computed once per
-ray (order, angle, direction) and cached, and each call only evaluates its
-targets' polynomials.  Accuracy is tuned for the diagonal rays (+-1 +- i) s
-used by the uniform-field modes (observed ~1e-11 there) and degrades
-gracefully off them; configurations whose subdominant solution falls below
-double-precision conditioning raise SpecFunAccuracyError instead of
-returning a silently wrong value.
+ray (order, angle) and cached, and each call only evaluates its targets'
+polynomials.  Where double precision cannot hold the answer (the band
+integral past |Im nu| = 8, the march past |nu| = _MARCH_NU_MAX) a
+SpecFunAccuracyError is raised instead of a silently wrong value.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ _R_SERIES = 1.5
 _R_ASYMP = 8.0
 _MARCH_ORDER = 36
 _MARCH_STEP = 0.5
+_R_STEP = 12.0  # past it the march's step shrinks as 1/|z|
+# the largest |nu| the march serves within 1e-11: both mode orders of every
+# force >= 0.01 (|nu| = 50.02; at 0.0095, |nu| = 52.6, it is 1.05e-11 off)
+_MARCH_NU_MAX = 50.1
+_POINCARE_TOL = 1e-11  # the truncation of a Poincare point and of the march's end
 # term cap of the Poincare series
 _POINCARE_TERMS = 60
 # exp-sinh abscissae of the band integral: tau in [_BAND_TAU_LO, _BAND_TAU_HI]
@@ -211,67 +217,70 @@ def _asymptotic(nu: complex, z: np.ndarray):
 
 
 @lru_cache(maxsize=128)
-def _march_checkpoints(nu: complex, theta: float, outward: bool):
-    """Checkpoint radii and Taylor coefficients of D_nu along one ray.
+def _march_checkpoints(nu: complex, theta: float):
+    """Checkpoint radii, reaches and Taylor coefficients of D_nu along one ray.
 
-    Weber's equation D'' = (z^2/4 - nu - 1/2) D is marched across the band
-    in steps of _MARCH_STEP, carrying (D, D'): outward from the Maclaurin
-    seed at _R_SERIES, or inward from the band-integral seed at _R_ASYMP.
-    Row k holds the _MARCH_ORDER + 2 Taylor coefficients about the k-th
-    checkpoint.  Nothing here depends on the targets, so a ray is marched
-    once per process and the read-only arrays are shared by every call.
+    Weber's equation D'' = (z^2/4 - nu - 1/2) D is marched outward from the
+    Maclaurin seed at _R_SERIES, carrying (D, D'), in steps of _MARCH_STEP
+    that shrink as 1/|z| past _R_STEP (the local wavenumber is ~|z|/2), to
+    the first checkpoint past _R_ASYMP where the Poincare truncation is at
+    most _POINCARE_TOL.  Row k holds the _MARCH_ORDER + 2 Taylor
+    coefficients about the k-th checkpoint, whose polynomial serves radii up
+    to reach[k], one step on.  Nothing here depends on the targets, so a ray
+    is marched once per process and the read-only arrays are shared by
+    every call.  Past |nu| = _MARCH_NU_MAX it raises SpecFunAccuracyError.
     """
+    if abs(nu) > _MARCH_NU_MAX:
+        raise SpecFunAccuracyError(
+            f"D_nu for nu={nu} needs the march, which loses accuracy past "
+            f"|nu| = {_MARCH_NU_MAX:g}")
     direction = np.exp(1j * theta)
-    sign, r_cur, seed = ((1.0, _R_SERIES, _maclaurin) if outward
-                         else (-1.0, _R_ASYMP, _band_integral))
+    r_cur = _R_SERIES
     z0 = np.array([r_cur * direction])
-    d = seed(nu, z0)[0]
-    dp = nu * seed(nu - 1.0, z0)[0] - 0.5 * z0[0] * d
-    n_ord = _MARCH_ORDER
-    count = int(round((_R_ASYMP - _R_SERIES) / _MARCH_STEP)) + 1
-    radii = np.empty(count)
-    coef = np.empty((count, n_ord + 2), dtype=complex)
-    h = sign * _MARCH_STEP * direction
-    for k in range(count):
+    d = _maclaurin(nu, z0)[0]
+    dp = nu * _maclaurin(nu - 1.0, z0)[0] - 0.5 * z0[0] * d
+    rows = []
+    while True:
         z0 = r_cur * direction
-        a = coef[k]
+        a = np.empty(_MARCH_ORDER + 2, dtype=complex)
         a[0] = d
         a[1] = dp
         q0 = 0.25 * z0 * z0 - nu - 0.5
-        for n in range(n_ord):
+        for n in range(_MARCH_ORDER):
             s = q0 * a[n]
             if n >= 1:
                 s = s + 0.5 * z0 * a[n - 1]
             if n >= 2:
                 s = s + 0.25 * a[n - 2]
             a[n + 2] = s / ((n + 2.0) * (n + 1.0))
-        radii[k] = r_cur
-        val = 0.0 + 0.0j
-        der = 0.0 + 0.0j
-        for n in range(n_ord + 1, 0, -1):
+        step = _MARCH_STEP * min(1.0, _R_STEP / r_cur)
+        rows.append((r_cur, r_cur + step + 1e-12, a))
+        if r_cur >= _R_ASYMP and _asymptotic(nu, np.array([z0]))[1][0] <= _POINCARE_TOL:
+            break
+        h = step * direction
+        val = der = 0.0 + 0.0j
+        for n in range(_MARCH_ORDER + 1, 0, -1):
             val = val * h + a[n]
             der = der * h + n * a[n]
-        val = val * h + a[0]
-        d, dp = val, der
-        r_cur += sign * _MARCH_STEP
-    radii.flags.writeable = False
-    coef.flags.writeable = False
-    return radii, coef
+        d, dp = val * h + a[0], der
+        r_cur += step
+    table = tuple(np.array(col) for col in zip(*rows))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
-def _march_ray(nu: complex, theta: float, radii: np.ndarray, outward: bool) -> np.ndarray:
-    """D_nu at radii along the ray arg z = theta inside the band: each target
-    is the Taylor polynomial of the first checkpoint of the march (in
-    marching order) within one step of it."""
-    r_k, coef = _march_checkpoints(nu, theta, outward)
-    direction = np.exp(1j * theta)
-    radii = np.asarray(radii, dtype=float)
-    near = np.abs(radii[:, None] - r_k[None, :]) <= _MARCH_STEP + 1e-12
-    if not np.all(near.any(axis=1)):  # pragma: no cover - structural safety net
-        raise SpecFunAccuracyError("pcf march target outside the band")
-    k = np.argmax(near, axis=1)
+def _march_ray(nu: complex, theta: float, radii: np.ndarray) -> np.ndarray:
+    """D_nu at radii along the ray arg z = theta: each target is the Taylor
+    polynomial of the first checkpoint that reaches it.  A target past the
+    march's end raises SpecFunAccuracyError."""
+    r_k, reach, coef = _march_checkpoints(nu, theta)
+    k = np.searchsorted(reach, radii)
+    if np.any(k == len(r_k)):
+        raise SpecFunAccuracyError(f"D_nu for nu={nu} at |z|~{radii.max():.3g} "
+                                   f"lies past the march's end at {r_k[-1]:.3g}")
     a = coef[k]
-    h_t = (radii - r_k[k]) * direction
+    h_t = (radii - r_k[k]) * np.exp(1j * theta)
     val = np.zeros(len(radii), dtype=complex)
     for n in range(_MARCH_ORDER + 1, -1, -1):
         val = val * h_t + a[:, n]
@@ -291,9 +300,9 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
 
     Each point is integrated on its own, over 1-d node arrays, so its value
     does not depend on the other points of the call and a temporary holds
-    at most 2^19 + 1 complex nodes (8 MiB); the first point whose value
-    leaves double range raises SpecFunAccuracyError (weak fields: the rule
-    has 2^19 + 1 nodes at |Im nu| ~ 400, where D_nu itself overflows).
+    at most 2^19 + 1 complex nodes (8 MiB, at |Im nu| ~ 400, where D_nu
+    itself overflows); the first point whose value leaves double range
+    raises SpecFunAccuracyError.  pcf_d takes it only up to |Im nu| = 8.
     """
     if nu.real >= 0.0:
         # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
@@ -319,61 +328,48 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conditioned_band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
-    """``_band_integral``; past |Im nu| = 8 a point on a subdominant ray raises
-    SpecFunAccuracyError: there even the integral cancels beyond double precision."""
-    if abs(nu.imag) > 8.0 and np.any(np.angle(z) * nu.imag > 1e-12):
-        raise SpecFunAccuracyError(
-            f"D_nu for nu={nu} at |z|~{float(np.abs(z[0])):.3g} on a "
-            "subdominant ray exceeds double-precision conditioning"
-        )
-    return _band_integral(nu, z)
-
-
 def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
-    """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument."""
+    """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument: the
+    Maclaurin series, else the Poincare expansion where it truncates within
+    _POINCARE_TOL, else the outward march on rays where it is stable, else
+    the band integral."""
     res = np.empty_like(z)
     r = np.abs(z)
     small = r <= _R_SERIES
-    big = r >= _R_ASYMP
-    band = ~(small | big)
+    rest = ~small
     if np.any(small):
         res[small] = _maclaurin(nu, z[small])
-    if np.any(big):
+    big = np.flatnonzero(r >= _R_ASYMP)
+    if big.size:
         vals, trunc = _asymptotic(nu, z[big])
-        # |nu| too large for the expansion at this radius: points within one
-        # step of the band join it (the march's last checkpoint reaches them
-        # on a dominant ray), the others take the band integral
-        idx = np.flatnonzero(big)
-        poor = trunc > 1e-11
-        near = poor & (r[big] <= _R_ASYMP + _MARCH_STEP)
-        band[idx[near]] = True
-        far = poor & ~near
-        if np.any(far):
-            vals[far] = _conditioned_band_integral(nu, z[big][far])
-        res[idx[~near]] = vals[~near]
-    if np.any(band):
-        zb = z[band]
-        vals = np.empty_like(zb)
-        angles = np.angle(zb)
-        # one group per ray: the band points in order of angle, split where
-        # the angle moves; g indexes zb and vals
+        good = trunc <= _POINCARE_TOL
+        res[big[good]] = vals[good]
+        rest[big[good]] = False
+    if np.any(rest):
+        zr = z[rest]
+        vals = np.empty_like(zr)
+        angles = np.angle(zr)
+        # one group per ray: the points in order of angle, split where the
+        # angle moves; g indexes zr and vals
         order = np.argsort(angles, kind="stable")
         breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
         for g in np.split(order, breaks):
             theta = angles[g[0]]
-            if theta * nu.imag > 1e-12:
-                # D_nu is exponentially subdominant on this ray; marching
-                # would amplify seed error by the dominant/recessive ratio,
-                # so integrate instead
-                vals[g] = _conditioned_band_integral(nu, zb[g])
-                continue
-            # march away from the locally dominant solution: outward where
-            # e^{-z^2/4} grows (Re z^2 < 0), inward from the band-integral
-            # seed where it decays.
-            outward = bool(np.cos(2.0 * theta) <= 0.25)
-            vals[g] = _march_ray(nu, theta, np.abs(zb[g]), outward)
-        res[band] = vals
+            # the outward march is stable where D_nu is dominant and
+            # e^{-z^2/4} grows (Re z^2 < 0); elsewhere it would amplify its
+            # seed's error by the dominant/recessive ratio, so integrate
+            if theta * nu.imag <= 1e-12 and np.cos(2.0 * theta) <= 0.25:
+                vals[g] = _march_ray(nu, theta, np.abs(zr[g]))
+            elif abs(nu.imag) <= 8.0:
+                vals[g] = _band_integral(nu, zr[g])
+            else:
+                # the integral's error there outgrows 1e-10 on every ray (real
+                # axis, |Im nu| = 10), and it cancels beyond double precision
+                # on the subdominant ones
+                raise SpecFunAccuracyError(
+                    f"D_nu for nu={nu} at |z|~{abs(zr[g[0]]):.3g} off the march "
+                    "exceeds the band integral's double-precision conditioning")
+        res[rest] = vals
     return res
 
 

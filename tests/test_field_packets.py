@@ -447,6 +447,38 @@ def test_negative_force_packet_conserves_its_charge(force):
     assert pk.trajectory(6.0).x < -0.1  # the force pulls it to negative x
 
 
+@pytest.mark.parametrize("force", [0.1, -0.3, 0.04, 0.02, 0.01])
+def test_mode_pair_solves_its_ode(force):
+    # an oracle without D_nu: each mode solves y'' + ((p + F t)^2 + 1) y = 0
+    # in t.  From mode_pair at s = p, DOP853 (rtol 1e-13) reaches mode_pair
+    # at s = p + F T to 1e-11 of each value (measured: 3.3e-12 at worst);
+    # at F = 0.02 and 0.01 it was 1.2e-3 and 2 off when the mode ray's
+    # Poincare points past |z| = 8.5 took the band integral
+    from scipy.integrate import solve_ivp
+
+    p = np.array([-1.3, 0.4, 2.0])
+    cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
+
+    def rhs(t, y):  # y = (f+, f-, d/dt f+, d/dt f-) at the three p
+        return np.concatenate([y[6:], -np.tile((p + force * t) ** 2 + 1.0, 2) * y[:6]])
+
+    start = np.concatenate(mode_pair(cfg, p, derivatives=True))
+    for T in (40.0, -12.0):
+        sol = solve_ivp(rhs, (0.0, T), start, method="DOP853", rtol=1e-13, atol=0.0)
+        ref = np.concatenate(mode_pair(cfg, p + force * T, derivatives=True))
+        assert np.max(np.abs(sol.y[:, -1] - ref) / np.abs(ref)) < 1e-11, T
+
+
+def test_weak_field_packet_conserves_its_charge():
+    # F = 0.01, the weakest force whose modes the march serves: the charge
+    # on the grid went from 1.02 at t = 0 to 2.4e16 at t = 2, with exit code 0
+    xs = np.linspace(-40.0, 40.0, 3001)
+    pk = packet_for({"sigma0": 3.0, "gamma0": 1.0, "force": 0.01, "x0": 0.0},
+                    "uniform-field", 41.0, 6.0)
+    charges = [charge_density(pk.slice(t, xs)).total_charge() for t in (0.0, 2.0, 6.0)]
+    assert max(charges) - min(charges) < 1e-12 * charges[0]
+
+
 @pytest.mark.parametrize("force", [-0.3, -1.0])
 def test_negative_force_mirror_identity(force):
     # psi(x, t; -F, p0, x0) = psi(-x, t; F, -p0, -x0), and so for d/dt psi,

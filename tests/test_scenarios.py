@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,8 @@ def test_a_bad_case_in_a_later_section_stops_every_section(tmp_path, capsys):
 @pytest.mark.parametrize("family,case,reason", [
     ("gauss-free", "sigma0=3", "missing key 'gamma0'"),
     ("closed-free", "vartheta=-1", "vartheta must be positive"),
+    # the case as written: its t_max was once left out of the message
+    ("closed-free", "vartheta=-1, t_max=5", "'t_max': 5.0"),
     ("gauss-free", "sigma0=3, gamma0=0.5", "gamma0 must be >= 1"),
     ("uniform-field", "sigma0=3, gamma0=0.5, force=0.1", "gamma0 must be >= 1"),
     ("gauss-free", "sigma0=nan, gamma0=1", "sigma0 must be finite"),
@@ -281,7 +284,8 @@ def test_a_bad_case_in_a_later_section_stops_every_section(tmp_path, capsys):
     ("gauss-free", "sigma0=3, gamma0=1, xo=5", "unknown key 'xo'"),
     ("closed-free", "vartheta=2, v0=0.25, t_max=-5", "t_max must be >= 0"),
     ("closed-free", "vartheta=2, v0=0.25, t_max=inf", "t_max must be finite"),
-], ids=["no-gamma0", "negative-vartheta", "gauss-gamma0-below-1", "field-gamma0-below-1",
+], ids=["no-gamma0", "negative-vartheta", "negative-vartheta-with-t-max",
+        "gauss-gamma0-below-1", "field-gamma0-below-1",
         "gauss-sigma0-nan", "closed-v0-nan", "field-gamma0-nan", "gauss-x0-inf",
         "misspelt-key", "negative-t-max", "infinite-t-max"])
 def test_cli_case_errors_exit_as_config_errors(tmp_path, capsys, family, case, reason):
@@ -453,8 +457,8 @@ def test_errors_from_run_map_to_exit_codes(tmp_path, monkeypatch, error, code):
 
 
 def test_weak_force_above_the_fold_limit_fails_fast(tmp_path, capsys):
-    # nu = -1/2 -+ 416.67i: the band integral overflows at its first block
-    # instead of summing 2^19 + 1 nodes for each of ~400 points
+    # nu = -1/2 -+ 416.67i: the march refuses the order at its first ray; the
+    # band integral once summed 2^19 + 1 nodes for each of ~400 points there
     cfg = tmp_path / "weak.ini"
     cfg.write_text("[weak]\nfamily = uniform-field\n"
                    "cases = sigma0=3, gamma0=1, force=0.0012, x0=0\nt_list = 0\n"
@@ -467,9 +471,41 @@ def test_weak_force_above_the_fold_limit_fails_fast(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("force", [0.0099, 0.005, 0.002, 0.0012])
+def test_forces_below_the_march_bound_fail_fast(tmp_path, capsys, force):
+    # from just below F = 0.01 down to the fold limit the D_nu march refuses
+    # the modes: exit code 2 and no CSV, within seconds
+    cfg = tmp_path / "weak.ini"
+    cfg.write_text("[weak]\nfamily = uniform-field\n"
+                   f"cases = sigma0=3, gamma0=1, force={force}, x0=0\nt_list = 0, 2\n"
+                   "x_min = -18\nx_max = 18\nx_count = 301\noutputs = density, metrics\n")
+    out = tmp_path / "o"
+    started = time.monotonic()
+    assert cli_main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert time.monotonic() - started < 5.0
+    assert capsys.readouterr().err.startswith("numeric error in weak:")
+    assert not list(out.glob("*.csv"))
+
+
+def test_weak_field_config_runs_clean(tmp_path, capsys):
+    # tests/weak_field.ini: F = 0.01 runs with no numpy warning (its modes
+    # were garbage past t = 0, with exit code 0), F = 0.005 is refused
+    cfg = str(Path(__file__).with_name("weak_field.ini"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["run", "--config", cfg, "--scenario", "weak-field",
+                         "--out-dir", str(out / "weak")]) == 0
+        assert len(list((out / "weak").glob("*.csv"))) == 2
+        assert cli_main(["run", "--config", cfg, "--scenario", "too-weak",
+                         "--out-dir", str(out / "too")]) == 2
+    assert "numeric error in too-weak:" in capsys.readouterr().err
+    assert not list((out / "too").glob("*.csv"))
+
+
 def test_off_grid_case_fails_before_its_basis_is_built(tmp_path, capsys):
-    # the worldline check needs no mode sum: a weak-force basis that takes
-    # tens of seconds to build is never built for a case off the grid
+    # the worldline check needs no mode sum: a case off the grid is a config
+    # error, not the numeric error that building its weak-force basis raises
     cfg = tmp_path / "off.ini"
     cfg.write_text("[off]\nfamily = uniform-field\n"
                    "cases = sigma0=3, gamma0=1, force=0.002, x0=500\nt_list = 0\n"

@@ -191,9 +191,16 @@ def test_pcf_order_factory_takes_the_order_of_abs_force():
 
 
 def test_subdominant_conditioning_raises_not_lies():
-    # far beyond double-precision conditioning the evaluation must refuse
+    # far beyond double-precision conditioning the evaluation must refuse;
+    # off the march the band integral's error grows with |Im nu| on every
+    # ray: on the real axis it was 2.4e-10 off at nu = -1/2 - 10i and 2.2e-4
+    # at -1/2 - 20i, with no error
     with pytest.raises(SpecFunAccuracyError):
         pcf_d(-0.5 + 20.0j, 5.0 * np.exp(1j * 1.0))
+    for nu in (-0.5 - 10.0j, -0.5 - 20.0j):
+        for r in (1.6, 4.0, 7.9):
+            with pytest.raises(SpecFunAccuracyError):
+                pcf_d(nu, r)
 
 
 def test_weak_force_fold_raises_not_nan():
@@ -206,7 +213,7 @@ def test_weak_force_fold_raises_not_nan():
             mode_coeffs(np.linspace(-0.05, 0.05, 401),
                         _field_cfg(1e-3, sigma0=3.0))
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            pcf_d(-0.5 - 500.0j, 9.0 * np.exp(0.3j))
+            specfun._band_integral(-0.5 - 500.0j, np.array([9.0 * np.exp(0.3j)]))
 
 
 def test_maclaurin_overflow_raises_not_nan():
@@ -233,12 +240,12 @@ def test_band_integral_point_alone_has_its_batch_bits():
 
 def test_weak_force_band_integral_raises_not_hangs():
     # F = 0.0012 gives nu = -1/2 -+ 416.67i, inside the fold's range: the
-    # asymptotic points fall to the band integral, whose rule has 2^19 + 1
-    # nodes per point there, and whose values leave double range
+    # band integral's rule has 2^19 + 1 nodes per point there, and its
+    # values leave double range (pcf_d refuses such an order before it)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            pcf_d(-0.5 - 416.67j, (1.0 + 1.0j) * np.array([6.0, 14.0]))
+            specfun._band_integral(-0.5 - 416.67j, (1.0 + 1.0j) * np.array([6.0, 14.0]))
 
 
 def test_rgamma_is_within_one_ulp():
@@ -278,10 +285,12 @@ def test_rgamma_is_zero_at_the_poles_and_infinite_past_double_range():
 # The reference route: the series ran every point of a batch to the slowest
 # point's term count, and every call marched its rays again from the seed.
 # Copied unchanged, apart from the seed and target ordering that the caller
-# of _march_ray did (_ref_march below).  The march is checked bit for bit;
-# both series, now Horner passes over per-order coefficient tables, sum in
-# another order, so _ref_kummer_m and _ref_asymptotic are their oracles to
-# a tolerance.
+# of _march_ray did (_ref_march below), and with only its outward march: the
+# march no longer runs inward.  Its fixed step is the march's up to _R_STEP,
+# past which no march of these tests goes.  The march is checked bit for
+# bit; both series, now Horner passes over per-order coefficient tables, sum
+# in another order, so _ref_kummer_m and _ref_asymptotic are their oracles
+# to a tolerance.
 
 def _mode_orders_and_rays(force):
     """(order, ray) of f+ and of f-(s) = D_conj(nu)(-conj(ray) s)."""
@@ -334,7 +343,6 @@ def _ref_asymptotic(nu, z, max_terms=60):
 def _ref_march_ray(nu, theta, radii, r_from, seed_d, seed_dp):
     direction = np.exp(1j * theta)
     radii = np.asarray(radii, dtype=float)
-    sign = 1.0 if (radii.size == 0 or radii[-1] >= r_from) else -1.0
     out = np.empty(len(radii), dtype=complex)
     d, dp = seed_d, seed_dp
     r_cur = r_from
@@ -362,7 +370,7 @@ def _ref_march_ray(nu, theta, radii, r_from, seed_d, seed_dp):
                 val = val * h_t + a[n]
             out[here] = val
             remaining = remaining[dist > specfun._MARCH_STEP + 1e-12]
-        h = sign * specfun._MARCH_STEP * direction
+        h = specfun._MARCH_STEP * direction
         val = 0.0 + 0.0j
         der = 0.0 + 0.0j
         for n in range(n_ord + 1, 0, -1):
@@ -370,19 +378,17 @@ def _ref_march_ray(nu, theta, radii, r_from, seed_d, seed_dp):
             der = der * h + n * a[n]
         val = val * h + a[0]
         d, dp = val, der
-        r_cur += sign * specfun._MARCH_STEP
+        r_cur += specfun._MARCH_STEP
     return out
 
 
-def _ref_march(nu, theta, radii, outward):
-    # outward from the Maclaurin seed at _R_SERIES, targets ascending;
-    # inward from the band-integral seed at _R_ASYMP, targets descending
-    r_from, seed, idx = ((specfun._R_SERIES, specfun._maclaurin, np.argsort(radii))
-                         if outward else
-                         (specfun._R_ASYMP, specfun._band_integral, np.argsort(-radii)))
+def _ref_march(nu, theta, radii):
+    # outward from the Maclaurin seed at _R_SERIES, targets ascending
+    r_from, idx = specfun._R_SERIES, np.argsort(radii)
+    assert radii.max() <= specfun._R_STEP
     z0 = np.array([r_from * np.exp(1j * theta)])
-    d0 = seed(nu, z0)[0]
-    dp0 = nu * seed(nu - 1.0, z0)[0] - 0.5 * z0[0] * d0
+    d0 = specfun._maclaurin(nu, z0)[0]
+    dp0 = nu * specfun._maclaurin(nu - 1.0, z0)[0] - 0.5 * z0[0] * d0
     out = np.empty(len(radii), dtype=complex)
     out[idx] = _ref_march_ray(nu, theta, radii[idx], r_from, d0, dp0)
     return out
@@ -543,8 +549,42 @@ def test_each_ray_is_marched_once():
         basis.modes(t, True)
     assert info().misses == misses
     assert info().hits > hits
-    radii, coef = specfun._march_checkpoints(_order_and_ray(cfg)[0], np.pi / 4, True)
-    assert not radii.flags.writeable and not coef.flags.writeable
+    table = specfun._march_checkpoints(_order_and_ray(cfg)[0], np.pi / 4)
+    assert not any(a.flags.writeable for a in table)
+
+
+@pytest.mark.parametrize("force", [0.045, 0.04, 0.03, 0.02, 0.01, 0.005])
+def test_weak_force_mode_ray_matches_mpmath_or_raises(force):
+    # the f+ mode ray for |z| in [1, 60], both orders the modes take: within
+    # 1e-11 at every force down to 0.01 (measured: 6.5e-12 at 0.01; it was
+    # 2.3e-10 at 0.04, 1.1e-3 at 0.02 and 1.8e10 at 0.01 when Poincare
+    # points past |z| = 8.5 took the band integral), and a typed error below
+    nu, ray = _order_and_ray(_field_cfg(force))
+    z = np.linspace(1.0, 60.0, 150) * ray / abs(ray)
+    for order in (nu, nu - 1.0):
+        if force < 0.01:
+            with pytest.raises(SpecFunAccuracyError):
+                pcf_d(order, z)
+            continue
+        got = pcf_d(order, z)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.pcfd(order, zz)) for zz in z])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-11, order
+
+
+@pytest.mark.parametrize("force", [0.1, 0.04, 0.02, 0.01])
+def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
+    # both modes and both orders, s in [-60, 60]: the march reaches every
+    # point the Poincare series does not
+    def no_band_integral(nu, z):
+        raise AssertionError("band integral called")
+
+    monkeypatch.setattr(specfun, "_band_integral", no_band_integral)
+    s = np.linspace(-60.0, 60.0, 4001)
+    for nu, ray in _mode_orders_and_rays(force):
+        for order in (nu, nu - 1.0):
+            assert np.all(np.isfinite(pcf_d(order, ray * s)))
+    mode_pair(_field_cfg(force), s, derivatives=True)
 
 
 def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
