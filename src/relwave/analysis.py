@@ -256,15 +256,29 @@ def find_peaks(density: DensitySlice, min_prominence: float = 0.05):
     """Local maxima of rho with prominence above ``min_prominence`` times max.
 
     Returns a list of (x_peak, height) sorted by x; empty list when nothing
-    qualifies.
+    qualifies.  The rules are those of ``scipy.signal.find_peaks``: a flat
+    top is one peak at its middle sample (the left one of two), an end
+    sample is never a peak, and a peak's prominence is its height over the
+    higher of its two bases, the lowest values on each side before a higher
+    sample.
     """
-    from scipy.signal import find_peaks as _scipy_find_peaks  # ~1 s to import, off the run path
     rho = density.rho
     top = float(np.max(rho))
     if top <= 0.0:
         return []
-    idx, _ = _scipy_find_peaks(rho, prominence=min_prominence * top)
-    return [(float(density.xs[i]), float(rho[i])) for i in idx]
+    starts = np.flatnonzero(np.concatenate(([True], rho[1:] != rho[:-1])))
+    ends = np.append(starts[1:], len(rho)) - 1
+    level = rho[starts]
+    top_run = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = []
+    for i in (starts[top_run] + ends[top_run]) // 2:
+        higher = np.flatnonzero(rho > rho[i])
+        k = np.searchsorted(higher, i)
+        lo = higher[k - 1] + 1 if k else 0
+        hi = higher[k] if k < len(higher) else len(rho)
+        if rho[i] - max(rho[lo:i + 1].min(), rho[i:hi].min()) >= min_prominence * top:
+            peaks.append((float(density.xs[i]), float(rho[i])))
+    return peaks
 
 
 def phase_trace(evaluator, trajectory, action, ts) -> PhaseTrace:
@@ -299,11 +313,11 @@ def phase_trace(evaluator, trajectory, action, ts) -> PhaseTrace:
         raise ArithmeticError(
             "phase unwrapping failed: increments still >= pi after refinement"
         )
-    t_arr = np.array(t_list)
     phi_all = np.unwrap(np.array([raw[t] for t in t_list]))
-    # anchor so phi(ts[0]) keeps its raw principal value
-    keep = np.isin(t_arr, ts)
-    phi = phi_all[keep]
+    # anchor so phi(ts[0]) keeps its raw principal value; a set, not np.isin,
+    # whose np.unique would load numpy.ma in the run
+    asked = set(ts.tolist())
+    phi = phi_all[np.array([t in asked for t in t_list], dtype=bool)]
     s_cl = np.array([action(t) for t in ts])
     return PhaseTrace(ts=ts, phi=phi, s_cl_over_hbar=s_cl)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .kinematics import FreeMotion
 from .quadrature import ModeSum, momentum_grid
-from .specfun import bessel_k0, bessel_k1
+from .specfun import bessel_k0_k1, bessel_k1
 
 __all__ = [
     "ClosedPacketConfig",
@@ -62,8 +62,8 @@ class ClosedPacketConfig:
 
     ``k1_norm`` is exp(z_n) K1(z_n), the exponent-scaled K1 of the
     normalization |N|^2 (``_norm_arg``).  It is computed once, when the
-    config is made, so evaluating the packet makes no K1 call for it, and a
-    closed-free scenario imports scipy.special when it is built, not in a run.
+    config is made, so evaluating the packet makes no K1 call for it, and
+    the K0/K1 node tables are built with a closed-free scenario, not in a run.
     """
 
     vartheta: float
@@ -181,7 +181,7 @@ def _closed_form(t: float, xs: np.ndarray, cfg: ClosedPacketConfig):
     tau = t - 1j * cfg.vartheta
     xr = np.asarray(xs, dtype=float) - m.x0
     f = np.sqrt((xr - 1j * m.v0 * cfg.vartheta) ** 2 - tau**2 + 0j)
-    k0, k1 = bessel_k0(f, scaled=True), bessel_k1(f, scaled=True)
+    k0, k1 = bessel_k0_k1(f, scaled=True)
     g = 1j * pref * np.exp(0.5 * zn - f) / f
     psi = g * tau * k1
     dpsi = g * (k1 + tau**2 / f * (2.0 * k1 / f + k0))

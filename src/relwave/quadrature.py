@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.fft  # noqa: F401  (numpy would load it on first use, inside a run)
 
 __all__ = [
     "ModeSum",
@@ -84,8 +85,8 @@ def _step(v: np.ndarray) -> float | None:
 
 def _next_fast_len(n: int) -> int:
     """The smallest m >= n whose prime factors are all 2, 3, 5, 7 or 11, the
-    factors pocketfft has dedicated passes for: the size that
-    ``scipy.fft.next_fast_len`` gives for a complex transform."""
+    factors pocketfft has dedicated passes for: the size that SciPy's
+    ``next_fast_len`` gives for a complex transform."""
     m = max(n, 1)
     while True:
         rest = m

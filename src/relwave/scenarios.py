@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .csv_format import format_g17
 from .free_packets import _OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR
 from .packets import FAMILIES, Packet, ScenarioError, packet_for
 
@@ -165,8 +166,8 @@ def _write_csv(path: Path, header: str, blocks) -> str:
     scalar repeated down its block.  Every value is written as ``%.17g``: a
     file of at least _FAST_FILE_VALUES values by ``format_g17``, chunk by
     chunk, each chunk written and hashed before the next; a smaller one by
-    one %-format per row.  The formatter is imported here, so that runs
-    that write no large file do not load it."""
+    one %-format per row.  The formatter's tables are built on its first
+    call, so runs that write no large file do not build them."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def emit(data: bytes):
@@ -183,8 +184,6 @@ def _write_csv(path: Path, header: str, blocks) -> str:
                         if np.ndim(col) > 0]
                 emit("".join(fmt % row + "\n" for row in zip(*cols)).encode())
             return digest.hexdigest()
-        from .csv_format import format_g17
-
         for block in blocks:
             values = np.empty((max(np.size(col) for col in block), len(block)))
             for j, col in enumerate(block):
@@ -310,8 +309,8 @@ _FIELD_THREE = ({"sigma0": 3.0, "gamma0": 1.0, "force": 0.1},
 
 
 # each builtin's Scenario fields but its name; a Scenario is built only when
-# asked for, since building a closed-free one evaluates K1 (and imports
-# scipy.special)
+# asked for, since building one builds its packets (a closed-free one
+# evaluates K1 and builds the K0/K1 node tables)
 _BUILTINS = {
     "fig1": dict(
         family="closed-free",

@@ -1,11 +1,14 @@
 """Complex special functions: modified Bessel K0/K1 and parabolic cylinder D_nu.
 
-K0 and K1 come from ``scipy.special.kve``, the exponent-scaled AMOS routine
-exp(z) K_n(z), evaluated on 1-d arrays.  The scaled form is public
+K0 and K1 come from one numpy pass that returns both, evaluated on 1-d
+arrays: the series of DLMF 10.31.1-2 for |z| < 2, else DLMF 10.32.8 with
+u = y^2, a half-range Gauss-Hermite sum of (1 + y^2/2z)^(-+1/2) whose node
+count falls with |z| and whose one complex sqrt per node serves both
+orders.  Within 3e-15 of mpmath for |z| in [1e-3, 1e4] and |arg z| <=
+0.499 pi.  The exponent-scaled form exp(z) K_n(z) is public
 (``scaled=True``) so that callers can carry exponents in log space: K1 of
-the closed packet's normalization underflows for vartheta of a few hundred.
-Only the closed-free packets need a Bessel K, so ``scipy.special`` is
-imported on the first K0/K1 call, not with this module.
+the closed packet's normalization underflows for vartheta of a few
+hundred.  The node tables are built on the first K call.
 
 The complex 1/Gamma of the D_nu series and connection formula comes from
 ``mpmath.rgamma`` at 53-bit working precision, cached per argument: within
@@ -53,6 +56,7 @@ import numpy as np
 __all__ = [
     "SpecFunDomainError",
     "SpecFunAccuracyError",
+    "bessel_k0_k1",
     "bessel_k1",
     "bessel_k0",
     "pcf_d",
@@ -80,6 +84,13 @@ _POINCARE_TERMS = 60
 # exp-sinh abscissae of the band integral: tau in [_BAND_TAU_LO, _BAND_TAU_HI]
 _BAND_TAU_LO = -4.8
 _BAND_TAU_HI = 3.0
+# K0/K1: the series below |z| = _K_SERIES_R, else the Gauss-Hermite sum with
+# _K_NODES[b] half-range nodes on the band b of |z| that _K_BAND_EDGES split
+# (32 nodes were 1.1e-14 off at |z| = 2, arg z = 0.499 pi; 36 are 1.7e-15)
+_K_SERIES_R = 2.0
+_K_SERIES_TERMS = 15  # w^k/(k!)^2 < 3e-20 at k = 15, w = |z|^2/4 <= 1
+_K_BAND_EDGES = (3.0, 5.0)
+_K_NODES = (36, 24, 16)
 
 
 class SpecFunDomainError(ValueError):
@@ -91,35 +102,108 @@ class SpecFunAccuracyError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel functions (AMOS, through scipy)
+# modified Bessel functions K0 and K1
 # ---------------------------------------------------------------------------
 
-def _bessel_k(z, order: int, scaled: bool):
-    from scipy.special import kve  # only the closed-free packets load scipy
+@lru_cache(maxsize=1)
+def _k_tables():
+    """The series coefficients of K0 and K1 and the half-range Gauss-Hermite
+    tables (y^2, w, w y^2) of each band of ``_K_NODES``.  Built on the first
+    K call, so a run after that loads no module."""
+    from numpy.polynomial.hermite import hermgauss
 
+    k = np.arange(_K_SERIES_TERMS)
+    fact = np.cumprod(np.maximum(k, 1).astype(float))
+    harmonic = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1.0, _K_SERIES_TERMS + 1))])
+    i0 = 1.0 / (fact * fact)  # I0(z) = sum i0_k w^k, w = z^2/4
+    i1 = i0 / (k + 1.0)  # I1(z) = (z/2) sum i1_k w^k
+    # DLMF 10.31.2 and 10.31.1 at n = 1: psi(k+1) + psi(k+2) = H_k + H_{k+1} - 2 gamma
+    series = (i0, harmonic[:-1] * i0, i1,
+              0.5 * (harmonic[:-1] + harmonic[1:] - 2.0 * np.euler_gamma) * i1)
+    nodes = []
+    for n in _K_NODES:
+        y, w = hermgauss(2 * n)
+        y, w = y[n:], 2.0 * w[n:]
+        nodes.append((y * y, w, w * y * y))
+    for a in series + tuple(a for band in nodes for a in band):
+        a.flags.writeable = False
+    return series, tuple(nodes)
+
+
+def _horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k c_k w^k by Horner's rule."""
+    acc = np.full_like(w, c[-1])
+    for ck in c[-2::-1]:
+        acc = acc * w + ck
+    return acc
+
+
+def _k_series(z: np.ndarray):
+    """K0(z) and K1(z) for |z| < _K_SERIES_R by DLMF 10.31.2 and 10.31.1."""
+    i0, s0, i1, s1 = _k_tables()[0]
+    w = 0.25 * z * z
+    log_half = np.log(0.5 * z)
+    k0 = _horner(s0, w) - (log_half + np.euler_gamma) * _horner(i0, w)
+    k1 = 1.0 / z + 0.5 * z * (log_half * _horner(i1, w) - _horner(s1, w))
+    return k0, k1
+
+
+def _k_hermite(z: np.ndarray, y2: np.ndarray, w0: np.ndarray, w1: np.ndarray):
+    """exp(z) K0(z) and exp(z) K1(z) by DLMF 10.32.8 with u = y^2:
+    exp(z) K_n(z) = (2z)^{-1/2} 2^n sum_j w_j y_j^{2n} (1 + y_j^2/2z)^{n-1/2},
+    one complex sqrt per node for both orders."""
+    inv = 0.5 / z
+    acc0, acc1 = np.zeros_like(z), np.zeros_like(z)
+    for j in range(len(y2)):
+        s = np.sqrt(1.0 + y2[j] * inv)
+        acc0 = acc0 + w0[j] / s
+        acc1 = acc1 + w1[j] * s
+    root = np.sqrt(2.0 * z)
+    return acc0 / root, 2.0 * acc1 / root
+
+
+def bessel_k0_k1(z, scaled: bool = False):
+    """(K0(z), K1(z)) for complex z with Re z > 0 (scalar or array); with
+    ``scaled``, exp(z) K0(z) and exp(z) K1(z), which neither underflow nor
+    overflow.  Elementwise over 1-d arrays, so a point's value does not
+    depend on the other points of the call."""
     z = np.asarray(z, dtype=complex)
     # evaluated on 1-d arrays only: numpy takes another complex-multiply loop
     # for 0-d operands, so a scalar call would round differently
-    zf = np.atleast_1d(z)
+    zf = np.atleast_1d(z).ravel()
     if np.any(np.real(zf) <= 0.0):
         bad = zf[np.real(zf) <= 0.0][0]
-        raise SpecFunDomainError(f"K_{order} requires Re z > 0, got {bad!r}")
-    val = kve(order, zf)
+        raise SpecFunDomainError(f"K0/K1 require Re z > 0, got {bad!r}")
+    k0, k1 = np.empty_like(zf), np.empty_like(zf)
+    r = np.abs(zf)
+    small = r < _K_SERIES_R
+    near, far = np.flatnonzero(small), np.flatnonzero(~small)
+    if near.size:
+        e = np.exp(zf[near])
+        k0[near], k1[near] = (v * e for v in _k_series(zf[near]))
+    band = np.searchsorted(_K_BAND_EDGES, r[far], side="right")  # NaN: the last
+    for b, nodes in enumerate(_k_tables()[1]):
+        idx = far[band == b]
+        if idx.size:
+            k0[idx], k1[idx] = _k_hermite(zf[idx], *nodes)
     if not scaled:
-        val = val * np.exp(-zf)
-    return val[0] if z.ndim == 0 else val.reshape(z.shape)
+        e = np.exp(-zf)
+        k0, k1 = k0 * e, k1 * e
+    if z.ndim == 0:
+        return k0[0], k1[0]
+    return k0.reshape(z.shape), k1.reshape(z.shape)
 
 
 def bessel_k1(z, scaled: bool = False):
     """Modified Bessel K1 for complex z with Re z > 0 (scalar or array);
     with ``scaled``, exp(z) K1(z), which neither underflows nor overflows."""
-    return _bessel_k(z, 1, scaled)
+    return bessel_k0_k1(z, scaled)[1]
 
 
 def bessel_k0(z, scaled: bool = False):
     """Modified Bessel K0 for complex z with Re z > 0 (scalar or array);
     with ``scaled``, exp(z) K0(z)."""
-    return _bessel_k(z, 0, scaled)
+    return bessel_k0_k1(z, scaled)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +241,7 @@ def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu by its Maclaurin series (DLMF 12.4), the even and odd Kummer M
     summed by one Horner pass over ``_maclaurin_table``."""
     w = 0.5 * z * z
-    series = []
-    for c in _maclaurin_table(nu):
-        acc = np.full_like(w, c[-1])
-        for ck in c[-2::-1]:
-            acc = acc * w + ck
-        series.append(acc)
+    series = [_horner(c, w) for c in _maclaurin_table(nu)]
     # past |Im nu| ~ 900 the 1/Gamma factors, and D_nu with them, leave
     # double range; inf * 0 would be NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -295,8 +374,9 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     from oscillation; exp-sinh nodes resolve the u^{-Re nu - 1} endpoint and
     the u^{-i Im nu} endpoint oscillation.  Unlike marching, the error here
     is relative to the recessive solution itself, so accuracy does not
-    degrade on rays where D_nu is exponentially subdominant.  Requires
-    Re nu < 0; callers lift higher orders with the z-ladder.
+    degrade on rays where D_nu is exponentially subdominant.  An order with
+    Re nu >= 0 is lifted from Re nu < 0 by D_nu = z D_{nu-1} - (nu-1) D_{nu-2},
+    each order of the ladder integrated once.
 
     Each point is integrated on its own, over 1-d node arrays, so its value
     does not depend on the other points of the call and a temporary holds
@@ -304,9 +384,19 @@ def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
     itself overflows); the first point whose value leaves double range
     raises SpecFunAccuracyError.  pcf_d takes it only up to |Im nu| = 8.
     """
-    if nu.real >= 0.0:
-        # D_nu = z D_{nu-1} - (nu-1) D_{nu-2}, recursing into Re nu < 0
-        return z * _band_integral(nu - 1.0, z) - (nu - 1.0) * _band_integral(nu - 2.0, z)
+    done = {}
+
+    def lift(order: complex) -> np.ndarray:
+        if order not in done:
+            done[order] = (z * lift(order - 1.0) - (order - 1.0) * lift(order - 2.0)
+                           if order.real >= 0.0 else _band_integral_base(order, z))
+        return done[order]
+
+    return lift(nu)
+
+
+def _band_integral_base(nu: complex, z: np.ndarray) -> np.ndarray:
+    """``_band_integral`` for one order with Re nu < 0."""
     norm = _rgamma(-nu)
     if not np.isfinite(norm):
         raise SpecFunAccuracyError(f"1/Gamma(-nu) overflows for nu={nu}")

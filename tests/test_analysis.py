@@ -289,6 +289,36 @@ def test_find_peaks_empty_for_ramp():
     assert find_peaks(DensitySlice(t=0.0, xs=xs, rho=xs.copy())) == []
 
 
+def _scipy_peaks(density, min_prominence):
+    signal = pytest.importorskip("scipy.signal")
+    idx, _ = signal.find_peaks(density.rho, prominence=min_prominence * np.max(density.rho))
+    return [(float(density.xs[i]), float(density.rho[i])) for i in idx]
+
+
+def test_find_peaks_matches_scipy_on_the_lightcone_densities():
+    # criterion 4's sub-Compton packet, split into two lightcone peaks, and
+    # the same packet at earlier times
+    from relwave.acceptance import _closed_sweep
+
+    for r in _closed_sweep(0.1, (0.0, 2.0, 10.0, 20.0), -30.0, 30.0, 6001):
+        for prominence in (0.0, 0.05, 0.5):
+            assert find_peaks(r.density, prominence) == _scipy_peaks(r.density, prominence)
+
+
+def test_find_peaks_matches_scipy_on_plateaus():
+    # small integers give flat tops of every width, at the ends too, and
+    # ties between a peak's bases
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 5, 40, 400):
+        for _ in range(40):
+            rho = rng.integers(0, 6, n).astype(float) - rng.integers(0, 2)
+            if np.max(rho) <= 0.0:
+                continue
+            density = DensitySlice(t=0.0, xs=np.arange(n) * 0.1, rho=rho)
+            for prominence in (0.0, 0.2, 0.6):
+                assert find_peaks(density, prominence) == _scipy_peaks(density, prominence)
+
+
 def test_phase_trace_linear_phase():
     omega = 2.2
     tr = phase_trace(lambda ts, xs: np.exp(-1j * omega * ts),

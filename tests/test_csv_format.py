@@ -108,14 +108,17 @@ scn = Scenario(name="probe", family="gauss-free", cases=({"sigma0": 3.0, "gamma0
                outputs=("metrics", "widths", "density"))
 with tempfile.TemporaryDirectory() as out:
     run(scn, out)
-print("relwave.csv_format" in sys.modules)
+from relwave.csv_format import _tables
+print(_tables.cache_info().currsize > 0)
 """
 
 
 @pytest.mark.parametrize("x_count, loaded", [(301, False), (1001, True)])
 def test_only_runs_that_write_a_large_file_load_the_formatter(x_count, loaded):
-    # a run whose files are all below the cutoff neither compiles nor keeps
-    # the formatter and its tables (the density here has 5 x_count values)
+    # a run whose files are all below the cutoff neither builds nor keeps
+    # the formatter's tables (the density here has 5 x_count values); the
+    # module itself is imported with relwave.scenarios, so that a run loads
+    # no module
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _PROBE, src, str(x_count)], check=True,
                          capture_output=True, text=True).stdout

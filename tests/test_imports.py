@@ -32,12 +32,6 @@ with tempfile.TemporaryDirectory() as out:
 print(json.dumps(stages))
 """
 
-_BARE_SCIPY = """
-import json, sys
-import scipy
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
-"""
-
 
 def _probe(code: str, *args: str):
     """The JSON of the last line ``code`` prints in a fresh interpreter."""
@@ -51,19 +45,12 @@ def _run_path_stages():
     return _probe(_PROBE)
 
 
-def test_run_path_imports_only_scipy_special_and_fft():
-    # importing scipy.special costs a relwave process about 0.3 s and 25 MiB,
-    # and only the closed-free packets need it (for K0 and K1): importing
-    # relwave and running gauss-free and uniform-field packets load no scipy
-    # module, and a closed-free Scenario loads scipy.special when it is built
-    # (its K1 normalization).  The chirp-z transform uses numpy.fft, so
-    # scipy.fft is no longer loaded either
+def test_run_path_loads_no_scipy_module():
+    # importing scipy.special cost a relwave process about 0.2 s and 19 MiB:
+    # K0/K1 are a numpy pass and the chirp-z transform uses numpy.fft, so
+    # no stage of the run path, closed-free packets included, loads scipy
     stages = _run_path_stages()
-    assert stages["import"] == []
-    assert stages["gauss and field runs"] == []
-    loaded = set(stages["closed scenario"]) - set(_probe(_BARE_SCIPY))
-    assert {m.split(".")[1] for m in loaded if not m.split(".")[1].startswith("_")} \
-        == {"special"}
+    assert all(modules == [] for modules in stages.values()), stages
 
 
 def test_a_metrics_run_loads_neither_scipy_optimize_nor_signal():
@@ -75,6 +62,37 @@ def test_a_metrics_run_loads_neither_scipy_optimize_nor_signal():
     assert stages["closed run"] == stages["closed scenario"]
     packages = {m.split(".")[1] for stage in stages.values() for m in stage if "." in m}
     assert not packages & {"optimize", "signal"}
+
+
+_BUILT_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from relwave.scenarios import Scenario, run
+# the density of x_count = 1001 at two times is large enough for format_g17
+closed = Scenario(name="closed", family="closed-free", cases=({"vartheta": 2.0, "v0": 0.25},),
+                  t_list=(0.0, 2.0), x_min=-18.0, x_max=18.0, x_count=1001,
+                  outputs=("density", "metrics", "widths"))
+phase = Scenario(name="phase", family="closed-free", t_list=(0.0,), outputs=("phase",),
+                 cases=({"vartheta": 100.0, "v0": 0.25},
+                        {"family": "gauss-free", "sigma0": 0.3, "gamma0": 10.0},
+                        {"family": "uniform-field", "sigma0": 0.3, "gamma0": 10.0,
+                         "force": 0.1}),
+                 phase_t_max=8.0, phase_dt=0.25, x_max=40.0)
+added = {}
+with tempfile.TemporaryDirectory() as out:
+    for scn in (closed, phase):
+        before = set(sys.modules)
+        run(scn, out)
+        added[scn.name] = sorted(set(sys.modules) - before)
+print(json.dumps(added))
+"""
+
+
+def test_a_run_loads_no_module_once_its_scenario_is_built():
+    # a module loaded inside run is paid in its wall time: numpy.fft and
+    # numpy.ma load lazily (np.isin reaches numpy.ma through np.unique), and
+    # the K0/K1 node tables are built with the Scenario's K1 normalization
+    assert _probe(_BUILT_PROBE) == {"closed": [], "phase": []}
 
 
 _CLI_PROBE = """
@@ -93,6 +111,21 @@ def test_resolving_a_builtin_builds_only_that_builtin():
     # figures load scipy.special; the fig7 alias builds fig7's packets only
     code, modules = _probe(_CLI_PROBE, "fig7-lowerleft")
     assert code == 0 and modules == []
+
+
+_VERIFY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from relwave.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify"])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_verify_loads_no_scipy_module():
+    # criterion 4's peaks once came from scipy.signal, about 1 s of import
+    assert _probe(_VERIFY_PROBE) == []
 
 
 def test_every_exported_name_resolves():
