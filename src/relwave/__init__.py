@@ -8,13 +8,12 @@ and phase relative to the classical action.
 
 __version__ = "0.1.0"
 
-from .kinematics import FreeMotion, FieldMotion, TrajectorySample
+from .kinematics import FreeMotion, FieldMotion
 from .analysis import WaveSlice, DensitySlice, GaussFitResult, PhaseTrace
 
 __all__ = [
     "FreeMotion",
     "FieldMotion",
-    "TrajectorySample",
     "WaveSlice",
     "DensitySlice",
     "GaussFitResult",

@@ -65,9 +65,9 @@ def _closed_sweep(vartheta, ts, lo, hi, n):
 
 
 def _gauss_sweep(sigma0, gamma0, ts):
-    v0 = FreeMotion.from_gamma(gamma0).v0
+    x = FreeMotion.from_gamma(gamma0).x
     return _sweep("gauss-free", {"sigma0": sigma0, "gamma0": gamma0}, ts,
-                  tuple((-(30.0 + v0 * t), 30.0 + v0 * t, 4001) for t in ts))
+                  tuple((-(30.0 + x(t)), 30.0 + x(t), 4001) for t in ts))
 
 
 def _field_sweep(sigma0, gamma0, ts):

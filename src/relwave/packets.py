@@ -2,7 +2,7 @@
 
 The scenarios and the acceptance checks see a wavepacket only through
 ``Packet``: its one per-time record ``observe`` (an ``Observation``), psi
-alone, the classical worldline and action, and its momentum distribution.
+alone, its classical ``motion`` and its momentum distribution.
 ``packet_for`` is the one place that reads a case dict or names a family.
 The momentum sum of a gauss-free or uniform-field packet
 (``quadrature.ModeSum``) is fixed by |x| <= x_extent and |t| <= t_max, so
@@ -25,8 +25,7 @@ from .analysis import (DensitySlice, GaussFitResult, PhaseTrace, WaveSlice, char
 from .field_packets import FieldPacketConfig, field_mode_basis
 from .free_packets import (ClosedPacketConfig, GaussianPacketConfig, _closed_form,
                            gauss_spectral, gauss_spectrum, spectrum_closed)
-from .kinematics import (FieldMotion, FreeMotion, action_field, action_free,
-                         field_trajectory, free_trajectory)
+from .kinematics import FieldMotion, FreeMotion
 
 __all__ = ["FAMILIES", "Observation", "Packet", "ScenarioError", "packet_for"]
 
@@ -62,8 +61,9 @@ class Packet:
     ``psi_dpsi(t, xs)`` gives psi and d/dt psi on ``xs``, ``psi_at(ts, xs)``
     psi alone at the pairs (ts[k], xs[k]), with the bits of ``psi_dpsi`` at
     each point (the uniform-field packet then evaluates half the D_nu).
-    ``trajectory(t)`` samples the classical worldline and
-    ``action(t)`` is the classical action along it.  ``spectrum(ps, t)`` is
+    ``motion`` is the classical particle the packet is compared with: its
+    worldline ``motion.x(t)``, momentum ``motion.p(t)`` and action
+    ``motion.action(t)`` (``kinematics``).  ``spectrum(ps, t)`` is
     the momentum distribution at ``ps``, ``spectrum_peak(ps)`` the peak that
     peak-normalized spectra divide by: the peak over ``ps`` for the free
     packets, whose distribution is time independent, and the t = 0 peak over
@@ -73,8 +73,7 @@ class Packet:
     label: str
     psi_dpsi: Callable
     psi_at: Callable
-    trajectory: Callable
-    action: Callable
+    motion: FreeMotion | FieldMotion
     spectrum: Callable
     spectrum_peak: Callable
 
@@ -84,19 +83,16 @@ class Packet:
 
     def observe(self, t: float, xs) -> Observation:
         """The packet at ``t`` on ``xs``, about its classical worldline."""
-        sl, s = self.slice(t, xs), self.trajectory(t)
-        return Observation(sl, charge_density(sl), s.x, s.gamma * s.v)  # p_bar = m v gamma, m = 1
+        sl = self.slice(t, xs)
+        return Observation(sl, charge_density(sl), self.motion.x(t), self.motion.p(t))
 
     def trace_phase(self, ts) -> PhaseTrace:
         """Phase of psi along the classical worldline against the action."""
-        return phase_trace(self.psi_at, lambda t: self.trajectory(t).x,
-                           self.action, ts)
+        return phase_trace(self.psi_at, self.motion.x, self.motion.action, ts)
 
 
 def _free_packet(label, motion: FreeMotion, psi_dpsi, psi_at, spectrum) -> Packet:
-    return Packet(label=label, psi_dpsi=psi_dpsi, psi_at=psi_at,
-                  trajectory=partial(free_trajectory, motion=motion),
-                  action=partial(action_free, motion=motion),
+    return Packet(label=label, psi_dpsi=psi_dpsi, psi_at=psi_at, motion=motion,
                   spectrum=lambda ps, t: spectrum(ps),
                   spectrum_peak=lambda ps: float(np.max(spectrum(ps))))
 
@@ -134,8 +130,7 @@ def _field(x_extent: float, t_max: float, *, sigma0, gamma0, force, x0=None) -> 
         label=f"sigma{sigma0:g}_gamma{gamma0:g}_F{force:g}",
         psi_dpsi=lambda t, xs: mode_sum().psi_dpsi(t, xs),
         psi_at=lambda ts, xs: mode_sum().psi_at(ts, xs),
-        trajectory=partial(field_trajectory, motion=motion),
-        action=partial(action_field, motion=motion),
+        motion=motion,
         spectrum=lambda ps, t: np.interp(ps, mode_sum().p, density_on_nodes(t),
                                          left=0.0, right=0.0),
         spectrum_peak=lambda ps: float(np.max(density_on_nodes(0.0))))

@@ -125,7 +125,7 @@ class Scenario:
         for case in self.cases:
             pk = packet_for(case, self.family, x_extent, max(t_out, _phase_end(self, case)))
             for t in self.t_list if on_grid else ():
-                x = pk.trajectory(t).x
+                x = pk.motion.x(t)
                 if not self.x_min <= x <= self.x_max:
                     raise ScenarioError(
                         f"case {pk.label}: classical position x = {x:.6g} at t = {t:g} "

@@ -58,7 +58,6 @@ __all__ = [
     "SpecFunAccuracyError",
     "bessel_k0_k1",
     "bessel_k1",
-    "bessel_k0",
     "pcf_d",
     "pcf_d_dz",
 ]
@@ -198,12 +197,6 @@ def bessel_k1(z, scaled: bool = False):
     """Modified Bessel K1 for complex z with Re z > 0 (scalar or array);
     with ``scaled``, exp(z) K1(z), which neither underflows nor overflows."""
     return bessel_k0_k1(z, scaled)[1]
-
-
-def bessel_k0(z, scaled: bool = False):
-    """Modified Bessel K0 for complex z with Re z > 0 (scalar or array);
-    with ``scaled``, exp(z) K0(z)."""
-    return bessel_k0_k1(z, scaled)[0]
 
 
 # ---------------------------------------------------------------------------

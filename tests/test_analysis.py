@@ -371,14 +371,12 @@ def test_phase_slope_matches_action_rate_at_late_times():
     # initially Gaussian packet at gamma0 = 10: d(phi)/dt -> -1/gamma0 once
     # the dispersion correction ~ E''(p0)/(2 sigma0^2 t ...) has decayed
     from relwave.free_packets import GaussianPacketConfig, gauss_spectral
-    from relwave.kinematics import FreeMotion, action_free, free_trajectory
+    from relwave.kinematics import FreeMotion
 
     motion = FreeMotion.from_gamma(10.0)
     cfg = GaussianPacketConfig(sigma0=0.3, motion=motion)
     pk = gauss_spectral(cfg, 205.0, 200.0)
     ts = np.linspace(150.0, 200.0, 51)
-    tr = phase_trace(pk.psi_at,
-                     lambda t: free_trajectory(t, motion).x,
-                     lambda t: action_free(t, motion), ts)
+    tr = phase_trace(pk.psi_at, motion.x, motion.action, ts)
     slope = np.polyfit(tr.ts, tr.phi, 1)[0]
     assert abs(slope / (-1.0 / motion.gamma0) - 1.0) < 0.02

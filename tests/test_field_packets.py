@@ -7,7 +7,7 @@ from relwave import field_packets, packets, quadrature, scenarios, specfun
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
-from relwave.kinematics import FieldMotion, field_trajectory
+from relwave.kinematics import FieldMotion
 from relwave.packets import packet_for
 from relwave.specfun import SpecFunAccuracyError, pcf_d, pcf_d_dz
 
@@ -122,7 +122,7 @@ def test_wide_packet_rides_the_classical_trajectory():
         sl = pk.slice(t, xs)
         dens = charge_density(sl)
         peaks = find_peaks(dens, min_prominence=0.05)
-        xbar = field_trajectory(t, cfg.motion).x
+        xbar = cfg.motion.x(t)
         assert len(peaks) == 1
         assert abs(peaks[0][0] - xbar) < 0.6
         assert abs(expectation_x(xs, dens.rho) - xbar) < 0.25
@@ -195,7 +195,7 @@ def test_psi_only_evaluation_is_the_same_bits():
     basis = field_mode_basis(cfg, 40.0, 20.0)
     pk = _packet(0.3, 10.0, 40.0, 20.0)
     ts = np.array([0.0, 3.25, 17.5, 3.25])
-    xs = np.array([field_trajectory(t, cfg.motion).x for t in ts])
+    xs = np.array([cfg.motion.x(t) for t in ts])
     xs[3] -= 0.7
     together = pk.psi_at(ts, xs)
     for k, (t, x) in enumerate(zip(ts, xs)):
@@ -426,7 +426,7 @@ def test_classical_position_tracks_the_density_mean():
         pk = packet_for(case, "uniform-field", 61.0, 4.0)
         for t in (0.0, 4.0):
             mean = expectation_x(xs, charge_density(pk.slice(t, xs)).rho)
-            assert abs(pk.trajectory(t).x - mean) < 0.25
+            assert abs(pk.motion.x(t) - mean) < 0.25
 
 
 @pytest.mark.parametrize("force", [-0.3, -0.1])
@@ -442,9 +442,9 @@ def test_negative_force_packet_conserves_its_charge(force):
         dens = charge_density(pk.slice(t, xs))
         charges.append(dens.total_charge())
         assert abs(charges[-1] - charge_density(mirror.slice(t, xs)).total_charge()) < 1e-12
-        assert abs(expectation_x(xs, dens.rho) - pk.trajectory(t).x) < 0.25
+        assert abs(expectation_x(xs, dens.rho) - pk.motion.x(t)) < 0.25
     assert charges[0] > 1.0 and max(charges) - min(charges) < 1e-6 * charges[0]
-    assert pk.trajectory(6.0).x < -0.1  # the force pulls it to negative x
+    assert pk.motion.x(6.0) < -0.1  # the force pulls it to negative x
 
 
 @pytest.mark.parametrize("force", [0.1, -0.3, 0.04, 0.02, 0.01])

@@ -14,7 +14,7 @@ def _per_point_trace(pk, ts):
     """The phase trace evaluated one (t, x) point at a time, through
     ``psi_dpsi``: the bisection of ``analysis.phase_trace`` written out."""
     def phase(t):
-        return float(np.angle(pk.psi_dpsi(t, np.array([pk.trajectory(t).x]))[0][0]))
+        return float(np.angle(pk.psi_dpsi(t, np.array([pk.motion.x(t)]))[0][0]))
 
     raw = {t: phase(t) for t in ts}
     t_list = list(ts)
@@ -40,3 +40,20 @@ def test_batched_trace_equals_the_per_point_trace(family):
         assert np.array_equal(pk.trace_phase(ts).phi, ref)
     if family != "gauss-free":
         assert refined > 0  # the coarse grid needs bisection rounds
+
+
+@pytest.mark.parametrize("family, case", [
+    *((family, CASES[family]) for family in sorted(CASES)),
+    ("uniform-field", {**CASES["uniform-field"], "force": -0.1}),
+], ids=[*sorted(CASES), "uniform-field-negative-force"])
+def test_observation_and_trace_read_the_packets_motion(family, case):
+    # the fits are made about the motion's worldline and momentum, and the
+    # phase is compared with the motion's action, to the bit
+    pk = packet_for(case, family, 31.0, 12.0)
+    xs = np.linspace(-30.0, 30.0, 121)
+    ts = np.arange(0.0, 12.5, 3.0)
+    for t in ts:
+        obs = pk.observe(t, xs)
+        assert obs.x_bar == pk.motion.x(t) and obs.p_bar == pk.motion.p(t)
+    s_cl = pk.trace_phase(ts).s_cl_over_hbar
+    assert s_cl.tolist() == [pk.motion.action(t) for t in ts]

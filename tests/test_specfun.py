@@ -10,7 +10,7 @@ from relwave.acceptance import k1_series_reference
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
 from relwave.kinematics import FieldMotion
-from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0,
+from relwave.specfun import (SpecFunAccuracyError, SpecFunDomainError, bessel_k0_k1,
                              bessel_k1, pcf_d, pcf_d_dz)
 
 RAY_P = (1.0 + 1.0j) / np.sqrt(0.1)
@@ -57,7 +57,7 @@ def test_k1_domain_error():
     with pytest.raises(SpecFunDomainError):
         bessel_k1(-1.0 + 0.5j)
     with pytest.raises(SpecFunDomainError):
-        bessel_k0(0.0 + 1.0j)
+        bessel_k0_k1(0.0 + 1.0j)
 
 
 def test_k0_k1_wronskian_like_relation():
@@ -65,7 +65,7 @@ def test_k0_k1_wronskian_like_relation():
     z = 1.7 + 0.4j
     h = 1e-5
     dk1 = (bessel_k1(z + h) - bessel_k1(z - h)) / (2 * h)
-    rhs = -(bessel_k0(z) + bessel_k1(z) / z)
+    rhs = -(bessel_k0_k1(z)[0] + bessel_k1(z) / z)
     assert abs(dk1 - rhs) < 1e-8 * abs(rhs)
 
 
@@ -74,13 +74,13 @@ def test_k1_vectorized_matches_scalar():
     # bands (2-3, 3-5, >= 5): each value is that of its point alone
     zs = np.array([0.3 + 0.1j, 2.0 - 1.0j, 10.0 + 9.0j, 1.9j + 0.01, 2.0, 2.9 - 0.5j,
                    3.0 + 1e-3j, 4.99j + 0.2, 5.0, 1e4 - 3e3j])
-    for fn in (bessel_k0, bessel_k1):
+    for order in (0, 1):
         for scaled in (False, True):
-            vec = fn(zs, scaled=scaled)
+            vec = bessel_k0_k1(zs, scaled)[order]
             for i, z in enumerate(zs):
-                assert vec[i] == fn(complex(z), scaled=scaled)
-                assert vec[i] == fn(zs[i:i + 1], scaled=scaled)[0]
-            assert np.array_equal(fn(zs[::-1], scaled=scaled), vec[::-1])
+                assert vec[i] == bessel_k0_k1(complex(z), scaled)[order]
+                assert vec[i] == bessel_k0_k1(zs[i:i + 1], scaled)[order][0]
+            assert np.array_equal(bessel_k0_k1(zs[::-1], scaled)[order], vec[::-1])
 
 
 def _k_points(rng, count):
@@ -104,10 +104,10 @@ def test_k0_k1_match_scipy_kve():
     kve = pytest.importorskip("scipy.special").kve
     z = _k_points(np.random.default_rng(29), 4000)
     normal = z.real < 650.0
-    for order, fn in ((0, bessel_k0), (1, bessel_k1)):
+    for order in (0, 1):
         ref = kve(order, z)
-        assert np.max(_rel_err(fn(z, scaled=True), ref)) <= 1e-14, order
-        got = fn(z[normal])
+        assert np.max(_rel_err(bessel_k0_k1(z, True)[order], ref)) <= 1e-14, order
+        got = bessel_k0_k1(z[normal])[order]
         assert np.max(_rel_err(got, ref[normal] * np.exp(-z[normal]))) <= 1e-14, order
 
 
@@ -132,8 +132,8 @@ def test_k0_k1_against_mpmath():
     zs = 10 ** rng.uniform(-3.0, np.log10(50.0), 100) \
         * np.exp(1j * rng.uniform(-0.499 * np.pi, 0.499 * np.pi, 100))
     with mpmath.workdps(30):
-        for order, fn in ((0, bessel_k0), (1, bessel_k1)):
-            got = fn(zs)
+        for order in (0, 1):
+            got = bessel_k0_k1(zs)[order]
             for z, val in zip(zs, got):
                 ref = complex(mpmath.besselk(order, mpmath.mpc(z.real, z.imag)))
                 assert abs(val - ref) <= 1e-13 * abs(ref), f"K{order}({z})"
