@@ -23,7 +23,11 @@ initial-state fidelity.  The projection is exact at every node, so the
 packet has the analytic unit norm of the Gaussian spectrum.  The packet is
 the ``quadrature.ModeSum`` of the modes c+ f+ + c- f- on one momentum grid
 (``field_mode_basis``, built once per case by ``packets.packet_for``), as
-for the free packets.  A config is a width and a ``kinematics.FieldMotion``:
+for the free packets, and like them it is summed only where the Gaussian
+spectrum exceeds ``free_packets._TAIL_EPS`` of its peak.  Its nodes are
+the central nodes of a lattice of half-width 12/sigma0, so the momentum
+spectrum, interpolated between them, keeps the node positions of that
+lattice.  A config is a width and a ``kinematics.FieldMotion``:
 the modes and the classical worldline share one force, p0 and x0.
 """
 
@@ -33,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_packets import _WINDOW_FACTOR, _node_spacing, gauss_spectrum
+from .free_packets import _TAIL_WIDTH, _WINDOW_FACTOR, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
-from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid
+from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid, trapezoid_weights
 from .specfun import _R_SERIES, _fold_factors, pcf_d
 
 __all__ = [
@@ -152,14 +156,26 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
 
 
 def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> ModeSum:
-    """The packet's ModeSum of c+ f+ + c- f- on its momentum grid; the modes
+    """The packet's ModeSum of c+ f+ + c- f- on its momentum nodes; the modes
     without ``derivatives`` are the same values for half the D_nu work, and
     a column of times is one ``mode_pair`` call.  The modes at each scalar
     time are kept, and the modes alone at that time are those kept values:
-    the spectrum of a time whose slice was taken evaluates no D_nu."""
+    the spectrum of a time whose slice was taken evaluates no D_nu.
+
+    The nodes are the central nodes of a lattice of half-width
+    _WINDOW_FACTOR/sigma0 about p0: those within _TAIL_WIDTH/sigma0 of p0,
+    where the Gaussian spectrum falls to _TAIL_EPS of its peak, and at
+    least 401 of them, with their own trapezoid weights.  A lattice of 401
+    nodes keeps them all.
+    """
     window = _WINDOW_FACTOR / cfg.sigma0
     dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
-    p, weights = momentum_grid(cfg.motion.p0, window, max(int(2 * window / dp) | 1, 401))
+    count = max(int(2 * window / dp) | 1, 401)
+    lattice, _ = momentum_grid(cfg.motion.p0, window, count)
+    centre = count // 2  # the lattice's step is window/centre
+    reach = max(int(centre * _TAIL_WIDTH / _WINDOW_FACTOR), 200)
+    p = lattice[centre - reach:centre + reach + 1]
+    weights = trapezoid_weights(p)
     c = mode_coeffs(p, cfg)
     kept = {}
 

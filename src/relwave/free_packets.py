@@ -40,9 +40,15 @@ __all__ = [
     "gauss_spectrum",
 ]
 
-_TAIL_EPS = 1e-12      # spectrum magnitude at the truncation edge
+# spectrum amplitude, relative to its peak, at the edge of every summed
+# window: the closed spectrum's decay, and a Gaussian spectrum's, which
+# reaches it at |p - p0| = _TAIL_WIDTH/sigma0
+_TAIL_EPS = 1e-12
+_TAIL_WIDTH = float(np.sqrt(2.0 * np.log(1.0 / _TAIL_EPS)))  # 7.43
 _OVERSAMPLE = 3.0      # nodes per Nyquist interval of the fastest phase
-_WINDOW_FACTOR = 12.0  # Gaussian spectrum half-width multiplier for truncation
+# half-width of the uniform-field lattice in units of 1/sigma0 (its spectrum
+# interpolates over that lattice's nodes), and the gauss-free window's floor
+_WINDOW_FACTOR = 12.0
 
 
 def energy(p):
@@ -143,10 +149,12 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
 
 def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """Plane-wave packet with the Gaussian momentum spectrum of the initial
-    data, unit norm by ``gauss_spectrum``'s analytic normalization."""
+    data, unit norm by ``gauss_spectrum``'s analytic normalization, summed
+    where that spectrum exceeds _TAIL_EPS of its peak: |p - p0| <=
+    _TAIL_WIDTH/sigma0, or <= _WINDOW_FACTOR where that is wider."""
     m = cfg.motion
     sigma_p = 1.0 / cfg.sigma0
-    half = max(_WINDOW_FACTOR * sigma_p, _WINDOW_FACTOR)
+    half = max(_TAIL_WIDTH * sigma_p, _WINDOW_FACTOR)
     dp = _node_spacing(x_extent, t_max, sigma_p)
     n = int(2 * half / dp) | 1
     nodes, weights = momentum_grid(m.p0, half, max(n, 401))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from relwave import field_packets, packets, quadrature, scenarios, specfun
+from relwave import field_packets, free_packets, packets, quadrature, scenarios, specfun
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
@@ -371,6 +371,37 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     assert points < 1.1 * len(basis.p) * len(times)
 
 
+def test_trimmed_field_phase_trace_evaluates_the_kept_nodes_only(monkeypatch):
+    # a narrow fast packet sums only the lattice's nodes inside 7.43/sigma0:
+    # each evaluated time takes D_nu on the kept nodes' |s| (and the mirror
+    # images of those near s = 0), under 0.7 of the lattice's nodes per time
+    times = []
+    trace = packets.phase_trace
+
+    def counting_trace(evaluator, *args, **kwargs):
+        def ev(ts, xs):
+            times.extend(ts)
+            return evaluator(ts, xs)
+        return trace(ev, *args, **kwargs)
+
+    monkeypatch.setattr(packets, "phase_trace", counting_trace)
+    cfg = _cfg(0.3, 10.0)
+    scn = scenarios.Scenario(name="ph", family="uniform-field",
+                             cases=({"sigma0": 0.3, "gamma0": 10.0, "force": F},),
+                             t_list=(0.0,), outputs=("phase",), phase_t_max=2.0)
+    pk, = scn.packets
+    basis = field_mode_basis(cfg, 31.0, 2.0)
+    lattice = _lattice(cfg, 31.0, 2.0)[0]
+    pk.psi_at(np.zeros(1), np.zeros(1))  # builds the packet's own basis, uncounted
+    calls = []
+    _count_pcf(monkeypatch, calls)
+    scenarios._case_outputs(scn, scn.cases[0], pk, np.linspace(-30.0, 30.0, 101))
+    assert len(times) >= 9
+    points = sum(n for _, n in calls)
+    assert points == sum(_pcf_points(cfg, basis.p + F * t) for t in times)
+    assert points < 0.7 * len(lattice) * len(times)
+
+
 @pytest.mark.parametrize("block", [field_packets._PAIR_BLOCK, 1000])
 def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     # a block of times is one or two pcf_d calls, each on at most half a
@@ -492,3 +523,77 @@ def test_negative_force_mirror_identity(force):
     for t in (-3.0, 0.0, 2.0, 5.0):
         for got, ref in zip(pk.psi_dpsi(t, xs), mirror.psi_dpsi(t, -xs)):
             assert np.max(np.abs(got - ref)) < 2e-13 * np.max(np.abs(got))
+
+
+def _lattice(cfg, x_extent, t_max):
+    # the momentum lattice of half-width 12/sigma0 about p0 that the basis
+    # summed over in full before it kept only its central nodes
+    window = free_packets._WINDOW_FACTOR / cfg.sigma0
+    dp = free_packets._node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
+    return quadrature.momentum_grid(cfg.motion.p0, window,
+                                    max(int(2 * window / dp) | 1, 401))
+
+
+def _full_lattice_sum(cfg, x_extent, t_max):
+    # the ModeSum of c+ f+ + c- f- on every node of that lattice
+    p, weights = _lattice(cfg, x_extent, t_max)
+    c = mode_coeffs(p, cfg)
+
+    def modes(t, derivatives):
+        pair = mode_pair(cfg, p + cfg.motion.force * t, derivatives)
+        psi = c.c_plus * pair[0] + c.c_minus * pair[1]
+        return (psi, c.c_plus * pair[2] + c.c_minus * pair[3]) if derivatives else psi
+
+    return quadrature.ModeSum(p=p, weights=weights, modes=modes)
+
+
+@pytest.mark.parametrize("force", [0.1, -0.3])
+@pytest.mark.parametrize("gamma0", [1.0, 10.0])
+@pytest.mark.parametrize("sigma0", [0.3, 1.0])
+def test_basis_matches_the_full_lattice_sum(sigma0, gamma0, force):
+    # the basis keeps the lattice's central nodes within 7.43/sigma0 of p0,
+    # where the Gaussian spectrum falls to 1e-12 of its peak, and gives the
+    # psi and d/dt psi of the whole lattice to 1e-11 of their maxima on a
+    # grid and at phase-trace points (measured: 1.3e-12), and its spectrum
+    # to 1e-20 of its peak (measured: 2.2e-24)
+    x_extent, t_max = 41.0, 16.0
+    pk = packet_for({"sigma0": sigma0, "gamma0": gamma0, "force": force},
+                    "uniform-field", x_extent, t_max)
+    cfg = FieldPacketConfig(sigma0, pk.motion)
+    basis = field_mode_basis(cfg, x_extent, t_max)
+    full = _full_lattice_sum(cfg, x_extent, t_max)
+    centre, reach = len(full.p) // 2, len(basis.p) // 2
+    assert np.array_equal(basis.p, full.p[centre - reach:centre + reach + 1])
+    assert np.array_equal(basis.weights, quadrature.trapezoid_weights(basis.p))
+    width = free_packets._TAIL_WIDTH / sigma0
+    assert reach > 200 and abs(basis.p[-1] - cfg.motion.p0) <= width \
+        < abs(full.p[centre + reach + 1] - cfg.motion.p0)
+    ts = np.array([-12.0, 0.0, 8.0, 16.0])
+    xs = np.linspace(-40.0, 40.0, 1601)
+    xbar = np.array([pk.motion.x(t) for t in ts])
+    ps = np.linspace(cfg.motion.p0 - 15.0 / sigma0, cfg.motion.p0 + 15.0 / sigma0, 601)
+    peak = pk.spectrum_peak(ps)
+    on_trace = pk.psi_at(ts, xbar)
+    assert np.max(np.abs(on_trace - full.psi_at(ts, xbar))) \
+        < 1e-11 * np.max(np.abs(full.psi_at(ts, xbar)))
+    for t, x in zip(ts, xbar):
+        ref = full.psi_dpsi(t, xs)
+        scale = [np.max(np.abs(r)) for r in ref]
+        for got, r, sc in zip(pk.psi_dpsi(t, xs), ref, scale):
+            assert np.max(np.abs(got - r)) < 1e-11 * sc
+        for got, r, sc in zip(pk.psi_dpsi(t, np.array([x])), full.psi_dpsi(t, np.array([x])),
+                              scale):
+            assert abs(got[0] - r[0]) < 1e-11 * sc
+        ref_spectrum = np.interp(ps, full.p, np.abs(full.modes(t, False)) ** 2,
+                                 left=0.0, right=0.0)
+        assert np.max(np.abs(pk.spectrum(ps, t) - ref_spectrum)) < 1e-20 * peak
+
+
+def test_basis_of_a_401_node_lattice_keeps_every_node():
+    # sigma0 = 3 on fig7's grid: the lattice has the 401-node floor, and the
+    # basis is the whole of it, weights included
+    cfg = _cfg(3.0, 1.0)
+    basis = field_mode_basis(cfg, 71.0, 16.0)
+    p, weights = _lattice(cfg, 71.0, 16.0)
+    assert len(p) == 401
+    assert np.array_equal(basis.p, p) and np.array_equal(basis.weights, weights)

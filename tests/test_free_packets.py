@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relwave import free_packets, packets
+from relwave import free_packets, packets, quadrature
 from relwave.analysis import charge_density, expectation_x, momentum_spectrum
 from relwave.free_packets import (ClosedPacketConfig, GaussianPacketConfig,
                                   closed_spectral, gauss_spectral, gauss_spectrum,
@@ -183,6 +183,44 @@ def test_spectral_packet_unit_norm():
     xs = np.linspace(-20.0, 20.0, 4001)
     psi, _ = pk.psi_dpsi(0.0, xs)
     assert abs(np.trapezoid(np.abs(psi) ** 2, xs) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 10.0])
+@pytest.mark.parametrize("sigma0", [0.3, 1.0])
+def test_gauss_spectral_matches_the_full_window_sum(sigma0, gamma0):
+    # the sum over |p - p0| <= max(7.43/sigma0, 12), where the spectrum falls
+    # to 1e-12 of its peak, against the same plane waves over
+    # max(12/sigma0, 12): psi and d/dt psi to 1e-11 of their maxima on a
+    # grid and at phase-trace points (measured: 1.5e-12)
+    x_extent, t_max = 41.0, 16.0
+    cfg = GaussianPacketConfig(sigma0=sigma0, motion=FreeMotion.from_gamma(gamma0))
+    m = cfg.motion
+    ms = gauss_spectral(cfg, x_extent, t_max)
+    width = max(free_packets._TAIL_WIDTH / sigma0, 12.0)
+    assert abs(ms.p[-1] - m.p0 - width) < 1e-12 * width
+    half = max(12.0 / sigma0, 12.0)
+    dp = free_packets._node_spacing(x_extent, t_max, 1.0 / sigma0)
+    p, weights = quadrature.momentum_grid(m.p0, half, max(int(2 * half / dp) | 1, 401))
+    amp, e = gauss_spectrum(p, sigma0, m.p0, m.x0), energy(p)
+
+    def modes(t, derivatives):
+        a = amp * np.exp(-1j * e * t)
+        return (a, -1j * e * a) if derivatives else a
+
+    full = quadrature.ModeSum(p=p, weights=weights, modes=modes)
+    ts = np.array([-12.0, 0.0, 8.0, 16.0])
+    xbar = np.array([m.x(t) for t in ts])
+    xs = np.linspace(-40.0, 40.0, 1601)
+    ref_trace = full.psi_at(ts, xbar)
+    assert np.max(np.abs(ms.psi_at(ts, xbar) - ref_trace)) < 1e-11 * np.max(np.abs(ref_trace))
+    for t, x in zip(ts, xbar):
+        ref = full.psi_dpsi(t, xs)
+        scale = [np.max(np.abs(r)) for r in ref]
+        for got, r, sc in zip(ms.psi_dpsi(t, xs), ref, scale):
+            assert np.max(np.abs(got - r)) < 1e-11 * sc
+        for got, r, sc in zip(ms.psi_dpsi(t, np.array([x])), full.psi_dpsi(t, np.array([x])),
+                              scale):
+            assert abs(got[0] - r[0]) < 1e-11 * sc
 
 
 def test_spectral_time_derivative_against_closed_form():
