@@ -22,8 +22,9 @@ D_nu(z) takes each point, in one pass, to the first regime that holds it:
                     where it truncates within 1e-11,
 * dominant rays     Taylor march of Weber's equation outward along the ray,
                     on to where the Poincare expansion holds,
-* other points      rotated-contour integral representation (a march there
-                    would amplify seed error by the dominant/recessive ratio),
+* other points      ``mpmath.pcfd`` at 53-bit working precision, one point at
+                    a time (a march there would amplify seed error by the
+                    dominant/recessive ratio),
 
 with |arg z| > pi/2 folded into the right half-plane first.  The fold's
 connection-formula factors and its one guard live in ``_fold_factors``,
@@ -31,19 +32,19 @@ which ``field_packets.mode_pair`` calls too, before any D_nu: it raises
 SpecFunAccuracyError where the fold would cancel beyond double precision or
 a factor leaves double range.  The mode rays of the uniform-field packets
 take the first three regimes (within 1e-11 of mpmath for forces down to
-0.01); the band integral serves only the rays the march does not.
+0.01); mpmath serves only the points of other rays, at a few ms each.
 
 Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
 coefficients, so a value does not depend on the other points of the call:
 the Maclaurin series takes one term count per order, enough for every
 |z| <= _R_SERIES; a Poincare point stops at its first term below 1e-18 or
-before its first growing term, a count read from the table.  The band
-integral takes one point at a time.  The march does not depend on its
-targets: the Taylor coefficients at its checkpoints are computed once per
-ray (order, angle) and cached, and each call only evaluates its targets'
-polynomials.  Where double precision cannot hold the answer (the band
-integral past |Im nu| = 8, the march past |nu| = _MARCH_NU_MAX) a
-SpecFunAccuracyError is raised instead of a silently wrong value.
+before its first growing term, a count read from the table.  The march
+does not depend on its targets: the Taylor coefficients at its checkpoints
+are computed once per ray (order, angle) and cached, and each call only
+evaluates its targets' polynomials.  Where double precision cannot hold
+the answer (the march past |nu| = _MARCH_NU_MAX, a value that leaves
+double range) a SpecFunAccuracyError is raised instead of a silently wrong
+value.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ _MARCH_NU_MAX = 50.1
 _POINCARE_TOL = 1e-11  # the truncation of a Poincare point and of the march's end
 # term cap of the Poincare series
 _POINCARE_TERMS = 60
-# exp-sinh abscissae of the band integral: tau in [_BAND_TAU_LO, _BAND_TAU_HI]
-_BAND_TAU_LO = -4.8
-_BAND_TAU_HI = 3.0
 # K0/K1: the series below |z| = _K_SERIES_R, else the Gauss-Hermite sum with
 # _K_NODES[b] half-range nodes on the band b of |z| that _K_BAND_EDGES split
 # (32 nodes were 1.1e-14 off at |z| = 2, arg z = 0.499 pi; 36 are 1.7e-15)
@@ -359,55 +357,17 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray) -> np.ndarray:
     return val
 
 
-def _band_integral(nu: complex, z: np.ndarray) -> np.ndarray:
-    """D_nu in the band by the rotated-contour integral representation
-    D_nu(z) = e^{-z^2/4}/Gamma(-nu) int_0^inf e^{-zt - t^2/2} t^{-nu-1} dt.
-
-    The contour ray t = e^{-i arg(z)/2} u keeps the linear decay bounded away
-    from oscillation; exp-sinh nodes resolve the u^{-Re nu - 1} endpoint and
-    the u^{-i Im nu} endpoint oscillation.  Unlike marching, the error here
-    is relative to the recessive solution itself, so accuracy does not
-    degrade on rays where D_nu is exponentially subdominant.  An order with
-    Re nu >= 0 is lifted from Re nu < 0 by D_nu = z D_{nu-1} - (nu-1) D_{nu-2},
-    each order of the ladder integrated once.
-
-    Each point is integrated on its own, over 1-d node arrays, so its value
-    does not depend on the other points of the call and a temporary holds
-    at most 2^19 + 1 complex nodes (8 MiB, at |Im nu| ~ 400, where D_nu
-    itself overflows); the first point whose value leaves double range
-    raises SpecFunAccuracyError.  pcf_d takes it only up to |Im nu| = 8.
-    """
-    done = {}
-
-    def lift(order: complex) -> np.ndarray:
-        if order not in done:
-            done[order] = (z * lift(order - 1.0) - (order - 1.0) * lift(order - 2.0)
-                           if order.real >= 0.0 else _band_integral_base(order, z))
-        return done[order]
-
-    return lift(nu)
-
-
-def _band_integral_base(nu: complex, z: np.ndarray) -> np.ndarray:
-    """``_band_integral`` for one order with Re nu < 0."""
-    norm = _rgamma(-nu)
-    if not np.isfinite(norm):
-        raise SpecFunAccuracyError(f"1/Gamma(-nu) overflows for nu={nu}")
-    # the endpoint oscillation u^{-i Im nu} needs nodes scaling with |Im nu|
-    level = 12 + max(0, int(np.ceil(np.log2(max(abs(nu.imag), 1.0) / 6.0))))
-    n = (1 << level) + 1
-    tau = np.linspace(_BAND_TAU_LO, _BAND_TAU_HI, n)
-    u = np.exp(0.5 * np.pi * np.sinh(tau))
-    w = u * (0.5 * np.pi) * np.cosh(tau) * (tau[1] - tau[0])
+def _mpmath_pcfd(nu: complex, z: np.ndarray) -> np.ndarray:
+    """D_nu by ``mpmath.pcfd`` at 53-bit working precision, one point at a
+    time.  mpmath raises its internal precision where its sums cancel; the
+    first value that leaves double range raises SpecFunAccuracyError."""
     out = np.empty_like(z)
-    for i, zi in enumerate(z):
-        rot = np.exp(-0.5j * np.angle(zi))
-        t = rot * u
-        with np.errstate(over="ignore", invalid="ignore"):
-            integrand = np.exp(-zi * t - 0.5 * t * t + (-nu - 1.0) * np.log(t))
-            out[i] = np.exp(-0.25 * zi * zi) * np.sum(integrand * w) * rot * norm
-        if not np.isfinite(out[i]):
-            raise SpecFunAccuracyError(f"D_nu for nu={nu} at |z|~{abs(zi):.3g} overflows double precision")
+    with mpmath.workprec(53):
+        for i, zi in enumerate(z):
+            out[i] = complex(mpmath.pcfd(nu, complex(zi)))
+            if not np.isfinite(out[i]):
+                raise SpecFunAccuracyError(
+                    f"D_nu for nu={nu} at |z|~{abs(zi):.3g} overflows double precision")
     return out
 
 
@@ -415,7 +375,7 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
     """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument: the
     Maclaurin series, else the Poincare expansion where it truncates within
     _POINCARE_TOL, else the outward march on rays where it is stable, else
-    the band integral."""
+    ``mpmath.pcfd``."""
     res = np.empty_like(z)
     r = np.abs(z)
     small = r <= _R_SERIES
@@ -440,18 +400,11 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
             theta = angles[g[0]]
             # the outward march is stable where D_nu is dominant and
             # e^{-z^2/4} grows (Re z^2 < 0); elsewhere it would amplify its
-            # seed's error by the dominant/recessive ratio, so integrate
+            # seed's error by the dominant/recessive ratio
             if theta * nu.imag <= 1e-12 and np.cos(2.0 * theta) <= 0.25:
                 vals[g] = _march_ray(nu, theta, np.abs(zr[g]))
-            elif abs(nu.imag) <= 8.0:
-                vals[g] = _band_integral(nu, zr[g])
             else:
-                # the integral's error there outgrows 1e-10 on every ray (real
-                # axis, |Im nu| = 10), and it cancels beyond double precision
-                # on the subdominant ones
-                raise SpecFunAccuracyError(
-                    f"D_nu for nu={nu} at |z|~{abs(zr[g[0]]):.3g} off the march "
-                    "exceeds the band integral's double-precision conditioning")
+                vals[g] = _mpmath_pcfd(nu, zr[g])
         res[rest] = vals
     return res
 

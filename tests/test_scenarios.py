@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relwave import cli, field_packets, free_packets, packets, scenarios
+from relwave import cli, field_packets, free_packets, packets, scenarios, specfun
 from relwave.analysis import BracketError
 from relwave.cli import main as cli_main
 from relwave.scenarios import (Scenario, ScenarioError, builtin_scenarios,
@@ -501,6 +501,20 @@ def test_weak_field_config_runs_clean(tmp_path, capsys):
                          "--out-dir", str(out / "too")]) == 2
     assert "numeric error in too-weak:" in capsys.readouterr().err
     assert not list((out / "too").glob("*.csv"))
+
+
+def test_field_runs_take_no_d_nu_point_from_mpmath(monkeypatch, tmp_path):
+    # fig7, fig8, fig9 and F = 0.01 (the router's longest march, |nu| =
+    # 50.02) take every D_nu point from the series and the march: the
+    # per-point mpmath fallback costs milliseconds a point
+    def no_mpmath_pcfd(nu, z):
+        raise AssertionError(f"mpmath.pcfd called for nu={nu}")
+
+    monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)
+    (weak,) = [scn for scn in load_config(Path(__file__).with_name("weak_field.ini"))
+               if scn.name == "weak-field"]
+    for scn in [resolve_scenario(name) for name in ("fig7", "fig8", "fig9")] + [weak]:
+        assert run(scn, tmp_path / scn.name).outputs
 
 
 def test_off_grid_case_fails_before_its_basis_is_built(tmp_path, capsys):

@@ -242,16 +242,57 @@ def test_pcf_order_factory_takes_the_order_of_abs_force():
 
 
 def test_subdominant_conditioning_raises_not_lies():
-    # far beyond double-precision conditioning the evaluation must refuse;
-    # off the march the band integral's error grows with |Im nu| on every
-    # ray: on the real axis it was 2.4e-10 off at nu = -1/2 - 10i and 2.2e-4
-    # at -1/2 - 20i, with no error
-    with pytest.raises(SpecFunAccuracyError):
-        pcf_d(-0.5 + 20.0j, 5.0 * np.exp(1j * 1.0))
-    for nu in (-0.5 - 10.0j, -0.5 - 20.0j):
-        for r in (1.6, 4.0, 7.9):
-            with pytest.raises(SpecFunAccuracyError):
-                pcf_d(nu, r)
+    # points off the march past |Im nu| = 8 once raised, because the band
+    # integral that served them was 2.4e-10 off on the real axis at
+    # nu = -1/2 - 10i and 2.2e-4 at -1/2 - 20i; mpmath serves them to 1e-13
+    points = [(-0.5 + 20.0j, 5.0 * np.exp(1j * 1.0))]
+    points += [(nu, r) for nu in (-0.5 - 10.0j, -0.5 - 20.0j) for r in (1.6, 4.0, 7.9)]
+    for nu, z in points:
+        got = pcf_d(nu, z)
+        with mpmath.workdps(40):
+            ref = complex(mpmath.pcfd(nu, z))
+        assert abs(got - ref) <= 1e-13 * abs(ref), (nu, z)
+
+
+def _off_the_march_points():
+    # |Im nu| <= 8, 1.5 < |z| <= 8.7 and |arg z| <= pi/2, each ray moved off
+    # the march's (theta Im nu <= 0, cos 2 theta <= 1/4) by a reflection; at
+    # nu = -1/2 + 7.9i, z = 6i the band integral was 2.6e-8 off, with no error
+    rng = np.random.default_rng(5)
+    points = [(-0.5 + 7.9j, 6.0j), (-0.5 - 7.9j, -6.0j)]
+    for re in (-2.5, -0.5, 0.5, 1.5):
+        for k in range(24):
+            im = rng.uniform(-8.0, 8.0)
+            r = rng.uniform(1.5, 8.7)
+            theta = (np.sign(im) * 0.5 * np.pi if k % 6 == 0
+                     else rng.uniform(-0.5 * np.pi, 0.5 * np.pi))
+            if theta * im < 0.0 and np.cos(2.0 * theta) <= 0.25:
+                theta = -theta
+            points.append((complex(re, im), r * np.exp(1j * theta)))
+    return points
+
+
+def test_pcf_off_the_march_matches_mpmath(monkeypatch):
+    # every value within 1e-13 of the 40-digit one
+    points = _off_the_march_points()
+    for nu, z in points:
+        got = pcf_d(nu, z)
+        with mpmath.workdps(40):
+            ref = complex(mpmath.pcfd(nu, z))
+        assert abs(got - ref) <= 1e-13 * abs(ref), (nu, z)
+    # and all but the four points past |z| = 8 that the Poincare series
+    # holds reach mpmath.pcfd
+    served = []
+    pcfd = specfun._mpmath_pcfd
+
+    def record(nu, z):
+        served.extend(z)
+        return pcfd(nu, z)
+
+    monkeypatch.setattr(specfun, "_mpmath_pcfd", record)
+    for nu, z in points:
+        pcf_d(nu, z)
+    assert len(served) >= len(points) - 4
 
 
 def test_weak_force_fold_raises_not_nan():
@@ -263,8 +304,9 @@ def test_weak_force_fold_raises_not_nan():
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
             mode_coeffs(np.linspace(-0.05, 0.05, 401),
                         _field_cfg(1e-3, sigma0=3.0))
+        # off the march: D_nu itself leaves double range there
         with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            specfun._band_integral(-0.5 - 500.0j, np.array([9.0 * np.exp(0.3j)]))
+            pcf_d(-0.5 - 2000.0j, 2.0)
 
 
 def test_maclaurin_overflow_raises_not_nan():
@@ -280,18 +322,19 @@ def test_maclaurin_overflow_raises_not_nan():
 
 
 def test_band_integral_point_alone_has_its_batch_bits():
-    # band points of the F = 0.05 mode ray: a value is that of its point
-    # alone, whatever the batch (a points x nodes block rounds otherwise)
+    # points of the F = 0.05 mode ray: a value of the mpmath fallback is
+    # that of its point alone, whatever the batch
     z = (1.0 + 1.0j) / np.sqrt(0.05) * np.linspace(1.34, 1.45, 40)
     for nu in (-0.5 - 10.0j, -1.5 + 2.0j):
-        got = specfun._band_integral(nu, z)
+        got = specfun._mpmath_pcfd(nu, z)
         for i in range(len(z)):
-            assert specfun._band_integral(nu, z[i:i + 1])[0] == got[i], (nu, z[i])
+            assert specfun._mpmath_pcfd(nu, z[i:i + 1])[0] == got[i], (nu, z[i])
 
 
 def test_band_integral_lifts_a_high_order_once_per_order():
-    # the ladder D_nu = z D_{nu-1} - (nu-1) D_{nu-2} once called itself twice
-    # per level: pcf_d(20.5, 4.0) took 6.7 s
+    # a high order off the march: the band integral's ladder
+    # D_nu = z D_{nu-1} - (nu-1) D_{nu-2} once called itself twice per
+    # level and took 6.7 s here; mpmath.pcfd takes a few ms
     start = time.perf_counter()
     got = pcf_d(20.5, 4.0)
     elapsed = time.perf_counter() - start
@@ -299,16 +342,6 @@ def test_band_integral_lifts_a_high_order_once_per_order():
         ref = complex(mpmath.pcfd(20.5, 4.0))
     assert abs(got - ref) <= 1e-13 * abs(ref)
     assert elapsed < 0.5
-
-
-def test_weak_force_band_integral_raises_not_hangs():
-    # F = 0.0012 gives nu = -1/2 -+ 416.67i, inside the fold's range: the
-    # band integral's rule has 2^19 + 1 nodes per point there, and its
-    # values leave double range (pcf_d refuses such an order before it)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SpecFunAccuracyError, match="overflows"):
-            specfun._band_integral(-0.5 - 416.67j, (1.0 + 1.0j) * np.array([6.0, 14.0]))
 
 
 def test_rgamma_is_within_one_ulp():
@@ -524,7 +557,7 @@ def test_poincare_series_matches_the_reference_series(monkeypatch):
         got, trunc = specfun._asymptotic(nu, z)
         ref, ref_trunc = _ref_asymptotic(nu, z)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 4e-15, nu
-        # the same points are routed to the march and the band integral
+        # the same points are routed to the march and to mpmath
         assert np.array_equal(trunc > 1e-11, ref_trunc > 1e-11), nu
 
 
@@ -639,10 +672,10 @@ def test_weak_force_mode_ray_matches_mpmath_or_raises(force):
 def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
     # both modes and both orders, s in [-60, 60]: the march reaches every
     # point the Poincare series does not
-    def no_band_integral(nu, z):
-        raise AssertionError("band integral called")
+    def no_mpmath_pcfd(nu, z):
+        raise AssertionError("mpmath.pcfd called")
 
-    monkeypatch.setattr(specfun, "_band_integral", no_band_integral)
+    monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)
     s = np.linspace(-60.0, 60.0, 4001)
     for nu, ray in _mode_orders_and_rays(force):
         for order in (nu, nu - 1.0):
@@ -653,11 +686,11 @@ def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
 def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
     # the D_{nu-1} of the F = 0.1 modes' d/dt at |z| just past _R_ASYMP: the
     # Poincare series truncates poorly there, and the march's last
-    # checkpoint reaches them on these dominant rays without a band integral
-    def no_band_integral(nu, z):
-        raise AssertionError("band integral called")
+    # checkpoint reaches them on these dominant rays without mpmath
+    def no_mpmath_pcfd(nu, z):
+        raise AssertionError("mpmath.pcfd called")
 
-    monkeypatch.setattr(specfun, "_band_integral", no_band_integral)
+    monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)
     r = np.array([8.004, 8.111])
     for nu, theta in ((-1.5 - 5.0j, 0.25 * np.pi), (-1.5 + 5.0j, -0.25 * np.pi)):
         z = r * np.exp(1j * theta)
