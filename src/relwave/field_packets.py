@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_packets import _TAIL_WIDTH, _WINDOW_FACTOR, _node_spacing, gauss_spectrum
+from .free_packets import _TAIL_WIDTH, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
 from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid, trapezoid_weights
 from .specfun import _R_SERIES, _fold_factors, pcf_d
@@ -49,6 +49,10 @@ __all__ = [
     "mode_coeffs",
     "field_mode_basis",
 ]
+
+# half-width of the basis's momentum lattice in units of 1/sigma0: the
+# spectrum output interpolates over that lattice's nodes
+_WINDOW_FACTOR = 12.0
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,6 @@ __all__ = [
 _TAIL_EPS = 1e-12
 _TAIL_WIDTH = float(np.sqrt(2.0 * np.log(1.0 / _TAIL_EPS)))  # 7.43
 _OVERSAMPLE = 3.0      # nodes per Nyquist interval of the fastest phase
-# half-width of the uniform-field lattice in units of 1/sigma0 (its spectrum
-# interpolates over that lattice's nodes), and the gauss-free window's floor
-_WINDOW_FACTOR = 12.0
 
 
 def energy(p):
@@ -128,7 +125,7 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
     for the closed form: exp(z_n/2) joins the spectrum's exponent, which is
     <= 0 since z_n/2 = vartheta W(p0)/hbar and W >= W(p0), and the constant
     keeps the exponent-scaled K1, so wide packets (vartheta of 1000) stay
-    finite.
+    finite.  It is summed where that spectrum exceeds _TAIL_EPS of its peak.
     """
     m = cfg.motion
     decay = np.log(1.0 / _TAIL_EPS) / cfg.vartheta
@@ -139,8 +136,7 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
     sigma_p = np.sqrt(m.gamma0**3 / cfg.vartheta)
     dp = _node_spacing(x_extent, t_max, sigma_p)
     half = 0.5 * (p_hi - p_lo)
-    n = int(2 * half / dp) | 1
-    nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, max(n, 201))
+    nodes, weights = momentum_grid(0.5 * (p_hi + p_lo), half, int(2 * half / dp) | 1)
     zn = _norm_arg(cfg)
     norm = float(1.0 / np.sqrt(4.0 * np.pi * m.gamma0 * cfg.k1_norm))
     spectrum = np.exp(0.5 * zn - cfg.vartheta * w_of_p(nodes, m) - 1j * nodes * m.x0)
@@ -150,14 +146,13 @@ def closed_spectral(cfg: ClosedPacketConfig, x_extent: float, t_max: float) -> M
 def gauss_spectral(cfg: GaussianPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """Plane-wave packet with the Gaussian momentum spectrum of the initial
     data, unit norm by ``gauss_spectrum``'s analytic normalization, summed
-    where that spectrum exceeds _TAIL_EPS of its peak: |p - p0| <=
-    _TAIL_WIDTH/sigma0, or <= _WINDOW_FACTOR where that is wider."""
+    where that spectrum exceeds _TAIL_EPS of its peak, |p - p0| <=
+    _TAIL_WIDTH/sigma0, at ``_node_spacing``."""
     m = cfg.motion
     sigma_p = 1.0 / cfg.sigma0
-    half = max(_TAIL_WIDTH * sigma_p, _WINDOW_FACTOR)
+    half = _TAIL_WIDTH * sigma_p
     dp = _node_spacing(x_extent, t_max, sigma_p)
-    n = int(2 * half / dp) | 1
-    nodes, weights = momentum_grid(m.p0, half, max(n, 401))
+    nodes, weights = momentum_grid(m.p0, half, int(2 * half / dp) | 1)
     return _plane_waves(nodes, weights, gauss_spectrum(nodes, cfg.sigma0, m.p0, m.x0))
 
 

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import __version__
 from .csv_format import format_g17
-from .free_packets import _OVERSAMPLE, _TAIL_EPS, _WINDOW_FACTOR
+from .field_packets import _WINDOW_FACTOR
+from .free_packets import _OVERSAMPLE, _TAIL_EPS
 from .packets import FAMILIES, Packet, ScenarioError, packet_for
 
 __all__ = [
@@ -271,7 +272,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", *, threads: int = 1) ->
         raise ScenarioError(f"threads must be 1, not {threads!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     manifest = RunManifest(
         scenario=asdict(scenario),
         tool_version=__version__,
@@ -287,7 +288,7 @@ def run(scenario: Scenario, out_dir: str | Path = "out", *, threads: int = 1) ->
     for fname, header, blocks in files:
         manifest.outputs[fname] = _write_csv(out / fname, header, blocks)
 
-    manifest.wall_time_s = time.time() - started
+    manifest.wall_time_s = time.perf_counter() - started
     (out / f"{scenario.name}_manifest.json").write_text(manifest.to_json())
     return manifest
 

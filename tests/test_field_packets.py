@@ -528,7 +528,7 @@ def test_negative_force_mirror_identity(force):
 def _lattice(cfg, x_extent, t_max):
     # the momentum lattice of half-width 12/sigma0 about p0 that the basis
     # summed over in full before it kept only its central nodes
-    window = free_packets._WINDOW_FACTOR / cfg.sigma0
+    window = field_packets._WINDOW_FACTOR / cfg.sigma0
     dp = free_packets._node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
     return quadrature.momentum_grid(cfg.motion.p0, window,
                                     max(int(2 * window / dp) | 1, 401))

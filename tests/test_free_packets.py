@@ -53,11 +53,16 @@ def test_config_validation():
 
 
 def test_closed_form_matches_spectral_quadrature():
-    cfg = ClosedPacketConfig(vartheta=1.0, motion=MOTION_QUARTER)
-    xs = np.linspace(-25.0, 25.0, 161)
-    sl = _closed(1.0).slice(10.0, xs)
-    ref, _ = closed_spectral(cfg, 30.0, 10.0).psi_dpsi(10.0, xs)
-    assert np.max(np.abs(sl.psi - ref)) < 1e-6 * np.max(np.abs(ref))
+    # (vartheta, v0, x_extent, t_max); the narrow builds sum 145-159 nodes,
+    # sized by the truncation edge and the node spacing alone
+    for vt, v0, x_extent, t_max in ((1.0, 0.25, 30.0, 10.0), (8.4, 0.0, 10.0, 0.0),
+                                    (8.4, 0.0, 10.0, 5.0), (8.4, 0.25, 10.0, 5.0),
+                                    (20.0, 0.0, 10.0, 5.0)):
+        cfg = ClosedPacketConfig(vartheta=vt, motion=FreeMotion(v0=v0))
+        xs = np.linspace(-x_extent + 5.0, x_extent - 5.0, 161)
+        sl = _closed(vt, v0).slice(t_max, xs)
+        ref, _ = closed_spectral(cfg, x_extent, t_max).psi_dpsi(t_max, xs)
+        assert np.max(np.abs(sl.psi - ref)) < 1e-6 * np.max(np.abs(ref))
 
 
 def test_closed_norm_conserved():
@@ -186,20 +191,22 @@ def test_spectral_packet_unit_norm():
 
 
 @pytest.mark.parametrize("gamma0", [1.0, 10.0])
-@pytest.mark.parametrize("sigma0", [0.3, 1.0])
+@pytest.mark.parametrize("sigma0", [0.3, 1.0, 3.0])
 def test_gauss_spectral_matches_the_full_window_sum(sigma0, gamma0):
-    # the sum over |p - p0| <= max(7.43/sigma0, 12), where the spectrum falls
-    # to 1e-12 of its peak, against the same plane waves over
-    # max(12/sigma0, 12): psi and d/dt psi to 1e-11 of their maxima on a
-    # grid and at phase-trace points (measured: 1.5e-12)
+    # the sum over |p - p0| <= 7.43/sigma0, where the spectrum falls to 1e-12
+    # of its peak, at the node spacing alone, against the same plane waves
+    # over max(12/sigma0, 12) with at least 401 nodes: psi and d/dt psi to
+    # 1e-11 of their maxima on a grid and at phase-trace points (measured:
+    # 1.5e-12)
     x_extent, t_max = 41.0, 16.0
     cfg = GaussianPacketConfig(sigma0=sigma0, motion=FreeMotion.from_gamma(gamma0))
     m = cfg.motion
     ms = gauss_spectral(cfg, x_extent, t_max)
-    width = max(free_packets._TAIL_WIDTH / sigma0, 12.0)
-    assert abs(ms.p[-1] - m.p0 - width) < 1e-12 * width
-    half = max(12.0 / sigma0, 12.0)
+    width = free_packets._TAIL_WIDTH / sigma0
     dp = free_packets._node_spacing(x_extent, t_max, 1.0 / sigma0)
+    assert abs(ms.p[-1] - m.p0 - width) < 1e-12 * width
+    assert ms.p.size == int(2 * width / dp) | 1
+    half = max(12.0 / sigma0, 12.0)
     p, weights = quadrature.momentum_grid(m.p0, half, max(int(2 * half / dp) | 1, 401))
     amp, e = gauss_spectrum(p, sigma0, m.p0, m.x0), energy(p)
 

@@ -83,7 +83,7 @@ def test_run_writes_outputs_and_manifest(tmp_path):
     assert man["quadrature_settings"] == {
         "oversample": free_packets._OVERSAMPLE,
         "tail_eps": free_packets._TAIL_EPS,
-        "momentum_window_factor": free_packets._WINDOW_FACTOR,
+        "momentum_window_factor": field_packets._WINDOW_FACTOR,
     }
 
 
