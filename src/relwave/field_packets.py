@@ -12,8 +12,7 @@ and a positive-frequency mode's phase, exp(-i int E ds / F), flips with F.
 
 ``mode_pair`` is the one place that evaluates them, from one D_nu value per
 |s| on the first-quadrant ray: f+ at -|s| follows from it by the connection
-formula, because -nu-1 = conj(nu).  Points near s = 0, inside D_nu's
-Maclaurin disc, take D_nu at both signs directly.  The initial Gaussian is
+formula, because -nu-1 = conj(nu), at every s.  The initial Gaussian is
 imposed by the least-norm projection onto the pair (``mode_coeffs``):
 c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
@@ -40,7 +39,7 @@ import numpy as np
 from .free_packets import _TAIL_WIDTH, _node_spacing, gauss_spectrum
 from .kinematics import FieldMotion
 from .quadrature import _PAIR_BLOCK, ModeSum, momentum_grid, trapezoid_weights
-from .specfun import _R_SERIES, _fold_factors, pcf_d
+from .specfun import _fold_factors, pcf_d
 
 __all__ = [
     "FieldPacketConfig",
@@ -85,22 +84,21 @@ def _order_and_ray(cfg: FieldPacketConfig):
 def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     """f+(s), f-(s) at s = p + F t; with ``derivatives`` also d/dt f+-.
 
-    One D_nu evaluation per |s|: D = D_nu(r|s|) lies on the first-quadrant
+    One D_nu evaluation per point: D = D_nu(r|s|) lies on the first-quadrant
     ray, where pcf_d never folds.  Since -nu-1 = conj(nu) and D_nu has real
     Taylor coefficients, the connection formula (DLMF §12.2) gives f+ at
     -|s| from D alone, e^{-i pi nu} D + P conj D with
     P = sqrt(2 pi)/Gamma(-nu) e^{-i pi (nu+1)/2}, and f-(s) = conj f+(-s):
     each mode is f+ at +|s| or at -|s|, chosen by the sign of s.  D' comes
     from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu, and at -|s| from
-    -e^{-i pi nu} D' + i P conj D'.  Points with |r s| <= _R_SERIES take D_nu
-    at r|s| and at -r|s| directly, by the Maclaurin series, which holds for
-    any argument (P alone leaves double range for weak forces).  The fold's
-    guard runs before any D_nu.  An ``s`` of more than half
-    ``quadrature._PAIR_BLOCK`` points is evaluated in pieces of that many,
-    so that no pcf_d call holds more than _PAIR_BLOCK points (each value is
-    independent of the others of its call).  For F < 0 the modes are the
-    conjugates of those of |F|, and, since d/dt = F d/ds, their time
-    derivatives are minus the conjugates of those of |F|.
+    -e^{-i pi nu} D' + i P conj D'.  The fold's guard runs before any D_nu,
+    so a force whose P leaves double range (|F| below about 1.1e-3) raises
+    at every s.  An ``s`` of more than half ``quadrature._PAIR_BLOCK`` points
+    is evaluated in pieces of that many, which bounds the memory of each
+    pcf_d call (each value is independent of the others of its call).  For
+    F < 0 the modes are the conjugates of those of |F|, and, since
+    d/dt = F d/ds, their time derivatives are minus the conjugates of those
+    of |F|.
     """
     half = _PAIR_BLOCK // 2
     if np.size(s) > half:
@@ -109,22 +107,17 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
                  for i in range(0, flat.size, half)]
         return tuple(np.concatenate(vals).reshape(np.shape(s)) for vals in zip(*parts))
     nu, ray = _order_and_ray(cfg)
+    rot, pre = _fold_factors(nu, -1.0)
     shape = np.shape(s)
     s = np.ravel(np.asarray(s, dtype=float))
-    u = np.abs(s)
-    near = np.abs(ray * u) <= _R_SERIES
-    far = ~near
-    rot, pre = _fold_factors(nu, -1.0) if np.any(far) else (0.0, 0.0)
-    z = ray * np.concatenate([u, -u[near]])
+    z = ray * np.abs(s)
     upper = s >= 0.0
 
     def at_s_and_minus_s(d, rot, pre):
-        # from d at r|s| (and at -r|s| near zero): its values at r s and -r s
-        plus, minus = d[:u.size], np.empty(u.size, dtype=complex)
-        minus[near] = d[u.size:]
-        minus[far] = rot * plus[far] + pre * np.conj(plus[far])
-        return np.where(upper, plus, minus).reshape(shape), \
-            np.where(upper, minus, plus).reshape(shape)
+        # from d at r|s|: its values at r s and -r s
+        minus = rot * d + pre * np.conj(d)
+        return np.where(upper, d, minus).reshape(shape), \
+            np.where(upper, minus, d).reshape(shape)
 
     f = pcf_d(nu, z)
     fp, fp_mirror = at_s_and_minus_s(f, rot, pre)
@@ -167,17 +160,16 @@ def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> M
     the spectrum of a time whose slice was taken evaluates no D_nu.
 
     The nodes are the central nodes of a lattice of half-width
-    _WINDOW_FACTOR/sigma0 about p0: those within _TAIL_WIDTH/sigma0 of p0,
-    where the Gaussian spectrum falls to _TAIL_EPS of its peak, and at
-    least 401 of them, with their own trapezoid weights.  A lattice of 401
-    nodes keeps them all.
+    _WINDOW_FACTOR/sigma0 about p0 and of at least 401 nodes: those within
+    _TAIL_WIDTH/sigma0 of p0, where the Gaussian spectrum falls to _TAIL_EPS
+    of its peak, with their own trapezoid weights.
     """
     window = _WINDOW_FACTOR / cfg.sigma0
     dp = _node_spacing(x_extent, t_max, 1.0 / cfg.sigma0)
     count = max(int(2 * window / dp) | 1, 401)
     lattice, _ = momentum_grid(cfg.motion.p0, window, count)
     centre = count // 2  # the lattice's step is window/centre
-    reach = max(int(centre * _TAIL_WIDTH / _WINDOW_FACTOR), 200)
+    reach = int(centre * _TAIL_WIDTH / _WINDOW_FACTOR)
     p = lattice[centre - reach:centre + reach + 1]
     weights = trapezoid_weights(p)
     c = mode_coeffs(p, cfg)

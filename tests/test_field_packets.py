@@ -91,8 +91,13 @@ def test_mode_ode_residual():
 
 
 def test_adiabatic_flat_modulus_at_weak_force():
-    # the p = 0 mode, c+ f+(F t) + c- f-(F t), as the basis combines it
-    cfg = FieldPacketConfig(sigma0=3.0, motion=FieldMotion(force=1e-3, p0=0.0))
+    # the p = 0 mode, c+ f+(F t) + c- f-(F t), as the basis combines it, at
+    # F = 0.01, the weakest force a packet runs at; at F = 1e-3 the fold's
+    # factors leave double range, so every mode point raises, s = 0 included
+    weak = FieldPacketConfig(sigma0=3.0, motion=FieldMotion(force=1e-3, p0=0.0))
+    with pytest.raises(SpecFunAccuracyError):
+        mode_pair(weak, np.array([0.0]))
+    cfg = FieldPacketConfig(sigma0=3.0, motion=FieldMotion(force=0.01, p0=0.0))
     c = mode_coeffs(np.array([0.0]), cfg)
     vals = []
     for t in (0.0, 0.5, 1.0):
@@ -164,9 +169,9 @@ def test_psi_field_scalar_api():
 
 def test_modes_match_the_pcf_d_dz_route():
     # modes take D' from the ladder relation on the D_nu already computed;
-    # pcf_d_dz evaluates D_nu again, with the same arithmetic.  f+ at s >= 0,
-    # f- at s < 0, and both near s = 0 are direct D_nu values with its bits;
-    # the other halves come from the connection formula, to a tolerance
+    # pcf_d_dz evaluates D_nu again, with the same arithmetic.  f+ at s >= 0
+    # and f- at s < 0 are direct D_nu values with its bits; the other halves
+    # come from the connection formula, to a tolerance, near s = 0 too
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
     c = mode_coeffs(basis.p, cfg)
@@ -179,7 +184,7 @@ def test_modes_match_the_pcf_d_dz_route():
         got = mode_pair(cfg, s, derivatives=True)
         near = np.abs(ray * s) <= specfun._R_SERIES
         assert 0 < np.count_nonzero(near) < len(s) // 4
-        direct = ((s >= 0.0) | near, (s < 0.0) | near) * 2
+        direct = (s >= 0.0, s < 0.0) * 2
         for g, r, d, tol in zip(got, ref, direct, (1e-13, 1e-13, 1e-11, 1e-11)):
             assert np.array_equal(g[d], r[d])
             assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
@@ -254,16 +259,18 @@ def test_negative_force_modes_conjugate_the_two_order_route(force):
         assert np.array_equal(g, sign * np.conj(r))
 
 
-def _assert_matches_mpmath(force):
+_REGIME_POINTS = np.array([-40.0, -17.3, -6.1, -2.2, -0.9, -0.3, -0.01, 0.0, 0.2,
+                           0.7, 1.9, 5.3, 12.0, 33.0])
+
+
+def _assert_matches_mpmath(force, s=_REGIME_POINTS, tols=(1e-12, 1e-12, 5e-12, 5e-12)):
     # f+- and d/dt f+- = F d/ds f+- from mpmath's pcfd of the order and ray
-    # of |F| (and their conjugates for f-), conjugated for F < 0, at points
-    # on both sides of s = 0, near it and in all three D_nu regimes
+    # of |F| (and their conjugates for f-), conjugated for F < 0, at s: by
+    # default on both sides of s = 0, near it and in all three D_nu regimes
     import mpmath
 
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     nu, ray = _order_and_ray(cfg)
-    s = np.array([-40.0, -17.3, -6.1, -2.2, -0.9, -0.3, -0.01, 0.0, 0.2, 0.7,
-                  1.9, 5.3, 12.0, 33.0])
     ref = []
     with mpmath.workdps(30):
         for order, r in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
@@ -276,7 +283,7 @@ def _assert_matches_mpmath(force):
     if force < 0:
         ref = [(np.conj(f), np.conj(df)) for f, df in ref]
     ref = (ref[0][0], ref[1][0], ref[0][1] * force, ref[1][1] * force)
-    for g, r, tol in zip(mode_pair(cfg, s, derivatives=True), ref, (1e-12, 1e-12, 5e-12, 5e-12)):
+    for g, r, tol in zip(mode_pair(cfg, s, derivatives=True), ref, tols):
         assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
 
 
@@ -291,6 +298,17 @@ def test_negative_force_mode_pair_matches_mpmath(force):
     # the F < 0 modes are the conjugated modes of |F|, so their time
     # derivatives F d/ds f+- are the conjugates of d/ds f+-(|F|) times F
     _assert_matches_mpmath(force)
+
+
+@pytest.mark.parametrize("force", [0.01, 0.04, 0.1, 0.3, 1.0, -0.3])
+def test_mode_pair_inside_the_maclaurin_disc_matches_mpmath(force):
+    # |r s| <= 1.5, s = 0 included, on both sides: each mode at -|s| comes
+    # from D_nu(r|s|) by the connection formula, as everywhere else, to 1e-12
+    # of max|f| and of max|d/dt f| (measured: 6.8e-13 at F = 0.01, under
+    # 1e-14 from F = 0.04)
+    edge = specfun._R_SERIES * np.sqrt(abs(force) / 2.0)
+    s = edge * np.array([-1.0, -0.61, -0.2, -1e-9, 0.0, 1e-9, 0.33, 0.8, 1.0])
+    _assert_matches_mpmath(force, s, (1e-12,) * 4)
 
 
 @pytest.mark.parametrize("force", [5e-4])
@@ -334,17 +352,10 @@ def _count_pcf(monkeypatch, calls):
                         lambda nu, z: calls.append((nu, np.size(z))) or pcf(nu, z))
 
 
-def _pcf_points(cfg, s):
-    # D_nu points of mode_pair at s: one per |s|, and a second (at -r|s|)
-    # for each s near 0, where the Maclaurin series serves both signs
-    ray = _order_and_ray(cfg)[1]
-    return np.size(s) + np.count_nonzero(np.abs(ray * np.abs(s)) <= specfun._R_SERIES)
-
-
 def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     # the phase trace keeps psi only: each evaluated time takes D_nu once on
-    # each of the Np nodes' |s| (f+ and f-; twice for the few near s = 0),
-    # and not the D_{nu-1} of their time derivatives
+    # each of the Np nodes' |s| (f+ and f-), and not the D_{nu-1} of their
+    # time derivatives
     times = []
     trace = packets.phase_trace
 
@@ -367,14 +378,14 @@ def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     assert len(times) >= 9
     assert {nu for nu, _ in calls} == {_order_and_ray(_cfg(3.0, 1.0))[0]}
     points = sum(n for _, n in calls)
-    assert points == sum(_pcf_points(_cfg(3.0, 1.0), basis.p + F * t) for t in times)
+    assert points == len(basis.p) * len(times)
     assert points < 1.1 * len(basis.p) * len(times)
 
 
 def test_trimmed_field_phase_trace_evaluates_the_kept_nodes_only(monkeypatch):
     # a narrow fast packet sums only the lattice's nodes inside 7.43/sigma0:
-    # each evaluated time takes D_nu on the kept nodes' |s| (and the mirror
-    # images of those near s = 0), under 0.7 of the lattice's nodes per time
+    # each evaluated time takes D_nu once on each kept node's |s|, under 0.7
+    # of the lattice's nodes per time
     times = []
     trace = packets.phase_trace
 
@@ -398,16 +409,16 @@ def test_trimmed_field_phase_trace_evaluates_the_kept_nodes_only(monkeypatch):
     scenarios._case_outputs(scn, scn.cases[0], pk, np.linspace(-30.0, 30.0, 101))
     assert len(times) >= 9
     points = sum(n for _, n in calls)
-    assert points == sum(_pcf_points(cfg, basis.p + F * t) for t in times)
+    assert points == len(basis.p) * len(times)
     assert points < 0.7 * len(lattice) * len(times)
 
 
 @pytest.mark.parametrize("block", [field_packets._PAIR_BLOCK, 1000])
 def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     # a block of times is one or two pcf_d calls, each on at most half a
-    # block of points (and the mirror images of those near s = 0); with
-    # fewer points per block than nodes (1000 < Np) a block is one time, its
-    # nodes split over several calls, and the phases keep their bits
+    # block of points; with fewer points per block than nodes (1000 < Np) a
+    # block is one time, its nodes split over several calls, and the phases
+    # keep their bits
     pk = _packet(0.3, 10.0, 41.0, 8.0)
     ts = np.arange(0.0, 8.125, 0.25)
     ref = pk.trace_phase(ts)
@@ -419,8 +430,8 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
     trace = pk.trace_phase(ts)
     n_p = len(p)
     sizes = [n for _, n in calls]
-    assert max(sizes) <= block
-    assert sum(sizes) == sum(_pcf_points(_cfg(0.3, 10.0), p + F * t) for t in ts)
+    assert max(sizes) <= block // 2
+    assert sum(sizes) == len(p) * len(ts)
     if block > 2 * n_p:
         assert max(sizes) > n_p  # several times per call
     assert np.array_equal(trace.phi, ref.phi)
@@ -429,9 +440,9 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
 def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     # density and peak-normalized spectrum at three times: the basis build
     # (f+ and f-, one D_nu call) and 2 D_nu calls per time for the slices
-    # (orders nu and nu - 1), each on the nodes' |s| once (and the mirror
-    # images of those near s = 0); the spectra and their t = 0 peak read
-    # the slices' psi_p (11 calls when they evaluate again)
+    # (orders nu and nu - 1), each on the nodes' |s| once; the spectra and
+    # their t = 0 peak read the slices' psi_p (11 calls when they evaluate
+    # again)
     scn = scenarios.Scenario(name="fd", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(-4.0, 0.0, 4.0), x_min=-20.0, x_max=40.0,
@@ -445,8 +456,7 @@ def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     points = sum(n for _, n in calls)
     cfg = _cfg(3.0, 1.0)
     p = field_mode_basis(cfg, 41.0, 4.0).p
-    assert points == _pcf_points(cfg, p) + 2 * sum(
-        _pcf_points(cfg, p + F * t) for t in scn.t_list)
+    assert points == len(p) * (1 + 2 * len(scn.t_list))
 
 
 def test_classical_position_tracks_the_density_mean():
@@ -589,11 +599,15 @@ def test_basis_matches_the_full_lattice_sum(sigma0, gamma0, force):
         assert np.max(np.abs(pk.spectrum(ps, t) - ref_spectrum)) < 1e-20 * peak
 
 
-def test_basis_of_a_401_node_lattice_keeps_every_node():
+def test_basis_of_a_401_node_lattice_keeps_its_central_nodes():
     # sigma0 = 3 on fig7's grid: the lattice has the 401-node floor, and the
-    # basis is the whole of it, weights included
+    # basis keeps its 247 central nodes, those within 7.43/sigma0 of p0, with
+    # their own trapezoid weights
     cfg = _cfg(3.0, 1.0)
     basis = field_mode_basis(cfg, 71.0, 16.0)
-    p, weights = _lattice(cfg, 71.0, 16.0)
-    assert len(p) == 401
-    assert np.array_equal(basis.p, p) and np.array_equal(basis.weights, weights)
+    p = _lattice(cfg, 71.0, 16.0)[0]
+    assert len(p) == 401 and len(basis.p) == 247
+    assert np.array_equal(basis.p, p[77:324])
+    assert np.array_equal(basis.weights, quadrature.trapezoid_weights(basis.p))
+    width = free_packets._TAIL_WIDTH / cfg.sigma0
+    assert np.max(np.abs(basis.p - cfg.motion.p0)) <= width < abs(p[76] - cfg.motion.p0)

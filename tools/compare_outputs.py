@@ -3,15 +3,16 @@
     python tools/compare_outputs.py run DIR
     python tools/compare_outputs.py diff A B
 
-``run`` writes the CSV files and manifests of the nine builtin scenarios and
-of ``tests/mixed_families.ini`` into DIR, with the relwave of this checkout's
-``src/``, and prints each scenario's file count and its manifest's
-``wall_time_s``.  ``diff`` prints one line per CSV file of A and B: ``identical``,
-or its largest |B - A| over the column's scale, the column's max |A|
-(max(max |A|, 1) for G_psi, G_rho and imag_residual, whose values are
-fractions of one).  A summary line ends the output.  The exit code is 1 when
-the two directories hold different CSV files or a file's columns or rows
-differ, else 0.
+``run`` writes the CSV files and manifests of the nine builtin scenarios, of
+``tests/mixed_families.ini`` and of the ``weak-field`` section of
+``tests/weak_field.ini`` (F = 0.01, the D_nu router's longest march) into
+DIR, with the relwave of this checkout's ``src/``, and prints each
+scenario's file count and its manifest's ``wall_time_s``.  ``diff`` prints
+one line per CSV file of A and B: ``identical``, or its largest |B - A| over
+the column's scale, the column's max |A| (max(max |A|, 1) for G_psi, G_rho
+and imag_residual, whose values are fractions of one).  A summary line ends
+the output.  The exit code is 1 when the two directories hold different CSV
+files or a file's columns or rows differ, else 0.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ def run(out_dir: Path) -> None:
 
     todo = list(scenarios.builtin_scenarios().values())
     todo += scenarios.load_config(ROOT / "tests" / "mixed_families.ini")
+    todo += [scn for scn in scenarios.load_config(ROOT / "tests" / "weak_field.ini")
+             if scn.name == "weak-field"]
     for scn in todo:
         manifest = scenarios.run(scn, out_dir)
         print(f"{scn.name}: {len(manifest.outputs)} file(s), "
