@@ -11,8 +11,9 @@ and for F < 0 by their conjugates: the mode equation in s holds F^2 only,
 and a positive-frequency mode's phase, exp(-i int E ds / F), flips with F.
 
 ``mode_pair`` is the one place that evaluates them, from one D_nu value per
-|s| on the first-quadrant ray: f+ at -|s| follows from it by the connection
-formula, because -nu-1 = conj(nu), at every s.  The initial Gaussian is
+|s| on the first-quadrant ray (and for d/dt its D', from the same D_nu
+pass): f+ at -|s| follows from it by the connection formula, because
+-nu-1 = conj(nu), at every s.  The initial Gaussian is
 imposed by the least-norm projection onto the pair (``mode_coeffs``):
 c+- proportional to conj(f+-(p)) scaled so that c+ f+(p) + c- f-(p) equals
 the Gaussian spectrum exactly at t = 0.  The squared ray weight
@@ -89,13 +90,15 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     Taylor coefficients, the connection formula (DLMF §12.2) gives f+ at
     -|s| from D alone, e^{-i pi nu} D + P conj D with
     P = sqrt(2 pi)/Gamma(-nu) e^{-i pi (nu+1)/2}, and f-(s) = conj f+(-s):
-    each mode is f+ at +|s| or at -|s|, chosen by the sign of s.  D' comes
-    from the ladder relation D' = nu D_{nu-1} - (z/2) D_nu, and at -|s| from
-    -e^{-i pi nu} D' + i P conj D'.  The fold's guard runs before any D_nu,
-    so a force whose P leaves double range (|F| below about 1.1e-3) raises
-    at every s.  An ``s`` of more than half ``quadrature._PAIR_BLOCK`` points
-    is evaluated in pieces of that many, which bounds the memory of each
-    pcf_d call (each value is independent of the others of its call).  For
+    each mode is f+ at +|s| or at -|s|, chosen by the sign of s.  With
+    ``derivatives``, D' = d/dz D_nu(r|s|) comes from the same pcf_d pass as
+    D (``derivative=True``: no D_nu of order nu - 1, and D keeps its bits),
+    and at -|s| from -e^{-i pi nu} D' + i P conj D'.  The fold's guard runs
+    before any D_nu, so a force whose P leaves double range (|F| below about
+    1.1e-3) raises at every s.  An ``s`` of more than half
+    ``quadrature._PAIR_BLOCK`` points is evaluated in pieces of that many,
+    which bounds the memory of each pcf_d call (each value is independent
+    of the others of its call).  For
     F < 0 the modes are the conjugates of those of |F|, and, since
     d/dt = F d/ds, their time derivatives are minus the conjugates of those
     of |F|.
@@ -119,13 +122,15 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
         return np.where(upper, d, minus).reshape(shape), \
             np.where(upper, minus, d).reshape(shape)
 
-    f = pcf_d(nu, z)
+    if derivatives:
+        f, df = pcf_d(nu, z, derivative=True)
+    else:
+        f = pcf_d(nu, z)
     fp, fp_mirror = at_s_and_minus_s(f, rot, pre)
     modes = (fp, np.conj(fp_mirror))
     if derivatives:
         force = abs(cfg.motion.force)
-        dfp, dfp_mirror = at_s_and_minus_s(nu * pcf_d(nu - 1.0, z) - 0.5 * z * f,
-                                           -rot, 1j * pre)
+        dfp, dfp_mirror = at_s_and_minus_s(df, -rot, 1j * pre)
         modes += (dfp * ray * force, -np.conj(dfp_mirror * ray * force))
     if cfg.motion.force > 0:
         return modes
@@ -154,10 +159,11 @@ def mode_coeffs(p, cfg: FieldPacketConfig) -> ModeCoefficients:
 
 def field_mode_basis(cfg: FieldPacketConfig, x_extent: float, t_max: float) -> ModeSum:
     """The packet's ModeSum of c+ f+ + c- f- on its momentum nodes; the modes
-    without ``derivatives`` are the same values for half the D_nu work, and
-    a column of times is one ``mode_pair`` call.  The modes at each scalar
-    time are kept, and the modes alone at that time are those kept values:
-    the spectrum of a time whose slice was taken evaluates no D_nu.
+    without ``derivatives`` are the same values without the D' of their
+    D_nu pass, and a column of times is one ``mode_pair`` call.  The modes
+    at each scalar time are kept, and the modes alone at that time are
+    those kept values: the spectrum of a time whose slice was taken
+    evaluates no D_nu.
 
     The nodes are the central nodes of a lattice of half-width
     _WINDOW_FACTOR/sigma0 about p0 and of at least 401 nodes: those within

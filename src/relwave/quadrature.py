@@ -36,8 +36,9 @@ __all__ = [
 
 # points (x values x nodes) per block of superpose_pairs: about 128 KiB per
 # complex temporary; the uniform-field modes take half a block per pcf_d
-# call, at most about 2.2 MiB (220-550 B a point by tracemalloc on the
-# F = 0.1 ray), so that a phase trace does not raise peak memory
+# call, at most about 2.9 MiB for D_nu alone and 3.1 MiB with its D' (by
+# tracemalloc on the F = 0.1 ray: 200-700 B a point, 300-740 B with D'),
+# so that a phase trace does not raise peak memory
 _PAIR_BLOCK = 8192
 
 # 2 pi = _C1 + _C2 + _C3 (Cody-Waite): _C1 and _C2 hold 21 bits each, so

@@ -158,17 +158,38 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 
 _FAST_FILE_VALUES = 4096  # smaller files are formatted value by value
-_CHUNK_VALUES = 4096  # values per call of format_g17, which bounds its temporaries
+_CHUNK_VALUES = 4096  # values per call of format_g17 and per row chunk written
+
+
+def _column_text(col) -> np.ndarray:
+    """The 32-byte rows of ``format_g17`` for one column: a scalar (or a
+    single value) is one row by the per-value format, an array is formatted
+    _CHUNK_VALUES values at a time."""
+    v = np.asarray(col, dtype=float).ravel()
+    if v.size == 1:
+        row = np.zeros((1, 32), np.uint8)
+        b = b"%.17g" % v[0]
+        row[0, :len(b)] = np.frombuffer(b, np.uint8)
+        return row
+    text = np.empty((v.size, 32), np.uint8)
+    for start in range(0, v.size, _CHUNK_VALUES):
+        chunk = v[start:start + _CHUNK_VALUES]
+        text[start:start + len(chunk)] = format_g17(chunk).view(np.uint8).reshape(-1, 32)
+    return text
 
 
 def _write_csv(path: Path, header: str, blocks) -> str:
     """Write ``blocks`` under ``header`` and return the file's sha256.
     ``blocks`` is a list of column tuples, each column a 1-d array or a
     scalar repeated down its block.  Every value is written as ``%.17g``: a
-    file of at least _FAST_FILE_VALUES values by ``format_g17``, chunk by
-    chunk, each chunk written and hashed before the next; a smaller one by
-    one %-format per row.  The formatter's tables are built on its first
-    call, so runs that write no large file do not build them."""
+    file of fewer than _FAST_FILE_VALUES values by one %-format per row.  In
+    a larger one each distinct column is formatted once (``_column_text``):
+    a scalar is one text row broadcast down its block, and a column that is
+    the same object as the previous block's column in its place (the x or p
+    grid under every time) takes that block's text.  Its rows are then
+    assembled, written and hashed a chunk at a time.  The formatter's
+    tables are built on its first call, so runs that write no large file do
+    not build them."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def emit(data: bytes):
@@ -185,17 +206,22 @@ def _write_csv(path: Path, header: str, blocks) -> str:
                         if np.ndim(col) > 0]
                 emit("".join(fmt % row + "\n" for row in zip(*cols)).encode())
             return digest.hexdigest()
+        previous = {}  # column place -> (column, text) of the previous block
         for block in blocks:
-            values = np.empty((max(np.size(col) for col in block), len(block)))
+            texts = []
             for j, col in enumerate(block):
-                values[:, j] = col
-            sep = np.full(len(block), ord(","), np.uint8)
-            sep[-1] = ord("\n")
+                prev_col, prev_text = previous.get(j, (None, None))
+                texts.append(prev_text if col is prev_col else _column_text(col))
+            previous = dict(enumerate(zip(block, texts)))
+            n_rows = max(len(text) for text in texts)
             rows = max(1, _CHUNK_VALUES // len(block))
-            for start in range(0, len(values), rows):
-                text = format_g17(values[start:start + rows].ravel()).view(np.uint8)
-                text.reshape(-1, len(block), 32)[:, :, 31] = sep
-                emit(text.tobytes().translate(None, b"\0"))
+            for start in range(0, n_rows, rows):
+                out = np.empty((min(rows, n_rows - start), len(block), 32), np.uint8)
+                for j, text in enumerate(texts):
+                    out[:, j] = text if len(text) == 1 else text[start:start + rows]
+                out[:, :, 31] = ord(",")
+                out[:, -1, 31] = ord("\n")
+                emit(out.tobytes().translate(None, b"\0"))
     return digest.hexdigest()
 
 

@@ -41,10 +41,15 @@ the Maclaurin series takes one term count per order, enough for every
 before its first growing term, a count read from the table.  The march
 does not depend on its targets: the Taylor coefficients at its checkpoints
 are computed once per ray (order, angle) and cached, and each call only
-evaluates its targets' polynomials.  Where double precision cannot hold
-the answer (the march past |nu| = _MARCH_NU_MAX, a value that leaves
-double range) a SpecFunAccuracyError is raised instead of a silently wrong
-value.
+evaluates its targets' polynomials.  ``pcf_d(..., derivative=True)`` takes
+D'_nu from the same pass as D_nu, which keeps its bits: the differentiated
+Maclaurin series, the termwise-differentiated Poincare series and the
+derivative of the march's Taylor polynomial, each in the loop of its D_nu
+(mpmath points take the ladder relation).  ``pcf_d_dz``, the ladder
+relation D' = nu D_{nu-1} - (z/2) D_nu on a second order, is the
+reference.  Where double precision cannot hold the answer (the march past
+|nu| = _MARCH_NU_MAX, a value that leaves double range) a
+SpecFunAccuracyError is raised instead of a silently wrong value.
 """
 
 from __future__ import annotations
@@ -127,12 +132,16 @@ def _k_tables():
     return series, tuple(nodes)
 
 
-def _horner(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k c_k w^k by Horner's rule."""
+def _horner(c: np.ndarray, w: np.ndarray, derivative: bool = False):
+    """sum_k c_k w^k by Horner's rule; with ``derivative`` also its d/dw,
+    from the same pass (the sum keeps its bits)."""
     acc = np.full_like(w, c[-1])
+    dacc = np.zeros_like(w) if derivative else None
     for ck in c[-2::-1]:
+        if derivative:
+            dacc = dacc * w + acc
         acc = acc * w + ck
-    return acc
+    return (acc, dacc) if derivative else acc
 
 
 def _k_series(z: np.ndarray):
@@ -228,17 +237,30 @@ def _maclaurin_table(nu: complex):
     return tuple(tables)
 
 
-def _maclaurin(nu: complex, z: np.ndarray) -> np.ndarray:
+def _maclaurin(nu: complex, z: np.ndarray, derivative: bool = False):
     """D_nu by its Maclaurin series (DLMF 12.4), the even and odd Kummer M
-    summed by one Horner pass over ``_maclaurin_table``."""
+    summed by one Horner pass over ``_maclaurin_table``; with
+    ``derivative``, (D_nu, D'_nu), D' from the differentiated series of the
+    same pass: d/dz M(w) = z M'(w) at w = z^2/2."""
     w = 0.5 * z * z
-    series = [_horner(c, w) for c in _maclaurin_table(nu)]
+    series = [_horner(c, w, derivative) for c in _maclaurin_table(nu)]
+    if derivative:
+        (even_m, even_dm), (odd_m, odd_dm) = series
+    else:
+        even_m, odd_m = series
     # past |Im nu| ~ 900 the 1/Gamma factors, and D_nu with them, leave
     # double range; inf * 0 would be NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        even = series[0] * _rgamma((1.0 - nu) / 2.0)
-        odd = series[1] * _rgamma(-nu / 2.0)
-        val = 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w) * (even - np.sqrt(2.0) * z * odd)
+        g_even, g_odd = _rgamma((1.0 - nu) / 2.0), _rgamma(-nu / 2.0)
+        even = even_m * g_even
+        odd = odd_m * g_odd
+        pre = 2.0 ** (nu / 2.0) * SQRT_PI * np.exp(-0.5 * w)
+        bracket = even - np.sqrt(2.0) * z * odd
+        val = pre * bracket
+        if derivative:
+            d_bracket = (z * (even_dm * g_even)
+                         - np.sqrt(2.0) * (odd + z * z * (odd_dm * g_odd)))
+            val = (val, pre * (d_bracket - 0.5 * z * bracket))
     if not np.all(np.isfinite(val)):
         raise SpecFunAccuracyError(
             f"Maclaurin series of D_nu for nu={nu} overflows double precision")
@@ -266,10 +288,17 @@ def _poincare_table(nu: complex):
     return table
 
 
-def _asymptotic(nu: complex, z: np.ndarray):
+def _asymptotic(nu: complex, z: np.ndarray, derivative: bool = False):
     """One-piece Poincare expansion on a 1-d array; returns (value,
     per-point truncation ratio: last term kept over the sum).  The points,
-    sorted by term count, share one Horner pass over ``_poincare_table``."""
+    sorted by term count, share one Horner pass over ``_poincare_table``.
+    With ``derivative`` the value is (D_nu, D'_nu), D' the termwise
+    derivative of the series: with w = 1/(2z^2), S = sum_s c_s w^s and
+    T = sum_s s c_s w^s, D' = e^{-z^2/4} z^nu [(nu/z - z/2) S - (2/z) T]
+    = -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s, d_s = c_s + (8(s-1) - 4 nu) c_{s-1},
+    summed in the same pass to each point's term count.  (Summing S and T
+    to that count instead keeps half of term n and doubles the truncation
+    error near |z| = _R_ASYMP.)"""
     c, log_c, grow, stop = _poincare_table(nu)
     inv = 1.0 / (2.0 * z * z)
     lam = np.log(np.abs(inv))
@@ -277,13 +306,25 @@ def _asymptotic(nu: complex, z: np.ndarray):
                               np.searchsorted(stop, lam, "right") + 2), len(c))
     order = np.argsort(-n, kind="stable")
     inv_sorted, acc = inv[order], np.zeros_like(z)
+    if derivative:
+        d = c + np.concatenate([[0.0], (8.0 * np.arange(len(c) - 1) - 4.0 * nu) * c[:-1]])
+        dacc = np.zeros_like(z)
     live = np.searchsorted(-n[order], -np.arange(n.max()))  # points with a term s
     for s in range(len(live) - 1, 0, -1):
         acc[:live[s]] = (acc[:live[s]] + c[s]) * inv_sorted[:live[s]]
+        if derivative:
+            part = dacc[:live[s]]
+            part += d[s]
+            part *= inv_sorted[:live[s]]
     total = np.empty_like(z)
     total[order] = 1.0 + acc
     trunc = np.exp(log_c[n - 1] + (n - 1) * lam) / np.maximum(np.abs(total), 1e-300)
-    return np.exp(-0.25 * z * z) * z ** nu * total, trunc
+    if not derivative:
+        return np.exp(-0.25 * z * z) * z ** nu * total, trunc
+    pre = np.exp(-0.25 * z * z) * z ** nu
+    dtotal = np.empty_like(z)
+    dtotal[order] = 1.0 + dacc
+    return (pre * total, -0.5 * z * pre * dtotal), trunc
 
 
 @lru_cache(maxsize=128)
@@ -340,10 +381,11 @@ def _march_checkpoints(nu: complex, theta: float):
     return table
 
 
-def _march_ray(nu: complex, theta: float, radii: np.ndarray) -> np.ndarray:
+def _march_ray(nu: complex, theta: float, radii: np.ndarray, derivative: bool = False):
     """D_nu at radii along the ray arg z = theta: each target is the Taylor
-    polynomial of the first checkpoint that reaches it.  A target past the
-    march's end raises SpecFunAccuracyError."""
+    polynomial of the first checkpoint that reaches it; with ``derivative``,
+    (D_nu, D'_nu), D' that polynomial's derivative from the same pass.  A
+    target past the march's end raises SpecFunAccuracyError."""
     r_k, reach, coef = _march_checkpoints(nu, theta)
     k = np.searchsorted(reach, radii)
     if np.any(k == len(r_k)):
@@ -352,48 +394,63 @@ def _march_ray(nu: complex, theta: float, radii: np.ndarray) -> np.ndarray:
     a = coef[k]
     h_t = (radii - r_k[k]) * np.exp(1j * theta)
     val = np.zeros(len(radii), dtype=complex)
+    der = np.zeros_like(val) if derivative else None
     for n in range(_MARCH_ORDER + 1, -1, -1):
+        if derivative:
+            der = der * h_t + val
         val = val * h_t + a[:, n]
-    return val
+    return (val, der) if derivative else val
 
 
-def _mpmath_pcfd(nu: complex, z: np.ndarray) -> np.ndarray:
+def _mpmath_pcfd(nu: complex, z: np.ndarray, derivative: bool = False):
     """D_nu by ``mpmath.pcfd`` at 53-bit working precision, one point at a
-    time.  mpmath raises its internal precision where its sums cancel; the
-    first value that leaves double range raises SpecFunAccuracyError."""
-    out = np.empty_like(z)
+    time; with ``derivative``, (D_nu, D'_nu), D' by the ladder relation
+    D' = nu D_{nu-1} - (z/2) D_nu on a second pcfd value.  mpmath raises its
+    internal precision where its sums cancel; the first value that leaves
+    double range raises SpecFunAccuracyError."""
+    out = np.empty((1 + derivative, len(z)), dtype=complex)
     with mpmath.workprec(53):
         for i, zi in enumerate(z):
-            out[i] = complex(mpmath.pcfd(nu, complex(zi)))
-            if not np.isfinite(out[i]):
+            d = mpmath.pcfd(nu, complex(zi))
+            out[0, i] = complex(d)
+            if derivative:
+                out[1, i] = complex(nu * mpmath.pcfd(nu - 1.0, complex(zi))
+                                    - complex(zi) / 2 * d)
+            if not np.all(np.isfinite(out[:, i])):
                 raise SpecFunAccuracyError(
                     f"D_nu for nu={nu} at |z|~{abs(zi):.3g} overflows double precision")
-    return out
+    return tuple(out) if derivative else out[0]
 
 
-def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
+def _pcf_right_half_any_arg(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
     """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument: the
     Maclaurin series, else the Poincare expansion where it truncates within
     _POINCARE_TOL, else the outward march on rays where it is stable, else
-    ``mpmath.pcfd``."""
-    res = np.empty_like(z)
+    ``mpmath.pcfd``.  Returns (D_nu,), or with ``derivative`` (D_nu, D'_nu),
+    D' from the same regime's pass."""
+    res = tuple(np.empty_like(z) for _ in range(1 + derivative))
+
+    def put(idx, vals):
+        for row, v in zip(res, vals if derivative else (vals,)):
+            row[idx] = v
+
     r = np.abs(z)
     small = r <= _R_SERIES
     rest = ~small
     if np.any(small):
-        res[small] = _maclaurin(nu, z[small])
+        put(small, _maclaurin(nu, z[small], derivative))
     big = np.flatnonzero(r >= _R_ASYMP)
     if big.size:
-        vals, trunc = _asymptotic(nu, z[big])
+        vals, trunc = _asymptotic(nu, z[big], derivative)
         good = trunc <= _POINCARE_TOL
-        res[big[good]] = vals[good]
+        put(big[good], tuple(v[good] for v in vals) if derivative else vals[good])
         rest[big[good]] = False
     if np.any(rest):
-        zr = z[rest]
-        vals = np.empty_like(zr)
+        idx = np.flatnonzero(rest)
+        zr = z[idx]
         angles = np.angle(zr)
         # one group per ray: the points in order of angle, split where the
-        # angle moves; g indexes zr and vals
+        # angle moves; g indexes zr and idx
         order = np.argsort(angles, kind="stable")
         breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
         for g in np.split(order, breaks):
@@ -402,10 +459,9 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray) -> np.ndarray:
             # e^{-z^2/4} grows (Re z^2 < 0); elsewhere it would amplify its
             # seed's error by the dominant/recessive ratio
             if theta * nu.imag <= 1e-12 and np.cos(2.0 * theta) <= 0.25:
-                vals[g] = _march_ray(nu, theta, np.abs(zr[g]))
+                put(idx[g], _march_ray(nu, theta, np.abs(zr[g]), derivative))
             else:
-                vals[g] = _mpmath_pcfd(nu, zr[g])
-        res[rest] = vals
+                put(idx[g], _mpmath_pcfd(nu, zr[g], derivative))
     return res
 
 
@@ -435,8 +491,32 @@ def _fold_factors(nu: complex, sgn):
     return rot, pre
 
 
-def pcf_d(nu, z):
-    """Whittaker parabolic cylinder function D_nu(z), complex nu and z.
+def _pcf(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
+    """(D_nu,), or with ``derivative`` (D_nu, D'_nu), on the 1-d array z;
+    |arg z| > pi/2 folded by the connection formula and its d/dz."""
+    out = tuple(np.empty_like(z) for _ in range(1 + derivative))
+    # the Maclaurin series converges for every arg, so only fold outside it
+    left = (np.abs(np.angle(z)) > 0.5 * np.pi + 1e-14) & (np.abs(z) > _R_SERIES)
+    right = ~left
+    if np.any(left):
+        zl = z[left]
+        sgn = np.where(np.imag(zl) >= 0.0, 1.0, -1.0)
+        rot, pre = _fold_factors(nu, sgn)
+        mirror, other = _pcf(nu, -zl, derivative), _pcf(-nu - 1.0, -1j * sgn * zl, derivative)
+        out[0][left] = rot * mirror[0] + pre * other[0]
+        if derivative:
+            out[1][left] = -rot * mirror[1] - 1j * sgn * pre * other[1]
+    if np.any(right):
+        for row, vals in zip(out, _pcf_right_half_any_arg(nu, z[right], derivative)):
+            row[right] = vals
+    return out
+
+
+def pcf_d(nu, z, derivative: bool = False):
+    """Whittaker parabolic cylinder function D_nu(z), complex nu and z; with
+    ``derivative``, the pair (D_nu(z), D'_nu(z)) from one pass, D' from the
+    differentiated expansion of each point's regime and D_nu with the bits
+    it has without.
 
     Vectorized over z.  For |arg z| > pi/2 the value is folded into the right
     half-plane with
@@ -446,27 +526,14 @@ def pcf_d(nu, z):
     """
     nu = complex(nu)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z).ravel()
-    out = np.empty_like(zf)
-
-    # the Maclaurin series converges for every arg, so only fold outside it
-    left = (np.abs(np.angle(zf)) > 0.5 * np.pi + 1e-14) & (np.abs(zf) > _R_SERIES)
-    if np.any(left):
-        zl = zf[left]
-        sgn = np.where(np.imag(zl) >= 0.0, 1.0, -1.0)
-        rot, pre = _fold_factors(nu, sgn)
-        out[left] = rot * pcf_d(nu, -zl) + pre * pcf_d(-nu - 1.0, -1j * sgn * zl)
-    if np.any(~left):
-        out[~left] = _pcf_right_half_any_arg(nu, zf[~left])
-
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z.shape)
+    out = _pcf(nu, np.atleast_1d(z).ravel(), derivative)
+    vals = [complex(row[0]) if z.ndim == 0 else row.reshape(z.shape) for row in out]
+    return tuple(vals) if derivative else vals[0]
 
 
 def pcf_d_dz(nu, z):
-    """d/dz of D_nu(z) via the ladder relation D' = nu D_{nu-1} - (z/2) D_nu."""
+    """d/dz of D_nu(z) via the ladder relation D' = nu D_{nu-1} - (z/2) D_nu:
+    two D_nu passes, the reference for ``pcf_d(..., derivative=True)``."""
     nu = complex(nu)
     z = np.asarray(z, dtype=complex)
     return nu * pcf_d(nu - 1.0, z) - 0.5 * z * pcf_d(nu, z)

@@ -123,3 +123,61 @@ def test_only_runs_that_write_a_large_file_load_the_formatter(x_count, loaded):
     out = subprocess.run([sys.executable, "-c", _PROBE, src, str(x_count)], check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == [str(loaded)]
+
+
+def _reuse_blocks(rows):
+    """Blocks over the cutoff that exercise the writer's column reuse: one
+    grid object shared by three blocks (NaN, +-inf, -0.0 and 5e-324 in it),
+    scalar t columns, an equal-valued but distinct copy of the grid, the grid
+    object in another column place, and a shorter last block."""
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-30.0, 45.0, rows)
+    grid[:5] = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    data = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+            for _ in range(4)]
+    return grid, [(-0.0, grid, data[0]),
+                  (5e-324, grid, grid.copy()),
+                  (math.nan, data[1], grid),
+                  (math.inf, grid, data[2]),
+                  (-2.5, grid[:rows // 3].copy(), data[3][:rows // 3])]
+
+
+def test_write_csv_reuses_columns_byte_for_byte(tmp_path):
+    # a reused column text writes the bytes and sha256 of one "%.17g" per value
+    rows = 1500
+    _, blocks = _reuse_blocks(rows)
+    assert sum(len(b[1]) * 3 for b in blocks) >= scenarios._FAST_FILE_VALUES
+    expected_rows = [row for t, *cols in blocks for row in zip([t] * len(cols[0]), *cols)]
+    path = tmp_path / "reuse.csv"
+    digest = scenarios._write_csv(path, "t,x,a", blocks)
+    text = _expected("t,x,a", expected_rows)
+    got, want = path.read_text().splitlines(), text.splitlines()
+    # the first differing line, not a diff of the whole file
+    assert len(got) == len(want)
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+    assert path.read_bytes() == text.encode()
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_write_csv_formats_each_shared_column_once(tmp_path, monkeypatch):
+    # density-like blocks that share one grid format it once per file; on the
+    # edge blocks a column is reused only where the previous block had the
+    # same object in the same place, and the scalar t columns take the
+    # per-value format.  No format_g17 call exceeds _CHUNK_VALUES values
+    rows = 5000
+    sizes = []
+    fmt = scenarios.format_g17
+    monkeypatch.setattr(scenarios, "format_g17", lambda v: sizes.append(len(v)) or fmt(v))
+    grid, blocks = _reuse_blocks(rows)
+    density = [(t, grid, np.full(rows, t)) for t in (0.0, 4.0, 8.0)]
+    scenarios._write_csv(tmp_path / "density.csv", "t,x,rho", density)
+    assert sum(sizes) == rows + 3 * rows
+    sizes.clear()
+    scenarios._write_csv(tmp_path / "edges.csv", "t,x,a", blocks)
+    # x: the grid in block 1, kept in block 2, block 3's data, the grid again
+    # in block 4 (block 3 broke the run) and block 5's short copy; a: every
+    # block's own array, the grid of block 3 included
+    x_values = 3 * rows + rows // 3
+    a_values = 4 * rows + rows // 3
+    assert sum(sizes) == x_values + a_values
+    assert max(sizes) <= scenarios._CHUNK_VALUES

@@ -168,10 +168,12 @@ def test_psi_field_scalar_api():
 
 
 def test_modes_match_the_pcf_d_dz_route():
-    # modes take D' from the ladder relation on the D_nu already computed;
-    # pcf_d_dz evaluates D_nu again, with the same arithmetic.  f+ at s >= 0
-    # and f- at s < 0 are direct D_nu values with its bits; the other halves
-    # come from the connection formula, to a tolerance, near s = 0 too
+    # modes take D' from D_nu's own pass (pcf_d with derivative); pcf_d_dz,
+    # the reference, takes it from the ladder relation on a second order.
+    # f+ at s >= 0 and f- at s < 0 are direct D_nu values with its bits, and
+    # their d/dt direct D' values with the bits of that pass; every value,
+    # the connection formula's halves included, matches the ladder route to
+    # a tolerance, near s = 0 too
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
     c = mode_coeffs(basis.p, cfg)
@@ -181,12 +183,15 @@ def test_modes_match_the_pcf_d_dz_route():
         zp, zm = ray * s, ray * -s
         ref = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
                pcf_d_dz(nu, zp) * ray * F, -np.conj(pcf_d_dz(nu, zm) * ray * F))
+        one_pass = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
+                    pcf_d(nu, zp, derivative=True)[1] * ray * F,
+                    -np.conj(pcf_d(nu, zm, derivative=True)[1] * ray * F))
         got = mode_pair(cfg, s, derivatives=True)
         near = np.abs(ray * s) <= specfun._R_SERIES
         assert 0 < np.count_nonzero(near) < len(s) // 4
         direct = (s >= 0.0, s < 0.0) * 2
-        for g, r, d, tol in zip(got, ref, direct, (1e-13, 1e-13, 1e-11, 1e-11)):
-            assert np.array_equal(g[d], r[d])
+        for g, r, o, d, tol in zip(got, ref, one_pass, direct, (1e-13, 1e-13, 1e-11, 1e-11)):
+            assert np.array_equal(g[d], o[d])
             assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
         psi_p, dpsi_p = basis.modes(t, True)
         assert np.array_equal(psi_p, c.c_plus * got[0] + c.c_minus * got[1])
@@ -223,15 +228,16 @@ def _two_order_route(cfg, s):
 
 @pytest.mark.parametrize("force", [0.1, 1.0, 2.0, 0.05, 0.02])
 def test_mode_pair_mirror_matches_the_two_order_route(force):
-    # one D_nu per |s| and the connection formula against f+ and f- as two
-    # D_nu families, to 1e-13 of max|f| and 1e-11 of max|d/dt f| (the largest
-    # gap measured is 1.4e-12, at F = 0.05): on one call's points and on
-    # more than _PAIR_BLOCK in two rows, which split into several calls
-    # (kept to |s| >= 4, past the band integral's points, which cost up to
-    # 12 ms each).  The modes alone have the bits of the modes with d/dt
+    # one D_nu and D' per |s| and the connection formula against f+ and f-
+    # as two D_nu families with the ladder's D', to 1e-13 of max|f| and 1e-11
+    # of max|d/dt f| (the largest gap measured is 1.6e-12, at F = 0.05): on
+    # one call's points and on more than _PAIR_BLOCK in two rows from s = 0
+    # out, which split into several calls (the reference takes no mpmath
+    # point there and costs under 30 ms a force).  The modes alone have the
+    # bits of the modes with d/dt
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
-    wide = np.outer([1.0, -1.0], np.linspace(4.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
+    wide = np.outer([1.0, -1.0], np.linspace(0.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
     for points in (s, wide):
         ref = _two_order_route(cfg, points)
         got = mode_pair(cfg, points, derivatives=True)
@@ -311,6 +317,52 @@ def test_mode_pair_inside_the_maclaurin_disc_matches_mpmath(force):
     _assert_matches_mpmath(force, s, (1e-12,) * 4)
 
 
+# |r s| on the mode ray: the Maclaurin disc, the march and the Poincare
+# series (past |r s| = 8 where it truncates within 1e-11), on both sides
+_DERIVATIVE_RADII = np.array([0.0, 0.4, 0.9, 1.5, 2.5, 4.0, 6.0, 7.9, 8.1, 8.6, 10.0,
+                              14.0, 20.0, 30.0, 45.0, 60.0])
+
+
+@pytest.mark.parametrize("force", [0.01, 0.04, 0.1, 0.3, 1.0, -0.3])
+def test_one_pass_derivative_is_no_worse_than_the_ladder(monkeypatch, force):
+    # d/dt f+- from D' of D_nu's own pass against 30-digit mpmath, per D_nu
+    # regime: within 1e-12 of max|d/dt f| and no further off than the same
+    # modes with D' from pcf_d_dz's ladder relation, up to 1e-14 of rounding
+    # (measured: below the ladder's error or within 10 % of it, but for
+    # 7.0e-15 against 1.9e-15 in the disc at F = 0.04; at F = 0.01, 2.7e-13
+    # against 6.8e-13 in the disc and 4.5e-13 against 5.8e-13 on the march)
+    import mpmath
+
+    cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
+    nu, ray = _order_and_ray(cfg)
+    u = _DERIVATIVE_RADII / abs(ray)
+    s = np.concatenate([u, -u[1:]])
+    r = abs(ray) * np.abs(s)
+    trunc = np.full(len(s), np.inf)
+    trunc[r >= 8.0] = specfun._asymptotic(nu, ray * np.abs(s[r >= 8.0]))[1]
+    regimes = (r <= specfun._R_SERIES, (r > specfun._R_SERIES) & (trunc > 1e-11),
+               trunc <= 1e-11)
+    one_pass = mode_pair(cfg, s, derivatives=True)[2:]
+    pcf = field_packets.pcf_d
+    monkeypatch.setattr(field_packets, "pcf_d", lambda order, z, derivative=False:
+                        (pcf(order, z), pcf_d_dz(order, z)) if derivative else pcf(order, z))
+    ladder = mode_pair(cfg, s, derivatives=True)[2:]
+    ref = []
+    with mpmath.workdps(30):
+        for order, rr in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
+            ref.append(np.array([complex((order * mpmath.pcfd(order - 1, z)
+                                          - z / 2 * mpmath.pcfd(order, z)) * rr)
+                                 for z in rr * s]))
+    ref = [force * (np.conj(d) if force < 0 else d) for d in ref]
+    for m in regimes:
+        assert np.count_nonzero(m) >= 4
+        for got, lad, d in zip(one_pass, ladder, ref):
+            scale = np.max(np.abs(d[m]))
+            err, err_ladder = (np.max(np.abs(g[m] - d[m])) / scale for g in (got, lad))
+            assert err < 1e-12
+            assert err <= err_ladder + 1e-14
+
+
 @pytest.mark.parametrize("force", [5e-4])
 def test_mode_pair_guard_raises_before_any_d_nu(monkeypatch, force):
     # at F = 5e-4 the fold's factors leave double range: a typed error, with
@@ -328,9 +380,10 @@ def test_mode_pair_guard_raises_before_any_d_nu(monkeypatch, force):
 
 @pytest.mark.parametrize("force", [-0.05, -0.07])
 def test_weak_negative_forces_need_no_adverse_fold(monkeypatch, force):
-    # the modes of F < 0 evaluate D_nu of the order of |F| only, whose fold
-    # is on the favourable side: no typed error where |Im nu| passes 6.8 on
-    # the adverse side, no numpy warning, and the |F| modes conjugated
+    # the modes of F < 0 and their time derivatives evaluate D_nu of the
+    # order of |F| only, whose fold is on the favourable side: no typed error
+    # where |Im nu| passes 6.8 on the adverse side, no numpy warning, and the
+    # |F| modes conjugated
     calls = []
     _count_pcf(monkeypatch, calls)
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
@@ -343,19 +396,20 @@ def test_weak_negative_forces_need_no_adverse_fold(monkeypatch, force):
             for g, r, sign in zip(got, ref, (1.0, 1.0, -1.0, -1.0)):
                 assert np.all(np.isfinite(g)) and np.array_equal(g, sign * np.conj(r))
     nu = _order_and_ray(mirror)[0]
-    assert {order for order, _ in calls} == {nu, nu - 1.0} and nu.imag < 0
+    assert {order for order, _ in calls} == {nu} and nu.imag < 0
 
 
 def _count_pcf(monkeypatch, calls):
     pcf = field_packets.pcf_d
     monkeypatch.setattr(field_packets, "pcf_d",
-                        lambda nu, z: calls.append((nu, np.size(z))) or pcf(nu, z))
+                        lambda nu, z, derivative=False: calls.append((nu, np.size(z)))
+                        or pcf(nu, z, derivative=derivative))
 
 
 def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):
     # the phase trace keeps psi only: each evaluated time takes D_nu once on
-    # each of the Np nodes' |s| (f+ and f-), and not the D_{nu-1} of their
-    # time derivatives
+    # each of the Np nodes' |s| (f+ and f-), and not the D' of their time
+    # derivatives
     times = []
     trace = packets.phase_trace
 
@@ -439,10 +493,10 @@ def test_trace_pcf_calls_stay_within_the_block_bound(monkeypatch, block):
 
 def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     # density and peak-normalized spectrum at three times: the basis build
-    # (f+ and f-, one D_nu call) and 2 D_nu calls per time for the slices
-    # (orders nu and nu - 1), each on the nodes' |s| once; the spectra and
-    # their t = 0 peak read the slices' psi_p (11 calls when they evaluate
-    # again)
+    # (f+ and f-, one D_nu call) and one D_nu call per time for the slices
+    # (D_nu and D' of order nu from one pass), each on the nodes' |s| once;
+    # the spectra and their t = 0 peak read the slices' psi_p (8 calls when
+    # they evaluate again)
     scn = scenarios.Scenario(name="fd", family="uniform-field",
                              cases=({"sigma0": 3.0, "gamma0": 1.0, "force": F},),
                              t_list=(-4.0, 0.0, 4.0), x_min=-20.0, x_max=40.0,
@@ -452,11 +506,11 @@ def test_spectrum_reuses_the_modes_of_the_density(monkeypatch, tmp_path):
     calls = []
     _count_pcf(monkeypatch, calls)
     scenarios.run(scn, tmp_path)
-    assert len(calls) == 7
+    assert len(calls) == 4
     points = sum(n for _, n in calls)
     cfg = _cfg(3.0, 1.0)
     p = field_mode_basis(cfg, 41.0, 4.0).p
-    assert points == len(p) * (1 + 2 * len(scn.t_list))
+    assert points == len(p) * (1 + len(scn.t_list))
 
 
 def test_classical_position_tracks_the_density_mean():

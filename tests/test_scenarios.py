@@ -172,7 +172,7 @@ def test_one_slice_per_case_and_time_serves_every_output(tmp_path, monkeypatch):
     monkeypatch.setattr(packets.Packet, "slice",
                         lambda pk, t, xs: slices.append((pk.label, t)) or slice_at(pk, t, xs))
     monkeypatch.setattr(field_packets, "pcf_d",
-                        lambda nu, z: points.append(np.size(z)) or pcf(nu, z))
+                        lambda nu, z, **kw: points.append(np.size(z)) or pcf(nu, z, **kw))
     monkeypatch.setattr(packets, "gauss_similarity_psi",
                         lambda sl, *args: fits.append(("psi", sl.t)) or fit_psi(sl, *args))
     monkeypatch.setattr(packets, "gauss_similarity_rho",
@@ -507,7 +507,7 @@ def test_field_runs_take_no_d_nu_point_from_mpmath(monkeypatch, tmp_path):
     # fig7, fig8, fig9 and F = 0.01 (the router's longest march, |nu| =
     # 50.02) take every D_nu point from the series and the march: the
     # per-point mpmath fallback costs milliseconds a point
-    def no_mpmath_pcfd(nu, z):
+    def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError(f"mpmath.pcfd called for nu={nu}")
 
     monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)

@@ -285,9 +285,9 @@ def test_pcf_off_the_march_matches_mpmath(monkeypatch):
     served = []
     pcfd = specfun._mpmath_pcfd
 
-    def record(nu, z):
+    def record(nu, z, derivative=False):
         served.extend(z)
-        return pcfd(nu, z)
+        return pcfd(nu, z, derivative)
 
     monkeypatch.setattr(specfun, "_mpmath_pcfd", record)
     for nu, z in points:
@@ -478,8 +478,9 @@ def _ref_march_ray(nu, theta, radii, r_from, seed_d, seed_dp):
     return out
 
 
-def _ref_march(nu, theta, radii):
-    # outward from the Maclaurin seed at _R_SERIES, targets ascending
+def _ref_march(nu, theta, radii, derivative=False):
+    # outward from the Maclaurin seed at _R_SERIES, targets ascending; D_nu only
+    assert not derivative
     r_from, idx = specfun._R_SERIES, np.argsort(radii)
     assert radii.max() <= specfun._R_STEP
     z0 = np.array([r_from * np.exp(1j * theta)])
@@ -522,13 +523,30 @@ def test_pcf_sweep_matches_the_reference_route(reference_pcf_d):
         _assert_reference_bits(nu, z, reference_pcf_d)
 
 
+def test_pcf_derivative_keeps_d_and_matches_the_ladder():
+    # every argument, both half-planes, all four regimes (mpmath off the
+    # march's rays): with derivative, D_nu keeps the bits it has without and
+    # D' matches pcf_d_dz's ladder relation to 1e-11 of |D'| (measured: 1.7e-12
+    # at nu = -1/2 - 5i, under 4e-14 at the others); a scalar z gives a pair
+    # of complex numbers
+    rng = np.random.default_rng(29)
+    z = rng.uniform(0.1, 12.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    for nu in (NU_P, NU_M, -1.5 + 2.0j, 0.3 - 2.0j):
+        d, dd = pcf_d(nu, z, derivative=True)
+        assert np.array_equal(d, pcf_d(nu, z))
+        ladder = pcf_d_dz(nu, z)
+        assert np.all(np.abs(dd - ladder) <= 1e-11 * np.abs(ladder)), nu
+    d, dd = pcf_d(NU_P, z[0], derivative=True)
+    assert (d, dd) == (pcf_d(NU_P, z[0]), pcf_d(NU_P, z[:1], derivative=True)[1][0])
+
+
 def _asymptotic_calls(monkeypatch, evaluate):
     """The (nu, z) of every _asymptotic call that ``evaluate`` makes."""
     calls = []
 
-    def record(nu, z):
+    def record(nu, z, derivative=False):
         calls.append((nu, z.copy()))
-        return asymptotic(nu, z)
+        return asymptotic(nu, z, derivative)
 
     asymptotic = specfun._asymptotic
     with monkeypatch.context() as m:
@@ -672,7 +690,7 @@ def test_weak_force_mode_ray_matches_mpmath_or_raises(force):
 def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
     # both modes and both orders, s in [-60, 60]: the march reaches every
     # point the Poincare series does not
-    def no_mpmath_pcfd(nu, z):
+    def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError("mpmath.pcfd called")
 
     monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)
@@ -684,10 +702,11 @@ def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
 
 
 def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
-    # the D_{nu-1} of the F = 0.1 modes' d/dt at |z| just past _R_ASYMP: the
-    # Poincare series truncates poorly there, and the march's last
-    # checkpoint reaches them on these dominant rays without mpmath
-    def no_mpmath_pcfd(nu, z):
+    # the D_{nu-1} of the ladder reference (pcf_d_dz) of the F = 0.1 modes'
+    # d/dt at |z| just past _R_ASYMP: the Poincare series truncates poorly
+    # there, and the march's last checkpoint reaches them on these dominant
+    # rays without mpmath
+    def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError("mpmath.pcfd called")
 
     monkeypatch.setattr(specfun, "_mpmath_pcfd", no_mpmath_pcfd)
