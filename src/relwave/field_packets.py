@@ -86,7 +86,9 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     """f+(s), f-(s) at s = p + F t; with ``derivatives`` also d/dt f+-.
 
     One D_nu evaluation per point: D = D_nu(r|s|) lies on the first-quadrant
-    ray, where pcf_d never folds.  Since -nu-1 = conj(nu) and D_nu has real
+    ray, which pcf_d is given as declared (``theta`` = arg r = pi/4 and the
+    radii |r||s|): it never folds there, and each point's regime is read
+    from its radius.  Since -nu-1 = conj(nu) and D_nu has real
     Taylor coefficients, the connection formula (DLMF §12.2) gives f+ at
     -|s| from D alone, e^{-i pi nu} D + P conj D with
     P = sqrt(2 pi)/Gamma(-nu) e^{-i pi (nu+1)/2}, and f-(s) = conj f+(-s):
@@ -113,7 +115,7 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
     rot, pre = _fold_factors(nu, -1.0)
     shape = np.shape(s)
     s = np.ravel(np.asarray(s, dtype=float))
-    z = ray * np.abs(s)
+    radii = abs(ray) * np.abs(s)
     upper = s >= 0.0
 
     def at_s_and_minus_s(d, rot, pre):
@@ -123,9 +125,9 @@ def mode_pair(cfg: FieldPacketConfig, s, derivatives: bool = False):
             np.where(upper, minus, d).reshape(shape)
 
     if derivatives:
-        f, df = pcf_d(nu, z, derivative=True)
+        f, df = pcf_d(nu, radii, derivative=True, theta=np.angle(ray))
     else:
-        f = pcf_d(nu, z)
+        f = pcf_d(nu, radii, theta=np.angle(ray))
     fp, fp_mirror = at_s_and_minus_s(f, rot, pre)
     modes = (fp, np.conj(fp_mirror))
     if derivatives:

@@ -30,15 +30,28 @@ with |arg z| > pi/2 folded into the right half-plane first.  The fold's
 connection-formula factors and its one guard live in ``_fold_factors``,
 which ``field_packets.mode_pair`` calls too, before any D_nu: it raises
 SpecFunAccuracyError where the fold would cancel beyond double precision or
-a factor leaves double range.  The mode rays of the uniform-field packets
-take the first three regimes (within 1e-11 of mpmath for forces down to
-0.01); mpmath serves only the points of other rays, at a few ms each.
+a factor leaves double range.
+
+``pcf_d(nu, rho, theta=theta)`` declares one ray: its points are rho e^{i
+theta} for real radii rho >= 0.  Where the march is stable there, the
+ray's regime boundaries are decided once and each point's regime is read
+from its radius alone: the Maclaurin series to _R_SERIES, the march below
+the ray's march end (its last checkpoint) and the Poincare series at and
+past it, with no per-point truncation test.  The Poincare points are summed
+in the ray's real variables: the coefficients rotated once per (nu, theta)
+and summed in u = 1/(2 rho^2), and the prefactor e^{-z^2/4} z^nu taken as
+a real modulus and phase, with no complex log, exp or power.  Other rays
+take the router of complex z.  The mode rays of the uniform-field packets
+take this route (within 1e-11 + 2^-51 |z|^2/4 of mpmath for forces down to
+0.01, the second term the rounding of the phase |z|^2/4); mpmath serves
+only the points of other rays, at a few ms each.
 
 Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
 coefficients, so a value does not depend on the other points of the call:
 the Maclaurin series takes one term count per order, enough for every
 |z| <= _R_SERIES; a Poincare point stops at its first term below 1e-18 or
-before its first growing term, a count read from the table.  The march
+before its first growing term, a count read from the table (on a declared
+ray a value depends on (nu, theta, rho) alone).  The march
 does not depend on its targets: the Taylor coefficients at its checkpoints
 are computed once per ray (order, angle) and cached, and each call only
 evaluates its targets' polynomials.  ``pcf_d(..., derivative=True)`` takes
@@ -288,43 +301,103 @@ def _poincare_table(nu: complex):
     return table
 
 
+def _poincare_terms(nu: complex, lam: np.ndarray) -> np.ndarray:
+    """Each point's Poincare term count at lam = log|1/(2z^2)|: to its first
+    term below 1e-18 or before its first growing term (``_poincare_table``)."""
+    c, _, grow, stop = _poincare_table(nu)
+    return np.minimum(np.minimum(np.searchsorted(grow, -lam, "right") + 1,
+                                 np.searchsorted(stop, lam, "right") + 2), len(c))
+
+
+def _derivative_coefficients(nu: complex, c: np.ndarray) -> np.ndarray:
+    """d_s = c_s + (8(s-1) - 4 nu) c_{s-1}: the Poincare series of D'_nu is
+    -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s, w = 1/(2z^2)."""
+    return c + np.concatenate([[0.0], (8.0 * np.arange(len(c) - 1) - 4.0 * nu) * c[:-1]])
+
+
+def _sorted_series(coefs, w: np.ndarray, n: np.ndarray):
+    """sum_{s < n_i} c_s w_i^s for each coefficient row c of ``coefs``, one
+    Horner pass over the points sorted by falling term count n (each point
+    stops at its own count, so its value does not depend on the others).
+    No product is taken in place: numpy's in-place complex multiply rounds a
+    1-element array otherwise than a longer one."""
+    order = np.argsort(-n, kind="stable")
+    w_sorted = w[order]
+    live = np.searchsorted(-n[order], -np.arange(n.max()))  # points with a term s
+    sums, tmp = [], np.empty_like(w_sorted)
+    for c in coefs:
+        acc = np.zeros_like(w_sorted)
+        for s in range(len(live) - 1, 0, -1):
+            k = live[s]
+            np.add(acc[:k], c[s], out=tmp[:k])
+            np.multiply(tmp[:k], w_sorted[:k], out=acc[:k])
+        total = np.empty_like(acc)
+        total[order] = 1.0 + acc
+        sums.append(total)
+    return sums
+
+
 def _asymptotic(nu: complex, z: np.ndarray, derivative: bool = False):
     """One-piece Poincare expansion on a 1-d array; returns (value,
-    per-point truncation ratio: last term kept over the sum).  The points,
-    sorted by term count, share one Horner pass over ``_poincare_table``.
+    per-point truncation ratio: last term kept over the sum).  The points
+    share one sorted Horner pass over ``_poincare_table`` (``_sorted_series``).
     With ``derivative`` the value is (D_nu, D'_nu), D' the termwise
     derivative of the series: with w = 1/(2z^2), S = sum_s c_s w^s and
     T = sum_s s c_s w^s, D' = e^{-z^2/4} z^nu [(nu/z - z/2) S - (2/z) T]
-    = -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s, d_s = c_s + (8(s-1) - 4 nu) c_{s-1},
-    summed in the same pass to each point's term count.  (Summing S and T
-    to that count instead keeps half of term n and doubles the truncation
-    error near |z| = _R_ASYMP.)"""
-    c, log_c, grow, stop = _poincare_table(nu)
+    = -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s (``_derivative_coefficients``),
+    summed to each point's term count.  (Summing S and T to that count
+    instead keeps half of term n and doubles the truncation error near
+    |z| = _R_ASYMP.)"""
+    c, log_c = _poincare_table(nu)[:2]
     inv = 1.0 / (2.0 * z * z)
     lam = np.log(np.abs(inv))
-    n = np.minimum(np.minimum(np.searchsorted(grow, -lam, "right") + 1,
-                              np.searchsorted(stop, lam, "right") + 2), len(c))
-    order = np.argsort(-n, kind="stable")
-    inv_sorted, acc = inv[order], np.zeros_like(z)
-    if derivative:
-        d = c + np.concatenate([[0.0], (8.0 * np.arange(len(c) - 1) - 4.0 * nu) * c[:-1]])
-        dacc = np.zeros_like(z)
-    live = np.searchsorted(-n[order], -np.arange(n.max()))  # points with a term s
-    for s in range(len(live) - 1, 0, -1):
-        acc[:live[s]] = (acc[:live[s]] + c[s]) * inv_sorted[:live[s]]
-        if derivative:
-            part = dacc[:live[s]]
-            part += d[s]
-            part *= inv_sorted[:live[s]]
-    total = np.empty_like(z)
-    total[order] = 1.0 + acc
+    n = _poincare_terms(nu, lam)
+    coefs = (c, _derivative_coefficients(nu, c)) if derivative else (c,)
+    total, *dtotal = _sorted_series(coefs, inv, n)
     trunc = np.exp(log_c[n - 1] + (n - 1) * lam) / np.maximum(np.abs(total), 1e-300)
-    if not derivative:
-        return np.exp(-0.25 * z * z) * z ** nu * total, trunc
     pre = np.exp(-0.25 * z * z) * z ** nu
-    dtotal = np.empty_like(z)
-    dtotal[order] = 1.0 + dacc
-    return (pre * total, -0.5 * z * pre * dtotal), trunc
+    if not derivative:
+        return pre * total, trunc
+    return (pre * total, -0.5 * z * pre * dtotal[0]), trunc
+
+
+@lru_cache(maxsize=128)
+def _poincare_ray_table(nu: complex, theta: float):
+    """The coefficients c_s and d_s of the Poincare series of D_nu and D'_nu
+    rotated onto the ray arg z = theta: there w = 1/(2z^2) = e^{-2i theta} u
+    with u = 1/(2 rho^2) real, so c_s w^s = (c_s e^{-2is theta}) u^s."""
+    c = _poincare_table(nu)[0]
+    rot = np.exp(-2j * theta * np.arange(len(c)))
+    table = (c * rot, _derivative_coefficients(nu, c) * rot)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _poincare_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool = False):
+    """The Poincare expansion at z = rho e^{i theta} in the ray's real
+    variables, with no per-point truncation test (the caller sends only
+    radii where the series holds): the series in u = 1/(2 rho^2) over
+    ``_poincare_ray_table``, and the prefactor e^{-z^2/4} z^nu as its modulus
+    exp(Re nu ln rho - Im nu theta - rho^2 cos(2 theta)/4) and its phase
+    Im nu ln rho + Re nu theta - rho^2 sin(2 theta)/4, with no complex log,
+    exp or power.  With ``derivative``, (D_nu, D'_nu) as in ``_asymptotic``."""
+    log_rho = np.log(rho)
+    rho2 = rho * rho
+    # complex u: numpy's complex-by-complex loop beats complex-by-real,
+    # whose operand is cast on every call; the product's bits are the same
+    u = (0.5 / rho2).astype(complex)
+    n = _poincare_terms(nu, -(np.log(2.0) + 2.0 * log_rho))
+    coefs = _poincare_ray_table(nu, theta)[:1 + derivative]
+    total, *dtotal = _sorted_series(coefs, u, n)
+    modulus = np.exp(nu.real * log_rho - nu.imag * theta - 0.25 * np.cos(2.0 * theta) * rho2)
+    phase = nu.imag * log_rho + nu.real * theta - 0.25 * np.sin(2.0 * theta) * rho2
+    pre = np.empty_like(total)
+    pre.real = modulus * np.cos(phase)
+    pre.imag = modulus * np.sin(phase)
+    if not derivative:
+        return pre * total
+    return pre * total, -0.5 * (rho * np.exp(1j * theta)) * pre * dtotal[0]
 
 
 @lru_cache(maxsize=128)
@@ -381,6 +454,12 @@ def _march_checkpoints(nu: complex, theta: float):
     return table
 
 
+def _march_end(nu: complex, theta: float) -> float:
+    """The radius past which the Poincare series holds on the ray arg z =
+    theta: the last checkpoint of its march."""
+    return float(_march_checkpoints(nu, theta)[0][-1])
+
+
 def _march_ray(nu: complex, theta: float, radii: np.ndarray, derivative: bool = False):
     """D_nu at radii along the ray arg z = theta: each target is the Taylor
     polynomial of the first checkpoint that reaches it; with ``derivative``,
@@ -422,6 +501,21 @@ def _mpmath_pcfd(nu: complex, z: np.ndarray, derivative: bool = False):
     return tuple(out) if derivative else out[0]
 
 
+def _march_is_stable(nu: complex, theta: float) -> bool:
+    """Whether the outward march holds on the ray arg z = theta of the right
+    half-plane: where D_nu is dominant and e^{-z^2/4} grows (Re z^2 < 0);
+    elsewhere it would amplify its seed's error by the dominant/recessive
+    ratio."""
+    return theta * nu.imag <= 1e-12 and np.cos(2.0 * theta) <= 0.25
+
+
+def _scatter(res: tuple, idx, vals) -> None:
+    """Store one regime's (D_nu,) or (D_nu, D'_nu) at ``idx`` of the rows
+    ``res``; a regime returns D_nu alone when no D' was asked for."""
+    for row, v in zip(res, vals if len(res) > 1 else (vals,)):
+        row[idx] = v
+
+
 def _pcf_right_half_any_arg(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
     """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument: the
     Maclaurin series, else the Poincare expansion where it truncates within
@@ -429,21 +523,16 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray, derivative: bool) -> tup
     ``mpmath.pcfd``.  Returns (D_nu,), or with ``derivative`` (D_nu, D'_nu),
     D' from the same regime's pass."""
     res = tuple(np.empty_like(z) for _ in range(1 + derivative))
-
-    def put(idx, vals):
-        for row, v in zip(res, vals if derivative else (vals,)):
-            row[idx] = v
-
     r = np.abs(z)
     small = r <= _R_SERIES
     rest = ~small
     if np.any(small):
-        put(small, _maclaurin(nu, z[small], derivative))
+        _scatter(res, small, _maclaurin(nu, z[small], derivative))
     big = np.flatnonzero(r >= _R_ASYMP)
     if big.size:
         vals, trunc = _asymptotic(nu, z[big], derivative)
         good = trunc <= _POINCARE_TOL
-        put(big[good], tuple(v[good] for v in vals) if derivative else vals[good])
+        _scatter(res, big[good], tuple(v[good] for v in vals) if derivative else vals[good])
         rest[big[good]] = False
     if np.any(rest):
         idx = np.flatnonzero(rest)
@@ -455,13 +544,36 @@ def _pcf_right_half_any_arg(nu: complex, z: np.ndarray, derivative: bool) -> tup
         breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
         for g in np.split(order, breaks):
             theta = angles[g[0]]
-            # the outward march is stable where D_nu is dominant and
-            # e^{-z^2/4} grows (Re z^2 < 0); elsewhere it would amplify its
-            # seed's error by the dominant/recessive ratio
-            if theta * nu.imag <= 1e-12 and np.cos(2.0 * theta) <= 0.25:
-                put(idx[g], _march_ray(nu, theta, np.abs(zr[g]), derivative))
+            if _march_is_stable(nu, theta):
+                _scatter(res, idx[g], _march_ray(nu, theta, np.abs(zr[g]), derivative))
             else:
-                put(idx[g], _mpmath_pcfd(nu, zr[g], derivative))
+                _scatter(res, idx[g], _mpmath_pcfd(nu, zr[g], derivative))
+    return res
+
+
+def _pcf_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool) -> tuple:
+    """(D_nu,), or with ``derivative`` (D_nu, D'_nu), at z = rho e^{i theta}
+    for the radii rho >= 0 of one ray.  On a right-half-plane ray where the
+    march is stable (and |nu| <= _MARCH_NU_MAX) each point's regime is read
+    from its radius alone: the Maclaurin series to _R_SERIES, the march below
+    the ray's march end (its last checkpoint, the first past _R_ASYMP where
+    the Poincare series truncates within _POINCARE_TOL), and the Poincare
+    series in the ray's real variables at and past it.  Other rays take the
+    per-point router of complex z."""
+    if np.any(rho < 0.0):
+        raise SpecFunDomainError(f"ray radii must be non-negative, got {rho.min()!r}")
+    direction = np.exp(1j * theta)
+    if abs(theta) > 0.5 * np.pi or not _march_is_stable(nu, theta) or abs(nu) > _MARCH_NU_MAX:
+        return _pcf(nu, rho * direction, derivative)
+    res = tuple(np.empty(len(rho), dtype=complex) for _ in range(1 + derivative))
+    series, far = rho <= _R_SERIES, rho >= _march_end(nu, theta)
+    march = ~(series | far)  # NaN radii too: the march refuses them
+    if np.any(series):
+        _scatter(res, series, _maclaurin(nu, rho[series] * direction, derivative))
+    if np.any(march):
+        _scatter(res, march, _march_ray(nu, theta, rho[march], derivative))
+    if np.any(far):
+        _scatter(res, far, _poincare_ray(nu, theta, rho[far], derivative))
     return res
 
 
@@ -512,7 +624,7 @@ def _pcf(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
     return out
 
 
-def pcf_d(nu, z, derivative: bool = False):
+def pcf_d(nu, z, derivative: bool = False, *, theta=None):
     """Whittaker parabolic cylinder function D_nu(z), complex nu and z; with
     ``derivative``, the pair (D_nu(z), D'_nu(z)) from one pass, D' from the
     differentiated expansion of each point's regime and D_nu with the bits
@@ -523,10 +635,20 @@ def pcf_d(nu, z, derivative: bool = False):
     ``D_nu(z) = e^{+-i pi nu} D_nu(-z)
                 + sqrt(2 pi)/Gamma(-nu) e^{+-i pi (nu+1)/2} D_{-nu-1}(-+ i z)``
     (upper sign for Im z >= 0).
+
+    With ``theta``, ``z`` holds the real radii rho >= 0 of the points
+    rho e^{i theta} of one ray, and each point's regime is decided by its
+    radius (``_pcf_ray``): a value depends only on (nu, theta, rho).
     """
     nu = complex(nu)
-    z = np.asarray(z, dtype=complex)
-    out = _pcf(nu, np.atleast_1d(z).ravel(), derivative)
+    if theta is None:
+        z = np.asarray(z, dtype=complex)
+        out = _pcf(nu, np.atleast_1d(z).ravel(), derivative)
+    else:
+        if np.iscomplexobj(z):
+            raise SpecFunDomainError("with theta, z holds the real radii of the ray's points")
+        z = np.asarray(z, dtype=float)
+        out = _pcf_ray(nu, float(theta), np.atleast_1d(z).ravel(), derivative)
     vals = [complex(row[0]) if z.ndim == 0 else row.reshape(z.shape) for row in out]
     return tuple(vals) if derivative else vals[0]
 

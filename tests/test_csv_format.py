@@ -77,6 +77,17 @@ def _expected(header, rows):
                                    for row in rows)
 
 
+def _assert_file_holds(path, text):
+    # line by line first, reporting the first differing line: pytest's diff
+    # of two long strings takes minutes.  The full comparison is kept, as a
+    # plain boolean so that its failure is not diffed either
+    got, want = path.read_text().splitlines(), text.splitlines()
+    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
+    assert len(got) == len(want)
+    same = path.read_bytes() == text.encode()
+    assert same
+
+
 @pytest.mark.parametrize("rows", [100, 1000])
 def test_write_csv_on_both_sides_of_the_cutoff(tmp_path, rows):
     # 3 blocks of 4 columns: 1,200 values take the per-value route, 12,000
@@ -95,7 +106,7 @@ def test_write_csv_on_both_sides_of_the_cutoff(tmp_path, rows):
     path = tmp_path / "out.csv"
     digest = scenarios._write_csv(path, "t,x,a,b", blocks)
     text = _expected("t,x,a,b", expected_rows)
-    assert path.read_text() == text
+    _assert_file_holds(path, text)
     assert digest == hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -151,11 +162,7 @@ def test_write_csv_reuses_columns_byte_for_byte(tmp_path):
     path = tmp_path / "reuse.csv"
     digest = scenarios._write_csv(path, "t,x,a", blocks)
     text = _expected("t,x,a", expected_rows)
-    got, want = path.read_text().splitlines(), text.splitlines()
-    # the first differing line, not a diff of the whole file
-    assert len(got) == len(want)
-    assert next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None) is None
-    assert path.read_bytes() == text.encode()
+    _assert_file_holds(path, text)
     assert digest == hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -167,31 +167,57 @@ def test_psi_field_scalar_api():
     assert pk.psi_at(np.array([2.0]), np.array([11.0]))[0] == psi[0]
 
 
-def test_modes_match_the_pcf_d_dz_route():
-    # modes take D' from D_nu's own pass (pcf_d with derivative); pcf_d_dz,
-    # the reference, takes it from the ladder relation on a second order.
-    # f+ at s >= 0 and f- at s < 0 are direct D_nu values with its bits, and
-    # their d/dt direct D' values with the bits of that pass; every value,
-    # the connection formula's halves included, matches the ladder route to
-    # a tolerance, near s = 0 too
+def _diagonal_points(rho):
+    # rho e^{i pi/4} with equal real and imaginary parts: exactly on the mode
+    # ray, so that a point's mirror and conjugate are exact in floating point
+    x = rho * np.sqrt(0.5)
+    return x + 1j * x
+
+
+def _complex_router(monkeypatch):
+    # mode_pair's D_nu and D' from pcf_d's router of complex z at the points
+    # of _diagonal_points, which the references below evaluate too.  The ray
+    # route rounds the Gaussian phase |z|^2/4 of rho otherwise (by up to
+    # 2^-51 |z|^2/4, test_ray_route_matches_mpmath), so the connection
+    # formula is checked against the complex route on its own points
+    pcf = field_packets.pcf_d
+
+    def on_the_diagonal(nu, rho, derivative=False, theta=None):
+        assert theta == np.angle(1.0 + 1.0j)
+        return pcf(nu, _diagonal_points(rho), derivative)
+
+    monkeypatch.setattr(field_packets, "pcf_d", on_the_diagonal)
+
+
+def test_modes_match_the_pcf_d_dz_route(monkeypatch):
+    # modes take D' from D_nu's own pass (pcf_d with derivative, on the ray
+    # route); pcf_d_dz, the reference, takes it from the ladder relation on
+    # a second order.  f+ at s >= 0 and f- at s < 0 are direct D_nu values
+    # with the ray route's bits, and their d/dt direct D' values with the
+    # bits of that pass; every value, the connection formula's halves
+    # included, matches the ladder route to a tolerance, near s = 0 too
     cfg = _cfg(0.3, 1.0)
     basis = field_mode_basis(cfg, 30.0, 10.0)
     c = mode_coeffs(basis.p, cfg)
     nu, ray = _order_and_ray(cfg)
     for t in (-4.0, 0.0, 7.5):
         s = basis.p + F * t
-        zp, zm = ray * s, ray * -s
-        ref = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
-               pcf_d_dz(nu, zp) * ray * F, -np.conj(pcf_d_dz(nu, zm) * ray * F))
-        one_pass = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
-                    pcf_d(nu, zp, derivative=True)[1] * ray * F,
-                    -np.conj(pcf_d(nu, zm, derivative=True)[1] * ray * F))
+        d, dd = pcf_d(nu, abs(ray) * np.abs(s), derivative=True, theta=np.angle(ray))
+        one_pass = (d, np.conj(d), dd * ray * F, -np.conj(dd * ray * F))
         got = mode_pair(cfg, s, derivatives=True)
         near = np.abs(ray * s) <= specfun._R_SERIES
         assert 0 < np.count_nonzero(near) < len(s) // 4
         direct = (s >= 0.0, s < 0.0) * 2
-        for g, r, o, d, tol in zip(got, ref, one_pass, direct, (1e-13, 1e-13, 1e-11, 1e-11)):
-            assert np.array_equal(g[d], o[d])
+        for g, o, m in zip(got, one_pass, direct):
+            assert np.array_equal(g[m], o[m])
+        zp = np.sign(s) * _diagonal_points(abs(ray) * np.abs(s))
+        zm = -zp
+        ref = (pcf_d(nu, zp), np.conj(pcf_d(nu, zm)),
+               pcf_d_dz(nu, zp) * ray * F, -np.conj(pcf_d_dz(nu, zm) * ray * F))
+        with monkeypatch.context() as m:
+            _complex_router(m)
+            routed = mode_pair(cfg, s, derivatives=True)
+        for g, r, tol in zip(routed, ref, (1e-13, 1e-13, 1e-11, 1e-11)):
             assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
         psi_p, dpsi_p = basis.modes(t, True)
         assert np.array_equal(psi_p, c.c_plus * got[0] + c.c_minus * got[1])
@@ -216,51 +242,60 @@ def test_psi_only_evaluation_is_the_same_bits():
 
 def _two_order_route(cfg, s):
     # f+ and f- as two D_nu families: orders nu and conj(nu) on the rays
-    # r and -conj(r), d/dt from the ladder relation on each
+    # r and -conj(r), at the points of _diagonal_points, d/dt from the
+    # ladder relation on each
     nu, ray = _order_and_ray(cfg)
+    zp = np.sign(s) * _diagonal_points(abs(ray) * np.abs(s))
     out = []
-    for order, r in ((nu, ray), (nu.conjugate(), -ray.conjugate())):
-        z = r * s
+    for order, z, r in ((nu, zp, ray), (nu.conjugate(), -np.conj(zp), -ray.conjugate())):
         f = pcf_d(order, z)
         out.append((f, (order * pcf_d(order - 1.0, z) - 0.5 * z * f) * r * cfg.motion.force))
     return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
 @pytest.mark.parametrize("force", [0.1, 1.0, 2.0, 0.05, 0.02])
-def test_mode_pair_mirror_matches_the_two_order_route(force):
+def test_mode_pair_mirror_matches_the_two_order_route(monkeypatch, force):
     # one D_nu and D' per |s| and the connection formula against f+ and f-
     # as two D_nu families with the ladder's D', to 1e-13 of max|f| and 1e-11
-    # of max|d/dt f| (the largest gap measured is 1.6e-12, at F = 0.05): on
-    # one call's points and on more than _PAIR_BLOCK in two rows from s = 0
-    # out, which split into several calls (the reference takes no mpmath
-    # point there and costs under 30 ms a force).  The modes alone have the
-    # bits of the modes with d/dt
+    # of max|d/dt f| (the largest gap measured is 1.6e-12, at F = 0.05), with
+    # mode_pair's D_nu from the complex route on the reference's points
+    # (_complex_router): on one call's points and on more than _PAIR_BLOCK
+    # in two rows from s = 0 out, which split into several calls (the
+    # reference takes no mpmath point there and costs under 30 ms a force).
+    # The modes alone have the bits of the modes with d/dt
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
     wide = np.outer([1.0, -1.0], np.linspace(0.0, 60.0, field_packets._PAIR_BLOCK // 2 + 7))
     for points in (s, wide):
         ref = _two_order_route(cfg, points)
-        got = mode_pair(cfg, points, derivatives=True)
-        for g, r, tol in zip(got, ref, (1e-13, 1e-13, 1e-11, 1e-11)):
+        with monkeypatch.context() as m:
+            _complex_router(m)
+            routed = mode_pair(cfg, points, derivatives=True)
+        for g, r, tol in zip(routed, ref, (1e-13, 1e-13, 1e-11, 1e-11)):
             assert g.shape == r.shape
             assert np.max(np.abs(g - r)) < tol * np.max(np.abs(r))
+        got = mode_pair(cfg, points, derivatives=True)
         for g, r in zip(mode_pair(cfg, points), got[:2]):
             assert np.array_equal(g, r)
 
 
 @pytest.mark.parametrize("force", [-0.3])
-def test_negative_force_modes_conjugate_the_two_order_route(force):
+def test_negative_force_modes_conjugate_the_two_order_route(monkeypatch, force):
     # F < 0: f+-(s; F) = conj f+-(s; |F|) and d/dt f+-(s; F) =
     # -conj(d/dt f+-(s; |F|)), against the two-order route at |F| to the
-    # bounds of the F > 0 test, and with the bits of the |F| modes
+    # bounds of the F > 0 test (mode_pair's D_nu from the complex route on
+    # the reference's points), and with the bits of the |F| modes
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     mirror = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=-force))
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])
-    got = mode_pair(cfg, s, derivatives=True)
     signs = (1.0, 1.0, -1.0, -1.0)
-    for g, r, sign, tol in zip(got, _two_order_route(mirror, s), signs,
+    with monkeypatch.context() as m:
+        _complex_router(m)
+        routed = mode_pair(cfg, s, derivatives=True)
+    for g, r, sign, tol in zip(routed, _two_order_route(mirror, s), signs,
                                (1e-13, 1e-13, 1e-11, 1e-11)):
         assert np.max(np.abs(g - sign * np.conj(r))) < tol * np.max(np.abs(r))
+    got = mode_pair(cfg, s, derivatives=True)
     for g, r, sign in zip(got, mode_pair(mirror, s, derivatives=True), signs):
         assert np.array_equal(g, sign * np.conj(r))
 
@@ -318,7 +353,7 @@ def test_mode_pair_inside_the_maclaurin_disc_matches_mpmath(force):
 
 
 # |r s| on the mode ray: the Maclaurin disc, the march and the Poincare
-# series (past |r s| = 8 where it truncates within 1e-11), on both sides
+# series (at and past the ray's march end, 8 to 35.4), on both sides
 _DERIVATIVE_RADII = np.array([0.0, 0.4, 0.9, 1.5, 2.5, 4.0, 6.0, 7.9, 8.1, 8.6, 10.0,
                               14.0, 20.0, 30.0, 45.0, 60.0])
 
@@ -327,10 +362,11 @@ _DERIVATIVE_RADII = np.array([0.0, 0.4, 0.9, 1.5, 2.5, 4.0, 6.0, 7.9, 8.1, 8.6, 
 def test_one_pass_derivative_is_no_worse_than_the_ladder(monkeypatch, force):
     # d/dt f+- from D' of D_nu's own pass against 30-digit mpmath, per D_nu
     # regime: within 1e-12 of max|d/dt f| and no further off than the same
-    # modes with D' from pcf_d_dz's ladder relation, up to 1e-14 of rounding
-    # (measured: below the ladder's error or within 10 % of it, but for
-    # 7.0e-15 against 1.9e-15 in the disc at F = 0.04; at F = 0.01, 2.7e-13
-    # against 6.8e-13 in the disc and 4.5e-13 against 5.8e-13 on the march)
+    # modes with D' from the ladder relation on the same ray route, up to
+    # 1e-14 of rounding (measured: below the ladder's error or within 10 % of
+    # it, but for 5.9e-15 against 1.6e-15 in the disc at F = 0.04; at
+    # F = 0.01, 5.5e-13 against 5.6e-13 in the disc and 4.4e-13 against
+    # 5.8e-13 on the march)
     import mpmath
 
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
@@ -338,14 +374,18 @@ def test_one_pass_derivative_is_no_worse_than_the_ladder(monkeypatch, force):
     u = _DERIVATIVE_RADII / abs(ray)
     s = np.concatenate([u, -u[1:]])
     r = abs(ray) * np.abs(s)
-    trunc = np.full(len(s), np.inf)
-    trunc[r >= 8.0] = specfun._asymptotic(nu, ray * np.abs(s[r >= 8.0]))[1]
-    regimes = (r <= specfun._R_SERIES, (r > specfun._R_SERIES) & (trunc > 1e-11),
-               trunc <= 1e-11)
+    end = specfun._march_end(nu, np.angle(ray))
+    regimes = (r <= specfun._R_SERIES, (r > specfun._R_SERIES) & (r < end), r >= end)
     one_pass = mode_pair(cfg, s, derivatives=True)[2:]
     pcf = field_packets.pcf_d
-    monkeypatch.setattr(field_packets, "pcf_d", lambda order, z, derivative=False:
-                        (pcf(order, z), pcf_d_dz(order, z)) if derivative else pcf(order, z))
+
+    def ladder_on_the_ray(order, rho, derivative=False, theta=None):
+        d = pcf(order, rho, theta=theta)
+        if not derivative:
+            return d
+        return d, order * pcf(order - 1.0, rho, theta=theta) - 0.5 * rho * np.exp(1j * theta) * d
+
+    monkeypatch.setattr(field_packets, "pcf_d", ladder_on_the_ray)
     ladder = mode_pair(cfg, s, derivatives=True)[2:]
     ref = []
     with mpmath.workdps(30):
@@ -402,8 +442,8 @@ def test_weak_negative_forces_need_no_adverse_fold(monkeypatch, force):
 def _count_pcf(monkeypatch, calls):
     pcf = field_packets.pcf_d
     monkeypatch.setattr(field_packets, "pcf_d",
-                        lambda nu, z, derivative=False: calls.append((nu, np.size(z)))
-                        or pcf(nu, z, derivative=derivative))
+                        lambda nu, z, derivative=False, **kw: calls.append((nu, np.size(z)))
+                        or pcf(nu, z, derivative=derivative, **kw))
 
 
 def test_field_phase_trace_evaluates_one_order_per_time(monkeypatch):

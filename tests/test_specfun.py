@@ -321,7 +321,7 @@ def test_maclaurin_overflow_raises_not_nan():
             mode_pair(_field_cfg(5e-4), np.array([0.0, 1e-3]))
 
 
-def test_band_integral_point_alone_has_its_batch_bits():
+def test_mpmath_fallback_point_alone_has_its_batch_bits():
     # points of the F = 0.05 mode ray: a value of the mpmath fallback is
     # that of its point alone, whatever the batch
     z = (1.0 + 1.0j) / np.sqrt(0.05) * np.linspace(1.34, 1.45, 40)
@@ -331,10 +331,10 @@ def test_band_integral_point_alone_has_its_batch_bits():
             assert specfun._mpmath_pcfd(nu, z[i:i + 1])[0] == got[i], (nu, z[i])
 
 
-def test_band_integral_lifts_a_high_order_once_per_order():
-    # a high order off the march: the band integral's ladder
-    # D_nu = z D_{nu-1} - (nu-1) D_{nu-2} once called itself twice per
-    # level and took 6.7 s here; mpmath.pcfd takes a few ms
+def test_mpmath_fallback_serves_a_high_order_quickly():
+    # a high order off the march takes the mpmath fallback, within 1e-13 and
+    # in a few ms (the deleted band integral's ladder D_nu = z D_{nu-1} -
+    # (nu-1) D_{nu-2} called itself twice per level and took 6.7 s here)
     start = time.perf_counter()
     got = pcf_d(20.5, 4.0)
     elapsed = time.perf_counter() - start
@@ -607,9 +607,13 @@ def test_poincare_point_alone_has_its_batch_bits():
                               np.searchsorted(stop, lam, "right") + 2), len(c))
     assert n.min() == 1 and n.max() == len(c) == specfun._POINCARE_TERMS + 1
     got, trunc = specfun._asymptotic(nu, z)
+    (d, dd), _ = specfun._asymptotic(nu, z, derivative=True)
+    assert np.array_equal(d, got)
     for i in range(len(z)):
         alone, alone_trunc = specfun._asymptotic(nu, z[i:i + 1])
         assert alone[0] == got[i] and alone_trunc[0] == trunc[i], z[i]
+        # D' too (an in-place complex multiply rounded a lone point otherwise)
+        assert specfun._asymptotic(nu, z[i:i + 1], derivative=True)[0][1][0] == dd[i], z[i]
 
 
 @pytest.mark.parametrize("im_nu", [417.0, -417.0, 450.0, -450.0])
@@ -687,9 +691,10 @@ def test_weak_force_mode_ray_matches_mpmath_or_raises(force):
 
 
 @pytest.mark.parametrize("force", [0.1, 0.04, 0.02, 0.01])
-def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
-    # both modes and both orders, s in [-60, 60]: the march reaches every
-    # point the Poincare series does not
+def test_mode_rays_never_take_the_mpmath_fallback(monkeypatch, force):
+    # both modes and both orders, s in [-60, 60], by the complex route and
+    # through mode_pair's ray route: the march reaches every point the
+    # Poincare series does not, and no point takes mpmath.pcfd
     def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError("mpmath.pcfd called")
 
@@ -701,11 +706,11 @@ def test_mode_rays_never_take_the_band_integral(monkeypatch, force):
     mode_pair(_field_cfg(force), s, derivatives=True)
 
 
-def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
+def test_poorly_truncated_poincare_points_are_marched(monkeypatch):
     # the D_{nu-1} of the ladder reference (pcf_d_dz) of the F = 0.1 modes'
     # d/dt at |z| just past _R_ASYMP: the Poincare series truncates poorly
     # there, and the march's last checkpoint reaches them on these dominant
-    # rays without mpmath
+    # rays, not the mpmath fallback
     def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError("mpmath.pcfd called")
 
@@ -718,3 +723,130 @@ def test_poor_asymptotic_points_next_to_the_band_are_marched(monkeypatch):
         with mpmath.workdps(30):
             ref = np.array([complex(mpmath.pcfd(nu, zz)) for zz in z])
         assert np.max(np.abs(got / ref - 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# D_nu on a declared ray: pcf_d(nu, rho, theta=theta) at rho e^{i theta}
+# ---------------------------------------------------------------------------
+
+def _mode_ray(force):
+    """The order and ray of f+ at ``force``: for F < 0, the conjugates of
+    those of |F| (the ray at theta = -pi/4)."""
+    nu, ray = _order_and_ray(_field_cfg(abs(force)))
+    return (nu.conjugate(), ray.conjugate()) if force < 0 else (nu, ray)
+
+
+# radii in the Maclaurin disc, on the march and past every march end of the
+# forces below (8 to 35.4)
+_RAY_RADII = np.concatenate([np.linspace(0.0, 1.5, 6), np.linspace(1.8, 7.9, 8),
+                             [8.0, 8.6, 9.7, 17.5, 18.2, 35.3, 35.5],
+                             np.geomspace(8.05, 1000.0, 61)])
+
+
+@pytest.mark.parametrize("force", [0.01, 0.04, 0.1, 0.3, 1.0, -0.3])
+def test_ray_route_matches_mpmath(force):
+    # D and D' at rho = |r| s on the mode ray against 30-digit mpmath at
+    # z = r s formed in mpmath from the double s, pointwise within the D_nu
+    # tolerance plus a few roundings of the Gaussian phase |z|^2/4 (the ray
+    # route and the complex route round z otherwise).  Measured worst error
+    # over this bound, ray route (complex route at the double z = r s): 0.57
+    # (0.30) at F = 0.01, 0.50 (0.30) at 0.04, 0.66 (0.44) at 0.1, 0.42
+    # (0.49) at +-0.3, 0.64 (0.15) at 1
+    nu, ray = _mode_ray(force)
+    theta = np.angle(ray)
+    s = _RAY_RADII / abs(ray)
+    rho = abs(ray) * s
+    end = specfun._march_end(nu, theta)
+    for regime in (rho <= specfun._R_SERIES, (rho > specfun._R_SERIES) & (rho < end),
+                   rho >= end):
+        assert np.count_nonzero(regime) >= 3
+    d, dd = pcf_d(nu, rho, derivative=True, theta=theta)
+    with mpmath.workdps(30):
+        r = (1 + 1j * np.sign(force)) / mpmath.sqrt(abs(force))
+        ref, dref = [], []
+        for si in s:
+            z = r * mpmath.mpf(si)
+            v = mpmath.pcfd(nu, z)
+            ref.append(complex(v))
+            dref.append(complex(nu * mpmath.pcfd(nu - 1, z) - z / 2 * v))
+    bound = 1e-11 + 2.0 ** -51 * rho * rho / 4.0
+    for got, exact in ((d, np.array(ref)), (dd, np.array(dref))):
+        assert np.all(np.abs(got - exact) <= bound * np.abs(exact)), force
+
+
+@pytest.mark.parametrize("force", [0.0105, 0.01, 0.02, 0.04, 0.1, 0.3, 1.0, 3.0, 10.0])
+def test_poincare_series_holds_past_each_march_end(force):
+    # the ray route takes the Poincare series at and past the march end with
+    # no truncation test per point: there, on a dense radius grid, each
+    # point's truncation is within _POINCARE_TOL, for both orders of the modes
+    nu, ray = _mode_ray(force)
+    theta = np.angle(ray)
+    for order in (nu, nu - 1.0):
+        end = specfun._march_end(order, theta)
+        rho = np.concatenate([np.linspace(end, end + 20.0, 40001),
+                              np.geomspace(end + 20.0, 1e4, 2000)])
+        trunc = specfun._asymptotic(order, rho * np.exp(1j * theta))[1]
+        assert np.all(trunc <= specfun._POINCARE_TOL), (order, rho[np.argmax(trunc)])
+
+
+def test_ray_regimes_are_read_from_the_radius(monkeypatch):
+    # the Maclaurin series to _R_SERIES, the march below the ray's last
+    # checkpoint and the Poincare series at and past it, whatever the
+    # truncation of the points just below it
+    nu, ray = _mode_ray(0.02)
+    theta = np.angle(ray)
+    checkpoints = specfun._march_checkpoints(nu, theta)[0]
+    end = checkpoints[-1]
+    rho = np.array([0.0, 1.5, np.nextafter(1.5, 2.0), 8.0, checkpoints[-2],
+                    np.nextafter(end, 0.0), end, end + 1e-9, 100.0])
+    seen = {}
+    maclaurin, march, poincare = specfun._maclaurin, specfun._march_ray, specfun._poincare_ray
+
+    def on_the_ray(name, f):
+        def spy(nu, theta, radii, derivative=False):
+            seen[name] = list(radii)
+            return f(nu, theta, radii, derivative)
+        return spy
+
+    monkeypatch.setattr(specfun, "_maclaurin", lambda nu, z, derivative=False:
+                        seen.setdefault("_maclaurin", list(np.abs(z)))
+                        and maclaurin(nu, z, derivative))
+    monkeypatch.setattr(specfun, "_march_ray", on_the_ray("_march_ray", march))
+    monkeypatch.setattr(specfun, "_poincare_ray", on_the_ray("_poincare_ray", poincare))
+    pcf_d(nu, rho, theta=theta)
+    assert seen["_maclaurin"] == pytest.approx(rho[:2], abs=1e-15)
+    assert seen["_march_ray"] == list(rho[2:6])
+    assert seen["_poincare_ray"] == list(rho[6:])
+
+
+@pytest.mark.parametrize("force", [0.01, 0.1, -0.3])
+def test_ray_point_alone_has_its_batch_bits(force):
+    # a value on the ray depends on (nu, theta, rho) alone: a point alone,
+    # as a scalar or in a reversed batch has its batch bits, and D keeps them
+    # with or without D'
+    nu, ray = _mode_ray(force)
+    theta = np.angle(ray)
+    rho = np.concatenate([np.linspace(0.0, 3.0, 31), np.linspace(3.0, 200.0, 397)])
+    d, dd = pcf_d(nu, rho, derivative=True, theta=theta)
+    assert np.array_equal(d, pcf_d(nu, rho, theta=theta))
+    back, dback = pcf_d(nu, rho[::-1], derivative=True, theta=theta)
+    assert np.array_equal(back[::-1], d) and np.array_equal(dback[::-1], dd)
+    for i in range(len(rho)):
+        alone, dalone = pcf_d(nu, rho[i:i + 1], derivative=True, theta=theta)
+        assert alone[0] == d[i] and dalone[0] == dd[i], rho[i]
+        assert pcf_d(nu, rho[i], theta=theta) == d[i], rho[i]
+
+
+def test_ray_off_the_march_takes_the_complex_router():
+    # a ray where the march is unstable, one in the left half-plane and an
+    # order past _MARCH_NU_MAX take the per-point router at rho e^{i theta};
+    # radii must be real and non-negative
+    rho = np.array([0.5, 3.0, 9.0, 20.0])
+    for nu, theta, radii in ((NU_M, 0.25 * np.pi, rho), (NU_P, 0.75 * np.pi, rho[2:]),
+                             (-0.5 - 60.0j, 0.25 * np.pi, np.array([150.0, 300.0]))):
+        assert np.array_equal(pcf_d(nu, radii, theta=theta),
+                              pcf_d(nu, radii * np.exp(1j * theta)))
+    with pytest.raises(SpecFunDomainError):
+        pcf_d(NU_P, np.array([1.0, -1.0]), theta=0.25 * np.pi)
+    with pytest.raises(SpecFunDomainError):
+        pcf_d(NU_P, np.array([1.0 + 0.0j]), theta=0.25 * np.pi)
