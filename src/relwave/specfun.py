@@ -15,50 +15,49 @@ The complex 1/Gamma of the D_nu series and connection formula comes from
 one ulp of the exact value, 0 at the poles, and non-finite where it leaves
 double range, which the callers turn into SpecFunAccuracyError.
 
-D_nu(z) takes each point, in one pass, to the first regime that holds it:
+D_nu(z) folds |arg z| > pi/2 into the right half-plane first, outside the
+Maclaurin disc.  The fold's connection-formula factors and its one guard
+live in ``_fold_factors``, which ``field_packets.mode_pair`` calls too,
+before any D_nu: it raises SpecFunAccuracyError where the fold would cancel
+beyond double precision or a factor leaves double range.  The points are
+then grouped by ray (arg z), and one router, ``_pcf_ray``, reads each
+point's regime from its radius:
 
 * |z| <= _R_SERIES  Maclaurin series via Kummer's M (any argument),
-* |z| >= _R_ASYMP   Poincare expansion e^{-z^2/4} z^nu sum_s (-nu)_{2s} (-2z^2)^{-s}/s!,
-                    where it truncates within 1e-11,
-* dominant rays     Taylor march of Weber's equation outward along the ray,
-                    on to where the Poincare expansion holds,
-* other points      ``mpmath.pcfd`` at 53-bit working precision, one point at
-                    a time (a march there would amplify seed error by the
-                    dominant/recessive ratio),
+* dominant rays     (|nu| <= _MARCH_NU_MAX) Taylor march of Weber's equation
+                    outward along the ray, up to the ray's march end where
+                    the Poincare expansion e^{-z^2/4} z^nu sum_s (-nu)_{2s}
+                    (-2z^2)^{-s}/s! truncates within 1e-11, and that
+                    expansion at and past it, with no per-point test,
+* other rays        the Poincare expansion past _R_ASYMP where it truncates
+                    within 1e-11, else the march on dominant rays (it raises
+                    past _MARCH_NU_MAX) or ``mpmath.pcfd`` at 53-bit working
+                    precision, one point at a time (a march there would
+                    amplify seed error by the dominant/recessive ratio).
 
-with |arg z| > pi/2 folded into the right half-plane first.  The fold's
-connection-formula factors and its one guard live in ``_fold_factors``,
-which ``field_packets.mode_pair`` calls too, before any D_nu: it raises
-SpecFunAccuracyError where the fold would cancel beyond double precision or
-a factor leaves double range.
-
-``pcf_d(nu, rho, theta=theta)`` declares one ray: its points are rho e^{i
-theta} for real radii rho >= 0.  Where the march is stable there, the
-ray's regime boundaries are decided once and each point's regime is read
-from its radius alone: the Maclaurin series to _R_SERIES, the march below
-the ray's march end (its last checkpoint) and the Poincare series at and
-past it, with no per-point truncation test.  The Poincare points are summed
-in the ray's real variables: the coefficients rotated once per (nu, theta)
-and summed in u = 1/(2 rho^2), and the prefactor e^{-z^2/4} z^nu taken as
-a real modulus and phase, with no complex log, exp or power.  Other rays
-take the router of complex z.  The mode rays of the uniform-field packets
-take this route (within 1e-11 + 2^-51 |z|^2/4 of mpmath for forces down to
-0.01, the second term the rounding of the phase |z|^2/4); mpmath serves
-only the points of other rays, at a few ms each.
+``pcf_d(nu, rho, theta=theta)`` declares one ray, rho e^{i theta} for real
+radii rho >= 0, which needs no grouping.  The Poincare series is summed in
+u = 1/(2 rho^2), its coefficients rotated once per (nu, theta).  Its
+prefactor e^{-z^2/4} z^nu is formed from the caller's coordinates: on a
+declared ray as a real modulus and phase, with no complex log, exp or
+power; for complex z from that z (rho and theta round its phase |z|^2/4
+otherwise).  The uniform-field mode rays are declared (within 1e-11 +
+2^-51 |z|^2/4 of mpmath for forces down to 0.01, the second term the
+rounding of that phase); mpmath serves only points of other rays, at a
+few ms each.
 
 Both series (DLMF 12.4, 12.9) are Horner passes over per-order tables of
-coefficients, so a value does not depend on the other points of the call:
-the Maclaurin series takes one term count per order, enough for every
-|z| <= _R_SERIES; a Poincare point stops at its first term below 1e-18 or
-before its first growing term, a count read from the table (on a declared
-ray a value depends on (nu, theta, rho) alone).  The march
-does not depend on its targets: the Taylor coefficients at its checkpoints
-are computed once per ray (order, angle) and cached, and each call only
-evaluates its targets' polynomials.  ``pcf_d(..., derivative=True)`` takes
-D'_nu from the same pass as D_nu, which keeps its bits: the differentiated
-Maclaurin series, the termwise-differentiated Poincare series and the
-derivative of the march's Taylor polynomial, each in the loop of its D_nu
-(mpmath points take the ladder relation).  ``pcf_d_dz``, the ladder
+coefficients, so a value depends on its point alone: the Maclaurin series
+takes one term count per order, enough for every |z| <= _R_SERIES; a
+Poincare point stops at its first term below 1e-18 or before its first
+growing term, a count read from the table.  The march does not depend on
+its targets: the Taylor coefficients at its checkpoints are computed once
+per ray (order, angle) and cached, and each call only evaluates its
+targets' polynomials.  ``pcf_d(..., derivative=True)`` takes D'_nu from the
+same pass as D_nu, which keeps its bits: the differentiated Maclaurin
+series, the termwise-differentiated Poincare series and the derivative of
+the march's Taylor polynomial, each in the loop of its D_nu (mpmath points
+take the ladder relation).  ``pcf_d_dz``, the ladder
 relation D' = nu D_{nu-1} - (z/2) D_nu on a second order, is the
 reference.  Where double precision cannot hold the answer (the march past
 |nu| = _MARCH_NU_MAX, a value that leaves double range) a
@@ -337,30 +336,6 @@ def _sorted_series(coefs, w: np.ndarray, n: np.ndarray):
     return sums
 
 
-def _asymptotic(nu: complex, z: np.ndarray, derivative: bool = False):
-    """One-piece Poincare expansion on a 1-d array; returns (value,
-    per-point truncation ratio: last term kept over the sum).  The points
-    share one sorted Horner pass over ``_poincare_table`` (``_sorted_series``).
-    With ``derivative`` the value is (D_nu, D'_nu), D' the termwise
-    derivative of the series: with w = 1/(2z^2), S = sum_s c_s w^s and
-    T = sum_s s c_s w^s, D' = e^{-z^2/4} z^nu [(nu/z - z/2) S - (2/z) T]
-    = -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s (``_derivative_coefficients``),
-    summed to each point's term count.  (Summing S and T to that count
-    instead keeps half of term n and doubles the truncation error near
-    |z| = _R_ASYMP.)"""
-    c, log_c = _poincare_table(nu)[:2]
-    inv = 1.0 / (2.0 * z * z)
-    lam = np.log(np.abs(inv))
-    n = _poincare_terms(nu, lam)
-    coefs = (c, _derivative_coefficients(nu, c)) if derivative else (c,)
-    total, *dtotal = _sorted_series(coefs, inv, n)
-    trunc = np.exp(log_c[n - 1] + (n - 1) * lam) / np.maximum(np.abs(total), 1e-300)
-    pre = np.exp(-0.25 * z * z) * z ** nu
-    if not derivative:
-        return pre * total, trunc
-    return (pre * total, -0.5 * z * pre * dtotal[0]), trunc
-
-
 @lru_cache(maxsize=128)
 def _poincare_ray_table(nu: complex, theta: float):
     """The coefficients c_s and d_s of the Poincare series of D_nu and D'_nu
@@ -374,30 +349,46 @@ def _poincare_ray_table(nu: complex, theta: float):
     return table
 
 
-def _poincare_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool = False):
-    """The Poincare expansion at z = rho e^{i theta} in the ray's real
-    variables, with no per-point truncation test (the caller sends only
-    radii where the series holds): the series in u = 1/(2 rho^2) over
-    ``_poincare_ray_table``, and the prefactor e^{-z^2/4} z^nu as its modulus
-    exp(Re nu ln rho - Im nu theta - rho^2 cos(2 theta)/4) and its phase
-    Im nu ln rho + Re nu theta - rho^2 sin(2 theta)/4, with no complex log,
-    exp or power.  With ``derivative``, (D_nu, D'_nu) as in ``_asymptotic``."""
+def _poincare_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool = False,
+                  z=None, ratio: bool = False):
+    """The Poincare expansion at z = rho e^{i theta}: (value, truncation
+    ratio), the ratio (last term kept over the sum) with ``ratio``, else
+    None.  The series is summed in u = 1/(2 rho^2) over
+    ``_poincare_ray_table``, each point to its own term count.  The prefactor
+    e^{-z^2/4} z^nu is formed from the caller's coordinates: from its complex
+    points ``z``, if it has them (rho and theta round the phase |z|^2/4
+    otherwise), else as the modulus exp(Re nu ln rho - Im nu theta - rho^2
+    cos(2 theta)/4) and phase Im nu ln rho + Re nu theta - rho^2 sin(2
+    theta)/4, with no complex log, exp or power.  With ``derivative`` the
+    value is (D_nu, D'_nu), D' the termwise derivative: with w = 1/(2z^2),
+    S = sum_s c_s w^s and T = sum_s s c_s w^s, D' = e^{-z^2/4} z^nu [(nu/z -
+    z/2) S - (2/z) T] = -(z/2) e^{-z^2/4} z^nu sum_s d_s w^s
+    (``_derivative_coefficients``) to each point's term count.  (Summing S
+    and T to that count instead keeps half of term n and doubles the
+    truncation error near |z| = _R_ASYMP.)"""
     log_rho = np.log(rho)
     rho2 = rho * rho
     # complex u: numpy's complex-by-complex loop beats complex-by-real,
     # whose operand is cast on every call; the product's bits are the same
     u = (0.5 / rho2).astype(complex)
-    n = _poincare_terms(nu, -(np.log(2.0) + 2.0 * log_rho))
+    lam = -(np.log(2.0) + 2.0 * log_rho)
+    n = _poincare_terms(nu, lam)
     coefs = _poincare_ray_table(nu, theta)[:1 + derivative]
     total, *dtotal = _sorted_series(coefs, u, n)
-    modulus = np.exp(nu.real * log_rho - nu.imag * theta - 0.25 * np.cos(2.0 * theta) * rho2)
-    phase = nu.imag * log_rho + nu.real * theta - 0.25 * np.sin(2.0 * theta) * rho2
-    pre = np.empty_like(total)
-    pre.real = modulus * np.cos(phase)
-    pre.imag = modulus * np.sin(phase)
+    trunc = (np.exp(_poincare_table(nu)[1][n - 1] + (n - 1) * lam)
+             / np.maximum(np.abs(total), 1e-300)) if ratio else None
+    if z is not None:
+        pre = np.exp(-0.25 * z * z) * z ** nu
+    else:
+        modulus = np.exp(nu.real * log_rho - nu.imag * theta - 0.25 * np.cos(2.0 * theta) * rho2)
+        phase = nu.imag * log_rho + nu.real * theta - 0.25 * np.sin(2.0 * theta) * rho2
+        pre = np.empty_like(total)
+        pre.real = modulus * np.cos(phase)
+        pre.imag = modulus * np.sin(phase)
     if not derivative:
-        return pre * total
-    return pre * total, -0.5 * (rho * np.exp(1j * theta)) * pre * dtotal[0]
+        return pre * total, trunc
+    z = rho * np.exp(1j * theta) if z is None else z
+    return (pre * total, -0.5 * z * pre * dtotal[0]), trunc
 
 
 @lru_cache(maxsize=128)
@@ -439,7 +430,8 @@ def _march_checkpoints(nu: complex, theta: float):
             a[n + 2] = s / ((n + 2.0) * (n + 1.0))
         step = _MARCH_STEP * min(1.0, _R_STEP / r_cur)
         rows.append((r_cur, r_cur + step + 1e-12, a))
-        if r_cur >= _R_ASYMP and _asymptotic(nu, np.array([z0]))[1][0] <= _POINCARE_TOL:
+        if r_cur >= _R_ASYMP and _poincare_ray(nu, theta, np.array([r_cur]), z=np.array([z0]),
+                                               ratio=True)[1][0] <= _POINCARE_TOL:
             break
         h = step * direction
         val = der = 0.0 + 0.0j
@@ -516,64 +508,38 @@ def _scatter(res: tuple, idx, vals) -> None:
         row[idx] = v
 
 
-def _pcf_right_half_any_arg(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
-    """D_nu on |arg z| <= pi/2, plus small-|z| points of any argument: the
-    Maclaurin series, else the Poincare expansion where it truncates within
-    _POINCARE_TOL, else the outward march on rays where it is stable, else
-    ``mpmath.pcfd``.  Returns (D_nu,), or with ``derivative`` (D_nu, D'_nu),
-    D' from the same regime's pass."""
-    res = tuple(np.empty_like(z) for _ in range(1 + derivative))
-    r = np.abs(z)
-    small = r <= _R_SERIES
-    rest = ~small
-    if np.any(small):
-        _scatter(res, small, _maclaurin(nu, z[small], derivative))
-    big = np.flatnonzero(r >= _R_ASYMP)
-    if big.size:
-        vals, trunc = _asymptotic(nu, z[big], derivative)
-        good = trunc <= _POINCARE_TOL
-        _scatter(res, big[good], tuple(v[good] for v in vals) if derivative else vals[good])
-        rest[big[good]] = False
-    if np.any(rest):
-        idx = np.flatnonzero(rest)
-        zr = z[idx]
-        angles = np.angle(zr)
-        # one group per ray: the points in order of angle, split where the
-        # angle moves; g indexes zr and idx
-        order = np.argsort(angles, kind="stable")
-        breaks = np.where(np.abs(np.diff(angles[order])) > 1e-12)[0] + 1
-        for g in np.split(order, breaks):
-            theta = angles[g[0]]
-            if _march_is_stable(nu, theta):
-                _scatter(res, idx[g], _march_ray(nu, theta, np.abs(zr[g]), derivative))
-            else:
-                _scatter(res, idx[g], _mpmath_pcfd(nu, zr[g], derivative))
-    return res
-
-
-def _pcf_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool) -> tuple:
-    """(D_nu,), or with ``derivative`` (D_nu, D'_nu), at z = rho e^{i theta}
-    for the radii rho >= 0 of one ray.  On a right-half-plane ray where the
-    march is stable (and |nu| <= _MARCH_NU_MAX) each point's regime is read
-    from its radius alone: the Maclaurin series to _R_SERIES, the march below
-    the ray's march end (its last checkpoint, the first past _R_ASYMP where
-    the Poincare series truncates within _POINCARE_TOL), and the Poincare
-    series in the ray's real variables at and past it.  Other rays take the
-    per-point router of complex z."""
-    if np.any(rho < 0.0):
-        raise SpecFunDomainError(f"ray radii must be non-negative, got {rho.min()!r}")
-    direction = np.exp(1j * theta)
-    if abs(theta) > 0.5 * np.pi or not _march_is_stable(nu, theta) or abs(nu) > _MARCH_NU_MAX:
-        return _pcf(nu, rho * direction, derivative)
+def _pcf_ray(nu: complex, theta: float, rho: np.ndarray, derivative: bool, z=None) -> tuple:
+    """(D_nu,), or with ``derivative`` (D_nu, D'_nu), at the points rho
+    e^{i theta} of one ray, rho >= 0 (|theta| <= pi/2 past _R_SERIES), given
+    also as the caller's complex points ``z`` if it has them.  The one
+    router: the Maclaurin series to _R_SERIES; where the march is stable and
+    |nu| <= _MARCH_NU_MAX, the march below the ray's march end (its last
+    checkpoint) and the Poincare series at and past it; elsewhere the
+    Poincare series past _R_ASYMP where a point truncates within
+    _POINCARE_TOL, and the other points by the march where it is stable (it
+    raises past _MARCH_NU_MAX) and by ``mpmath.pcfd`` elsewhere."""
     res = tuple(np.empty(len(rho), dtype=complex) for _ in range(1 + derivative))
-    series, far = rho <= _R_SERIES, rho >= _march_end(nu, theta)
-    march = ~(series | far)  # NaN radii too: the march refuses them
+    direction = np.exp(1j * theta)
+    stable = _march_is_stable(nu, theta)
+    by_radius = stable and abs(nu) <= _MARCH_NU_MAX
+    series = rho <= _R_SERIES
     if np.any(series):
-        _scatter(res, series, _maclaurin(nu, rho[series] * direction, derivative))
-    if np.any(march):
-        _scatter(res, march, _march_ray(nu, theta, rho[march], derivative))
+        _scatter(res, series, _maclaurin(
+            nu, rho[series] * direction if z is None else z[series], derivative))
+    far = rho >= (_march_end(nu, theta) if by_radius else _R_ASYMP)
     if np.any(far):
-        _scatter(res, far, _poincare_ray(nu, theta, rho[far], derivative))
+        vals, trunc = _poincare_ray(nu, theta, rho[far], derivative,
+                                    None if z is None else z[far], ratio=not by_radius)
+        _scatter(res, far, vals)
+        if not by_radius:  # the other points' values are replaced below
+            far[far] = trunc <= _POINCARE_TOL
+    rest = ~(series | far)  # NaN radii too: the march and mpmath refuse them
+    if np.any(rest):
+        if stable:
+            _scatter(res, rest, _march_ray(nu, theta, rho[rest], derivative))
+        else:
+            _scatter(res, rest, _mpmath_pcfd(
+                nu, rho[rest] * direction if z is None else z[rest], derivative))
     return res
 
 
@@ -607,9 +573,9 @@ def _pcf(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
     """(D_nu,), or with ``derivative`` (D_nu, D'_nu), on the 1-d array z;
     |arg z| > pi/2 folded by the connection formula and its d/dz."""
     out = tuple(np.empty_like(z) for _ in range(1 + derivative))
+    angles, r = np.angle(z), np.abs(z)
     # the Maclaurin series converges for every arg, so only fold outside it
-    left = (np.abs(np.angle(z)) > 0.5 * np.pi + 1e-14) & (np.abs(z) > _R_SERIES)
-    right = ~left
+    left = (np.abs(angles) > 0.5 * np.pi + 1e-14) & (r > _R_SERIES)
     if np.any(left):
         zl = z[left]
         sgn = np.where(np.imag(zl) >= 0.0, 1.0, -1.0)
@@ -618,9 +584,13 @@ def _pcf(nu: complex, z: np.ndarray, derivative: bool) -> tuple:
         out[0][left] = rot * mirror[0] + pre * other[0]
         if derivative:
             out[1][left] = -rot * mirror[1] - 1j * sgn * pre * other[1]
-    if np.any(right):
-        for row, vals in zip(out, _pcf_right_half_any_arg(nu, z[right], derivative)):
-            row[right] = vals
+    right = np.flatnonzero(~left)
+    # one group per ray: the points in order of angle, split where it moves
+    order = right[np.argsort(angles[right], kind="stable")]
+    breaks = np.flatnonzero(np.abs(np.diff(angles[order])) > 1e-12) + 1
+    for g in np.split(order, breaks) if order.size else ():
+        for row, vals in zip(out, _pcf_ray(nu, angles[g[0]], r[g], derivative, z[g])):
+            row[g] = vals
     return out
 
 
@@ -637,8 +607,8 @@ def pcf_d(nu, z, derivative: bool = False, *, theta=None):
     (upper sign for Im z >= 0).
 
     With ``theta``, ``z`` holds the real radii rho >= 0 of the points
-    rho e^{i theta} of one ray, and each point's regime is decided by its
-    radius (``_pcf_ray``): a value depends only on (nu, theta, rho).
+    rho e^{i theta} of one ray, whose Poincare prefactor is formed from rho
+    and theta (``_pcf_ray``): a value depends only on (nu, theta, rho).
     """
     nu = complex(nu)
     if theta is None:
@@ -648,7 +618,11 @@ def pcf_d(nu, z, derivative: bool = False, *, theta=None):
         if np.iscomplexobj(z):
             raise SpecFunDomainError("with theta, z holds the real radii of the ray's points")
         z = np.asarray(z, dtype=float)
-        out = _pcf_ray(nu, float(theta), np.atleast_1d(z).ravel(), derivative)
+        rho, theta = np.atleast_1d(z).ravel(), float(theta)
+        if np.any(rho < 0.0):
+            raise SpecFunDomainError(f"ray radii must be non-negative, got {rho.min()!r}")
+        out = (_pcf_ray(nu, theta, rho, derivative) if abs(theta) <= 0.5 * np.pi
+               else _pcf(nu, rho * np.exp(1j * theta), derivative))
     vals = [complex(row[0]) if z.ndim == 0 else row.reshape(z.shape) for row in out]
     return tuple(vals) if derivative else vals[0]
 

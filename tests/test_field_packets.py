@@ -7,7 +7,8 @@ from relwave import field_packets, free_packets, packets, quadrature, scenarios,
 from relwave.analysis import charge_density, expectation_x, find_peaks
 from relwave.field_packets import (FieldPacketConfig, _order_and_ray, field_mode_basis,
                                    mode_coeffs, mode_pair)
-from relwave.kinematics import FieldMotion
+from relwave.free_packets import GaussianPacketConfig, gauss_spectral
+from relwave.kinematics import FieldMotion, FreeMotion
 from relwave.packets import packet_for
 from relwave.specfun import SpecFunAccuracyError, pcf_d, pcf_d_dz
 
@@ -167,6 +168,40 @@ def test_psi_field_scalar_api():
     assert pk.psi_at(np.array([2.0]), np.array([11.0]))[0] == psi[0]
 
 
+@pytest.mark.parametrize("family", ["gauss-free", "uniform-field"])
+def test_coarse_sum_error_is_its_poisson_images(monkeypatch, family):
+    # a sum on nodes of spacing dp about p0 is, by Poisson summation, psi and
+    # its images sum_{k != 0} e^{ikLp0} psi(x - kL), L = 2 pi/dp.  So at the
+    # default _OVERSAMPLE, psi - psi_fine (psi_fine at _OVERSAMPLE = 12) is
+    # the images k = +-1, +-2 of psi_fine, to 1e-13 of max|psi|, on the
+    # worldline at t = 10 to 40 of fig9's gauss-free and uniform-field cases
+    # (sigma0 = 0.3, gamma0 = 10, F = 0.1; L = 393 and 363).  Measured, of
+    # max|psi|: the field difference is 5.8e-10 to 2.0e-9, from the part of
+    # psi about (E0 + E(t))/F behind the packet, and the images match it to
+    # 1.4e-15 to 7.4e-14 (at t = 10, psi_fine(x + 2L) holds psi_fine's own
+    # image of that part); the free difference is below 4.1e-15
+    if family == "gauss-free":
+        motion = FreeMotion.from_gamma(10.0)
+
+        def build():
+            return gauss_spectral(GaussianPacketConfig(0.3, motion), 71.0, 50.0)
+    else:
+        motion = FieldMotion.from_gamma(10.0, force=F)
+
+        def build():
+            return field_mode_basis(FieldPacketConfig(0.3, motion), 71.0, 40.0)
+    ts = np.linspace(10.0, 40.0, 7)
+    xs = np.array([motion.x(t) for t in ts])
+    coarse = build()
+    monkeypatch.setattr(free_packets, "_OVERSAMPLE", 12.0)
+    fine = build()
+    period = 2.0 * np.pi * (len(coarse.p) - 1) / (coarse.p[-1] - coarse.p[0])
+    psi = coarse.psi_at(ts, xs)
+    images = sum(np.exp(1j * k * period * motion.p0) * fine.psi_at(ts, xs - k * period)
+                 for k in (-2, -1, 1, 2))
+    assert np.max(np.abs(psi - fine.psi_at(ts, xs) - images)) < 1e-13 * np.max(np.abs(psi))
+
+
 def _diagonal_points(rho):
     # rho e^{i pi/4} with equal real and imaginary parts: exactly on the mode
     # ray, so that a point's mirror and conjugate are exact in floating point
@@ -175,11 +210,12 @@ def _diagonal_points(rho):
 
 
 def _complex_router(monkeypatch):
-    # mode_pair's D_nu and D' from pcf_d's router of complex z at the points
-    # of _diagonal_points, which the references below evaluate too.  The ray
-    # route rounds the Gaussian phase |z|^2/4 of rho otherwise (by up to
+    # mode_pair's D_nu and D' from pcf_d at the complex points of
+    # _diagonal_points, which the references below evaluate too.  On its
+    # declared ray pcf_d forms the Poincare prefactor from rho and theta,
+    # which round the Gaussian phase |z|^2/4 otherwise (by up to
     # 2^-51 |z|^2/4, test_ray_route_matches_mpmath), so the connection
-    # formula is checked against the complex route on its own points
+    # formula is checked against D_nu at its own complex points
     pcf = field_packets.pcf_d
 
     def on_the_diagonal(nu, rho, derivative=False, theta=None):
@@ -257,8 +293,8 @@ def _two_order_route(cfg, s):
 def test_mode_pair_mirror_matches_the_two_order_route(monkeypatch, force):
     # one D_nu and D' per |s| and the connection formula against f+ and f-
     # as two D_nu families with the ladder's D', to 1e-13 of max|f| and 1e-11
-    # of max|d/dt f| (the largest gap measured is 1.6e-12, at F = 0.05), with
-    # mode_pair's D_nu from the complex route on the reference's points
+    # of max|d/dt f| (the largest gap measured is 2.9e-13, at F = 0.1), with
+    # mode_pair's D_nu at the reference's complex points
     # (_complex_router): on one call's points and on more than _PAIR_BLOCK
     # in two rows from s = 0 out, which split into several calls (the
     # reference takes no mpmath point there and costs under 30 ms a force).
@@ -283,8 +319,8 @@ def test_mode_pair_mirror_matches_the_two_order_route(monkeypatch, force):
 def test_negative_force_modes_conjugate_the_two_order_route(monkeypatch, force):
     # F < 0: f+-(s; F) = conj f+-(s; |F|) and d/dt f+-(s; F) =
     # -conj(d/dt f+-(s; |F|)), against the two-order route at |F| to the
-    # bounds of the F > 0 test (mode_pair's D_nu from the complex route on
-    # the reference's points), and with the bits of the |F| modes
+    # bounds of the F > 0 test (mode_pair's D_nu at the reference's complex
+    # points), and with the bits of the |F| modes
     cfg = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=force))
     mirror = FieldPacketConfig(sigma0=1.0, motion=FieldMotion(force=-force))
     s = np.concatenate([np.linspace(-60.0, 60.0, 2001), [0.0, 1e-9, -1e-9]])

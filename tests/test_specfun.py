@@ -281,7 +281,7 @@ def test_pcf_off_the_march_matches_mpmath(monkeypatch):
             ref = complex(mpmath.pcfd(nu, z))
         assert abs(got - ref) <= 1e-13 * abs(ref), (nu, z)
     # and all but the four points past |z| = 8 that the Poincare series
-    # holds reach mpmath.pcfd
+    # holds reach mpmath.pcfd (94 of 98)
     served = []
     pcfd = specfun._mpmath_pcfd
 
@@ -292,7 +292,7 @@ def test_pcf_off_the_march_matches_mpmath(monkeypatch):
     monkeypatch.setattr(specfun, "_mpmath_pcfd", record)
     for nu, z in points:
         pcf_d(nu, z)
-    assert len(served) >= len(points) - 4
+    assert len(served) == len(points) - 4
 
 
 def test_weak_force_fold_raises_not_nan():
@@ -540,17 +540,18 @@ def test_pcf_derivative_keeps_d_and_matches_the_ladder():
     assert (d, dd) == (pcf_d(NU_P, z[0]), pcf_d(NU_P, z[:1], derivative=True)[1][0])
 
 
-def _asymptotic_calls(monkeypatch, evaluate):
-    """The (nu, z) of every _asymptotic call that ``evaluate`` makes."""
+def _poincare_calls(monkeypatch, evaluate):
+    """The (nu, theta, rho, z) of every _poincare_ray call that ``evaluate``
+    makes, each with the caller's complex points z."""
     calls = []
 
-    def record(nu, z, derivative=False):
-        calls.append((nu, z.copy()))
-        return asymptotic(nu, z, derivative)
+    def record(nu, theta, rho, derivative=False, z=None, ratio=False):
+        calls.append((nu, theta, rho.copy(), z.copy()))
+        return poincare(nu, theta, rho, derivative, z, ratio)
 
-    asymptotic = specfun._asymptotic
+    poincare = specfun._poincare_ray
     with monkeypatch.context() as m:
-        m.setattr(specfun, "_asymptotic", record)
+        m.setattr(specfun, "_poincare_ray", record)
         evaluate()
     return calls
 
@@ -569,10 +570,10 @@ def test_poincare_series_matches_the_reference_series(monkeypatch):
         for nu in (NU_P, NU_M, -1.5 + 2.0j, 0.3 - 2.0j):
             pcf_d(nu, z)
 
-    calls = _asymptotic_calls(monkeypatch, mode_rays_and_sweep)
+    calls = _poincare_calls(monkeypatch, mode_rays_and_sweep)
     assert len(calls) >= 12
-    for nu, z in calls:
-        got, trunc = specfun._asymptotic(nu, z)
+    for nu, theta, rho, z in calls:
+        got, trunc = specfun._poincare_ray(nu, theta, rho, z=z, ratio=True)
         ref, ref_trunc = _ref_asymptotic(nu, z)
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 4e-15, nu
         # the same points are routed to the march and to mpmath
@@ -606,28 +607,37 @@ def test_poincare_point_alone_has_its_batch_bits():
     n = np.minimum(np.minimum(np.searchsorted(grow, -lam, "right") + 1,
                               np.searchsorted(stop, lam, "right") + 2), len(c))
     assert n.min() == 1 and n.max() == len(c) == specfun._POINCARE_TERMS + 1
-    got, trunc = specfun._asymptotic(nu, z)
-    (d, dd), _ = specfun._asymptotic(nu, z, derivative=True)
-    assert np.array_equal(d, got)
-    for i in range(len(z)):
-        alone, alone_trunc = specfun._asymptotic(nu, z[i:i + 1])
-        assert alone[0] == got[i] and alone_trunc[0] == trunc[i], z[i]
-        # D' too (an in-place complex multiply rounded a lone point otherwise)
-        assert specfun._asymptotic(nu, z[i:i + 1], derivative=True)[0][1][0] == dd[i], z[i]
+    # on the declared ray (prefactor from rho and theta) and at the complex z
+    rho, theta = np.geomspace(8.0, 3000.0, 300), 0.25 * np.pi
+    for points in (None, z):
+        def poincare(i, derivative=False):
+            at = slice(None) if i is None else slice(i, i + 1)
+            return specfun._poincare_ray(nu, theta, rho[at], derivative,
+                                         None if points is None else points[at], ratio=True)
+
+        got, trunc = poincare(None)
+        (d, dd), _ = poincare(None, derivative=True)
+        assert np.array_equal(d, got)
+        for i in range(len(z)):
+            alone, alone_trunc = poincare(i)
+            assert alone[0] == got[i] and alone_trunc[0] == trunc[i], z[i]
+            # D' too (an in-place complex multiply rounded a lone point otherwise)
+            assert poincare(i, derivative=True)[0][1][0] == dd[i], z[i]
 
 
 @pytest.mark.parametrize("im_nu", [417.0, -417.0, 450.0, -450.0])
 def test_poincare_series_stays_finite_at_the_weakest_fields(im_nu):
     # |Im nu| = 417 and 450 are forces 1.2e-3 and 1.1e-3: the coefficients
     # reach ~1e237 and the terms underflow, but nothing leaves double range
-    z = np.geomspace(8.0, 3000.0, 400) * np.exp(-0.25j * np.pi * np.sign(im_nu))
+    rho, theta = np.geomspace(8.0, 3000.0, 400), -0.25 * np.pi * np.sign(im_nu)
+    z = rho * np.exp(1j * theta)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for nu in (complex(-0.5, im_nu), complex(-1.5, im_nu)):
             table = specfun._poincare_table(nu)
             assert all(np.all(np.isfinite(a)) for a in table)
             assert len(table[0]) == specfun._POINCARE_TERMS + 1
-            val, trunc = specfun._asymptotic(nu, z)
+            val, trunc = specfun._poincare_ray(nu, theta, rho, z=z, ratio=True)
             assert np.all(np.isfinite(val)) and np.all(np.isfinite(trunc))
             ref, _ = _ref_asymptotic(nu, z)
             assert np.max(np.abs(val - ref) / np.abs(ref)) < 4e-15
@@ -692,8 +702,8 @@ def test_weak_force_mode_ray_matches_mpmath_or_raises(force):
 
 @pytest.mark.parametrize("force", [0.1, 0.04, 0.02, 0.01])
 def test_mode_rays_never_take_the_mpmath_fallback(monkeypatch, force):
-    # both modes and both orders, s in [-60, 60], by the complex route and
-    # through mode_pair's ray route: the march reaches every point the
+    # both modes and both orders, s in [-60, 60], at complex z and
+    # through mode_pair's declared ray: the march reaches every point the
     # Poincare series does not, and no point takes mpmath.pcfd
     def no_mpmath_pcfd(nu, z, derivative=False):
         raise AssertionError("mpmath.pcfd called")
@@ -718,7 +728,7 @@ def test_poorly_truncated_poincare_points_are_marched(monkeypatch):
     r = np.array([8.004, 8.111])
     for nu, theta in ((-1.5 - 5.0j, 0.25 * np.pi), (-1.5 + 5.0j, -0.25 * np.pi)):
         z = r * np.exp(1j * theta)
-        assert np.all(specfun._asymptotic(nu, z)[1] > 1e-11)
+        assert np.all(specfun._poincare_ray(nu, theta, r, z=z, ratio=True)[1] > 1e-11)
         got = pcf_d(nu, z)
         with mpmath.workdps(30):
             ref = np.array([complex(mpmath.pcfd(nu, zz)) for zz in z])
@@ -747,9 +757,9 @@ _RAY_RADII = np.concatenate([np.linspace(0.0, 1.5, 6), np.linspace(1.8, 7.9, 8),
 def test_ray_route_matches_mpmath(force):
     # D and D' at rho = |r| s on the mode ray against 30-digit mpmath at
     # z = r s formed in mpmath from the double s, pointwise within the D_nu
-    # tolerance plus a few roundings of the Gaussian phase |z|^2/4 (the ray
-    # route and the complex route round z otherwise).  Measured worst error
-    # over this bound, ray route (complex route at the double z = r s): 0.57
+    # tolerance plus a few roundings of the Gaussian phase |z|^2/4 (the
+    # declared ray forms it from rho and theta, a complex z from z).  Measured
+    # worst error over this bound, declared ray (complex z = r s): 0.57
     # (0.30) at F = 0.01, 0.50 (0.30) at 0.04, 0.66 (0.44) at 0.1, 0.42
     # (0.49) at +-0.3, 0.64 (0.15) at 1
     nu, ray = _mode_ray(force)
@@ -785,7 +795,7 @@ def test_poincare_series_holds_past_each_march_end(force):
         end = specfun._march_end(order, theta)
         rho = np.concatenate([np.linspace(end, end + 20.0, 40001),
                               np.geomspace(end + 20.0, 1e4, 2000)])
-        trunc = specfun._asymptotic(order, rho * np.exp(1j * theta))[1]
+        trunc = specfun._poincare_ray(order, theta, rho, ratio=True)[1]
         assert np.all(trunc <= specfun._POINCARE_TOL), (order, rho[np.argmax(trunc)])
 
 
@@ -803,9 +813,9 @@ def test_ray_regimes_are_read_from_the_radius(monkeypatch):
     maclaurin, march, poincare = specfun._maclaurin, specfun._march_ray, specfun._poincare_ray
 
     def on_the_ray(name, f):
-        def spy(nu, theta, radii, derivative=False):
+        def spy(nu, theta, radii, *args, **kwargs):
             seen[name] = list(radii)
-            return f(nu, theta, radii, derivative)
+            return f(nu, theta, radii, *args, **kwargs)
         return spy
 
     monkeypatch.setattr(specfun, "_maclaurin", lambda nu, z, derivative=False:
@@ -837,15 +847,20 @@ def test_ray_point_alone_has_its_batch_bits(force):
         assert pcf_d(nu, rho[i], theta=theta) == d[i], rho[i]
 
 
-def test_ray_off_the_march_takes_the_complex_router():
-    # a ray where the march is unstable, one in the left half-plane and an
-    # order past _MARCH_NU_MAX take the per-point router at rho e^{i theta};
+def test_ray_off_the_march_matches_mpmath():
+    # a ray where the march is unstable, one in the left half-plane (folded)
+    # and an order past _MARCH_NU_MAX (Poincare points) against 30-digit
+    # mpmath at rho e^{i theta}, to the bound of test_ray_route_matches_mpmath;
     # radii must be real and non-negative
     rho = np.array([0.5, 3.0, 9.0, 20.0])
     for nu, theta, radii in ((NU_M, 0.25 * np.pi, rho), (NU_P, 0.75 * np.pi, rho[2:]),
                              (-0.5 - 60.0j, 0.25 * np.pi, np.array([150.0, 300.0]))):
-        assert np.array_equal(pcf_d(nu, radii, theta=theta),
-                              pcf_d(nu, radii * np.exp(1j * theta)))
+        got = pcf_d(nu, radii, theta=theta)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.pcfd(nu, mpmath.mpf(r) * mpmath.expj(theta)))
+                            for r in radii])
+        bound = 1e-11 + 2.0 ** -51 * radii * radii / 4.0
+        assert np.all(np.abs(got - ref) <= bound * np.abs(ref)), (nu, theta)
     with pytest.raises(SpecFunDomainError):
         pcf_d(NU_P, np.array([1.0, -1.0]), theta=0.25 * np.pi)
     with pytest.raises(SpecFunDomainError):

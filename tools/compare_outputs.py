@@ -4,8 +4,9 @@
     python tools/compare_outputs.py diff A B
 
 ``run`` writes the CSV files and manifests of the nine builtin scenarios, of
-``tests/mixed_families.ini`` and of the ``weak-field`` section of
-``tests/weak_field.ini`` (F = 0.01, the D_nu router's longest march) into
+``tests/mixed_families.ini``, of the ``weak-field`` section of
+``tests/weak_field.ini`` (F = 0.01, the D_nu router's longest march) and of
+``tests/negative_force.ini`` (F = -0.1, the conjugated modes of |F|) into
 DIR, with the relwave of this checkout's ``src/``, and prints each
 scenario's file count and its manifest's ``wall_time_s``.  ``diff`` prints
 one line per CSV file of A and B: ``identical``, or its largest |B - A| over
@@ -34,6 +35,7 @@ def run(out_dir: Path) -> None:
     todo += scenarios.load_config(ROOT / "tests" / "mixed_families.ini")
     todo += [scn for scn in scenarios.load_config(ROOT / "tests" / "weak_field.ini")
              if scn.name == "weak-field"]
+    todo += scenarios.load_config(ROOT / "tests" / "negative_force.ini")
     for scn in todo:
         manifest = scenarios.run(scn, out_dir)
         print(f"{scn.name}: {len(manifest.outputs)} file(s), "
